@@ -104,6 +104,9 @@ class ExperimentConfig:
             raise ConfigError("snr_grid_db must be strictly ascending")
         if self.symbols < 100:
             raise ConfigError(f"symbols must be >= 100, got {self.symbols}")
+        if self.processing_gain != sm.GOLD_LENGTH:
+            raise ConfigError(f"processing_gain must be {sm.GOLD_LENGTH} (the Gold "
+                              f"code length), got {self.processing_gain!r}")
 
 
 _SCHEME_KEYS = {"name", "position", "monitor_freq", "basis_file"}
@@ -376,7 +379,7 @@ def _sweep_point(payload):
         model = mpb.analytic_cov(sc, bases)
         pair = mpb.accumulate_cov_pair(sc, bases)
         bw = mpb.solve_weights(pair, model.a0)
-        g_sim = mpb.measure_g(bw, sc, bases, mode="analytic")
+        g_sim = mpb.analytic_g(bw.w, model)
         lam_exact = float(la.gen_eig_hpd(model.r_s, model.r_i).eigenvalues[0])
         spec = theory.mismatch_spectrum(model)
         g_sim_db = 10.0 * math.log10(g_sim) if g_sim > 0 else -math.inf

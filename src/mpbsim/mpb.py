@@ -125,6 +125,25 @@ class CovariancePair:
                 raise ValueError(f"{name} is not Hermitian")
 
 
+def _outer_sums(x_s: np.ndarray, x_i: np.ndarray):
+    """Unnormalized sums of x_s x_s^H and X_I X_I^H over the snapshots.
+
+    x_s is (K, L); x_i is (K, L, r_I).
+    """
+    x_it = x_i.transpose(1, 0, 2).reshape(x_i.shape[1], -1)
+    return x_s.T @ x_s.conj(), x_it @ x_it.conj().T
+
+
+def _sample_pair(acc_s: np.ndarray, acc_i: np.ndarray, k: int, r_i_dim: int) -> CovariancePair:
+    """R_S = acc_s / K and R_I = acc_i / (K r_I), made exactly Hermitian."""
+    big_l = acc_s.shape[0]
+    if k < 10 * big_l:
+        warnings.warn(f"only {k} snapshots for L={big_l}: covariance estimates are noisy")
+    r_s = acc_s / k
+    r_i = acc_i / (k * r_i_dim)
+    return CovariancePair(0.5 * (r_s + r_s.conj().T), 0.5 * (r_i + r_i.conj().T), "Sample")
+
+
 def estimate_cov_pair(x_s: np.ndarray, x_i: np.ndarray) -> CovariancePair:
     """Sample covariances R_S = avg x_s x_s^H, R_I = avg X_I X_I^H / r_I."""
     x_s = np.asarray(x_s, dtype=np.complex128)
@@ -134,34 +153,30 @@ def estimate_cov_pair(x_s: np.ndarray, x_i: np.ndarray) -> CovariancePair:
         raise ValueError("no snapshots")
     if k < big_l:
         raise ValueError(f"need at least L={big_l} snapshots, got {k}")
-    if k < 10 * big_l:
-        warnings.warn(f"only {k} snapshots for L={big_l}: covariance estimates are noisy")
-    r_i_dim = x_i.shape[2] if x_i.ndim == 3 else 1
     if x_i.ndim == 2:
         x_i = x_i[:, :, None]
-    r_s = np.einsum("kl,kp->lp", x_s, x_s.conj()) / k
-    r_i = np.einsum("klm,kpm->lp", x_i, x_i.conj()) / (k * r_i_dim)
-    return CovariancePair(0.5 * (r_s + r_s.conj().T), 0.5 * (r_i + r_i.conj().T), "Sample")
+    return _sample_pair(*_outer_sums(x_s, x_i), k, x_i.shape[2])
 
 
 def accumulate_cov_pair(scenario: sm.Scenario, bases: ProjectionBases,
                         include=("soi", "interference", "noise")) -> CovariancePair:
-    """Streaming estimate_cov_pair over all scenario symbols (fixed batching)."""
+    """estimate_cov_pair over all scenario symbols, synthesized already projected.
+
+    The snapshots come from sm.iter_projected with the basis [h_s, h_i], so
+    the L x N blocks are never formed; see that function for how its
+    receiver noise relates to sm.iter_blocks.
+    """
     big_l = scenario.geometry.element_count
+    basis = np.column_stack([bases.h_s, bases.h_i])
     acc_s = np.zeros((big_l, big_l), dtype=np.complex128)
     acc_i = np.zeros((big_l, big_l), dtype=np.complex128)
     total = 0
-    for _, x in sm.iter_blocks(scenario, include=include):
-        x_s = x @ bases.h_s.conj()
-        x_i = x @ bases.h_i.conj()
-        acc_s += np.einsum("kl,kp->lp", x_s, x_s.conj())
-        acc_i += np.einsum("klm,kpm->lp", x_i, x_i.conj())
-        total += x.shape[0]
-    if total < 10 * big_l:
-        warnings.warn(f"only {total} snapshots for L={big_l}: covariance estimates are noisy")
-    r_s = acc_s / total
-    r_i = acc_i / (total * bases.r_i)
-    return CovariancePair(0.5 * (r_s + r_s.conj().T), 0.5 * (r_i + r_i.conj().T), "Sample")
+    for _, y in sm.iter_projected(scenario, basis, include=include):
+        d_s, d_i = _outer_sums(y[:, :, 0], y[:, :, 1:])
+        acc_s += d_s
+        acc_i += d_i
+        total += y.shape[0]
+    return _sample_pair(acc_s, acc_i, total, bases.r_i)
 
 
 # -----------------------
@@ -345,6 +360,12 @@ def output_sinr(w: np.ndarray, q_s: np.ndarray, a0: np.ndarray, sigma_s0_sq: flo
     return float(num / den)
 
 
+def analytic_g(w: np.ndarray, model: AnalyticModel) -> float:
+    """G = SINR(w) / SINR_opt of a fixed weight under a closed-form model."""
+    opt = sinr_opt(model.q_s, model.a0, model.sigma_s0_sq)
+    return output_sinr(w, model.q_s, model.a0, model.sigma_s0_sq) / opt
+
+
 def measure_g(weights: BeamWeights, scenario: sm.Scenario, bases: ProjectionBases,
               mode: str = "analytic", symbols: int | None = None) -> float:
     """Normalized output SINR G = SINR(w) / SINR_opt in [0, 1]-ish.
@@ -353,28 +374,26 @@ def measure_g(weights: BeamWeights, scenario: sm.Scenario, bases: ProjectionBase
     monte_carlo: E|y_S|^2 / E|y_I|^2 with the signal-only and the
     interference-plus-noise-only snapshots synthesized separately (removes
     the cross-term estimation noise), normalized by the analytic optimum.
+    Only x_s = X(k) h_s* is synthesized.
     """
     model = analytic_cov(scenario, bases)
-    opt = sinr_opt(model.q_s, model.a0, model.sigma_s0_sq)
     if mode == "analytic":
-        return output_sinr(weights.w, model.q_s, model.a0, model.sigma_s0_sq) / opt
+        return analytic_g(weights.w, model)
     if mode != "monte_carlo":
         raise ValueError(f"unknown mode {mode!r}")
 
+    opt = sinr_opt(model.q_s, model.a0, model.sigma_s0_sq)
     if symbols is not None:
         scenario = sm.Scenario(scenario.geometry, scenario.soi, scenario.interferers,
                                scenario.noise_var, symbols, scenario.seed, scenario.mc_stream)
     w = weights.w
+    h_s = bases.h_s[:, None]
     num = 0.0
-    cnt = 0
-    for _, x in sm.iter_blocks(scenario, include=("soi",)):
-        y = (x @ bases.h_s.conj()) @ w.conj()
-        num += float(np.sum(np.abs(y) ** 2))
-        cnt += x.shape[0]
+    for _, y in sm.iter_projected(scenario, h_s, include=("soi",)):
+        num += float(np.sum(np.abs(y[:, :, 0] @ w.conj()) ** 2))
     den = 0.0
-    for _, x in sm.iter_blocks(scenario, include=("interference", "noise")):
-        y = (x @ bases.h_s.conj()) @ w.conj()
-        den += float(np.sum(np.abs(y) ** 2))
+    for _, y in sm.iter_projected(scenario, h_s, include=("interference", "noise")):
+        den += float(np.sum(np.abs(y[:, :, 0] @ w.conj()) ** 2))
     if den <= 0.0:
         raise ValueError("interference-plus-noise output power is zero")
     return (num / den) / opt

@@ -5,16 +5,30 @@ Everything upstream of the beamformer lives here: ULA steering vectors,
 white, tones, periodical noise, multiple-access multipath), AWGN, and the
 per-symbol blocked data matrices X(k).
 
+Two synthesizers share the random streams. iter_blocks builds the full
+L x N block X(k) of every symbol and is kept as the reference.
+iter_projected yields only the projections X(k) B* onto an N x M basis B,
+which is all the beamformer consumes, without ever forming X(k).
+
 Randomness discipline: interferer *realization* parameters (tone phases,
 periodical-noise segments) derive from the scenario seed alone, so one
 realization is shared by every point of a sweep. Per-symbol randomness
 (data bits, white chips, receiver noise) derives from counter-based Philox
-streams keyed by (seed, tag, mc_stream, batch), making synthesis a pure
-function of the scenario and independent of how work is partitioned.
+streams keyed by (seed, tag, mc_stream, index...), making synthesis a pure
+function of the scenario and independent of how work is partitioned. The
+SOI-bit, MAI-bit and white-chip streams are the same in both synthesizers,
+so the SOI and interference components of iter_projected equal the
+projected full blocks to rounding. Receiver noise is drawn where it is
+used: as L x N white chips in iter_blocks, and in iter_projected directly
+as rows of CN(0, sigma^2 B^H B) through the Cholesky factor of the basis
+Gram matrix. Both have the same joint distribution after projection,
+including the correlation between non-orthogonal basis columns, but they
+are different draws.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -28,6 +42,7 @@ _TAG_SOI_BITS = 102
 _TAG_MAI_BITS = 103
 _TAG_WHITE = 104
 _TAG_NOISE = 105
+_TAG_PROJECTED_NOISE = 106
 
 
 # -----------------------
@@ -75,6 +90,8 @@ def _m_sequence(recurrence_lags: tuple, degree: int = 5) -> np.ndarray:
         bits.append(int(np.bitwise_xor.reduce([bits[n - lag] for lag in recurrence_lags])))
     return np.array(bits[:period], dtype=np.int64)
 
+
+GOLD_LENGTH = 31  # chips per Gold code, and so the only processing gain N supported
 
 # preferred pair of degree-5 feedback polynomials: x^5+x^2+1 and x^5+x^4+x^3+x^2+1
 _M1 = _m_sequence((3, 5))
@@ -265,7 +282,7 @@ def realize_paths(scenario: Scenario) -> list:
         else:  # mai_multipath
             code = gold31(sp.user_code)
             if n != code.shape[0]:
-                raise ValueError("mai_multipath requires N = 31 (Gold code length)")
+                raise ValueError(f"mai_multipath requires N = {GOLD_LENGTH} (Gold code length)")
             for d, doa, g in zip(sp.path_delays, sp.path_doas, sp.path_gains):
                 eff = (d - n0) % n
                 head = np.zeros(n)
@@ -325,7 +342,7 @@ def interferer_sequence(spec: InterfererSpec, sample_range, rng: np.random.Gener
         phi0 = rng.uniform(0.0, 2.0 * math.pi)
         return np.exp(1j * (phi0 + 2.0 * math.pi * spec.normalized_offset * idx))[None, :]
     if spec.kind == "periodical_noise":
-        n = 31
+        n = GOLD_LENGTH
         seg = rng.normal(size=n) + 1j * rng.normal(size=n)
         seg *= math.sqrt(n) / math.sqrt(float(np.sum(np.abs(seg) ** 2)))
         return seg[idx % n][None, :]
@@ -348,10 +365,14 @@ def interferer_sequence(spec: InterfererSpec, sample_range, rng: np.random.Gener
 # Block synthesis
 # -----------------------
 
-def _bit_stream(seed: int, tag: int, mc_stream: int, index: int, count: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence([seed, tag, mc_stream, index])))
-    return 1.0 - 2.0 * rng.integers(0, 2, size=count)
+def _stream(scenario: Scenario, tag: int, *index: int) -> np.random.Generator:
+    """The Philox stream keyed by (seed, tag, mc_stream, *index)."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        [scenario.seed, tag, scenario.mc_stream, *index])))
+
+
+def _signs(rng: np.random.Generator, size) -> np.ndarray:
+    return 1.0 - 2.0 * rng.integers(0, 2, size=size)
 
 
 def soi_bits(scenario: Scenario) -> np.ndarray:
@@ -361,7 +382,7 @@ def soi_bits(scenario: Scenario) -> np.ndarray:
         if len(bits) < scenario.symbols:
             raise ValueError("pinned bits shorter than scenario.symbols")
         return bits[:scenario.symbols]
-    return _bit_stream(scenario.seed, _TAG_SOI_BITS, scenario.mc_stream, 0, scenario.symbols)
+    return _signs(_stream(scenario, _TAG_SOI_BITS, 0), scenario.symbols)
 
 
 def _mai_bit_streams(scenario: Scenario, paths) -> dict:
@@ -369,10 +390,16 @@ def _mai_bit_streams(scenario: Scenario, paths) -> dict:
     streams = {}
     for p in paths:
         if p.family == "mai" and p.stream_index not in streams:
-            streams[p.stream_index] = _bit_stream(
-                scenario.seed, _TAG_MAI_BITS, scenario.mc_stream,
-                p.stream_index, scenario.symbols + 1)
+            streams[p.stream_index] = _signs(
+                _stream(scenario, _TAG_MAI_BITS, p.stream_index), scenario.symbols + 1)
     return streams
+
+
+def _white_chips(scenario: Scenario, path: RealizedPath, batch_index: int,
+                 count: int, n: int) -> np.ndarray:
+    """The +-1 chips of a white path for one synthesis batch, shape (count, n)."""
+    return _signs(_stream(scenario, _TAG_WHITE, path.stream_index, batch_index),
+                  (count, n))
 
 
 def iter_blocks(scenario: Scenario, include=("soi", "interference", "noise"),
@@ -416,9 +443,7 @@ def iter_blocks(scenario: Scenario, include=("soi", "interference", "noise"),
             for pi, p in enumerate(paths):
                 amp = math.sqrt(p.power)
                 if p.family == "white":
-                    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
-                        [scenario.seed, _TAG_WHITE, scenario.mc_stream, p.stream_index, bi])))
-                    s = 1.0 - 2.0 * rng.integers(0, 2, size=(nb, n))
+                    s = _white_chips(scenario, p, bi, nb, n)
                 elif p.family == "periodic":
                     rho_k = p.block_phase ** np.arange(k0, k0 + nb)
                     s = rho_k[:, None] * p.waveform[None, :]
@@ -429,11 +454,93 @@ def iter_blocks(scenario: Scenario, include=("soi", "interference", "noise"),
                     s = cur[:, None] * p.head[None, :] + prev[:, None] * p.tail[None, :]
                 x += amp * steer[None, :, pi, None] * s[:, None, :]
         if want_noise:
-            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
-                [scenario.seed, _TAG_NOISE, scenario.mc_stream, bi])))
+            rng = _stream(scenario, _TAG_NOISE, bi)
             sd = math.sqrt(scenario.noise_var / 2.0)
             x += sd * (rng.normal(size=(nb, big_l, n)) + 1j * rng.normal(size=(nb, big_l, n)))
         yield k0, x
+
+
+def iter_projected(scenario: Scenario, basis: np.ndarray,
+                   include=("soi", "interference", "noise")):
+    """Yield (k0, Y) with Y = X(k) basis* of shape (B, L, M), never forming X(k).
+
+    basis is N x M; the beamformer passes [h_s, h_i]. Every signal
+    component of X(k) is a steering vector times a length-N temporal row,
+    so each row is projected first and steered afterwards: at most
+    (N + L) * M work per path and symbol instead of L * N. The SOI and
+    interference components consume the same streams as iter_blocks and
+    agree with its projected blocks to rounding.
+
+    Receiver noise is drawn as CN(0, noise_var * basis^H basis) per element
+    and symbol, the exact law of projected white noise, as sigma * C z with
+    C the lower Cholesky factor of the Gram matrix and z ~ CN(0, I_M).
+    Component m of z is drawn before component m+1, so column m depends on
+    basis columns 0..m only: bases that share a first column (h_s) see the
+    same first-column noise.
+    """
+    unknown = set(include) - {"soi", "interference", "noise"}
+    if unknown:
+        raise ValueError(f"unknown components {sorted(unknown)}")
+    geo = scenario.geometry
+    big_l, n = geo.element_count, scenario.soi.processing_gain
+    basis = np.asarray(basis, dtype=np.complex128)
+    if basis.ndim != 2 or basis.shape[0] != n:
+        raise ValueError(f"basis must be N x M with N={n}, got shape {basis.shape}")
+    m = basis.shape[1]
+    proj = basis.conj()
+    k_total = scenario.symbols
+    paths = realize_paths(scenario) if "interference" in include else []
+    want_soi = "soi" in include
+    want_noise = "noise" in include
+
+    # one steering column per projected temporal row
+    steer = steering_matrix(paths, geo)
+    if want_soi:
+        bits0 = soi_bits(scenario)
+        soi_row = math.sqrt(scenario.soi.power) * (scenario.soi.code @ proj)
+        steer = np.column_stack([steering(scenario.soi.doa_deg, geo), steer])
+    mai_bits = _mai_bit_streams(scenario, paths)
+    terms = []  # (path, amplitude, its fixed waveforms projected)
+    for p in paths:
+        if p.family == "periodic":
+            fixed = (p.waveform @ proj,)
+        elif p.family == "mai":
+            fixed = (p.head @ proj, p.tail @ proj)
+        else:
+            fixed = ()
+        terms.append((p, math.sqrt(p.power), fixed))
+    if want_noise:
+        chol = np.linalg.cholesky(basis.conj().T @ basis)
+        sd = math.sqrt(scenario.noise_var / 2.0)
+
+    for bi, k0 in enumerate(range(0, k_total, BATCH)):
+        nb = min(BATCH, k_total - k0)
+        rows = []
+        if want_soi:
+            rows.append(np.outer(bits0[k0:k0 + nb], soi_row))
+        for p, amp, fixed in terms:
+            if p.family == "white":
+                s = _white_chips(scenario, p, bi, nb, n) @ proj
+            elif p.family == "periodic":
+                # block_phase is unit-modulus; exp of the phase ramp is far
+                # cheaper than a complex power and equal to rounding
+                ramp = cmath.phase(p.block_phase) * np.arange(k0, k0 + nb)
+                s = np.outer(np.exp(1j * ramp), fixed[0])
+            else:  # mai
+                b = mai_bits[p.stream_index]
+                s = np.outer(b[k0 + 1:k0 + nb + 1], fixed[0]) + np.outer(b[k0:k0 + nb], fixed[1])
+            rows.append(amp * s)
+        if rows:
+            # (L, D) @ (D, B*M): steer every projected row in one product
+            flat = steer @ np.stack(rows, axis=0).reshape(len(rows), nb * m)
+            y = flat.reshape(big_l, nb, m).transpose(1, 0, 2)
+        else:
+            y = np.zeros((nb, big_l, m), dtype=np.complex128)
+        if want_noise:
+            g = _stream(scenario, _TAG_PROJECTED_NOISE, bi).normal(size=(m, 2, nb, big_l))
+            # y[k, l, j] += sd * sum_m chol[j, m] z[m, k, l]
+            y = y + sd * np.tensordot(g[:, 0] + 1j * g[:, 1], chol, axes=([0], [1]))
+        yield k0, y
 
 
 def synth_blocks(scenario: Scenario, include=("soi", "interference", "noise")) -> BlockData:

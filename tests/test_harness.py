@@ -69,6 +69,21 @@ def test_grid_must_ascend():
         harness.config_from_dict({"snr_grid_db": [0.0, 0.0, 2.0]})
 
 
+@pytest.mark.parametrize("gain", [0, 32])
+def test_processing_gain_must_be_gold_length(gain):
+    with pytest.raises(harness.ConfigError, match="processing_gain"):
+        harness.config_from_dict({"processing_gain": gain})
+
+
+@pytest.mark.parametrize("gain", [0, 32])
+def test_cli_bad_processing_gain_is_exit_1(gain, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"processing_gain": gain}))
+    rc = cli.main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path)])
+    assert rc == 1
+    assert "processing_gain" in capsys.readouterr().err
+
+
 def test_symbols_floor():
     with pytest.raises(harness.ConfigError, match="symbols"):
         harness.config_from_dict({"symbols": 50})

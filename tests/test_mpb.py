@@ -105,17 +105,55 @@ def test_estimate_cov_pure_noise_converges_to_identity():
     assert np.abs(pair.r_i - np.eye(8)).max() < 0.03
 
 
+ALL_FAMILIES = (
+    sm.InterfererSpec("bpsk_white", doa_deg=30.0, power=10.0),
+    sm.InterfererSpec("tone", doa_deg=-40.0, power=20.0,
+                      normalized_offset=3.0 / 31.0),
+    sm.InterfererSpec("periodical_noise", doa_deg=50.0, power=5.0),
+    sm.InterfererSpec("mai_multipath", doa_deg=10.0, power=3.0, user_code=1,
+                      path_delays=(3, 5, 4), path_doas=(10.0, -20.0, -50.0)),
+)
+
+
 def test_accumulate_matches_estimate():
-    sc = _scenario(interferers=(sm.InterfererSpec("tone", doa_deg=30.0,
-                                                  power=10.0,
-                                                  normalized_offset=3.0 / 31.0),),
-                   symbols=5000)
-    bases = mpb.maximin_bases(CODE)
-    x_s, x_i = mpb.snapshots(sm.synth_blocks(sc), bases)
-    direct = mpb.estimate_cov_pair(x_s, x_i)
-    streamed = mpb.accumulate_cov_pair(sc, bases)
-    assert np.abs(direct.r_s - streamed.r_s).max() < 1e-10
-    assert np.abs(direct.r_i - streamed.r_i).max() < 1e-10
+    """The projected-domain synthesis reproduces the full-cube signal part.
+
+    SOI and interference share their random streams with synth_blocks, so
+    the streamed covariances equal the directly estimated ones to rounding.
+    Receiver noise is drawn differently by design; see the next test.
+    """
+    sc = sm.Scenario(GEO8, sm.SoiSpec(31, CODE, power=0.7), ALL_FAMILIES,
+                     symbols=5000, seed=7, mc_stream=2)
+    include = ("soi", "interference")
+    for bases in (mpb.papc_bases(CODE), mpb.maximin_bases(CODE)):
+        x_s, x_i = mpb.snapshots(sm.synth_blocks(sc, include=include), bases)
+        direct = mpb.estimate_cov_pair(x_s, x_i)
+        streamed = mpb.accumulate_cov_pair(sc, bases, include=include)
+        assert np.abs(direct.r_s - streamed.r_s).max() < 1e-10, bases.scheme
+        assert np.abs(direct.r_i - streamed.r_i).max() < 1e-10, bases.scheme
+
+
+def test_projected_noise_second_moments():
+    """Projected receiver noise has the law of white noise seen through the basis.
+
+    Per element and symbol, E[y y^H] = sigma^2 * B^H B for the N x M basis
+    B. Under PAPC h_i^H h_s = c0[0]/sqrt(N) != 0, so x_s and x_i noise must
+    be correlated; the complex basis pins the conjugation convention.
+    """
+    rng = np.random.default_rng(35)
+    cplx = rng.standard_normal((31, 3)) + 1j * rng.standard_normal((31, 3))
+    papc = mpb.papc_bases(CODE)
+    noise_var = 2.5
+    sc = _scenario(power=0.0, noise_var=noise_var, symbols=20_000)
+    for basis in (np.column_stack([papc.h_s, papc.h_i]),
+                  cplx / np.linalg.norm(cplx, axis=0)):
+        y = np.concatenate([y for _, y in sm.iter_projected(sc, basis)])
+        flat = y.reshape(-1, basis.shape[1])
+        moments = flat.T @ flat.conj() / flat.shape[0]
+        expect = noise_var * (basis.conj().T @ basis)
+        assert np.abs(moments - expect).max() < 0.02 * noise_var, moments
+    cross = noise_var * np.vdot(papc.h_s, papc.h_i[:, 0])
+    assert abs(cross) > 0.4   # the cross term checked above is far from 0
 
 
 def test_sample_covariance_error_halves_per_decade():

@@ -220,3 +220,38 @@ def test_iter_blocks_batch_starts():
     starts = [k0 for k0, _ in sm.iter_blocks(sc, batch=16)]
     sizes = [x.shape[0] for _, x in sm.iter_blocks(sc, batch=16)]
     assert starts == [0, 16, 32] and sizes == [16, 16, 8]
+
+
+def test_iter_projected_matches_projected_blocks():
+    """Signal components equal the full blocks times basis*, batch by batch.
+
+    K spans one full batch and a partial one; the complex random basis pins
+    the conjugation convention.
+    """
+    ints = (sm.InterfererSpec("bpsk_white", doa_deg=30.0, power=10.0),
+            sm.InterfererSpec("tone", doa_deg=-40.0, power=20.0,
+                              normalized_offset=3.0 / 31.0),
+            sm.InterfererSpec("mai_multipath", doa_deg=10.0, power=3.0,
+                              path_delays=(3, 5), path_doas=(10.0, -20.0)))
+    sc = _scenario(symbols=sm.BATCH + 904, interferers=ints)
+    rng = np.random.default_rng(36)
+    basis = rng.standard_normal((31, 2)) + 1j * rng.standard_normal((31, 2))
+    include = ("soi", "interference")
+    full = list(sm.iter_blocks(sc, include=include))
+    proj = list(sm.iter_projected(sc, basis, include=include))
+    assert [k0 for k0, _ in proj] == [0, sm.BATCH]
+    for (k0, x), (j0, y) in zip(full, proj):
+        assert k0 == j0 and y.shape == (x.shape[0], 8, 2)
+        ref = x @ basis.conj()
+        assert np.abs(y - ref).max() < 1e-12 * np.abs(ref).max()
+
+
+def test_iter_projected_noise_first_column_depends_on_it_alone():
+    """Noise of basis column 0 is the same whatever columns follow it."""
+    sc = _scenario(symbols=40)
+    h_s = sm.gold31(0) / np.sqrt(31.0)
+    e0 = np.eye(31)[:, 0]
+    alone = np.concatenate([y for _, y in sm.iter_projected(sc, h_s[:, None])])
+    pair = np.concatenate([y for _, y in sm.iter_projected(
+        sc, np.column_stack([h_s, e0]))])
+    assert np.abs(alone[:, :, 0] - pair[:, :, 0]).max() < 1e-12
