@@ -2,8 +2,9 @@
 
 The package splits along the natural seams of the problem:
 
-- ``linalg``: self-contained Hermitian/HPD matrix kernels (Jacobi eigensolver,
-  generalized eigenproblems, Gerschgorin disks, Crawford number).
+- ``linalg``: Hermitian/HPD matrix kernels over numpy.linalg (eigensolver,
+  Cholesky, SVD, generalized eigenproblems, Gerschgorin disks, Crawford
+  number).
 - ``sigmodel``: baseband synthesis of the array data — Gold-coded SOI plus
   configurable interference (BPSK white, tones, periodical noise, multipath
   multiple-access users).

@@ -1,19 +1,20 @@
-"""Self-contained dense complex linear algebra.
+"""Dense complex linear algebra for the covariance-pair theory.
 
-Hermitian eigendecomposition (cyclic Jacobi), Cholesky, definite and
-semi-definite generalized eigenproblems (including infinite eigenvalues of
-PSD pairs), one-sided Jacobi SVD for subspace geometry, and the
-perturbation-bound toolbox (Gerschgorin disks, Crawford number, the f(x)
-radius function).
+Thin domain code over numpy.linalg (LAPACK): Hermitian eigendecomposition,
+Cholesky with a relative pivot floor, definite and semi-definite generalized
+eigenproblems (including infinite eigenvalues of PSD pairs), SVD-based
+subspace geometry, and the perturbation-bound toolbox (Gerschgorin disks,
+Crawford number, the f(x) radius function).
 
-numpy is used as the array carrier only; every factorization here is
-implemented directly so the solver stack has no external numerical
-dependency.
+Inputs are validated here (finite, square, Hermitian where required), and a
+LAPACK failure surfaces as this module's NotPositiveDefiniteError or
+ConvergenceError, never as numpy.linalg.LinAlgError.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,7 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise LinAlgError(f"{name} must be 2-D, got ndim={m.ndim}")
-    if m.size and not np.all(np.isfinite(m.view(np.float64))):
+    if not np.isfinite(m).all():
         raise LinAlgError(f"{name} contains non-finite entries")
     return m
 
@@ -59,18 +60,13 @@ def _as_hermitian(a, name: str = "matrix") -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def _herm_rotation(app: float, aqq: float, apq: complex):
-    """2x2 unitary [[c, s*phi], [-s*conj(phi), c*conj(phi)]] zeroing apq.
-
-    phi carries the phase of apq; (c, s) is the classic symmetric Jacobi
-    rotation for the phase-reduced real 2x2 block. Returns (c, s, phi, t).
-    """
-    h = abs(apq)
-    phi = apq / h
-    tau = (aqq - app) / (2.0 * h)
-    t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    return c, t * c, phi, t
+@contextmanager
+def _lapack(error: type, what: str):
+    """Re-raise numpy.linalg.LinAlgError from the enclosed call as `error`."""
+    try:
+        yield
+    except np.linalg.LinAlgError as exc:
+        raise error(f"{what}: {exc}") from None
 
 
 # -----------------------
@@ -83,115 +79,51 @@ class HermEigResult:
     eigenvectors: np.ndarray  # orthonormal columns aligned to eigenvalues
 
 
-def herm_eig(a, max_sweeps: int = 50) -> HermEigResult:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi sweeps.
-
-    Converged when the off-diagonal Frobenius mass drops below
-    1e-12 * ||A||_F; raises ConvergenceError after max_sweeps otherwise.
-    """
+def herm_eig(a) -> HermEigResult:
+    """Eigendecomposition of a Hermitian matrix (LAPACK eigh), eigenvalues descending."""
     a = _as_hermitian(a, "A")
-    n = a.shape[0]
-    if n == 1:
-        return HermEigResult(np.array([a[0, 0].real]), np.ones((1, 1), dtype=np.complex128))
+    with _lapack(ConvergenceError, "eigh did not converge"):
+        vals, vecs = np.linalg.eigh(a)
+    return HermEigResult(vals[::-1].copy(), vecs[:, ::-1].copy())
 
-    work = a.copy()
-    vecs = np.eye(n, dtype=np.complex128)
-    norm_f = math.sqrt(max(np.sum(np.abs(a) ** 2).real, 0.0))
-    if norm_f == 0.0:
-        return HermEigResult(np.zeros(n), vecs)
-    target = 1e-12 * norm_f
-    skip = 1e-16 * norm_f  # far below target even summed over all n^2 slots
 
-    for _ in range(max_sweeps):
-        # off-diagonal mass summed directly: subtracting diagonal mass from
-        # the total cancels catastrophically once nearly converged
-        od = np.abs(work) ** 2
-        np.fill_diagonal(od, 0.0)
-        if math.sqrt(od.sum()) <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                if abs(apq) <= skip:
-                    continue
-                app = work[p, p].real
-                aqq = work[q, q].real
-                c, s, phi, t = _herm_rotation(app, aqq, apq)
-                # A <- U^H A U with U acting on columns (p, q)
-                col_p = work[:, p].copy()
-                col_q = work[:, q].copy()
-                work[:, p] = c * col_p - (s * np.conj(phi)) * col_q
-                work[:, q] = s * col_p + (c * np.conj(phi)) * col_q
-                row_p = work[p, :].copy()
-                row_q = work[q, :].copy()
-                work[p, :] = c * row_p - (s * phi) * row_q
-                work[q, :] = s * row_p + (c * phi) * row_q
-                work[p, p] = app - t * abs(apq)
-                work[q, q] = aqq + t * abs(apq)
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-                vp = vecs[:, p].copy()
-                vq = vecs[:, q].copy()
-                vecs[:, p] = c * vp - (s * np.conj(phi)) * vq
-                vecs[:, q] = s * vp + (c * np.conj(phi)) * vq
-    else:
-        raise ConvergenceError(f"Jacobi did not converge in {max_sweeps} sweeps")
-
-    vals = np.diagonal(work).real.copy()
-    order = np.argsort(-vals, kind="stable")
-    return HermEigResult(vals[order], vecs[:, order])
+def _eigvalsh(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix or a stack of them."""
+    with _lapack(ConvergenceError, "eigvalsh did not converge"):
+        return np.linalg.eigvalsh(m)
 
 
 # -----------------------
-# Cholesky and triangular solves
+# Cholesky and HPD solves
 # -----------------------
 
 def cholesky(b) -> np.ndarray:
-    """Lower-triangular L with B = L L^H for Hermitian positive-definite B."""
+    """Lower-triangular L with B = L L^H for Hermitian positive-definite B.
+
+    Pivots at or below 1e-12 * max|B| count as a failure even where LAPACK
+    would accept them (it factors diag(1, 1e-30) without complaint).
+    """
     b = _as_hermitian(b, "B")
-    n = b.shape[0]
-    low = np.zeros((n, n), dtype=np.complex128)
-    pivot_floor = 1e-12 * max(np.abs(b).max(), 0.0)
-    for j in range(n):
-        d = (b[j, j] - low[j, :j] @ low[j, :j].conj()).real
-        piv = math.sqrt(d) if d > 0.0 else 0.0
-        if piv <= pivot_floor:
-            raise NotPositiveDefiniteError(f"pivot {piv:.3e} at column {j}")
-        low[j, j] = piv
-        if j + 1 < n:
-            low[j + 1:, j] = (b[j + 1:, j] - low[j + 1:, :j] @ low[j, :j].conj()) / piv
+    with _lapack(NotPositiveDefiniteError, "B is not positive definite"):
+        low = np.linalg.cholesky(b)
+    piv = np.diagonal(low).real
+    bad = np.flatnonzero(piv <= 1e-12 * np.abs(b).max())
+    if bad.size:
+        j = int(bad[0])
+        raise NotPositiveDefiniteError(f"pivot {piv[j]:.3e} at column {j}")
     return low
 
 
-def _forward_solve(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve L X = RHS for lower-triangular L."""
-    n = low.shape[0]
-    x = np.empty_like(np.asarray(rhs, dtype=np.complex128))
-    rhs = np.asarray(rhs, dtype=np.complex128)
-    for i in range(n):
-        x[i] = (rhs[i] - low[i, :i] @ x[:i]) / low[i, i]
-    return x
-
-
-def _backward_solve_conj(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve L^H X = RHS for lower-triangular L."""
-    n = low.shape[0]
-    x = np.empty_like(np.asarray(rhs, dtype=np.complex128))
-    rhs = np.asarray(rhs, dtype=np.complex128)
-    for i in range(n - 1, -1, -1):
-        x[i] = (rhs[i] - low[i + 1:, i].conj() @ x[i + 1:]) / low[i, i].conj()
-    return x
+def _tri_solve(tri: np.ndarray, rhs) -> np.ndarray:
+    """Solve T X = RHS for a nonsingular triangular factor T."""
+    with _lapack(NotPositiveDefiniteError, "singular triangular factor"):
+        return np.linalg.solve(tri, rhs)
 
 
 def solve_hpd(b, rhs) -> np.ndarray:
     """Solve B X = RHS with B Hermitian positive definite (Cholesky)."""
     low = cholesky(b)
-    rhs = np.asarray(rhs, dtype=np.complex128)
-    squeeze = rhs.ndim == 1
-    if squeeze:
-        rhs = rhs[:, None]
-    x = _backward_solve_conj(low, _forward_solve(low, rhs))
-    return x[:, 0] if squeeze else x
+    return _tri_solve(low.conj().T, _tri_solve(low, rhs))
 
 
 def gen_eig_hpd(a, b) -> HermEigResult:
@@ -205,103 +137,51 @@ def gen_eig_hpd(a, b) -> HermEigResult:
     if a.shape != b.shape:
         raise LinAlgError(f"dimension mismatch {a.shape} vs {b.shape}")
     low = cholesky(b)
-    c = _forward_solve(low, a)
-    c = _forward_solve(low, c.conj().T).conj().T
+    c = _tri_solve(low, a)
+    c = _tri_solve(low, c.conj().T).conj().T
     res = herm_eig(0.5 * (c + c.conj().T))
-    vecs = _backward_solve_conj(low, res.eigenvectors)
+    vecs = _tri_solve(low.conj().T, res.eigenvectors)
     return HermEigResult(res.eigenvalues, vecs)
 
 
 # -----------------------
-# One-sided Jacobi SVD and subspace geometry
+# SVD and subspace geometry
 # -----------------------
 
-def _svd(m: np.ndarray, max_sweeps: int = 60):
-    """One-sided Jacobi SVD: M = U diag(s) V^H with V full n x n.
-
-    Rotations orthogonalize the columns of M; this is the implicit Jacobi
-    eigendecomposition of the Gram matrix M^H M but keeps small singular
-    values at high relative accuracy. U holds one column per nonzero s.
-    """
+def _svd(m: np.ndarray):
+    """M = U diag(s) V^H with U and V square, s descending (min(shape) long)."""
     m = _as_matrix(m, "M")
-    rows, cols = m.shape
-    work = m.copy()
-    v = np.eye(cols, dtype=np.complex128)
-    col2 = np.sum(np.abs(work) ** 2, axis=0).real
-    # columns driven this far below the dominant one are numerically zero;
-    # without the floor their rotation angles overflow and sweeps never end
-    floor2 = (col2.max() if col2.size else 0.0) * 1e-80
-    if cols > 1 and floor2 > 0.0:
-        for _ in range(max_sweeps):
-            rotated = False
-            for p in range(cols - 1):
-                for q in range(p + 1, cols):
-                    cp = work[:, p]
-                    cq = work[:, q]
-                    a = (cp.conj() @ cp).real
-                    b = (cq.conj() @ cq).real
-                    if a <= floor2:
-                        work[:, p] = 0.0
-                        continue
-                    if b <= floor2:
-                        work[:, q] = 0.0
-                        continue
-                    g = cp.conj() @ cq
-                    if abs(g) <= 1e-14 * math.sqrt(a * b):
-                        continue
-                    rotated = True
-                    c, s, phi, _ = _herm_rotation(a, b, g)
-                    new_p = c * cp - (s * np.conj(phi)) * cq
-                    new_q = s * cp + (c * np.conj(phi)) * cq
-                    work[:, p] = new_p
-                    work[:, q] = new_q
-                    vp = v[:, p].copy()
-                    vq = v[:, q].copy()
-                    v[:, p] = c * vp - (s * np.conj(phi)) * vq
-                    v[:, q] = s * vp + (c * np.conj(phi)) * vq
-            if not rotated:
-                break
-        else:
-            raise ConvergenceError(f"one-sided Jacobi did not converge in {max_sweeps} sweeps")
-    sig = np.sqrt(np.sum(np.abs(work) ** 2, axis=0).real)
-    order = np.argsort(-sig, kind="stable")
-    sig = sig[order]
-    work = work[:, order]
-    v = v[:, order]
-    u = np.zeros((rows, cols), dtype=np.complex128)
-    nz = sig > 0.0
-    u[:, nz] = work[:, nz] / sig[nz]
-    return u, sig, v
+    with _lapack(ConvergenceError, "SVD did not converge"):
+        u, sig, vh = np.linalg.svd(m)
+    return u, sig, vh.conj().T
 
 
-def _rank_tol(m: np.ndarray, tol) -> float:
-    if tol is not None:
-        if tol <= 0:
-            raise LinAlgError("tol must be positive")
-        return float(tol)
-    return max(m.shape) * 2.0 ** -52
+def _rank(m: np.ndarray, sig: np.ndarray, tol) -> int:
+    """Number of singular values at or above tol * sigma_max.
+
+    The default tol is max(shape) * eps; a zero matrix has rank 0.
+    """
+    if sig.size == 0 or sig[0] == 0.0:
+        return 0
+    if tol is None:
+        tol = max(m.shape) * 2.0 ** -52
+    elif tol <= 0:
+        raise LinAlgError("tol must be positive")
+    return int(np.sum(sig >= tol * sig[0]))
 
 
 def orthonormal_range(m, tol: float | None = None) -> np.ndarray:
     """Orthonormal columns spanning range(M); rank cut at tol * sigma_max."""
     m = _as_matrix(m, "M")
     u, sig, _ = _svd(m)
-    if sig.size == 0 or sig[0] == 0.0:
-        return np.zeros((m.shape[0], 0), dtype=np.complex128)
-    r = int(np.sum(sig >= _rank_tol(m, tol) * sig[0]))
-    return u[:, :r]
+    return u[:, :_rank(m, sig, tol)]
 
 
 def null_space(m, tol: float | None = None) -> np.ndarray:
     """Orthonormal columns spanning the (right) null space of M."""
     m = _as_matrix(m, "M")
     _, sig, v = _svd(m)
-    if sig.size == 0:
-        return np.zeros((m.shape[1], 0), dtype=np.complex128)
-    if sig[0] == 0.0:
-        return np.eye(m.shape[1], dtype=np.complex128)
-    r = int(np.sum(sig >= _rank_tol(m, tol) * sig[0]))
-    return v[:, r:]
+    return v[:, _rank(m, sig, tol):]
 
 
 def projector(q) -> np.ndarray:
@@ -311,18 +191,14 @@ def projector(q) -> np.ndarray:
 
 
 def pinv(m, tol: float | None = None) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via the one-sided Jacobi SVD."""
+    """Moore-Penrose pseudoinverse via the SVD."""
     m = _as_matrix(m, "M")
     u, sig, v = _svd(m)
-    out = np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
-    if sig.size == 0 or sig[0] == 0.0:
-        return out
-    keep = sig >= _rank_tol(m, tol) * sig[0]
-    return (v[:, keep] / sig[keep]) @ u[:, keep].conj().T
+    r = _rank(m, sig, tol)
+    return (v[:, :r] / sig[:r]) @ u[:, :r].conj().T
 
 
 def spectral_norm(m) -> float:
-    m = _as_matrix(m, "M")
     _, sig, _ = _svd(m)
     return float(sig[0]) if sig.size else 0.0
 
@@ -428,19 +304,6 @@ def gen_eig_homogeneous(a, b) -> GenEigHomogeneous:
 
 
 # -----------------------
-# Simultaneous diagonalization
-# -----------------------
-
-def simultaneous_diag(phi_delta, w):
-    """Nonsingular T with T^H Phi_Delta T = diag(Gamma), T^H W T = I.
-
-    Gamma holds the generalized eigenvalues of (Phi_Delta, W), descending.
-    """
-    res = gen_eig_hpd(phi_delta, w)
-    return res.eigenvectors, res.eigenvalues
-
-
-# -----------------------
 # Gerschgorin disks
 # -----------------------
 
@@ -493,10 +356,6 @@ def f_bound(x: float, delta: float) -> float:
     return abs(f)
 
 
-def _lambda_min(m: np.ndarray) -> float:
-    return float(herm_eig(m).eigenvalues[-1])
-
-
 def crawford(a, b, e0=None) -> float:
     """Crawford number: min over unit x of hypot(x^H A x, x^H B x).
 
@@ -523,10 +382,12 @@ def crawford(a, b, e0=None) -> float:
         return math.hypot(a[0, 0].real, b[0, 0].real)
 
     def h(theta: float) -> float:
-        return _lambda_min(math.cos(theta) * a + math.sin(theta) * b)
+        return float(_eigvalsh(math.cos(theta) * a + math.sin(theta) * b)[0])
 
+    # the whole grid in one stacked eigvalsh call on (720, n, n)
     grid = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
-    vals = np.array([h(t) for t in grid])
+    vals = _eigvalsh(np.cos(grid)[:, None, None] * a
+                     + np.sin(grid)[:, None, None] * b)[:, 0]
     i = int(np.argmax(vals))
     if vals[i] <= 0.0:
         return 0.0

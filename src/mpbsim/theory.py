@@ -58,7 +58,12 @@ def gamma_spectrum(q_s: np.ndarray, q_i: np.ndarray, d: int) -> np.ndarray:
 def exact_gamma0(model: mpb.AnalyticModel) -> float:
     """gamma_0 evaluated from matrices: (sigma_S0^2 - sigma_I0^2) a0^H R_I^-1 a0."""
     q = np.vdot(model.a0, la.solve_hpd(model.r_i, model.a0)).real
-    return float((model.sigma_s0_sq - model.sigma_i0_sq) * q)
+    return _gamma0_from_quad(model, q)
+
+
+def _gamma0_from_quad(model: mpb.AnalyticModel, quad: float) -> float:
+    """gamma_0 given the quadratic form a0^H R_I^-1 a0."""
+    return float((model.sigma_s0_sq - model.sigma_i0_sq) * quad)
 
 
 @dataclass(frozen=True)
@@ -118,8 +123,13 @@ def mismatch_spectrum(model: mpb.AnalyticModel) -> MismatchSpectrum:
     n = model.processing_gain
     s2 = model.noise_var
     snr = model.sigma_s0_sq / s2
-    g0 = exact_gamma0(model)
-    d = model.a_i_mat.shape[1]
+    a_mat = model.a_i_mat
+    d = a_mat.shape[1]
+    # one Cholesky of R_I serves gamma0, delta and the Gram matrix
+    ri_inv = la.solve_hpd(model.r_i, np.column_stack([model.a0, a_mat]))
+    ri_inv_a0, ri_inv_amat = ri_inv[:, 0], ri_inv[:, 1:]
+    quad = float(np.vdot(model.a0, ri_inv_a0).real)
+    g0 = _gamma0_from_quad(model, quad)
 
     if d == 0:
         pred, radius, feas = (g0 + 1.0, 0.0, True) if g0 > 0 else (1.0, 0.0, True)
@@ -127,15 +137,13 @@ def mismatch_spectrum(model: mpb.AnalyticModel) -> MismatchSpectrum:
                                 np.zeros(0, dtype=np.complex128), 0.0, 0.0,
                                 pred, radius, feas, snr, s2, big_l, n)
 
-    a_mat = model.a_i_mat
-    r_i = model.r_i
-    ri_inv_a0 = la.solve_hpd(r_i, model.a0)
-    ri_inv_amat = la.solve_hpd(r_i, a_mat)
     gram = a_mat.conj().T @ ri_inv_amat
     w_mat = la.solve_hpd(0.5 * (gram + gram.conj().T), np.eye(d, dtype=np.complex128))
     w_mat = 0.5 * (w_mat + w_mat.conj().T)
     phi_delta = (model.phi_s0 - model.phi_i0) * (s2 * model.inr)
-    t_mat, gammas = la.simultaneous_diag(0.5 * (phi_delta + phi_delta.conj().T), w_mat)
+    # T^H Phi_Delta T = diag(gammas), T^H W T = I
+    res = la.gen_eig_hpd(0.5 * (phi_delta + phi_delta.conj().T), w_mat)
+    t_mat, gammas = res.eigenvectors, res.eigenvalues
 
     # T^H W T = I gives T^-H = W T: no explicit inversion needed
     a_eps = a_mat @ (w_mat @ t_mat)
@@ -145,15 +153,15 @@ def mismatch_spectrum(model: mpb.AnalyticModel) -> MismatchSpectrum:
     # delta scales the top coupling against a0^H R_I^-1 a0 exactly; the
     # (L beta / N) snr + 1 normalization is only its wide-separation limit
     # and under-covers the enclosure by 1/(1 - xi).
-    quad = float(np.vdot(model.a0, ri_inv_a0).real)
     delta = abs(coupling[0]) ** 2 / quad
 
     psi = a_mat.conj().T @ model.a0 / big_l
     psi_mat = a_mat.conj().T @ a_mat / big_l
-    psi_inv_psi = la.solve_hpd(psi_mat, psi)
+    # one Cholesky of Psi serves Psi^-1 psi and Psi^-1
+    psi_sol = la.solve_hpd(psi_mat, np.column_stack([psi, np.eye(d, dtype=np.complex128)]))
+    psi_inv_psi, psi_mat_inv = psi_sol[:, 0], psi_sol[:, 1:]
     rho0 = float(np.vdot(psi, psi_inv_psi).real)
     phi_i = model.phi_i0 * (s2 * model.inr)
-    psi_mat_inv = la.solve_hpd(psi_mat, np.eye(d, dtype=np.complex128))
     xi_core = (big_l / s2) * phi_i + psi_mat_inv
     xi_mat = la.solve_hpd(0.5 * (xi_core + xi_core.conj().T),
                           np.eye(d, dtype=np.complex128))

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -381,6 +385,39 @@ def test_cli_numeric_failure_is_exit_2(monkeypatch, capsys):
     rc = cli.main(["sweep", "--preset", "fig4a-bpsk3"])
     assert rc == 2
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_cli_lapack_failure_is_exit_2(monkeypatch, capsys):
+    def fail(*a, **k):
+        raise np.linalg.LinAlgError("synthetic LAPACK failure")
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    rc = cli.main(["eigen", "--preset", "fig4b-pn2", "--snr-db", "10"])
+    assert rc == 2
+    assert "numeric failure: eigh did not converge" in capsys.readouterr().err
+
+
+def test_sweep_point_linalg_failure_is_named_error(monkeypatch):
+    cfg = _tiny("fig4b-pn2")
+
+    def indefinite_pair(scenario, bases):
+        r_i = np.eye(cfg.element_count, dtype=complex)
+        r_i[-1, -1] = -1.0
+        return mpb.CovariancePair(np.eye(cfg.element_count, dtype=complex), r_i, "sample")
+    monkeypatch.setattr(mpb, "accumulate_cov_pair", indefinite_pair)
+    assert harness._sweep_point((cfg, 0, 10.0))[4] == "NotPositiveDefiniteError"
+    assert [r.region for r in harness.run_sweep(cfg)] == ["Error", "Error"]
+
+
+def test_python_m_mpbsim(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-m", "mpbsim", "presets"], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.split() == list(harness.preset_names())
 
 
 def test_cli_pattern_equals_syntax(tmp_path, capsys):

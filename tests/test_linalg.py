@@ -39,6 +39,21 @@ def test_herm_eig_residual_and_orthonormality():
         assert np.abs(v.conj().T @ v - np.eye(n)).max() < 1e-10
 
 
+def test_herm_eig_repeated_eigenvalue():
+    # planted spectrum (5, 2, 2, 2, -1) in a random unitary basis
+    rng = np.random.default_rng(27)
+    q, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    planted = np.array([5.0, 2.0, 2.0, 2.0, -1.0])
+    res = la.herm_eig((q * planted) @ q.conj().T)
+    assert np.all(np.diff(res.eigenvalues) <= 0.0)
+    assert np.abs(res.eigenvalues - planted).max() < 1e-12
+    v = res.eigenvectors
+    assert np.abs(v.conj().T @ v - np.eye(5)).max() < 1e-12
+    # the cluster's columns span the planted eigenspace (as projectors)
+    cluster, space = v[:, 1:4], q[:, 1:4]
+    assert np.abs(cluster @ cluster.conj().T - space @ space.conj().T).max() < 1e-10
+
+
 def test_herm_eig_rejects_nonsquare():
     with pytest.raises(la.LinAlgError):
         la.herm_eig(np.zeros((2, 3), dtype=complex))
@@ -73,6 +88,27 @@ def test_cholesky_reconstruction():
 def test_cholesky_rejects_indefinite():
     with pytest.raises(la.NotPositiveDefiniteError):
         la.cholesky(np.diag([1.0, -1.0]).astype(complex))
+
+
+def test_cholesky_rejects_near_singular():
+    # LAPACK factors this; the relative pivot floor must refuse it
+    with pytest.raises(la.NotPositiveDefiniteError, match="column 1"):
+        la.cholesky(np.diag([1.0, 1e-30]).astype(complex))
+
+
+@pytest.mark.parametrize("routine, call, error", [
+    ("eigh", lambda: la.herm_eig(np.eye(3)), la.ConvergenceError),
+    ("eigvalsh", lambda: la.crawford(np.eye(3), np.eye(3)), la.ConvergenceError),
+    ("svd", lambda: la.orthonormal_range(np.eye(3)), la.ConvergenceError),
+    ("cholesky", lambda: la.cholesky(np.eye(3)), la.NotPositiveDefiniteError),
+    ("solve", lambda: la.solve_hpd(np.eye(3), np.ones(3)), la.NotPositiveDefiniteError),
+])
+def test_lapack_failures_keep_module_errors(monkeypatch, routine, call, error):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("synthetic LAPACK failure")
+    monkeypatch.setattr(np.linalg, routine, fail)
+    with pytest.raises(error, match="synthetic LAPACK failure"):
+        call()
 
 
 def test_solve_hpd_matches_direct():
@@ -120,6 +156,18 @@ def test_gen_eig_hpd_residual_and_b_orthonormality():
         assert np.abs(v.conj().T @ b @ v - np.eye(n)).max() < 1e-9
 
 
+def test_gen_eig_hpd_l32():
+    rng = np.random.default_rng(28)
+    a = rand_herm(rng, 32)
+    b = rand_hpd(rng, 32)
+    res = la.gen_eig_hpd(a, b)
+    v = res.eigenvectors
+    scale = la.spectral_norm(a) + la.spectral_norm(b)
+    assert np.all(np.diff(res.eigenvalues) <= 0.0)
+    assert np.abs(a @ v - (b @ v) * res.eigenvalues).max() <= 1e-9 * scale
+    assert np.abs(v.conj().T @ b @ v - np.eye(32)).max() < 1e-9
+
+
 def test_gen_eig_hpd_rejects_indefinite_b():
     with pytest.raises(la.NotPositiveDefiniteError):
         la.gen_eig_hpd(np.eye(2, dtype=complex), np.diag([1.0, 0.0]).astype(complex))
@@ -161,12 +209,13 @@ def test_homogeneous_planted_counts():
         assert res.finite_count == n_fin
 
 
-# ---------- simultaneous_diag ----------
+# ---------- simultaneous diagonalization through gen_eig_hpd ----------
 
 def test_simultaneous_diag_zero_mismatch():
     rng = np.random.default_rng(19)
     w = rand_hpd(rng, 4)
-    t, gamma = la.simultaneous_diag(np.zeros((4, 4), dtype=complex), w)
+    res = la.gen_eig_hpd(np.zeros((4, 4), dtype=complex), w)
+    t, gamma = res.eigenvectors, res.eigenvalues
     assert np.abs(gamma).max() == 0.0
     assert np.abs(t.conj().T @ w @ t - np.eye(4)).max() < 1e-8
 
@@ -174,7 +223,7 @@ def test_simultaneous_diag_zero_mismatch():
 def test_simultaneous_diag_equal_pair():
     rng = np.random.default_rng(20)
     w = rand_hpd(rng, 3)
-    _, gamma = la.simultaneous_diag(w, w)
+    gamma = la.gen_eig_hpd(w, w).eigenvalues
     assert np.abs(gamma - 1.0).max() < 1e-8
 
 
@@ -182,7 +231,8 @@ def test_simultaneous_diag_matches_gen_eig():
     rng = np.random.default_rng(21)
     phi = rand_herm(rng, 3)
     w = rand_hpd(rng, 3)
-    t, gamma = la.simultaneous_diag(phi, w)
+    res = la.gen_eig_hpd(phi, w)
+    t, gamma = res.eigenvectors, res.eigenvalues
     assert np.abs(t.conj().T @ phi @ t - np.diag(gamma)).max() \
         <= 1e-8 * max(1.0, np.abs(phi).max())
     expected = la.gen_eig_hpd(phi, w).eigenvalues
@@ -288,6 +338,36 @@ def test_crawford_restricted_basis():
     assert abs(la.crawford(a, b, e0) - 1.0) < 1e-3
 
 
+def _crawford_oracle(a, b, points):
+    """max(0, max_theta lambda_min(A cos t + B sin t)), one eigvalsh per angle."""
+    best = max(np.linalg.eigvalsh(np.cos(t) * a + np.sin(t) * b)[0]
+               for t in np.linspace(0.0, 2.0 * np.pi, points, endpoint=False))
+    return max(0.0, best)
+
+
+def test_crawford_stacked_scan_matches_pointwise_oracle():
+    rng = np.random.default_rng(29)
+    definite = indefinite = 0
+    for trial in range(12):
+        n = int(rng.integers(2, 7))
+        if trial % 2:
+            a, b = rand_herm(rng, n), rand_herm(rng, n)
+        else:
+            a, b = rand_hpd(rng, n, shift=0.5), rand_herm(rng, n)
+        got = la.crawford(a, b)
+        grid = _crawford_oracle(a, b, 720)
+        fine = _crawford_oracle(a, b, 20_000)
+        if fine == 0.0:
+            indefinite += 1
+            assert got == 0.0
+        else:
+            definite += 1
+            # refinement starts from the scan maximum and never falls below it
+            assert got >= grid - 1e-12 * fine
+            assert abs(got - fine) <= 1e-6 * fine
+    assert definite >= 4 and indefinite >= 2
+
+
 # ---------- range/null plumbing ----------
 
 def test_orthonormal_range_trivial():
@@ -335,6 +415,13 @@ def test_spectral_norm_of_orthonormal_columns():
     rng = np.random.default_rng(26)
     q = la.orthonormal_range(rng.standard_normal((6, 3)))
     assert abs(la.spectral_norm(q) - 1.0) < 1e-10
+
+
+def test_non_contiguous_input():
+    m = np.arange(9.0).reshape(3, 3) + 1j * np.eye(3)
+    assert abs(la.spectral_norm(m.T) - la.spectral_norm(m)) < 1e-12
+    with pytest.raises(la.LinAlgError, match="non-finite"):
+        la.spectral_norm((np.where(np.eye(3) > 0, np.nan, 1.0) + 0j).T)
 
 
 def test_subspace_contains():
