@@ -347,23 +347,39 @@ def write_sweep_csv(rows, path) -> None:
                   for r in rows))
 
 
-def _static_theory(config: ExperimentConfig):
-    """SNR-independent curve inputs: gamma_1, G_U, thresholds, G_L if needed."""
-    probe = scenario_at(config, 0.0, stream=0)
+@dataclass(frozen=True)
+class _Probe:
+    """A config's 0 dB probe: its scenario, bases, analytic model and gamma_1.
+
+    gamma_1, G_U and the thresholds do not depend on the SOI power, so one
+    probe serves every SNR of a sweep, the eigencurves and the report.
+    """
+    scenario: sm.Scenario
+    bases: mpb.ProjectionBases
+    model: mpb.AnalyticModel
+    gamma1: float
+
+    def thresholds(self, snr_lin=None) -> theory.Thresholds:
+        """Thresholds from G_U, with G_L filled in when gamma_1 > 0 and some
+        SNR of snr_lin (any SNR when None) lies at or below SNR_T2."""
+        m = self.model
+        th = theory.thresholds(self.gamma1, m.beta, m.processing_gain, m.a0.shape[0],
+                               theory.g_upper(m.q_s, m.q_i, m.a0))
+        if th.snr_t0 > 0.0 and (snr_lin is None or any(s <= th.snr_t2 for s in snr_lin)):
+            th = replace(th, g_l=theory.g_lower_oracle(self.scenario, self.bases))
+        return th
+
+
+def _gamma1(model: mpb.AnalyticModel) -> float:
+    return float(theory.gamma_spectrum(model.q_s, model.q_i,
+                                       max(model.a_i_mat.shape[1], 1))[0])
+
+
+def _probe(config: ExperimentConfig) -> _Probe:
+    scenario = scenario_at(config, 0.0, stream=0)
     bases = bases_for(config)
-    model = mpb.analytic_cov(probe, bases)
-    d = model.a_i_mat.shape[1]
-    gamma1 = float(theory.gamma_spectrum(model.q_s, model.q_i, max(d, 1))[0])
-    g_u = theory.g_upper(model.q_s, model.q_i, model.a0)
-    th = theory.thresholds(gamma1, model.beta, config.processing_gain,
-                           config.element_count, g_u)
-    grid_lin = [10.0 ** (s / 10.0) for s in config.snr_grid_db]
-    if th.snr_t0 > 0.0 and any(s <= th.snr_t2 for s in grid_lin):
-        g_l = theory.g_lower_oracle(probe, bases)
-        th = theory.thresholds(gamma1, model.beta, config.processing_gain,
-                               config.element_count, g_u, g_l)
-    curve = theory.operating_curve(theory.mismatch_spectrum(model), th, grid_lin)
-    return model.beta, gamma1, th, curve
+    model = mpb.analytic_cov(scenario, bases)
+    return _Probe(scenario, bases, model, _gamma1(model))
 
 
 def _sweep_point(payload):
@@ -397,7 +413,10 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
     rows are emitted in grid order. Failed points get region "Error" and
     the sweep continues.
     """
-    beta, gamma1, th, curve = _static_theory(config)
+    probe = _probe(config)
+    grid_lin = [10.0 ** (s / 10.0) for s in config.snr_grid_db]
+    curve = theory.operating_curve(theory.mismatch_spectrum(probe.model),
+                                   probe.thresholds(grid_lin), grid_lin)
     payloads = [(config, i, s) for i, s in enumerate(config.snr_grid_db)]
     if workers <= 1:
         results = [_sweep_point(p) for p in payloads]
@@ -411,12 +430,12 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
             in zip(results, curve.points):
         snr_db = config.snr_grid_db[index]
         g0 = theory.gamma0(snr_lin, config.element_count,
-                           config.processing_gain, beta)
+                           config.processing_gain, probe.model.beta)
         rows.append(SweepRow(
             snr_db=snr_db,
             g_sim_db=g_sim_db,
             g_theory_db=10.0 * math.log10(g_theory),
-            gamma0=g0, gamma1=gamma1,
+            gamma0=g0, gamma1=probe.gamma1,
             lambda_max_exact=lam_exact, lambda_max_pred=lam_pred,
             region="Error" if err else region))
     if out_path is not None:
@@ -471,16 +490,15 @@ def run_eigencurves(config: ExperimentConfig, out_path=None) -> EigencurveResult
     The crossing abscissa of the two gamma curves is the empirical
     threshold SNR_T0 (log-interpolated between grid points).
     """
-    beta, gamma1, _, _ = _static_theory(config)
-    bases = bases_for(config)
+    probe = _probe(config)
     rows = []
     for i, snr_db in enumerate(config.snr_grid_db):
         snr_lin = 10.0 ** (snr_db / 10.0)
-        model = mpb.analytic_cov(scenario_at(config, snr_db, stream=i), bases)
+        model = mpb.analytic_cov(scenario_at(config, snr_db, stream=i), probe.bases)
         lam = float(la.gen_eig_hpd(model.r_s, model.r_i).eigenvalues[0])
         g0 = theory.gamma0(snr_lin, config.element_count,
-                           config.processing_gain, beta)
-        rows.append((snr_db, g0 + 1.0, gamma1 + 1.0, lam))
+                           config.processing_gain, probe.model.beta)
+        rows.append((snr_db, g0 + 1.0, probe.gamma1 + 1.0, lam))
 
     cross = math.nan
     for (s_a, g0a, g1a, _), (s_b, g0b, g1b, _) in zip(rows, rows[1:]):
@@ -527,26 +545,16 @@ def _db(x: float) -> float:
 
 def analyze(config: ExperimentConfig) -> dict:
     """Threshold record, boundedness flags and the gamma_1-vs-INR table."""
-    probe = scenario_at(config, 0.0, stream=0)
-    bases = bases_for(config)
-    model = mpb.analytic_cov(probe, bases)
-    d = model.a_i_mat.shape[1]
-    gamma1 = float(theory.gamma_spectrum(model.q_s, model.q_i, max(d, 1))[0])
-    g_u = theory.g_upper(model.q_s, model.q_i, model.a0)
-    g_l = math.nan
-    if gamma1 > 0.0:
-        g_l = theory.g_lower_oracle(probe, bases)
-    th = theory.thresholds(gamma1, model.beta, config.processing_gain,
-                           config.element_count, g_u, g_l)
-    nf = theory.noise_free_pair(probe, bases)
+    probe = _probe(config)
+    th = probe.thresholds()
+    nf = theory.noise_free_pair(probe.scenario, probe.bases)
 
     table = []
     logs = []
     for inr_db in _GAMMA1_INR_TABLE_DB:
         cfg_i = replace(config, inr_db=inr_db)
-        model_i = mpb.analytic_cov(scenario_at(cfg_i, 0.0, stream=0), bases)
-        g1_i = float(theory.gamma_spectrum(model_i.q_s, model_i.q_i,
-                                           max(d, 1))[0])
+        g1_i = _gamma1(mpb.analytic_cov(scenario_at(cfg_i, 0.0, stream=0),
+                                        probe.bases))
         # the Crawford-number bound presumes an infinite noise-free
         # eigenvalue; for bounded pairs it simply does not apply
         lb = (theory.gamma1_lower_bound(nf.c_y0, 10.0 ** (inr_db / 10.0))
@@ -567,8 +575,8 @@ def analyze(config: ExperimentConfig) -> dict:
     return {
         "scheme": config.scheme.name,
         "inr_db": config.inr_db,
-        "beta": model.beta,
-        "gamma1": gamma1,
+        "beta": probe.model.beta,
+        "gamma1": probe.gamma1,
         "thresholds": {
             "snr_t0": th.snr_t0, "snr_t0_db": _db(th.snr_t0),
             "snr_t1": th.snr_t1, "snr_t1_db": _db(th.snr_t1),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -116,7 +116,6 @@ def snapshots(blocks: sm.BlockData, bases: ProjectionBases):
 class CovariancePair:
     r_s: np.ndarray
     r_i: np.ndarray
-    kind: str  # "sample" | "analytic"
 
     def __post_init__(self):
         for name, m in (("r_s", self.r_s), ("r_i", self.r_i)):
@@ -141,7 +140,7 @@ def _sample_pair(acc_s: np.ndarray, acc_i: np.ndarray, k: int, r_i_dim: int) -> 
         warnings.warn(f"only {k} snapshots for L={big_l}: covariance estimates are noisy")
     r_s = acc_s / k
     r_i = acc_i / (k * r_i_dim)
-    return CovariancePair(0.5 * (r_s + r_s.conj().T), 0.5 * (r_i + r_i.conj().T), "Sample")
+    return CovariancePair(0.5 * (r_s + r_s.conj().T), 0.5 * (r_i + r_i.conj().T))
 
 
 def estimate_cov_pair(x_s: np.ndarray, x_i: np.ndarray) -> CovariancePair:
@@ -189,14 +188,12 @@ class AnalyticModel:
 
     R_S = sigma_s0_sq * a0 a0^H + q_s and R_I = sigma_i0_sq * a0 a0^H + q_i,
     with q_s = a_i_mat Phi_S a_i_mat^H + sigma^2 I (Phi_S = noise_var * inr *
-    phi_s0) and likewise for q_i. omega_i = interferer powers / (sigma^2 *
-    inr) is INR-invariant, as are phi_s0 / phi_i0.
+    phi_s0) and likewise for q_i. phi_s0 and phi_i0 are INR-invariant.
     """
     q_s: np.ndarray
     q_i: np.ndarray
     phi_s0: np.ndarray
     phi_i0: np.ndarray
-    omega_i: np.ndarray
     sigma_s0_sq: float
     sigma_i0_sq: float
     beta: float
@@ -204,7 +201,6 @@ class AnalyticModel:
     a_i_mat: np.ndarray
     noise_var: float
     inr: float
-    r_i_dim: int
     processing_gain: int
 
     @property
@@ -216,7 +212,7 @@ class AnalyticModel:
         return self.sigma_i0_sq * np.outer(self.a0, self.a0.conj()) + self.q_i
 
     def cov_pair(self) -> CovariancePair:
-        return CovariancePair(self.r_s, self.r_i, "Analytic")
+        return CovariancePair(self.r_s, self.r_i)
 
 
 def _coherent(rho_a: complex, rho_b: complex) -> bool:
@@ -300,7 +296,6 @@ def analytic_cov(scenario: sm.Scenario, bases: ProjectionBases) -> AnalyticModel
         q_i=0.5 * (q_i + q_i.conj().T),
         phi_s0=phi_s / (sigma2 * inr),
         phi_i0=phi_i / (sigma2 * inr),
-        omega_i=np.diag(powers / (sigma2 * inr)),
         sigma_s0_sq=n * p0,
         sigma_i0_sq=p0 * beta,
         beta=beta,
@@ -308,7 +303,6 @@ def analytic_cov(scenario: sm.Scenario, bases: ProjectionBases) -> AnalyticModel
         a_i_mat=a_mat,
         noise_var=sigma2,
         inr=inr,
-        r_i_dim=bases.r_i,
         processing_gain=n,
     )
 
@@ -384,8 +378,7 @@ def measure_g(weights: BeamWeights, scenario: sm.Scenario, bases: ProjectionBase
 
     opt = sinr_opt(model.q_s, model.a0, model.sigma_s0_sq)
     if symbols is not None:
-        scenario = sm.Scenario(scenario.geometry, scenario.soi, scenario.interferers,
-                               scenario.noise_var, symbols, scenario.seed, scenario.mc_stream)
+        scenario = replace(scenario, symbols=symbols)
     w = weights.w
     h_s = bases.h_s[:, None]
     num = 0.0

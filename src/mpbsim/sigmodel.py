@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,10 +59,6 @@ class ArrayGeometry:
             raise ValueError(f"need at least 2 elements, got {self.element_count}")
         if not self.spacing > 0:
             raise ValueError(f"spacing must be positive, got {self.spacing}")
-
-    @property
-    def L(self) -> int:
-        return self.element_count
 
 
 def steering(doa_deg: float, geometry: ArrayGeometry) -> np.ndarray:
@@ -302,66 +298,6 @@ def steering_matrix(paths, geometry: ArrayGeometry) -> np.ndarray:
 
 
 # -----------------------
-# Flat sequence views (waveform-level tests)
-# -----------------------
-
-def soi_sequence(spec: SoiSpec, sample_range) -> np.ndarray:
-    """Baseband SOI samples s0(n) = sum_k b0(k) c0(n - k*N - n0), unscaled.
-
-    Power scaling by sqrt(P0) happens at mixing time in synth_blocks. The
-    requested range must stay within the pinned bit horizon.
-    """
-    if spec.bits is None:
-        raise ValueError("soi_sequence requires pinned bits on the spec")
-    idx = np.asarray(list(sample_range), dtype=np.int64)
-    out = np.zeros(idx.shape, dtype=np.complex128)
-    rel = idx - spec.delay
-    k = rel // spec.processing_gain
-    chip = rel % spec.processing_gain
-    ok = (rel >= 0) & (k < len(spec.bits))
-    if np.any(rel >= 0) and np.any(k[rel >= 0] >= len(spec.bits)):
-        raise ValueError("sample_range exceeds the pinned bit horizon")
-    out[ok] = np.asarray(spec.bits)[k[ok]] * spec.code[chip[ok]]
-    return out
-
-
-def interferer_sequence(spec: InterfererSpec, sample_range, rng: np.random.Generator) -> np.ndarray:
-    """Unit-power interferer samples, one row per directional path.
-
-    For MAI every ray shares the data stream; rows differ only in delay.
-    """
-    idx = np.asarray(list(sample_range), dtype=np.int64)
-    if np.any(idx < 0):
-        raise ValueError("sample_range must be non-negative")
-    if spec.kind == "bpsk_white":
-        # draw from 0 so the stream is a pure function of (rng, prefix)
-        hi = int(idx.max()) + 1 if idx.size else 0
-        chips = 1.0 - 2.0 * rng.integers(0, 2, size=hi)
-        return chips[idx][None, :].astype(np.complex128)
-    if spec.kind == "tone":
-        phi0 = rng.uniform(0.0, 2.0 * math.pi)
-        return np.exp(1j * (phi0 + 2.0 * math.pi * spec.normalized_offset * idx))[None, :]
-    if spec.kind == "periodical_noise":
-        n = GOLD_LENGTH
-        seg = rng.normal(size=n) + 1j * rng.normal(size=n)
-        seg *= math.sqrt(n) / math.sqrt(float(np.sum(np.abs(seg) ** 2)))
-        return seg[idx % n][None, :]
-    # mai_multipath
-    code = gold31(spec.user_code)
-    n = code.shape[0]
-    k_hi = int(idx.max()) // n + 1 if idx.size else 1
-    bits = 1.0 - 2.0 * rng.integers(0, 2, size=k_hi + 1)  # bits[0] is symbol -1
-    rows = []
-    for d in spec.path_delays:
-        rel = idx - d
-        k = rel // n
-        chip = rel % n
-        row = np.where(k >= -1, bits[k + 1] * code[chip], 0.0)
-        rows.append(row)
-    return np.asarray(rows, dtype=np.complex128)
-
-
-# -----------------------
 # Block synthesis
 # -----------------------
 
@@ -402,22 +338,23 @@ def _white_chips(scenario: Scenario, path: RealizedPath, batch_index: int,
                   (count, n))
 
 
-def iter_blocks(scenario: Scenario, include=("soi", "interference", "noise"),
-                batch: int = BATCH):
-    """Yield (k0, X) with X of shape (B, L, N): blocks k0 .. k0+B-1.
+def _check_include(include) -> None:
+    unknown = set(include) - {"soi", "interference", "noise"}
+    if unknown:
+        raise ValueError(f"unknown components {sorted(unknown)}")
+
+
+def iter_blocks(scenario: Scenario, include=("soi", "interference", "noise")):
+    """Yield (k0, X) with X of shape (B, L, N): blocks k0 .. k0+B-1, B <= BATCH.
 
     include selects which additive components are synthesized; the random
     streams consumed by each component are unaffected by the selection, so
     soi-only plus rest-only reproduces the full synthesis to rounding.
 
-    White-chip and AWGN streams are keyed per batch, so the output is a pure
-    function of (scenario, batch). Every production path uses the default
-    batch, which is what makes sweeps independent of worker count; override
-    it only where the exact draw does not matter.
+    White-chip and AWGN streams are keyed per batch of the fixed BATCH
+    symbols, so the output is a pure function of the scenario.
     """
-    unknown = set(include) - {"soi", "interference", "noise"}
-    if unknown:
-        raise ValueError(f"unknown components {sorted(unknown)}")
+    _check_include(include)
     geo = scenario.geometry
     big_l, n = geo.element_count, scenario.soi.processing_gain
     k_total = scenario.symbols
@@ -434,8 +371,8 @@ def iter_blocks(scenario: Scenario, include=("soi", "interference", "noise"),
         steer = steering_matrix(paths, geo)
         mai_bits = _mai_bit_streams(scenario, paths)
 
-    for bi, k0 in enumerate(range(0, k_total, batch)):
-        nb = min(batch, k_total - k0)
+    for bi, k0 in enumerate(range(0, k_total, BATCH)):
+        nb = min(BATCH, k_total - k0)
         x = np.zeros((nb, big_l, n), dtype=np.complex128)
         if want_soi:
             x += bits0[k0:k0 + nb, None, None] * soi_outer[None, :, :]
@@ -478,9 +415,7 @@ def iter_projected(scenario: Scenario, basis: np.ndarray,
     basis columns 0..m only: bases that share a first column (h_s) see the
     same first-column noise.
     """
-    unknown = set(include) - {"soi", "interference", "noise"}
-    if unknown:
-        raise ValueError(f"unknown components {sorted(unknown)}")
+    _check_include(include)
     geo = scenario.geometry
     big_l, n = geo.element_count, scenario.soi.processing_gain
     basis = np.asarray(basis, dtype=np.complex128)

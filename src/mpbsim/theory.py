@@ -12,7 +12,7 @@ inverse identities used throughout the derivations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -95,15 +95,17 @@ def lambda_max_bound(gamma0_val: float, gamma1_val: float, delta: float):
     """Enclosure for the top pencil eigenvalue: (prediction, radius, feasible).
 
     prediction = max(gamma0, gamma1) + 1; the radius comes from the two-disk
-    separation function f. When the two eigenvalues compete (ratio inside
-    f's forbidden band) no enclosure exists and feasible is False.
+    separation function f at x = min/max of the pair (negative when gamma1
+    < 0). With no positive eigenvalue the pencil's top is exactly 1. When
+    the two eigenvalues compete (ratio inside f's forbidden band) no
+    enclosure exists and feasible is False.
     """
-    if gamma0_val < 0 or gamma1_val < 0:
-        raise ValueError("gamma0 and gamma1 must be >= 0")
+    if gamma0_val < 0:
+        raise ValueError("gamma0 must be >= 0")
     lam_a = max(gamma0_val, gamma1_val)
+    if lam_a <= 0.0:
+        return 1.0, 0.0, True
     lam_b = min(gamma0_val, gamma1_val)
-    if lam_a == 0.0:
-        raise ValueError("gamma0 and gamma1 cannot both be zero")
     try:
         radius = lam_a * la.f_bound(lam_b / lam_a, delta)
     except la.InfeasibleBoundError:
@@ -132,10 +134,9 @@ def mismatch_spectrum(model: mpb.AnalyticModel) -> MismatchSpectrum:
     g0 = _gamma0_from_quad(model, quad)
 
     if d == 0:
-        pred, radius, feas = (g0 + 1.0, 0.0, True) if g0 > 0 else (1.0, 0.0, True)
         return MismatchSpectrum(g0, np.zeros(0), model.beta, 0.0,
                                 np.zeros(0, dtype=np.complex128), 0.0, 0.0,
-                                pred, radius, feas, snr, s2, big_l, n)
+                                *lambda_max_bound(g0, 0.0, 0.0), snr, s2, big_l, n)
 
     gram = a_mat.conj().T @ ri_inv_amat
     w_mat = la.solve_hpd(0.5 * (gram + gram.conj().T), np.eye(d, dtype=np.complex128))
@@ -167,20 +168,9 @@ def mismatch_spectrum(model: mpb.AnalyticModel) -> MismatchSpectrum:
                           np.eye(d, dtype=np.complex128))
     kappa0 = float(np.vdot(psi_inv_psi, xi_mat @ psi_inv_psi).real)
 
-    g1 = float(gammas[0])
-    if max(g0, g1) <= 0.0:
-        pred, radius, feas = 1.0, 0.0, True
-    else:
-        lam_a = max(g0, g1)
-        lam_b = min(g0, g1)
-        try:
-            radius = lam_a * la.f_bound(lam_b / lam_a, delta)
-            pred, feas = lam_a + 1.0, True
-        except la.InfeasibleBoundError:
-            pred, radius, feas = lam_a + 1.0, float("nan"), False
-
-    return MismatchSpectrum(g0, gammas, model.beta, float(delta), psi_t,
-                            kappa0, rho0, pred, radius, feas, snr, s2, big_l, n)
+    return MismatchSpectrum(g0, gammas, model.beta, float(delta), psi_t, kappa0, rho0,
+                            *lambda_max_bound(g0, float(gammas[0]), delta),
+                            snr, s2, big_l, n)
 
 
 # -----------------------
@@ -318,12 +308,7 @@ def _rescaled_model(scenario: sm.Scenario, bases: mpb.ProjectionBases,
                     snr: float) -> mpb.AnalyticModel:
     """Analytic model with the SOI power set from a linear SNR."""
     p0 = snr * scenario.noise_var / scenario.soi.processing_gain
-    soi = sm.SoiSpec(scenario.soi.processing_gain, scenario.soi.code,
-                     scenario.soi.doa_deg, scenario.soi.delay, p0, scenario.soi.bits)
-    scn = sm.Scenario(scenario.geometry, soi, scenario.interferers,
-                      scenario.noise_var, scenario.symbols, scenario.seed,
-                      scenario.mc_stream)
-    return mpb.analytic_cov(scn, bases)
+    return mpb.analytic_cov(replace(scenario, soi=replace(scenario.soi, power=p0)), bases)
 
 
 def g_of_lambda(lambda_max: float, spectrum: MismatchSpectrum, snr: float,
@@ -455,28 +440,12 @@ def verify_supplementary_identities(scenario: sm.Scenario, bases: mpb.Projection
     deviations plus the (rho0, kappa0, xi) triple.
     """
     model = _rescaled_model(scenario, bases, snr)
-    big_l = model.a0.shape[0]
-    n = model.processing_gain
-    s2 = model.noise_var
+    # the reference: a direct solve, independent of the closed form
     exact = float(np.vdot(model.a0, la.solve_hpd(model.r_i, model.a0)).real)
-
-    d = model.a_i_mat.shape[1]
-    if d == 0:
-        rho0 = kappa0 = 0.0
-    else:
-        a_mat = model.a_i_mat
-        psi = a_mat.conj().T @ model.a0 / big_l
-        psi_mat = a_mat.conj().T @ a_mat / big_l
-        psi_inv_psi = la.solve_hpd(psi_mat, psi)
-        rho0 = float(np.vdot(psi, psi_inv_psi).real)
-        phi_i = model.phi_i0 * (s2 * model.inr)
-        psi_mat_inv = la.solve_hpd(psi_mat, np.eye(d, dtype=np.complex128))
-        core = (big_l / s2) * phi_i + psi_mat_inv
-        xi_mat = la.solve_hpd(0.5 * (core + core.conj().T), np.eye(d, dtype=np.complex128))
-        kappa0 = float(np.vdot(psi_inv_psi, xi_mat @ psi_inv_psi).real)
-    xi = rho0 - kappa0
-
-    mix = (big_l * model.beta / n) * snr
+    spec = mismatch_spectrum(model)
+    big_l, s2 = spec.l_antennas, spec.noise_var
+    xi = spec.rho0 - spec.kappa0
+    mix = (big_l * spec.beta / spec.processing_gain) * snr
     closed = (big_l / s2) * (1.0 - xi) / (mix * (1.0 - xi) + 1.0)
     simplified = (big_l / s2) / (mix + 1.0)
     return {
@@ -485,7 +454,7 @@ def verify_supplementary_identities(scenario: sm.Scenario, bases: mpb.Projection
         "rel_deviation": abs(closed - exact) / abs(exact),
         "simplified": simplified,
         "simplified_rel_error": abs(simplified - exact) / abs(exact),
-        "rho0": rho0,
-        "kappa0": kappa0,
+        "rho0": spec.rho0,
+        "kappa0": spec.kappa0,
         "xi": xi,
     }

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpbsim import cli, harness, mpb
+from mpbsim import cli, harness, mpb, theory
 from mpbsim import sigmodel as sm
 
 ALL_PRESETS = ("fig4a-bpsk3", "fig4b-pn2", "fig4c-tones5", "fig4d-mai3",
@@ -285,6 +285,16 @@ def test_eigencurves_crossing_matches_threshold():
     assert abs(result.empirical_snr_t0_db - t0_db) <= 1.0
 
 
+def test_eigencurves_need_no_failure_floor(monkeypatch):
+    """The eigencurves use only beta and gamma_1: no G_L oracle runs."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_eigencurves called g_lower_oracle")
+    monkeypatch.setattr(theory, "g_lower_oracle", refuse)
+    result = harness.run_eigencurves(harness.preset("fig4b-pn2"))
+    assert len(result.rows) == len(harness.DEFAULT_SNR_GRID_DB)
+    assert not math.isnan(result.empirical_snr_t0_db)
+
+
 def test_eigencurves_csv(tmp_path):
     path = tmp_path / "eigen.csv"
     harness.run_eigencurves(_tiny(grid=(0.0, 10.0)), out_path=path)
@@ -402,7 +412,7 @@ def test_sweep_point_linalg_failure_is_named_error(monkeypatch):
     def indefinite_pair(scenario, bases):
         r_i = np.eye(cfg.element_count, dtype=complex)
         r_i[-1, -1] = -1.0
-        return mpb.CovariancePair(np.eye(cfg.element_count, dtype=complex), r_i, "sample")
+        return mpb.CovariancePair(np.eye(cfg.element_count, dtype=complex), r_i)
     monkeypatch.setattr(mpb, "accumulate_cov_pair", indefinite_pair)
     assert harness._sweep_point((cfg, 0, 10.0))[4] == "NotPositiveDefiniteError"
     assert [r.region for r in harness.run_sweep(cfg)] == ["Error", "Error"]

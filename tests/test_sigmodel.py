@@ -65,55 +65,63 @@ def test_gold_codes_distinct_and_range_checked():
         sm.gold31(-1)
 
 
-# ---------- SOI sequence ----------
+# ---------- SOI and interferer waveforms ----------
+#
+# Every steering vector has entry 1 at the reference element, so element 0
+# of the synthesized blocks carries the unscaled chip sequence (unit powers)
+# of whatever the scenario holds.
+
+def _wave_scenario(interferers=(), symbols=1, soi=None):
+    return sm.Scenario(GEO8, soi or sm.SoiSpec(31, sm.gold31(0)), interferers,
+                       symbols=symbols, seed=5)
+
+
+def _chips(scenario, include=("interference",)):
+    """Element-0 chips of every block, flattened to one sequence."""
+    return sm.synth_blocks(scenario, include=include).blocks[:, 0, :].reshape(-1)
+
+
+def _soi_chips(bits, code):
+    sc = _wave_scenario(soi=sm.SoiSpec(31, code, bits=bits), symbols=len(bits))
+    return _chips(sc, include=("soi",))
+
 
 def test_soi_sequence_tiles_code():
     code = sm.gold31(0)
-    spec = sm.SoiSpec(31, code, bits=np.ones(3))
-    s = sm.soi_sequence(spec, range(62))
+    s = _soi_chips(np.ones(2), code)
     assert np.array_equal(s[:31], code.astype(complex))
     assert np.array_equal(s[31:], code.astype(complex))
 
 
 def test_soi_sequence_bit_sign():
     code = sm.gold31(0)
-    spec = sm.SoiSpec(31, code, bits=np.array([-1.0, 1.0]))
-    s = sm.soi_sequence(spec, range(31))
-    assert np.array_equal(s, -code.astype(complex))
+    s = _soi_chips(np.array([-1.0, 1.0]), code)
+    assert np.array_equal(s[:31], -code.astype(complex))
 
 
 def test_soi_sequence_symbol_energy():
-    code = sm.gold31(2)
-    spec = sm.SoiSpec(31, code, bits=np.ones(4))
-    s = sm.soi_sequence(spec, range(4 * 31))
+    s = _soi_chips(np.ones(4), sm.gold31(2))
     for k in range(4):
         win = s[k * 31:(k + 1) * 31]
         assert abs(np.sum(np.abs(win) ** 2) - 31.0) < 1e-12
 
 
-# ---------- interferer sequences ----------
-
 def test_tone_zero_offset_is_constant():
-    rng = np.random.default_rng(5)
-    spec = sm.InterfererSpec("tone", normalized_offset=0.0)
-    s = sm.interferer_sequence(spec, range(200), rng)
-    assert s.shape == (1, 200)
+    s = _chips(_wave_scenario((sm.InterfererSpec("tone", normalized_offset=0.0),), 7))
     assert np.abs(np.abs(s) - 1.0).max() < 1e-12
-    assert np.abs(s - s[0, 0]).max() < 1e-12
+    assert np.abs(s - s[0]).max() < 1e-12
 
 
 def test_periodical_noise_tiles_with_period_31():
-    rng = np.random.default_rng(6)
-    spec = sm.InterfererSpec("periodical_noise")
-    s = sm.interferer_sequence(spec, range(31 * 5), rng)[0]
+    sc = _wave_scenario((sm.InterfererSpec("periodical_noise"),), 5)
+    s = _chips(sc)
+    assert np.array_equal(s[:31], sm.realize_paths(sc)[0].waveform)
     assert np.array_equal(s[:31], s[31:62])
     assert np.array_equal(s[:31], s[124:155])
 
 
 def test_bpsk_white_is_uncorrelated():
-    rng = np.random.default_rng(7)
-    spec = sm.InterfererSpec("bpsk_white")
-    s = sm.interferer_sequence(spec, range(100_000), rng)[0].real
+    s = _chips(_wave_scenario((sm.InterfererSpec("bpsk_white"),), 3226)).real
     bound = 3.0 / np.sqrt(s.size)
     for lag in (1, 2, 5):
         rho = np.mean(s[lag:] * s[:-lag])
@@ -121,12 +129,17 @@ def test_bpsk_white_is_uncorrelated():
 
 
 def test_mai_rows_share_one_delayed_stream():
-    rng = np.random.default_rng(8)
-    spec = sm.InterfererSpec("mai_multipath", user_code=1,
-                             path_delays=(0, 4), path_doas=(10.0, -30.0))
-    s = sm.interferer_sequence(spec, range(310), rng)
-    assert s.shape == (2, 310)
-    assert np.array_equal(s[1, 4:], s[0, :-4])
+    """The ray delayed by 4 chips is the undelayed ray shifted by 4 chips,
+    across symbol boundaries: both rays carry one data stream."""
+    ints = (sm.InterfererSpec("mai_multipath", user_code=1, path_delays=(0, 4),
+                              path_doas=(10.0, -30.0)),)
+    sc = _wave_scenario(ints, 10)
+    blocks = sm.synth_blocks(sc, include=("interference",)).blocks
+    # separate the two rays through their steering vectors: (K, 2, N)
+    rays = np.linalg.pinv(sm.steering_matrix(sm.realize_paths(sc), GEO8)) @ blocks
+    s = rays.transpose(1, 0, 2).reshape(2, -1)
+    assert np.abs(np.abs(s) - 1.0).max() < 1e-12
+    assert np.abs(s[1, 4:] - s[0, :-4]).max() < 1e-12
 
 
 def test_interferer_unit_power_all_kinds():
@@ -138,11 +151,9 @@ def test_interferer_unit_power_all_kinds():
                           path_doas=(20.0,)),
     ]
     for spec in kinds:
-        rng = np.random.default_rng(9)
-        s = sm.interferer_sequence(spec, range(100_000), rng)
-        for row in s:
-            p = np.mean(np.abs(row) ** 2)
-            assert 0.98 <= p <= 1.02, (spec.kind, p)
+        s = _chips(_wave_scenario((spec,), 3226))
+        p = np.mean(np.abs(s) ** 2)
+        assert 0.98 <= p <= 1.02, (spec.kind, p)
 
 
 # ---------- block synthesis ----------
@@ -216,10 +227,11 @@ def test_component_split_sums_to_whole():
 
 
 def test_iter_blocks_batch_starts():
-    sc = _scenario(symbols=40)
-    starts = [k0 for k0, _ in sm.iter_blocks(sc, batch=16)]
-    sizes = [x.shape[0] for _, x in sm.iter_blocks(sc, batch=16)]
-    assert starts == [0, 16, 32] and sizes == [16, 16, 8]
+    sc = _scenario(symbols=sm.BATCH + 904)
+    blocks = list(sm.iter_blocks(sc, include=("soi",)))
+    starts = [k0 for k0, _ in blocks]
+    sizes = [x.shape[0] for _, x in blocks]
+    assert starts == [0, sm.BATCH] and sizes == [sm.BATCH, 904]
 
 
 def test_iter_projected_matches_projected_blocks():

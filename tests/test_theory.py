@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import pair_charpoly_eigs, rand_hpd
+from mpbsim import harness
 from mpbsim import linalg as la
 from mpbsim import mpb
 from mpbsim import sigmodel as sm
@@ -271,6 +272,46 @@ def test_lambda_bound_no_interference_mismatch():
 def test_lambda_bound_transition_band_flagged_infeasible():
     _, _, feasible = theory.lambda_max_bound(5.0, 5.0, 1e-3)
     assert not feasible
+
+
+def test_lambda_bound_without_positive_eigenvalue_is_one():
+    assert theory.lambda_max_bound(0.0, 0.0, 0.3) == (1.0, 0.0, True)
+    assert theory.lambda_max_bound(0.0, -0.5, 0.3) == (1.0, 0.0, True)
+
+
+def test_lambda_bound_negative_gamma1_enters_f_as_is():
+    """x = gamma1 / gamma0 < 0 is handed to f unchanged."""
+    pred, radius, feasible = theory.lambda_max_bound(4.0, -0.5, 0.01)
+    assert (pred, feasible) == (5.0, True)
+    assert radius == 4.0 * la.f_bound(-0.125, 0.01)
+    assert radius == pytest.approx(0.00444884, rel=1e-5)
+
+
+def test_lambda_bound_rejects_negative_gamma0():
+    with pytest.raises(ValueError):
+        theory.lambda_max_bound(-1.0, 2.0, 0.1)
+
+
+@pytest.mark.parametrize("preset", sorted(harness.PRESETS))
+def test_mismatch_spectrum_enclosure_is_lambda_max_bound(preset):
+    config = harness.preset(preset)
+    for scheme in ("PAPC", "Maximin"):
+        bases = harness._bases_named(config, scheme)
+        for snr_db in (-30.0, 0.0, 50.0):
+            spec = theory.mismatch_spectrum(
+                mpb.analytic_cov(harness.scenario_at(config, snr_db), bases))
+            np.testing.assert_equal(
+                (spec.lambda_max_pred, spec.bound_radius, spec.feasible),
+                theory.lambda_max_bound(spec.gamma0, spec.gammas[0], spec.delta))
+
+
+def test_mismatch_spectrum_without_interferers():
+    bases = mpb.maximin_bases(CODE)
+    for snr in (0.0, 1.0):
+        spec = theory.mismatch_spectrum(theory._rescaled_model(_scenario(()), bases, snr))
+        assert spec.gammas.size == 0 and spec.delta == 0.0
+        assert (spec.lambda_max_pred, spec.bound_radius, spec.feasible) == \
+            (spec.gamma0 + 1.0, 0.0, True)
 
 
 def test_lambda_containment_on_periodic_scenario_grid():
