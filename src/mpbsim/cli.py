@@ -91,8 +91,10 @@ def _cmd_sweep(args) -> int:
     config = _resolve_config(args)
     path = _out_path(config, "sweep.csv")
     rows = harness.run_sweep(config, workers=args.workers, out_path=path)
-    errors = sum(1 for r in rows if r.region == "Error")
-    print(f"wrote {path} ({len(rows)} points, {errors} errors)")
+    errors = [r for r in rows if r.region == "Error"]
+    for r in errors:
+        print(f"sweep point {r.snr_db:g} dB failed: {r.error}", file=sys.stderr)
+    print(f"wrote {path} ({len(rows)} points, {len(errors)} errors)")
     return 0
 
 

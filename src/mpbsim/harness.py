@@ -320,6 +320,7 @@ class SweepRow:
     lambda_max_exact: float
     lambda_max_pred: float
     region: str
+    error: str | None = None  # "Type: message" of a failed point; not in the CSV
 
 
 def _fmt(x) -> str:
@@ -386,12 +387,12 @@ def _sweep_point(payload):
     """One sweep point: simulate K symbols and extract the exact eigen pair.
 
     Runs in worker processes; must stay order-independent (all randomness
-    comes from the scenario's counter-based streams).
+    comes from the scenario's counter-based streams). The bases come built
+    with the payload, so a Custom basis file is read once per sweep.
     """
-    config, index, snr_db = payload
+    config, bases, index, snr_db = payload
     try:
         sc = scenario_at(config, snr_db, stream=index)
-        bases = bases_for(config)
         model = mpb.analytic_cov(sc, bases)
         pair = mpb.accumulate_cov_pair(sc, bases)
         bw = mpb.solve_weights(pair, model.a0)
@@ -401,7 +402,7 @@ def _sweep_point(payload):
         g_sim_db = 10.0 * math.log10(g_sim) if g_sim > 0 else -math.inf
         return index, g_sim_db, lam_exact, float(spec.lambda_max_pred), None
     except (la.LinAlgError, ValueError, ArithmeticError) as exc:
-        return index, math.nan, math.nan, math.nan, f"{type(exc).__name__}"
+        return index, math.nan, math.nan, math.nan, f"{type(exc).__name__}: {exc}"
 
 
 def run_sweep(config: ExperimentConfig, workers: int = 1,
@@ -410,14 +411,14 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
 
     Deterministic for a fixed (config, seed) regardless of worker count:
     every point derives its own RNG streams from (seed, point index) and
-    rows are emitted in grid order. Failed points get region "Error" and
-    the sweep continues.
+    rows are emitted in grid order. Failed points get region "Error", keep
+    their error on the row, and the sweep continues.
     """
     probe = _probe(config)
     grid_lin = [10.0 ** (s / 10.0) for s in config.snr_grid_db]
     curve = theory.operating_curve(theory.mismatch_spectrum(probe.model),
                                    probe.thresholds(grid_lin), grid_lin)
-    payloads = [(config, i, s) for i, s in enumerate(config.snr_grid_db)]
+    payloads = [(config, probe.bases, i, s) for i, s in enumerate(config.snr_grid_db)]
     if workers <= 1:
         results = [_sweep_point(p) for p in payloads]
     else:
@@ -437,7 +438,7 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
             g_theory_db=10.0 * math.log10(g_theory),
             gamma0=g0, gamma1=probe.gamma1,
             lambda_max_exact=lam_exact, lambda_max_pred=lam_pred,
-            region="Error" if err else region))
+            region="Error" if err else region, error=err))
     if out_path is not None:
         write_sweep_csv(rows, out_path)
     return rows

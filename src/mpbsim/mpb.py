@@ -3,9 +3,11 @@
 Projects each data block onto a signal space (the SOI's temporal signature)
 and an interference-monitoring space, forms the two projected covariance
 matrices, and takes the dominant generalized eigenvector of the pair as the
-weight vector. Includes both the sample path (Monte Carlo snapshots) and
-the analytic path (closed-form covariance structure), the normalized output
-SINR measure G, and array patterns.
+weight vector. Includes both the sample path (Monte Carlo sample
+covariances, whose receiver noise is drawn from the exact finite-K law of
+the sums rather than symbol by symbol) and the analytic path (closed-form
+covariance structure), the normalized output SINR measure G, and array
+patterns.
 """
 
 from __future__ import annotations
@@ -124,15 +126,6 @@ class CovariancePair:
                 raise ValueError(f"{name} is not Hermitian")
 
 
-def _outer_sums(x_s: np.ndarray, x_i: np.ndarray):
-    """Unnormalized sums of x_s x_s^H and X_I X_I^H over the snapshots.
-
-    x_s is (K, L); x_i is (K, L, r_I).
-    """
-    x_it = x_i.transpose(1, 0, 2).reshape(x_i.shape[1], -1)
-    return x_s.T @ x_s.conj(), x_it @ x_it.conj().T
-
-
 def _sample_pair(acc_s: np.ndarray, acc_i: np.ndarray, k: int, r_i_dim: int) -> CovariancePair:
     """R_S = acc_s / K and R_I = acc_i / (K r_I), made exactly Hermitian."""
     big_l = acc_s.shape[0]
@@ -154,28 +147,25 @@ def estimate_cov_pair(x_s: np.ndarray, x_i: np.ndarray) -> CovariancePair:
         raise ValueError(f"need at least L={big_l} snapshots, got {k}")
     if x_i.ndim == 2:
         x_i = x_i[:, :, None]
-    return _sample_pair(*_outer_sums(x_s, x_i), k, x_i.shape[2])
+    x_it = x_i.transpose(1, 0, 2).reshape(x_i.shape[1], -1)  # L x (K r_I)
+    return _sample_pair(x_s.T @ x_s.conj(), x_it @ x_it.conj().T, k, x_i.shape[2])
 
 
 def accumulate_cov_pair(scenario: sm.Scenario, bases: ProjectionBases,
                         include=("soi", "interference", "noise")) -> CovariancePair:
-    """estimate_cov_pair over all scenario symbols, synthesized already projected.
+    """estimate_cov_pair over all scenario symbols, without their snapshots.
 
-    The snapshots come from sm.iter_projected with the basis [h_s, h_i], so
-    the L x N blocks are never formed; see that function for how its
-    receiver noise relates to sm.iter_blocks.
+    The sums come from sm.projected_sum with the basis [h_s, h_i]: R_S is
+    its h_s block, and R_I the sum of its h_i diagonal blocks over r_I. The
+    L x N blocks are never formed, and receiver noise is drawn from the
+    exact law of the sums; see that function.
     """
-    big_l = scenario.geometry.element_count
-    basis = np.column_stack([bases.h_s, bases.h_i])
-    acc_s = np.zeros((big_l, big_l), dtype=np.complex128)
-    acc_i = np.zeros((big_l, big_l), dtype=np.complex128)
-    total = 0
-    for _, y in sm.iter_projected(scenario, basis, include=include):
-        d_s, d_i = _outer_sums(y[:, :, 0], y[:, :, 1:])
-        acc_s += d_s
-        acc_i += d_i
-        total += y.shape[0]
-    return _sample_pair(acc_s, acc_i, total, bases.r_i)
+    big_l, m = scenario.geometry.element_count, 1 + bases.r_i
+    total = sm.projected_sum(scenario, np.column_stack([bases.h_s, bases.h_i]),
+                             include=include)
+    blocks = total.reshape(m, big_l, m, big_l)
+    acc_i = np.einsum("jajb->ab", blocks[1:, :, 1:, :])
+    return _sample_pair(blocks[0, :, 0, :], acc_i, scenario.symbols, bases.r_i)
 
 
 # -----------------------
@@ -365,10 +355,10 @@ def measure_g(weights: BeamWeights, scenario: sm.Scenario, bases: ProjectionBase
     """Normalized output SINR G = SINR(w) / SINR_opt in [0, 1]-ish.
 
     analytic: closed-form SINR ratio under the scenario's covariance model.
-    monte_carlo: E|y_S|^2 / E|y_I|^2 with the signal-only and the
-    interference-plus-noise-only snapshots synthesized separately (removes
-    the cross-term estimation noise), normalized by the analytic optimum.
-    Only x_s = X(k) h_s* is synthesized.
+    monte_carlo: w^H S_S w / w^H S_I w with the sums S_S of the signal-only
+    and S_I of the interference-plus-noise-only snapshots x_s = X(k) h_s*
+    (sm.projected_sum on basis h_s; separate sums remove the cross-term
+    estimation noise), normalized by the analytic optimum.
     """
     model = analytic_cov(scenario, bases)
     if mode == "analytic":
@@ -381,15 +371,12 @@ def measure_g(weights: BeamWeights, scenario: sm.Scenario, bases: ProjectionBase
         scenario = replace(scenario, symbols=symbols)
     w = weights.w
     h_s = bases.h_s[:, None]
-    num = 0.0
-    for _, y in sm.iter_projected(scenario, h_s, include=("soi",)):
-        num += float(np.sum(np.abs(y[:, :, 0] @ w.conj()) ** 2))
-    den = 0.0
-    for _, y in sm.iter_projected(scenario, h_s, include=("interference", "noise")):
-        den += float(np.sum(np.abs(y[:, :, 0] @ w.conj()) ** 2))
+    num = np.vdot(w, sm.projected_sum(scenario, h_s, include=("soi",)) @ w).real
+    den = np.vdot(w, sm.projected_sum(scenario, h_s,
+                                      include=("interference", "noise")) @ w).real
     if den <= 0.0:
         raise ValueError("interference-plus-noise output power is zero")
-    return (num / den) / opt
+    return float((num / den) / opt)
 
 
 # -----------------------

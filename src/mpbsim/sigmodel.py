@@ -7,23 +7,24 @@ per-symbol blocked data matrices X(k).
 
 Two synthesizers share the random streams. iter_blocks builds the full
 L x N block X(k) of every symbol and is kept as the reference.
-iter_projected yields only the projections X(k) B* onto an N x M basis B,
-which is all the beamformer consumes, without ever forming X(k).
+projected_sum returns only the second-order sums of the projections
+X(k) B* onto an N x M basis B, which is all the beamformer consumes,
+without ever forming X(k); iter_projected yields the signal part of those
+projections symbol by symbol.
 
 Randomness discipline: interferer *realization* parameters (tone phases,
 periodical-noise segments) derive from the scenario seed alone, so one
 realization is shared by every point of a sweep. Per-symbol randomness
-(data bits, white chips, receiver noise) derives from counter-based Philox
-streams keyed by (seed, tag, mc_stream, index...), making synthesis a pure
-function of the scenario and independent of how work is partitioned. The
-SOI-bit, MAI-bit and white-chip streams are the same in both synthesizers,
-so the SOI and interference components of iter_projected equal the
-projected full blocks to rounding. Receiver noise is drawn where it is
-used: as L x N white chips in iter_blocks, and in iter_projected directly
-as rows of CN(0, sigma^2 B^H B) through the Cholesky factor of the basis
-Gram matrix. Both have the same joint distribution after projection,
-including the correlation between non-orthogonal basis columns, but they
-are different draws.
+(data bits, white chips) and receiver noise derive from counter-based
+Philox streams keyed by (seed, tag, mc_stream, index...), making synthesis
+a pure function of the scenario and independent of how work is
+partitioned. The SOI-bit, MAI-bit and white-chip streams are the same in
+both synthesizers, so the signal part of projected_sum equals the sums of
+the projected full blocks to rounding. Receiver noise is drawn where it is
+used: as L x N white chips in iter_blocks, and in projected_sum as one
+exact draw of the noise sums given the signal (complex Wishart, Goodman
+1963, through Bartlett's decomposition, Bartlett 1933). Both give the same
+law of the sums, but they are different draws.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ _TAG_SOI_BITS = 102
 _TAG_MAI_BITS = 103
 _TAG_WHITE = 104
 _TAG_NOISE = 105
-_TAG_PROJECTED_NOISE = 106
+_TAG_NOISE_SUMS = 107
 
 
 # -----------------------
@@ -397,38 +398,28 @@ def iter_blocks(scenario: Scenario, include=("soi", "interference", "noise")):
         yield k0, x
 
 
-def iter_projected(scenario: Scenario, basis: np.ndarray,
-                   include=("soi", "interference", "noise")):
-    """Yield (k0, Y) with Y = X(k) basis* of shape (B, L, M), never forming X(k).
+def _signal_rows(scenario: Scenario, basis: np.ndarray, include):
+    """The L x P steering matrix and a generator of the projected signal rows.
 
-    basis is N x M; the beamformer passes [h_s, h_i]. Every signal
-    component of X(k) is a steering vector times a length-N temporal row,
-    so each row is projected first and steered afterwards: at most
-    (N + L) * M work per path and symbol instead of L * N. The SOI and
-    interference components consume the same streams as iter_blocks and
-    agree with its projected blocks to rounding.
-
-    Receiver noise is drawn as CN(0, noise_var * basis^H basis) per element
-    and symbol, the exact law of projected white noise, as sigma * C z with
-    C the lower Cholesky factor of the Gram matrix and z ~ CN(0, I_M).
-    Component m of z is drawn before component m+1, so column m depends on
-    basis columns 0..m only: bases that share a first column (h_s) see the
-    same first-column noise.
+    Every signal component of X(k) is a steering vector times a length-N
+    temporal row, so X(k) basis* = steer @ F(k) with F(k) the P x M matrix
+    of those rows projected onto the N x M basis: the SOI first (when
+    included), then every interference path. The generator yields (k0, F)
+    with F of shape (P, M, B) for symbols k0 .. k0+B-1, B <= BATCH. Each row
+    costs N * M work per symbol instead of the L * N of a full block, and
+    consumes the same streams as iter_blocks.
     """
     _check_include(include)
     geo = scenario.geometry
-    big_l, n = geo.element_count, scenario.soi.processing_gain
+    n = scenario.soi.processing_gain
     basis = np.asarray(basis, dtype=np.complex128)
     if basis.ndim != 2 or basis.shape[0] != n:
         raise ValueError(f"basis must be N x M with N={n}, got shape {basis.shape}")
     m = basis.shape[1]
     proj = basis.conj()
-    k_total = scenario.symbols
     paths = realize_paths(scenario) if "interference" in include else []
     want_soi = "soi" in include
-    want_noise = "noise" in include
 
-    # one steering column per projected temporal row
     steer = steering_matrix(paths, geo)
     if want_soi:
         bits0 = soi_bits(scenario)
@@ -444,38 +435,127 @@ def iter_projected(scenario: Scenario, basis: np.ndarray,
         else:
             fixed = ()
         terms.append((p, math.sqrt(p.power), fixed))
-    if want_noise:
-        chol = np.linalg.cholesky(basis.conj().T @ basis)
-        sd = math.sqrt(scenario.noise_var / 2.0)
 
-    for bi, k0 in enumerate(range(0, k_total, BATCH)):
-        nb = min(BATCH, k_total - k0)
-        rows = []
-        if want_soi:
-            rows.append(np.outer(bits0[k0:k0 + nb], soi_row))
-        for p, amp, fixed in terms:
-            if p.family == "white":
-                s = _white_chips(scenario, p, bi, nb, n) @ proj
-            elif p.family == "periodic":
-                # block_phase is unit-modulus; exp of the phase ramp is far
-                # cheaper than a complex power and equal to rounding
-                ramp = cmath.phase(p.block_phase) * np.arange(k0, k0 + nb)
-                s = np.outer(np.exp(1j * ramp), fixed[0])
-            else:  # mai
-                b = mai_bits[p.stream_index]
-                s = np.outer(b[k0 + 1:k0 + nb + 1], fixed[0]) + np.outer(b[k0:k0 + nb], fixed[1])
-            rows.append(amp * s)
-        if rows:
-            # (L, D) @ (D, B*M): steer every projected row in one product
-            flat = steer @ np.stack(rows, axis=0).reshape(len(rows), nb * m)
-            y = flat.reshape(big_l, nb, m).transpose(1, 0, 2)
-        else:
-            y = np.zeros((nb, big_l, m), dtype=np.complex128)
-        if want_noise:
-            g = _stream(scenario, _TAG_PROJECTED_NOISE, bi).normal(size=(m, 2, nb, big_l))
-            # y[k, l, j] += sd * sum_m chol[j, m] z[m, k, l]
-            y = y + sd * np.tensordot(g[:, 0] + 1j * g[:, 1], chol, axes=([0], [1]))
-        yield k0, y
+    def rows():
+        for bi, k0 in enumerate(range(0, scenario.symbols, BATCH)):
+            nb = min(BATCH, scenario.symbols - k0)
+            out = np.empty((steer.shape[1], m, nb), dtype=np.complex128)
+            if want_soi:
+                out[0] = np.outer(soi_row, bits0[k0:k0 + nb])
+            for i, (p, amp, fixed) in enumerate(terms, start=int(want_soi)):
+                if p.family == "white":
+                    s = proj.T @ _white_chips(scenario, p, bi, nb, n).T
+                elif p.family == "periodic":
+                    # block_phase is unit-modulus; exp of the phase ramp is far
+                    # cheaper than a complex power and equal to rounding
+                    ramp = cmath.phase(p.block_phase) * np.arange(k0, k0 + nb)
+                    s = np.outer(fixed[0], np.exp(1j * ramp))
+                else:  # mai
+                    b = mai_bits[p.stream_index]
+                    s = (np.outer(fixed[0], b[k0 + 1:k0 + nb + 1])
+                         + np.outer(fixed[1], b[k0:k0 + nb]))
+                out[i] = amp * s
+            yield k0, out
+
+    return steer, rows()
+
+
+def iter_projected(scenario: Scenario, basis: np.ndarray,
+                   include=("soi", "interference")):
+    """Yield (k0, Y) with Y = X(k) basis* of shape (B, L, M), never forming X(k).
+
+    basis is N x M. The signal components agree with the projected blocks
+    of iter_blocks to rounding. Receiver noise has no per-symbol form here:
+    it is drawn on the sums, see projected_sum.
+    """
+    if "noise" in include:
+        raise ValueError("receiver noise is drawn on the sums; use projected_sum")
+    big_l = scenario.geometry.element_count
+    steer, rows = _signal_rows(scenario, basis, include)
+    for k0, f in rows:
+        p, m, nb = f.shape
+        # (L, P) @ (P, M*B): steer every projected row in one product
+        y = steer @ f.reshape(p, m * nb)
+        yield k0, y.reshape(big_l, m, nb).transpose(2, 0, 1)
+
+
+def _cn(rng: np.random.Generator, shape) -> np.ndarray:
+    """i.i.d. CN(0, 1) entries."""
+    g = rng.standard_normal((2, *shape))
+    return (g[0] + 1j * g[1]) * math.sqrt(0.5)
+
+
+def _wishart_factor(rng: np.random.Generator, dim: int, dof: int) -> np.ndarray:
+    """A dim x min(dim, dof) matrix A with A A^H ~ CW_dim(dof, I).
+
+    For dof >= dim this is Bartlett's lower-triangular factor, in its complex
+    form: |A_ii|^2 ~ Gamma(dof - i, 1) for i = 0 .. dim-1 and i.i.d. CN(0, 1)
+    below the diagonal. Otherwise it is a dim x dof CN(0, 1) matrix.
+    """
+    if dof < dim:
+        return _cn(rng, (dim, dof))
+    low = np.tril(_cn(rng, (dim, dim)), -1)
+    low[np.diag_indices(dim)] = np.sqrt(rng.standard_gamma(dof - np.arange(dim)))
+    return low
+
+
+def projected_sum(scenario: Scenario, basis: np.ndarray,
+                  include=("soi", "interference", "noise")) -> np.ndarray:
+    """S = sum_k y(k) y(k)^H over all K symbols, an (L M) x (L M) matrix.
+
+    y(k) stacks the M columns of X(k) basis*, so the (j, j') block of S is
+    sum_k (X(k) b_j*) (X(k) b_j'*)^H for basis columns b_j and b_j'.
+
+    The signal part is T G T^H, with G = sum_k f f^H the Gram matrix of the
+    P M projected rows f(k) of every symbol (see _signal_rows) and T the
+    steering of each row into its basis column. It agrees with summing the
+    outer products of iter_projected to rounding.
+
+    Receiver noise is never drawn symbol by symbol. Per symbol it is
+    sigma * C z(k), with C = chol(B^H B) kron I_L and z(k) ~ CN(0, I_LM): white
+    noise seen through the basis, correlated between non-orthogonal
+    columns. Write G = R^H R with R of r = min(PM, K) rows. Given the signal
+    rows, the noise sums then have the exact law
+        sum_k z f^H = W1 R,   sum_k z z^H = W1 W1^H + W2,
+    with W1 an LM x r matrix of i.i.d. CN(0, 1) entries and, independent of
+    it, W2 ~ CW_LM(K - r, I), the complex Wishart law (Goodman, Ann. Math.
+    Statist. 34, 1963). This follows from the unitary invariance of z: the
+    rows' span and its complement split the K symbols into r and K - r
+    independent dimensions. W2 is drawn by Bartlett's decomposition
+    (Bartlett, 1933), so the noise costs O((LM)^2) draws whatever K is.
+    Assembled, S = V V^H + sigma^2 C W2 C^H with V = T R^H + sigma C W1.
+    Any R with R^H R = G gives the same law; it is taken from an
+    eigendecomposition of G with rounding-negative eigenvalues set to 0.
+
+    The noise draws come from one stream per scenario (so per sweep point),
+    not per batch. Sums of one scenario for different bases or components
+    share that stream and are not independent of each other.
+    """
+    steer, rows = _signal_rows(scenario, basis, include)
+    big_l, m = scenario.geometry.element_count, np.shape(basis)[1]
+    pm = steer.shape[1] * m
+    gram = np.zeros((pm, pm), dtype=np.complex128)
+    if pm:
+        for _, f in rows:
+            flat = f.reshape(pm, -1)  # row p*M + j: path p on basis column j
+            gram += flat @ flat.conj().T
+    # T[(j, l), (p, j')] = steer[l, p] * (j == j')
+    steer_all = np.einsum("lp,jk->jlpk", steer, np.eye(m)).reshape(big_l * m, pm)
+    if "noise" not in include:
+        total = steer_all @ gram @ steer_all.conj().T
+    else:
+        r = min(pm, scenario.symbols)
+        lam, vec = np.linalg.eigh(gram)
+        r_h = vec[:, pm - r:] * np.sqrt(np.maximum(lam[pm - r:], 0.0))  # R^H
+        gram_basis = np.asarray(basis, dtype=np.complex128).conj().T @ basis
+        noise = math.sqrt(scenario.noise_var) * np.kron(
+            np.linalg.cholesky(gram_basis), np.eye(big_l))
+        rng = _stream(scenario, _TAG_NOISE_SUMS)
+        signal_and_cross = steer_all @ r_h + noise @ _cn(rng, (big_l * m, r))
+        rest = noise @ _wishart_factor(rng, big_l * m, scenario.symbols - r)
+        total = (signal_and_cross @ signal_and_cross.conj().T
+                 + rest @ rest.conj().T)
+    return 0.5 * (total + total.conj().T)
 
 
 def synth_blocks(scenario: Scenario, include=("soi", "interference", "noise")) -> BlockData:

@@ -123,9 +123,9 @@ def test_criterion_04_failure_only_slope(scale_k):
     The predicted curve expresses the law exactly and is asserted first.
     The fit to the simulated points over the same window is asserted
     verbatim afterwards; at these depths (below -100 dB) the adapted
-    weight's estimation floor sits above the predicted values for any
-    sample-covariance implementation at this K, so the simulated fit is
-    expected to fail until the full-scale regime pushes the floor down.
+    weight's estimation floor sits near the predicted values at this K, so
+    whether one draw's fit lands in the band depends on the seed (see
+    test_criterion_04_slope_over_seeds and the README).
     """
     config = replace(harness.preset("fig4b-pn2"),
                      scheme=harness.SchemeConfig("PAPC"))
@@ -144,6 +144,31 @@ def test_criterion_04_failure_only_slope(scale_k):
           f"{sim_slope:.2f} dB/decade over SNR [{top - 20:g}, {top:g}] dB "
           f"(floor-limited at K = {config.symbols:.0e})")
     assert -22.0 <= sim_slope <= -18.0
+
+
+def test_criterion_04_slope_over_seeds(scale_k):
+    """The criterion-4 slope as a statistic over seeds 1-8 (--full-scale only).
+
+    One 11-point fit on one draw scatters with the seed at K = 1e6, so the
+    law is asserted on the median of the eight fits.
+    """
+    if scale_k == 1:
+        pytest.skip("runs only with --full-scale")
+    base = replace(harness.preset("fig4b-pn2"),
+                   scheme=harness.SchemeConfig("PAPC"))
+    base = replace(base, symbols=base.symbols * scale_k)
+    slopes = []
+    for seed in range(1, 9):
+        rows = _sweep(replace(base, seed=seed))
+        top = max(r.snr_db for r in rows)
+        tail = [r for r in rows if r.snr_db >= top - 20.0]
+        slopes.append(_fit_slope_db_per_decade([r.snr_db for r in tail],
+                                               [r.g_sim_db for r in tail]))
+    median = float(np.median(slopes))
+    print(f"criterion 4 over seeds 1-8 at K = {base.symbols:.0e}: simulated "
+          f"slopes {', '.join(f'{s:.2f}' for s in slopes)} dB/decade, "
+          f"median {median:.2f}")
+    assert -22.0 <= median <= -18.0
 
 
 # -----------------------

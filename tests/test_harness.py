@@ -414,8 +414,46 @@ def test_sweep_point_linalg_failure_is_named_error(monkeypatch):
         r_i[-1, -1] = -1.0
         return mpb.CovariancePair(np.eye(cfg.element_count, dtype=complex), r_i)
     monkeypatch.setattr(mpb, "accumulate_cov_pair", indefinite_pair)
-    assert harness._sweep_point((cfg, 0, 10.0))[4] == "NotPositiveDefiniteError"
-    assert [r.region for r in harness.run_sweep(cfg)] == ["Error", "Error"]
+    err = harness._sweep_point((cfg, harness.bases_for(cfg), 0, 10.0))[4]
+    name, _, message = err.partition(": ")
+    assert name == "NotPositiveDefiniteError" and message
+    rows = harness.run_sweep(cfg)
+    assert [r.region for r in rows] == ["Error", "Error"]
+    assert [r.error for r in rows] == [err, err]
+
+
+def test_cli_sweep_reports_each_failed_point(monkeypatch, tmp_path, capsys):
+    def fail(scenario, bases):
+        raise ArithmeticError("synthetic blow-up")
+    monkeypatch.setattr(mpb, "accumulate_cov_pair", fail)
+    rc = cli.main(["sweep", "--preset", "fig4b-pn2", "--symbols", "500",
+                   "--snr-db=-5,5,15", "--out", str(tmp_path)])
+    assert rc == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"sweep point {s} dB failed: ArithmeticError: synthetic blow-up"
+                     for s in ("-5", "5", "15")]
+
+
+def test_sweep_builds_bases_once(monkeypatch, tmp_path):
+    """One basis per sweep: a Custom .npz is not re-read for every point."""
+    code = sm.gold31(0)
+    bases = mpb.maximin_bases(code)
+    npz = tmp_path / "basis.npz"
+    np.savez(npz, h_s=bases.h_s, h_i=bases.h_i)
+    cfg = replace(_tiny("fig4b-pn2", grid=(-10.0, 0.0, 10.0)),
+                  scheme=harness.SchemeConfig("Custom", basis_file=str(npz)))
+    calls = []
+    built = harness.bases_for
+
+    def first_only(config):
+        calls.append(config)
+        if len(calls) > 1:
+            raise RuntimeError("bases rebuilt")
+        return built(config)
+    monkeypatch.setattr(harness, "bases_for", first_only)
+    rows = harness.run_sweep(cfg)
+    assert len(calls) == 1
+    assert [r.error for r in rows] == [None, None, None]
 
 
 def test_python_m_mpbsim(tmp_path):

@@ -136,8 +136,10 @@ def test_projected_noise_second_moments():
     """Projected receiver noise has the law of white noise seen through the basis.
 
     Per element and symbol, E[y y^H] = sigma^2 * B^H B for the N x M basis
-    B. Under PAPC h_i^H h_s = c0[0]/sqrt(N) != 0, so x_s and x_i noise must
-    be correlated; the complex basis pins the conjugation convention.
+    B, so block (j, j') of the noise-only sum over K symbols is close to
+    K sigma^2 (B^H B)[j, j'] I_L; its trace over K L is the moment checked.
+    Under PAPC h_i^H h_s = c0[0]/sqrt(N) != 0, so x_s and x_i noise must be
+    correlated; the complex basis pins the conjugation convention.
     """
     rng = np.random.default_rng(35)
     cplx = rng.standard_normal((31, 3)) + 1j * rng.standard_normal((31, 3))
@@ -146,11 +148,15 @@ def test_projected_noise_second_moments():
     sc = _scenario(power=0.0, noise_var=noise_var, symbols=20_000)
     for basis in (np.column_stack([papc.h_s, papc.h_i]),
                   cplx / np.linalg.norm(cplx, axis=0)):
-        y = np.concatenate([y for _, y in sm.iter_projected(sc, basis)])
-        flat = y.reshape(-1, basis.shape[1])
-        moments = flat.T @ flat.conj() / flat.shape[0]
+        m = basis.shape[1]
+        total = sm.projected_sum(sc, basis, include=("noise",))
+        blocks = total.reshape(m, 8, m, 8) / sc.symbols
+        moments = np.einsum("jaka->jk", blocks) / 8
         expect = noise_var * (basis.conj().T @ basis)
         assert np.abs(moments - expect).max() < 0.02 * noise_var, moments
+        # and each block is a multiple of I_L
+        off = blocks - moments[:, None, :, None] * np.eye(8)[None, :, None, :]
+        assert np.abs(off).max() < 0.05 * noise_var
     cross = noise_var * np.vdot(papc.h_s, papc.h_i[:, 0])
     assert abs(cross) > 0.4   # the cross term checked above is far from 0
 

@@ -258,12 +258,88 @@ def test_iter_projected_matches_projected_blocks():
         assert np.abs(y - ref).max() < 1e-12 * np.abs(ref).max()
 
 
-def test_iter_projected_noise_first_column_depends_on_it_alone():
-    """Noise of basis column 0 is the same whatever columns follow it."""
-    sc = _scenario(symbols=40)
-    h_s = sm.gold31(0) / np.sqrt(31.0)
-    e0 = np.eye(31)[:, 0]
-    alone = np.concatenate([y for _, y in sm.iter_projected(sc, h_s[:, None])])
-    pair = np.concatenate([y for _, y in sm.iter_projected(
-        sc, np.column_stack([h_s, e0]))])
-    assert np.abs(alone[:, :, 0] - pair[:, :, 0]).max() < 1e-12
+def test_iter_projected_rejects_noise():
+    with pytest.raises(ValueError, match="projected_sum"):
+        next(sm.iter_projected(_scenario(), np.eye(31)[:, :2],
+                               include=("soi", "noise")))
+
+
+def _complex_basis(seed, m=2):
+    rng = np.random.default_rng(seed)
+    basis = rng.standard_normal((31, m)) + 1j * rng.standard_normal((31, m))
+    return basis / np.linalg.norm(basis, axis=0)
+
+
+def test_projected_sum_signal_part_is_sum_of_outer_products():
+    """Without noise the sum is the Gram of the stacked snapshot columns,
+    off-diagonal (j, j') blocks included."""
+    ints = (sm.InterfererSpec("bpsk_white", doa_deg=30.0, power=10.0),
+            sm.InterfererSpec("tone", doa_deg=-40.0, power=20.0,
+                              normalized_offset=3.0 / 31.0),
+            sm.InterfererSpec("mai_multipath", doa_deg=10.0, power=3.0,
+                              path_delays=(3, 5), path_doas=(10.0, -20.0)))
+    sc = _scenario(symbols=sm.BATCH + 904, interferers=ints)
+    basis = _complex_basis(38)
+    include = ("soi", "interference")
+    y = np.concatenate([y for _, y in sm.iter_projected(sc, basis, include=include)])
+    stacked = y.transpose(0, 2, 1).reshape(y.shape[0], -1)  # column j, element l
+    ref = stacked.T @ stacked.conj()
+    got = sm.projected_sum(sc, basis, include=include)
+    assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
+
+
+def _check_conditional_law(interferers, symbols, draws, basis):
+    """Mean and entry variance of the noisy sums over independent streams.
+
+    The signal rows of tones depend on the seed alone, so across mc_stream
+    only the noise changes. Given the rows, y(k) = s(k) + n(k) with n(k) ~
+    CN(0, C) and C = sigma^2 (B^H B) kron I_L, so the sum S is noncentral
+    complex Wishart:
+        E S = S0 + K C,
+        Var S_ab = K C_aa C_bb + S0_aa C_bb + S0_bb C_aa,
+    with S0 the noise-free sum. S0's diagonal enters only through the
+    noise-signal cross sum, so a cross factor built from conj(G) instead of
+    G (which differ when G has non-real entries) shows in the variance.
+    """
+    include = ("interference", "noise")
+    sums = np.array([sm.projected_sum(_scenario(symbols=symbols, interferers=interferers,
+                                                mc_stream=i), basis, include=include)
+                     for i in range(draws)])
+    s0 = sm.projected_sum(_scenario(symbols=symbols, interferers=interferers),
+                          basis, include=("interference",))
+    cov = np.kron(basis.conj().T @ basis, np.eye(8))
+    c, d = np.diag(cov).real, np.diag(s0).real
+    mean = s0 + symbols * cov
+    var = symbols * np.outer(c, c) + np.outer(d, c) + np.outer(c, d)
+    got_mean = sums.mean(axis=0)
+    z = np.abs(got_mean - mean) / np.sqrt(var / draws)
+    got_var = np.sum(np.abs(sums - got_mean) ** 2, axis=0) / (draws - 1)
+    rel = np.abs(got_var / var - 1.0)
+    assert z.max() < 5.0, z.max()
+    assert rel.max() < 0.3, rel.max()
+    return s0
+
+
+def test_projected_sum_conditional_law():
+    # two coherent tones: G couples them through non-real entries
+    ints = tuple(sm.InterfererSpec("tone", doa_deg=doa, power=20.0,
+                                   normalized_offset=2.0 / 31.0)
+                 for doa in (30.0, -40.0))
+    basis = _complex_basis(37)
+    s0 = _check_conditional_law(ints, symbols=256, draws=400, basis=basis)
+    # the cross sum, not the noise Gram, dominates the variance checked
+    assert np.diag(s0).real.max() > 10.0 * 256
+
+
+def test_projected_sum_law_below_wishart_dimension():
+    """K - r < L M: the noise beyond the rows' span is a Gaussian Gram."""
+    ints = tuple(sm.InterfererSpec("tone", doa_deg=doa, power=0.5,
+                                   normalized_offset=2.0 / 31.0)
+                 for doa in (30.0, -40.0))
+    # r = P M = 4 rows, K - r = 6 < L M = 16
+    _check_conditional_law(ints, symbols=10, draws=400, basis=_complex_basis(39))
+
+
+def test_projected_sum_noise_only_bartlett_law():
+    """No signal rows (r = 0) and K just above L M: the Bartlett factor alone."""
+    _check_conditional_law((), symbols=17, draws=1000, basis=_complex_basis(40))
