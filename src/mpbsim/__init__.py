@@ -3,8 +3,7 @@
 The package splits along the natural seams of the problem:
 
 - ``linalg``: Hermitian/HPD matrix kernels over numpy.linalg (eigensolver,
-  Cholesky, SVD, generalized eigenproblems, Gerschgorin disks, Crawford
-  number).
+  Cholesky, SVD, generalized eigenproblems, Crawford number).
 - ``sigmodel``: baseband synthesis of the array data — Gold-coded SOI plus
   configurable interference (BPSK white, tones, periodical noise, multipath
   multiple-access users).

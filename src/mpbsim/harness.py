@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -64,9 +64,9 @@ class InterfererConfig:
     rel_power_db: float = 0.0
     normalized_offset: float = 0.0
     user_code: int = 1
-    path_delays: tuple = ()
-    path_doas: tuple = ()
-    path_gains: tuple | None = None
+    path_delays: tuple[int, ...] = ()
+    path_doas: tuple[float, ...] = ()
+    path_gains: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in sm.KINDS:
@@ -82,8 +82,8 @@ class InterfererConfig:
 class ExperimentConfig:
     """A full experiment in file units (degrees, dB)."""
     scheme: SchemeConfig
-    interferers: tuple = ()
-    snr_grid_db: tuple = DEFAULT_SNR_GRID_DB
+    interferers: tuple[InterfererConfig, ...] = ()
+    snr_grid_db: tuple[float, ...] = DEFAULT_SNR_GRID_DB
     inr_db: float = 30.0
     symbols: int = 100_000
     seed: int = 1
@@ -100,6 +100,12 @@ class ExperimentConfig:
                            tuple(float(s) for s in self.snr_grid_db))
         if not self.snr_grid_db:
             raise ConfigError("snr_grid_db must be non-empty")
+        if not all(math.isfinite(s) for s in self.snr_grid_db):
+            raise ConfigError(f"snr_grid_db must be finite, got {self.snr_grid_db}")
+        if not math.isfinite(self.inr_db):
+            raise ConfigError(f"inr_db must be finite, got {self.inr_db}")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         if any(b <= a for a, b in zip(self.snr_grid_db, self.snr_grid_db[1:])):
             raise ConfigError("snr_grid_db must be strictly ascending")
         if self.symbols < 100:
@@ -109,36 +115,64 @@ class ExperimentConfig:
                               f"code length), got {self.processing_gain!r}")
 
 
-_SCHEME_KEYS = {"name", "position", "monitor_freq", "basis_file"}
-_INTERFERER_KEYS = {"kind", "doa_deg", "rel_power_db", "normalized_offset",
-                    "user_code", "path_delays", "path_doas", "path_gains"}
-_TOP_KEYS = {"scheme", "interferers", "snr_grid_db", "inr_db", "symbols",
-             "seed", "element_count", "element_spacing", "processing_gain",
-             "gold_index", "soi_doa_deg", "out_dir"}
+def _field_types(cls) -> dict:
+    return {f.name: f.type for f in fields(cls)}
 
 
-def _reject_unknown(d: dict, allowed: set, where: str):
-    unknown = sorted(set(d) - allowed)
+# field name -> annotation: the config file's keys and their JSON types
+_SCHEME_KEYS = _field_types(SchemeConfig)
+_INTERFERER_KEYS = _field_types(InterfererConfig)
+_TOP_KEYS = _field_types(ExperimentConfig)
+
+
+def _is(types):
+    # JSON true and false are Python bools, which are ints
+    return lambda v: isinstance(v, types) and not isinstance(v, bool)
+
+
+_JSON_TYPES = {"int": (_is(int), "an integer", "integers"),
+               "float": (_is((int, float)), "a number", "numbers"),
+               "str": (_is(str), "a string", "strings")}
+
+
+def _check_fields(d, allowed: dict, where: str) -> None:
+    """Reject a non-object, an unknown key or a value of the wrong JSON type,
+    naming the field. Values typed by a config class are the caller's."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(d) - allowed.keys())
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
+    for key, value in d.items():
+        ann = allowed[key].removesuffix(" | None")
+        if value is None and ann != allowed[key]:
+            continue
+        item = ann[len("tuple["):-len(", ...]")] if ann.startswith("tuple[") else None
+        is_kind, one, many = _JSON_TYPES.get(item or ann, (lambda v: True, "", ""))
+        if item is None:
+            ok, want = is_kind(value), one
+        else:
+            ok = isinstance(value, (list, tuple)) and all(map(is_kind, value))
+            want = f"a list of {many}" if many else "a list"
+        if not ok:
+            name = key if where == "config" else f"{where}.{key}"
+            raise ConfigError(f"{name} must be {want}, got {value!r}")
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    if not isinstance(d, dict):
-        raise ConfigError("config root must be a JSON object")
-    _reject_unknown(d, _TOP_KEYS, "config")
+    _check_fields(d, _TOP_KEYS, "config")
     kw = dict(d)
     scheme_d = kw.pop("scheme", {"name": "Maximin"})
     if isinstance(scheme_d, str):
         scheme_d = {"name": scheme_d}
-    _reject_unknown(scheme_d, _SCHEME_KEYS, "scheme")
-    ints = []
-    for i, it in enumerate(kw.pop("interferers", [])):
-        _reject_unknown(it, _INTERFERER_KEYS, f"interferers[{i}]")
-        ints.append(InterfererConfig(**it))
+    _check_fields(scheme_d, _SCHEME_KEYS, "scheme")
+    ints = kw.pop("interferers", [])
+    for i, it in enumerate(ints):
+        _check_fields(it, _INTERFERER_KEYS, f"interferers[{i}]")
     try:
         return ExperimentConfig(scheme=SchemeConfig(**scheme_d),
-                                interferers=tuple(ints), **kw)
+                                interferers=tuple(InterfererConfig(**it) for it in ints),
+                                **kw)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
 

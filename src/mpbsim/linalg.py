@@ -3,8 +3,8 @@
 Thin domain code over numpy.linalg (LAPACK): Hermitian eigendecomposition,
 Cholesky with a relative pivot floor, definite and semi-definite generalized
 eigenproblems (including infinite eigenvalues of PSD pairs), SVD-based
-subspace geometry, and the perturbation-bound toolbox (Gerschgorin disks,
-Crawford number, the f(x) radius function).
+subspace geometry, and the perturbation-bound toolbox (Crawford number,
+the f(x) radius function).
 
 Inputs are validated here (finite, square, Hermitian where required), and a
 LAPACK failure surfaces as this module's NotPositiveDefiniteError or
@@ -190,14 +190,6 @@ def projector(q) -> np.ndarray:
     return q @ q.conj().T
 
 
-def pinv(m, tol: float | None = None) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via the SVD."""
-    m = _as_matrix(m, "M")
-    u, sig, v = _svd(m)
-    r = _rank(m, sig, tol)
-    return (v[:, :r] / sig[:r]) @ u[:, :r].conj().T
-
-
 def spectral_norm(m) -> float:
     _, sig, _ = _svd(m)
     return float(sig[0]) if sig.size else 0.0
@@ -301,34 +293,6 @@ def gen_eig_homogeneous(a, b) -> GenEigHomogeneous:
             pairs.append((nu, mu))
     finite_count = sum(1 for (_, mu) in pairs if mu > 0.0)
     return GenEigHomogeneous(pairs, vecs, finite_count)
-
-
-# -----------------------
-# Gerschgorin disks
-# -----------------------
-
-@dataclass(frozen=True)
-class GerschgorinDisk:
-    center: complex
-    radius: float
-    row_index: int
-
-
-def gerschgorin(m) -> list:
-    """Row disks (center M[i,i], radius = deleted absolute row sum)."""
-    m = _as_matrix(m, "M")
-    if m.shape[0] != m.shape[1]:
-        raise LinAlgError("M must be square")
-    disks = []
-    for i in range(m.shape[0]):
-        r = float(np.sum(np.abs(m[i, :]))) - abs(m[i, i])
-        disks.append(GerschgorinDisk(complex(m[i, i]), max(r, 0.0), i))
-    return disks
-
-
-def in_disk_union(z: complex, disks) -> bool:
-    return any(abs(z - d.center) <= d.radius + 1e-12 * (1.0 + abs(d.center) + d.radius)
-               for d in disks)
 
 
 # -----------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,9 +106,8 @@ def leakage_ratio(bases: ProjectionBases, code: np.ndarray) -> float:
 # Snapshots and sample covariances
 # -----------------------
 
-def snapshots(blocks: sm.BlockData, bases: ProjectionBases):
-    """Project blocks: x_s(k) = X(k) h_s*, x_i(k) = X(k) h_i*."""
-    x = blocks.blocks
+def snapshots(x: np.ndarray, bases: ProjectionBases):
+    """Project (K, L, N) blocks: x_s(k) = X(k) h_s*, x_i(k) = X(k) h_i*."""
     if x.shape[2] != bases.h_s.shape[0]:
         raise ValueError("block width does not match basis length")
     return x @ bases.h_s.conj(), x @ bases.h_i.conj()
@@ -116,14 +115,9 @@ def snapshots(blocks: sm.BlockData, bases: ProjectionBases):
 
 @dataclass(frozen=True)
 class CovariancePair:
+    """R_S and R_I; solve_weights checks that both are Hermitian."""
     r_s: np.ndarray
     r_i: np.ndarray
-
-    def __post_init__(self):
-        for name, m in (("r_s", self.r_s), ("r_i", self.r_i)):
-            scale = max(np.abs(m).max(), 1e-300)
-            if np.abs(m - m.conj().T).max() > 1e-10 * scale:
-                raise ValueError(f"{name} is not Hermitian")
 
 
 def _sample_pair(acc_s: np.ndarray, acc_i: np.ndarray, k: int, r_i_dim: int) -> CovariancePair:
@@ -137,16 +131,15 @@ def _sample_pair(acc_s: np.ndarray, acc_i: np.ndarray, k: int, r_i_dim: int) -> 
 
 
 def estimate_cov_pair(x_s: np.ndarray, x_i: np.ndarray) -> CovariancePair:
-    """Sample covariances R_S = avg x_s x_s^H, R_I = avg X_I X_I^H / r_I."""
+    """Sample covariances R_S = avg x_s x_s^H, R_I = avg X_I X_I^H / r_I.
+
+    x_s is (K, L) and x_i is (K, L, r_I), as snapshots returns them.
+    """
     x_s = np.asarray(x_s, dtype=np.complex128)
     x_i = np.asarray(x_i, dtype=np.complex128)
     k, big_l = x_s.shape
-    if k == 0:
-        raise ValueError("no snapshots")
     if k < big_l:
         raise ValueError(f"need at least L={big_l} snapshots, got {k}")
-    if x_i.ndim == 2:
-        x_i = x_i[:, :, None]
     x_it = x_i.transpose(1, 0, 2).reshape(x_i.shape[1], -1)  # L x (K r_I)
     return _sample_pair(x_s.T @ x_s.conj(), x_it @ x_it.conj().T, k, x_i.shape[2])
 
@@ -307,6 +300,12 @@ class BeamWeights:
     lambda_max: float
 
 
+def top_cluster(eigenvalues: np.ndarray) -> np.ndarray:
+    """Indices of the descending eigenvalues within 1e-8 relative of the first."""
+    top = float(eigenvalues[0])
+    return np.nonzero(eigenvalues >= top - 1e-8 * max(1.0, abs(top)))[0]
+
+
 def solve_weights(pair: CovariancePair, a0: np.ndarray | None = None) -> BeamWeights:
     """Dominant generalized eigenvector of (R_S, R_I), unit-normalized.
 
@@ -317,7 +316,7 @@ def solve_weights(pair: CovariancePair, a0: np.ndarray | None = None) -> BeamWei
     res = la.gen_eig_hpd(pair.r_s, pair.r_i)
     lam = res.eigenvalues
     lam_max = float(lam[0])
-    cluster = np.nonzero(lam >= lam_max - 1e-8 * max(1.0, abs(lam_max)))[0]
+    cluster = top_cluster(lam)
     pick = int(cluster[0])
     if a0 is not None and len(cluster) > 1:
         a0 = np.asarray(a0, dtype=np.complex128)
@@ -350,25 +349,17 @@ def analytic_g(w: np.ndarray, model: AnalyticModel) -> float:
     return output_sinr(w, model.q_s, model.a0, model.sigma_s0_sq) / opt
 
 
-def measure_g(weights: BeamWeights, scenario: sm.Scenario, bases: ProjectionBases,
-              mode: str = "analytic", symbols: int | None = None) -> float:
-    """Normalized output SINR G = SINR(w) / SINR_opt in [0, 1]-ish.
+def measure_g(weights: BeamWeights, scenario: sm.Scenario, bases: ProjectionBases) -> float:
+    """Monte Carlo G = SINR(w) / SINR_opt of a fixed weight.
 
-    analytic: closed-form SINR ratio under the scenario's covariance model.
-    monte_carlo: w^H S_S w / w^H S_I w with the sums S_S of the signal-only
+    SINR(w) is w^H S_S w / w^H S_I w with the sums S_S of the signal-only
     and S_I of the interference-plus-noise-only snapshots x_s = X(k) h_s*
     (sm.projected_sum on basis h_s; separate sums remove the cross-term
-    estimation noise), normalized by the analytic optimum.
+    estimation noise), normalized by the analytic optimum. analytic_g is
+    the closed-form counterpart.
     """
     model = analytic_cov(scenario, bases)
-    if mode == "analytic":
-        return analytic_g(weights.w, model)
-    if mode != "monte_carlo":
-        raise ValueError(f"unknown mode {mode!r}")
-
     opt = sinr_opt(model.q_s, model.a0, model.sigma_s0_sq)
-    if symbols is not None:
-        scenario = replace(scenario, symbols=symbols)
     w = weights.w
     h_s = bases.h_s[:, None]
     num = np.vdot(w, sm.projected_sum(scenario, h_s, include=("soi",)) @ w).real

@@ -9,8 +9,7 @@ Two synthesizers share the random streams. iter_blocks builds the full
 L x N block X(k) of every symbol and is kept as the reference.
 projected_sum returns only the second-order sums of the projections
 X(k) B* onto an N x M basis B, which is all the beamformer consumes,
-without ever forming X(k); iter_projected yields the signal part of those
-projections symbol by symbol.
+without ever forming X(k).
 
 Randomness discipline: interferer *realization* parameters (tone phases,
 periodical-noise segments) derive from the scenario seed alone, so one
@@ -209,20 +208,6 @@ class Scenario:
                 raise ValueError(f"MAI path delays must lie in [0, {n})")
 
 
-@dataclass(frozen=True)
-class BlockData:
-    """Per-symbol array data: blocks[k] is the L x N matrix X(k)."""
-    blocks: np.ndarray
-
-    def __post_init__(self):
-        if self.blocks.ndim != 3:
-            raise ValueError("blocks must be (K, L, N)")
-
-    @property
-    def symbols(self) -> int:
-        return self.blocks.shape[0]
-
-
 # -----------------------
 # Realized directional paths
 # -----------------------
@@ -398,87 +383,6 @@ def iter_blocks(scenario: Scenario, include=("soi", "interference", "noise")):
         yield k0, x
 
 
-def _signal_rows(scenario: Scenario, basis: np.ndarray, include):
-    """The L x P steering matrix and a generator of the projected signal rows.
-
-    Every signal component of X(k) is a steering vector times a length-N
-    temporal row, so X(k) basis* = steer @ F(k) with F(k) the P x M matrix
-    of those rows projected onto the N x M basis: the SOI first (when
-    included), then every interference path. The generator yields (k0, F)
-    with F of shape (P, M, B) for symbols k0 .. k0+B-1, B <= BATCH. Each row
-    costs N * M work per symbol instead of the L * N of a full block, and
-    consumes the same streams as iter_blocks.
-    """
-    _check_include(include)
-    geo = scenario.geometry
-    n = scenario.soi.processing_gain
-    basis = np.asarray(basis, dtype=np.complex128)
-    if basis.ndim != 2 or basis.shape[0] != n:
-        raise ValueError(f"basis must be N x M with N={n}, got shape {basis.shape}")
-    m = basis.shape[1]
-    proj = basis.conj()
-    paths = realize_paths(scenario) if "interference" in include else []
-    want_soi = "soi" in include
-
-    steer = steering_matrix(paths, geo)
-    if want_soi:
-        bits0 = soi_bits(scenario)
-        soi_row = math.sqrt(scenario.soi.power) * (scenario.soi.code @ proj)
-        steer = np.column_stack([steering(scenario.soi.doa_deg, geo), steer])
-    mai_bits = _mai_bit_streams(scenario, paths)
-    terms = []  # (path, amplitude, its fixed waveforms projected)
-    for p in paths:
-        if p.family == "periodic":
-            fixed = (p.waveform @ proj,)
-        elif p.family == "mai":
-            fixed = (p.head @ proj, p.tail @ proj)
-        else:
-            fixed = ()
-        terms.append((p, math.sqrt(p.power), fixed))
-
-    def rows():
-        for bi, k0 in enumerate(range(0, scenario.symbols, BATCH)):
-            nb = min(BATCH, scenario.symbols - k0)
-            out = np.empty((steer.shape[1], m, nb), dtype=np.complex128)
-            if want_soi:
-                out[0] = np.outer(soi_row, bits0[k0:k0 + nb])
-            for i, (p, amp, fixed) in enumerate(terms, start=int(want_soi)):
-                if p.family == "white":
-                    s = proj.T @ _white_chips(scenario, p, bi, nb, n).T
-                elif p.family == "periodic":
-                    # block_phase is unit-modulus; exp of the phase ramp is far
-                    # cheaper than a complex power and equal to rounding
-                    ramp = cmath.phase(p.block_phase) * np.arange(k0, k0 + nb)
-                    s = np.outer(fixed[0], np.exp(1j * ramp))
-                else:  # mai
-                    b = mai_bits[p.stream_index]
-                    s = (np.outer(fixed[0], b[k0 + 1:k0 + nb + 1])
-                         + np.outer(fixed[1], b[k0:k0 + nb]))
-                out[i] = amp * s
-            yield k0, out
-
-    return steer, rows()
-
-
-def iter_projected(scenario: Scenario, basis: np.ndarray,
-                   include=("soi", "interference")):
-    """Yield (k0, Y) with Y = X(k) basis* of shape (B, L, M), never forming X(k).
-
-    basis is N x M. The signal components agree with the projected blocks
-    of iter_blocks to rounding. Receiver noise has no per-symbol form here:
-    it is drawn on the sums, see projected_sum.
-    """
-    if "noise" in include:
-        raise ValueError("receiver noise is drawn on the sums; use projected_sum")
-    big_l = scenario.geometry.element_count
-    steer, rows = _signal_rows(scenario, basis, include)
-    for k0, f in rows:
-        p, m, nb = f.shape
-        # (L, P) @ (P, M*B): steer every projected row in one product
-        y = steer @ f.reshape(p, m * nb)
-        yield k0, y.reshape(big_l, m, nb).transpose(2, 0, 1)
-
-
 def _cn(rng: np.random.Generator, shape) -> np.ndarray:
     """i.i.d. CN(0, 1) entries."""
     g = rng.standard_normal((2, *shape))
@@ -506,10 +410,14 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
     y(k) stacks the M columns of X(k) basis*, so the (j, j') block of S is
     sum_k (X(k) b_j*) (X(k) b_j'*)^H for basis columns b_j and b_j'.
 
-    The signal part is T G T^H, with G = sum_k f f^H the Gram matrix of the
-    P M projected rows f(k) of every symbol (see _signal_rows) and T the
-    steering of each row into its basis column. It agrees with summing the
-    outer products of iter_projected to rounding.
+    Every signal component of X(k) is a steering vector times a length-N
+    temporal row: the SOI first (when included), then every interference
+    path. The signal part is T G T^H, with G = sum_k f f^H the Gram matrix
+    of the P M rows f(k) projected onto the basis and T the steering of
+    each row into its basis column. A row costs N M work per symbol instead
+    of the L N of a full block, consumes the same streams as iter_blocks,
+    and the signal part agrees with the sums of the projected full blocks
+    to rounding.
 
     Receiver noise is never drawn symbol by symbol. Per symbol it is
     sigma * C z(k), with C = chol(B^H B) kron I_L and z(k) ~ CN(0, I_LM): white
@@ -531,14 +439,47 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
     not per batch. Sums of one scenario for different bases or components
     share that stream and are not independent of each other.
     """
-    steer, rows = _signal_rows(scenario, basis, include)
-    big_l, m = scenario.geometry.element_count, np.shape(basis)[1]
+    _check_include(include)
+    geo = scenario.geometry
+    big_l, n = geo.element_count, scenario.soi.processing_gain
+    basis = np.asarray(basis, dtype=np.complex128)
+    if basis.ndim != 2 or basis.shape[0] != n:
+        raise ValueError(f"basis must be N x M with N={n}, got shape {basis.shape}")
+    m = basis.shape[1]
+    proj = basis.conj()
+    paths = realize_paths(scenario) if "interference" in include else []
+    want_soi = "soi" in include
+    steer = steering_matrix(paths, geo)
+    if want_soi:
+        bits0 = soi_bits(scenario)
+        soi_row = math.sqrt(scenario.soi.power) * (scenario.soi.code @ proj)
+        steer = np.column_stack([steering(scenario.soi.doa_deg, geo), steer])
+    mai_bits = _mai_bit_streams(scenario, paths)
+    # each path's fixed rows (periodic waveform, MAI head and tail), projected once
+    fixed = [[w @ proj for w in (p.waveform, p.head, p.tail) if w is not None]
+             for p in paths]
     pm = steer.shape[1] * m
     gram = np.zeros((pm, pm), dtype=np.complex128)
-    if pm:
-        for _, f in rows:
-            flat = f.reshape(pm, -1)  # row p*M + j: path p on basis column j
-            gram += flat @ flat.conj().T
+    for bi, k0 in enumerate(range(0, scenario.symbols, BATCH)):
+        nb = min(BATCH, scenario.symbols - k0)
+        rows = np.empty((steer.shape[1], m, nb), dtype=np.complex128)
+        if want_soi:
+            rows[0] = np.outer(soi_row, bits0[k0:k0 + nb])
+        for i, (p, f) in enumerate(zip(paths, fixed), start=int(want_soi)):
+            if p.family == "white":
+                s = proj.T @ _white_chips(scenario, p, bi, nb, n).T
+            elif p.family == "periodic":
+                # block_phase is unit-modulus; exp of the phase ramp is far
+                # cheaper than a complex power and equal to rounding
+                ramp = cmath.phase(p.block_phase) * np.arange(k0, k0 + nb)
+                s = np.outer(f[0], np.exp(1j * ramp))
+            else:  # mai
+                b = mai_bits[p.stream_index]
+                s = (np.outer(f[0], b[k0 + 1:k0 + nb + 1])
+                     + np.outer(f[1], b[k0:k0 + nb]))
+            rows[i] = math.sqrt(p.power) * s
+        flat = rows.reshape(pm, nb)  # row p*M + j: path p on basis column j
+        gram += flat @ flat.conj().T
     # T[(j, l), (p, j')] = steer[l, p] * (j == j')
     steer_all = np.einsum("lp,jk->jlpk", steer, np.eye(m)).reshape(big_l * m, pm)
     if "noise" not in include:
@@ -547,9 +488,8 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
         r = min(pm, scenario.symbols)
         lam, vec = np.linalg.eigh(gram)
         r_h = vec[:, pm - r:] * np.sqrt(np.maximum(lam[pm - r:], 0.0))  # R^H
-        gram_basis = np.asarray(basis, dtype=np.complex128).conj().T @ basis
         noise = math.sqrt(scenario.noise_var) * np.kron(
-            np.linalg.cholesky(gram_basis), np.eye(big_l))
+            np.linalg.cholesky(basis.conj().T @ basis), np.eye(big_l))
         rng = _stream(scenario, _TAG_NOISE_SUMS)
         signal_and_cross = steer_all @ r_h + noise @ _cn(rng, (big_l * m, r))
         rest = noise @ _wishart_factor(rng, big_l * m, scenario.symbols - r)
@@ -558,9 +498,6 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
     return 0.5 * (total + total.conj().T)
 
 
-def synth_blocks(scenario: Scenario, include=("soi", "interference", "noise")) -> BlockData:
-    """Materialize all K blocks; see iter_blocks for the streaming form."""
-    parts = [x for _, x in iter_blocks(scenario, include=include)]
-    if not parts:
-        raise ValueError("empty scenario")
-    return BlockData(np.concatenate(parts, axis=0))
+def synth_blocks(scenario: Scenario, include=("soi", "interference", "noise")) -> np.ndarray:
+    """All K blocks as one (K, L, N) array; see iter_blocks for the streaming form."""
+    return np.concatenate([x for _, x in iter_blocks(scenario, include=include)], axis=0)

@@ -153,8 +153,10 @@ def mismatch_spectrum(model: mpb.AnalyticModel) -> MismatchSpectrum:
     psi_t = coef * coupling
     # delta scales the top coupling against a0^H R_I^-1 a0 exactly; the
     # (L beta / N) snr + 1 normalization is only its wide-separation limit
-    # and under-covers the enclosure by 1/(1 - xi).
-    delta = abs(coupling[0]) ** 2 / quad
+    # and under-covers the enclosure by 1/(1 - xi). A repeated gamma_1 has
+    # any basis of its eigenspace as eigenvectors, so the coupling is
+    # summed over the whole top cluster, which no such choice moves.
+    delta = float(np.sum(np.abs(coupling[mpb.top_cluster(gammas)]) ** 2)) / quad
 
     psi = a_mat.conj().T @ model.a0 / big_l
     psi_mat = a_mat.conj().T @ a_mat / big_l
@@ -168,7 +170,7 @@ def mismatch_spectrum(model: mpb.AnalyticModel) -> MismatchSpectrum:
                           np.eye(d, dtype=np.complex128))
     kappa0 = float(np.vdot(psi_inv_psi, xi_mat @ psi_inv_psi).real)
 
-    return MismatchSpectrum(g0, gammas, model.beta, float(delta), psi_t, kappa0, rho0,
+    return MismatchSpectrum(g0, gammas, model.beta, delta, psi_t, kappa0, rho0,
                             *lambda_max_bound(g0, float(gammas[0]), delta),
                             snr, s2, big_l, n)
 

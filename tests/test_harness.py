@@ -88,6 +88,41 @@ def test_cli_bad_processing_gain_is_exit_1(gain, tmp_path, capsys):
     assert "processing_gain" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, field", [
+    ({"scheme": 5}, "scheme"),
+    ({"interferers": 5}, "interferers"),
+    ({"interferers": [5]}, "interferers[0]"),
+    ({"interferers": [{"kind": "tone", "doa_deg": "x"}]}, "interferers[0].doa_deg"),
+    ({"interferers": [{"kind": "mai_multipath", "path_delays": 5}]},
+     "interferers[0].path_delays"),
+    ({"snr_grid_db": "abc"}, "snr_grid_db"),
+    ({"symbols": "1000"}, "symbols"),
+    ({"element_count": True}, "element_count"),
+])
+def test_cli_config_type_error_is_exit_1(config, field, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    rc = cli.main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path)])
+    assert rc == 1
+    assert f"config error: {field} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, field", [
+    (["sweep", "--preset", "fig4b-pn2", "--seed", "-1"], "seed"),
+    (["sweep", "--preset", "fig4b-pn2", "--seed", str(2 ** 64)], "seed"),
+    (["sweep", "--preset", "fig4b-pn2", "--snr-db=nan"], "snr_grid_db"),
+    (["sweep", "--preset", "fig4b-pn2", "--snr-db=0,inf"], "snr_grid_db"),
+    (["analyze", "--preset", "fig4b-pn2", "--inr-db", "inf"], "inr_db"),
+    (["analyze", "--preset", "fig4b-pn2", "--inr-db", "nan"], "inr_db"),
+    (["analyze", "--preset", "fig4b-pn2", "--inr-db=-inf"], "inr_db"),
+])
+def test_cli_out_of_range_field_is_exit_1(args, field, tmp_path, capsys):
+    rc = cli.main(args + ["--out", str(tmp_path)])
+    assert rc == 1
+    assert f"config error: {field} must" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
 def test_symbols_floor():
     with pytest.raises(harness.ConfigError, match="symbols"):
         harness.config_from_dict({"symbols": 50})

@@ -78,7 +78,7 @@ def _wave_scenario(interferers=(), symbols=1, soi=None):
 
 def _chips(scenario, include=("interference",)):
     """Element-0 chips of every block, flattened to one sequence."""
-    return sm.synth_blocks(scenario, include=include).blocks[:, 0, :].reshape(-1)
+    return sm.synth_blocks(scenario, include=include)[:, 0, :].reshape(-1)
 
 
 def _soi_chips(bits, code):
@@ -134,7 +134,7 @@ def test_mai_rows_share_one_delayed_stream():
     ints = (sm.InterfererSpec("mai_multipath", user_code=1, path_delays=(0, 4),
                               path_doas=(10.0, -30.0)),)
     sc = _wave_scenario(ints, 10)
-    blocks = sm.synth_blocks(sc, include=("interference",)).blocks
+    blocks = sm.synth_blocks(sc, include=("interference",))
     # separate the two rays through their steering vectors: (K, 2, N)
     rays = np.linalg.pinv(sm.steering_matrix(sm.realize_paths(sc), GEO8)) @ blocks
     s = rays.transpose(1, 0, 2).reshape(2, -1)
@@ -173,7 +173,7 @@ def _scenario(**over):
 
 def test_synth_blocks_soi_only_is_exact():
     sc = _scenario()
-    blocks = sm.synth_blocks(sc, include=("soi",)).blocks
+    blocks = sm.synth_blocks(sc, include=("soi",))
     assert blocks.shape == (50, 8, 31)
     bits = sm.soi_bits(sc)
     a0 = sm.steering(0.0, GEO8)
@@ -185,7 +185,7 @@ def test_synth_blocks_soi_only_is_exact():
 def test_synth_blocks_noise_moments():
     sc = _scenario(symbols=500, soi=sm.SoiSpec(31, sm.gold31(0), power=0.0),
                    noise_var=2.5)
-    blocks = sm.synth_blocks(sc, include=("noise",)).blocks
+    blocks = sm.synth_blocks(sc, include=("noise",))
     var = np.mean(np.abs(blocks) ** 2)
     assert abs(var - 2.5) / 2.5 < 0.02
 
@@ -193,8 +193,8 @@ def test_synth_blocks_noise_moments():
 def test_synth_blocks_deterministic():
     sc = _scenario(interferers=(sm.InterfererSpec("periodical_noise",
                                                   doa_deg=30.0, power=100.0),))
-    b1 = sm.synth_blocks(sc).blocks
-    b2 = sm.synth_blocks(sc).blocks
+    b1 = sm.synth_blocks(sc)
+    b2 = sm.synth_blocks(sc)
     assert np.array_equal(b1, b2)
 
 
@@ -210,8 +210,8 @@ def test_mc_stream_changes_noise_not_realization():
     for ra, rb in zip(pa, pb):
         if ra.waveform is not None:
             assert np.array_equal(ra.waveform, rb.waveform)
-    na = sm.synth_blocks(sc_a, include=("noise",)).blocks
-    nb = sm.synth_blocks(sc_b, include=("noise",)).blocks
+    na = sm.synth_blocks(sc_a, include=("noise",))
+    nb = sm.synth_blocks(sc_b, include=("noise",))
     assert not np.array_equal(na, nb)
 
 
@@ -220,9 +220,9 @@ def test_component_split_sums_to_whole():
     sc = _scenario(symbols=40,
                    interferers=(sm.InterfererSpec("bpsk_white", doa_deg=30.0,
                                                   power=10.0),))
-    whole = sm.synth_blocks(sc).blocks
-    soi = sm.synth_blocks(sc, include=("soi",)).blocks
-    rest = sm.synth_blocks(sc, include=("interference", "noise")).blocks
+    whole = sm.synth_blocks(sc)
+    soi = sm.synth_blocks(sc, include=("soi",))
+    rest = sm.synth_blocks(sc, include=("interference", "noise"))
     assert np.abs(whole - (soi + rest)).max() < 1e-12
 
 
@@ -234,36 +234,6 @@ def test_iter_blocks_batch_starts():
     assert starts == [0, sm.BATCH] and sizes == [sm.BATCH, 904]
 
 
-def test_iter_projected_matches_projected_blocks():
-    """Signal components equal the full blocks times basis*, batch by batch.
-
-    K spans one full batch and a partial one; the complex random basis pins
-    the conjugation convention.
-    """
-    ints = (sm.InterfererSpec("bpsk_white", doa_deg=30.0, power=10.0),
-            sm.InterfererSpec("tone", doa_deg=-40.0, power=20.0,
-                              normalized_offset=3.0 / 31.0),
-            sm.InterfererSpec("mai_multipath", doa_deg=10.0, power=3.0,
-                              path_delays=(3, 5), path_doas=(10.0, -20.0)))
-    sc = _scenario(symbols=sm.BATCH + 904, interferers=ints)
-    rng = np.random.default_rng(36)
-    basis = rng.standard_normal((31, 2)) + 1j * rng.standard_normal((31, 2))
-    include = ("soi", "interference")
-    full = list(sm.iter_blocks(sc, include=include))
-    proj = list(sm.iter_projected(sc, basis, include=include))
-    assert [k0 for k0, _ in proj] == [0, sm.BATCH]
-    for (k0, x), (j0, y) in zip(full, proj):
-        assert k0 == j0 and y.shape == (x.shape[0], 8, 2)
-        ref = x @ basis.conj()
-        assert np.abs(y - ref).max() < 1e-12 * np.abs(ref).max()
-
-
-def test_iter_projected_rejects_noise():
-    with pytest.raises(ValueError, match="projected_sum"):
-        next(sm.iter_projected(_scenario(), np.eye(31)[:, :2],
-                               include=("soi", "noise")))
-
-
 def _complex_basis(seed, m=2):
     rng = np.random.default_rng(seed)
     basis = rng.standard_normal((31, m)) + 1j * rng.standard_normal((31, m))
@@ -271,8 +241,14 @@ def _complex_basis(seed, m=2):
 
 
 def test_projected_sum_signal_part_is_sum_of_outer_products():
-    """Without noise the sum is the Gram of the stacked snapshot columns,
-    off-diagonal (j, j') blocks included."""
+    """Without noise the sum is the Gram of the stacked snapshot columns
+    X(k) basis*, off-diagonal (j, j') blocks included.
+
+    The reference projects the full blocks of synth_blocks, which shares
+    the random streams but none of the projection code. K spans one full
+    batch and a partial one; the complex basis pins the conjugation
+    convention.
+    """
     ints = (sm.InterfererSpec("bpsk_white", doa_deg=30.0, power=10.0),
             sm.InterfererSpec("tone", doa_deg=-40.0, power=20.0,
                               normalized_offset=3.0 / 31.0),
@@ -281,7 +257,7 @@ def test_projected_sum_signal_part_is_sum_of_outer_products():
     sc = _scenario(symbols=sm.BATCH + 904, interferers=ints)
     basis = _complex_basis(38)
     include = ("soi", "interference")
-    y = np.concatenate([y for _, y in sm.iter_projected(sc, basis, include=include)])
+    y = sm.synth_blocks(sc, include=include) @ basis.conj()
     stacked = y.transpose(0, 2, 1).reshape(y.shape[0], -1)  # column j, element l
     ref = stacked.T @ stacked.conj()
     got = sm.projected_sum(sc, basis, include=include)

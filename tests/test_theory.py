@@ -362,6 +362,28 @@ def test_mismatch_spectrum_invariants():
             assert spec.gamma0 >= 0.0
 
 
+def test_mismatch_delta_independent_of_cluster_basis(monkeypatch):
+    """fig4a's gammas are all 0, so any basis of that eigenspace is a valid
+    set of eigenvectors; delta must not depend on the eigensolver's pick."""
+    cfg = harness.preset("fig4a-bpsk3")
+    model = mpb.analytic_cov(harness.scenario_at(cfg, 20.0), harness.bases_for(cfg))
+    base = theory.mismatch_spectrum(model)
+    assert len(mpb.top_cluster(base.gammas)) == 3
+    rng = np.random.default_rng(41)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    orig = la.gen_eig_hpd
+
+    def rotated(a, b):  # the whole spectrum is the cluster: rotate it all
+        res = orig(a, b)
+        return la.HermEigResult(res.eigenvalues, res.eigenvectors @ q)
+
+    monkeypatch.setattr(la, "gen_eig_hpd", rotated)
+    rot = theory.mismatch_spectrum(model)
+    assert np.array_equal(rot.gammas, base.gammas)
+    assert base.delta > 0.0
+    assert abs(rot.delta - base.delta) <= 1e-9 * base.delta
+
+
 # ---------- exact G evaluator ----------
 
 def test_g_of_lambda_unity_without_mismatch():
@@ -380,7 +402,7 @@ def test_g_of_lambda_matches_analytic_g_white():
     model = mpb.analytic_cov(sc, bases)
     spec = theory.mismatch_spectrum(model)
     bw = mpb.solve_weights(model.cov_pair(), model.a0)
-    g_direct = mpb.measure_g(bw, sc, bases, mode="analytic")
+    g_direct = mpb.analytic_g(bw.w, model)
     g_closed = theory.g_of_lambda(bw.lambda_max, spec, 4.0, 8, 31)
     assert abs(g_closed - g_direct) < 1e-6
 
@@ -398,9 +420,8 @@ def test_g_of_lambda_matches_analytic_g_two_tones():
     model = theory._rescaled_model(sc, bases, snr)
     spec = theory.mismatch_spectrum(model)
     bw = mpb.solve_weights(model.cov_pair(), model.a0)
-    g_direct = mpb.measure_g(bw, sm.Scenario(GEO8, sm.SoiSpec(
-        31, CODE, power=snr / 31.0), ints, symbols=100, seed=3), bases,
-        mode="analytic")
+    g_direct = mpb.analytic_g(bw.w, mpb.analytic_cov(sm.Scenario(GEO8, sm.SoiSpec(
+        31, CODE, power=snr / 31.0), ints, symbols=100, seed=3), bases))
     g_closed = theory.g_of_lambda(bw.lambda_max, spec, snr, 8, 31)
     assert abs(10 * np.log10(g_closed / g_direct)) < 0.5
 
