@@ -264,6 +264,36 @@ def test_projected_sum_signal_part_is_sum_of_outer_products():
     assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
 
 
+def test_iter_projected_matches_projected_blocks():
+    """projected_sum's batched projection equals the full blocks times basis*,
+    batch by batch.
+
+    Each batch's share is the sum over the scenario cut after that batch
+    minus the sum over the scenario cut before it; the streams are keyed so
+    that cutting K leaves the kept symbols unchanged. K spans one full batch
+    and a partial one; the complex basis pins the conjugation convention.
+    """
+    ints = (sm.InterfererSpec("bpsk_white", doa_deg=30.0, power=10.0),
+            sm.InterfererSpec("tone", doa_deg=-40.0, power=20.0,
+                              normalized_offset=3.0 / 31.0),
+            sm.InterfererSpec("mai_multipath", doa_deg=10.0, power=3.0,
+                              path_delays=(3, 5), path_doas=(10.0, -20.0)))
+    sc = _scenario(symbols=sm.BATCH + 904, interferers=ints)
+    basis = _complex_basis(36)
+    include = ("soi", "interference")
+    full = list(sm.iter_blocks(sc, include=include))
+    assert [k0 for k0, _ in full] == [0, sm.BATCH]
+    before = 0.0
+    for k0, x in full:
+        cut = _scenario(symbols=k0 + x.shape[0], interferers=ints)
+        upto = sm.projected_sum(cut, basis, include=include)
+        y = x @ basis.conj()
+        stacked = y.transpose(0, 2, 1).reshape(y.shape[0], -1)
+        ref = stacked.T @ stacked.conj()
+        assert np.abs((upto - before) - ref).max() < 1e-12 * np.abs(ref).max()
+        before = upto
+
+
 def _check_conditional_law(interferers, symbols, draws, basis):
     """Mean and entry variance of the noisy sums over independent streams.
 
