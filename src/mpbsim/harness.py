@@ -35,6 +35,14 @@ class ConfigError(ValueError):
     """Configuration file or field rejected; maps to CLI exit code 1."""
 
 
+def _power(db: float) -> float:
+    """NOISE_VAR * 10^(db / 10), inf where that overflows a float."""
+    try:
+        return 10.0 ** (db / 10.0) * NOISE_VAR
+    except OverflowError:
+        return math.inf
+
+
 # -----------------------
 # Config model
 # -----------------------
@@ -113,6 +121,18 @@ class ExperimentConfig:
         if self.processing_gain != sm.GOLD_LENGTH:
             raise ConfigError(f"processing_gain must be {sm.GOLD_LENGTH} (the Gold "
                               f"code length), got {self.processing_gain!r}")
+        for s in self.snr_grid_db:
+            if not 0.0 < _power(s) / self.processing_gain < math.inf:
+                raise ConfigError(f"snr_grid_db must give a finite, positive "
+                                  f"linear power, got {s} dB")
+        for i, ic in enumerate(self.interferers):
+            if not 0.0 < _power(self.inr_db + ic.rel_power_db) < math.inf:
+                field = ("inr_db" if not 0.0 < _power(self.inr_db) < math.inf
+                         else f"interferers[{i}].rel_power_db")
+                raise ConfigError(
+                    f"{field} must give a finite, positive linear power, got "
+                    f"inr_db + interferers[{i}].rel_power_db = "
+                    f"{self.inr_db} + {ic.rel_power_db} dB")
 
 
 def _field_types(cls) -> dict:
@@ -297,12 +317,12 @@ def scenario_at(config: ExperimentConfig, snr_db: float,
     try:
         geom = sm.ArrayGeometry(config.element_count, config.element_spacing)
         code = sm.gold31(config.gold_index)
-        p0 = 10.0 ** (snr_db / 10.0) * NOISE_VAR / config.processing_gain
+        p0 = _power(snr_db) / config.processing_gain
         soi = sm.SoiSpec(config.processing_gain, code, config.soi_doa_deg,
                          0, p0)
         ints = []
         for ic in config.interferers:
-            power = 10.0 ** ((config.inr_db + ic.rel_power_db) / 10.0) * NOISE_VAR
+            power = _power(config.inr_db + ic.rel_power_db)
             ints.append(sm.InterfererSpec(
                 kind=ic.kind, doa_deg=ic.doa_deg, power=power,
                 normalized_offset=ic.normalized_offset,

@@ -17,13 +17,18 @@ realization is shared by every point of a sweep. Per-symbol randomness
 (data bits, white chips) and receiver noise derive from counter-based
 Philox streams keyed by (seed, tag, mc_stream, index...), making synthesis
 a pure function of the scenario and independent of how work is
-partitioned. The SOI-bit, MAI-bit and white-chip streams are the same in
-both synthesizers, so the signal part of projected_sum equals the sums of
-the projected full blocks to rounding. Receiver noise is drawn where it is
-used: as L x N white chips in iter_blocks, and in projected_sum as one
-exact draw of the noise sums given the signal (complex Wishart, Goodman
-1963, through Bartlett's decomposition, Bartlett 1933). Both give the same
-law of the sums, but they are different draws.
+partitioned. Every +-1 stream (SOI bits, MAI bits, white chips) is read by
+one helper, _bits, straight off the raw Philox words: bit i is the top bit
+of the i-th 32-bit half, low half first, which is the draw of
+Generator.integers(0, 2) on the same stream. The SOI-bit, MAI-bit and
+white-chip streams are the same in both synthesizers, so the signal part
+of projected_sum equals the sums of the projected full blocks to
+rounding; projected_sum builds it from the few scalar temporal sources
+the rows share rather than from the rows. Receiver noise is drawn where
+it is used: as L x N white chips in iter_blocks, and in projected_sum as
+one exact draw of the noise sums given the signal (complex Wishart,
+Goodman 1963, through Bartlett's decomposition, Bartlett 1933). Both give
+the same law of the sums, but they are different draws.
 """
 
 from __future__ import annotations
@@ -293,8 +298,20 @@ def _stream(scenario: Scenario, tag: int, *index: int) -> np.random.Generator:
         [scenario.seed, tag, scenario.mc_stream, *index])))
 
 
-def _signs(rng: np.random.Generator, size) -> np.ndarray:
-    return 1.0 - 2.0 * rng.integers(0, 2, size=size)
+def _bits(rng: np.random.Generator, count: int) -> np.ndarray:
+    """count 0/1 draws as float64: rng.integers(0, 2, size=count) of a fresh rng.
+
+    integers(0, 2) keeps the top bit of each 32-bit draw (Lemire's bounded
+    method never rejects for a range of two), and Philox serves its 32-bit
+    draws as the low, then the high half of each 64-bit word. The bits are
+    read straight off the raw words instead, as the signs of their halves
+    through a little-endian view, so that the order does not depend on the
+    machine's byte order. The rng must be fresh: integers would first spend
+    a half word left over from an earlier 32-bit draw, and random_raw does
+    not see it.
+    """
+    words = rng.bit_generator.random_raw((count + 1) // 2).astype("<u8", copy=False)
+    return (words.view("<i4")[:count] < 0).astype(np.float64)
 
 
 def soi_bits(scenario: Scenario) -> np.ndarray:
@@ -304,7 +321,7 @@ def soi_bits(scenario: Scenario) -> np.ndarray:
         if len(bits) < scenario.symbols:
             raise ValueError("pinned bits shorter than scenario.symbols")
         return bits[:scenario.symbols]
-    return _signs(_stream(scenario, _TAG_SOI_BITS, 0), scenario.symbols)
+    return 1.0 - 2.0 * _bits(_stream(scenario, _TAG_SOI_BITS, 0), scenario.symbols)
 
 
 def _mai_bit_streams(scenario: Scenario, paths) -> dict:
@@ -312,16 +329,18 @@ def _mai_bit_streams(scenario: Scenario, paths) -> dict:
     streams = {}
     for p in paths:
         if p.family == "mai" and p.stream_index not in streams:
-            streams[p.stream_index] = _signs(
+            streams[p.stream_index] = 1.0 - 2.0 * _bits(
                 _stream(scenario, _TAG_MAI_BITS, p.stream_index), scenario.symbols + 1)
     return streams
 
 
-def _white_chips(scenario: Scenario, path: RealizedPath, batch_index: int,
-                 count: int, n: int) -> np.ndarray:
-    """The +-1 chips of a white path for one synthesis batch, shape (count, n)."""
-    return _signs(_stream(scenario, _TAG_WHITE, path.stream_index, batch_index),
-                  (count, n))
+def _white_bits(scenario: Scenario, stream_index: int, batch_index: int,
+                count: int) -> np.ndarray:
+    """The 0/1 bits of a white path for one synthesis batch, shape (count, N);
+    its +-1 chips are 1 - 2 bits."""
+    rng = _stream(scenario, _TAG_WHITE, stream_index, batch_index)
+    n = scenario.soi.processing_gain
+    return _bits(rng, count * n).reshape(count, n)
 
 
 def _check_include(include) -> None:
@@ -366,7 +385,7 @@ def iter_blocks(scenario: Scenario, include=("soi", "interference", "noise")):
             for pi, p in enumerate(paths):
                 amp = math.sqrt(p.power)
                 if p.family == "white":
-                    s = _white_chips(scenario, p, bi, nb, n)
+                    s = 1.0 - 2.0 * _white_bits(scenario, p.stream_index, bi, nb)
                 elif p.family == "periodic":
                     rho_k = p.block_phase ** np.arange(k0, k0 + nb)
                     s = rho_k[:, None] * p.waveform[None, :]
@@ -414,10 +433,18 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
     temporal row: the SOI first (when included), then every interference
     path. The signal part is T G T^H, with G = sum_k f f^H the Gram matrix
     of the P M rows f(k) projected onto the basis and T the steering of
-    each row into its basis column. A row costs N M work per symbol instead
-    of the L N of a full block, consumes the same streams as iter_blocks,
-    and the signal part agrees with the sums of the projected full blocks
-    to rounding.
+    each row into its basis column. Each row is in turn a fixed projected
+    loading times a scalar temporal source, f(k) = U z(k), and the q
+    sources are shared where the rows share a stream:
+      - the SOI bits;
+      - b(k) and b(k-1) of each MAI user, for all of that user's rays;
+      - one ramp e^{i phi k} per exactly equal block phase phi of the
+        periodic paths, the constant 1 when phi = 0;
+      - the M projected chip rows of each white path.
+    So G = U Z U^H with Z = sum_k z z^H, and a symbol costs q^2 work
+    instead of (P M)^2, plus N M for each white path's chips. The streams
+    are those of iter_blocks, and the signal part agrees with the sums of
+    the projected full blocks to rounding.
 
     Receiver noise is never drawn symbol by symbol. Per symbol it is
     sigma * C z(k), with C = chol(B^H B) kron I_L and z(k) ~ CN(0, I_LM): white
@@ -452,34 +479,57 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
     steer = steering_matrix(paths, geo)
     if want_soi:
         bits0 = soi_bits(scenario)
-        soi_row = math.sqrt(scenario.soi.power) * (scenario.soi.code @ proj)
         steer = np.column_stack([steering(scenario.soi.doa_deg, geo), steer])
     mai_bits = _mai_bit_streams(scenario, paths)
-    # each path's fixed rows (periodic waveform, MAI head and tail), projected once
-    fixed = [[w @ proj for w in (p.waveform, p.head, p.tail) if w is not None]
-             for p in paths]
     pm = steer.shape[1] * m
+    loads = {}  # source key -> U's columns for it, (P M) x (1, or M for a white path)
+
+    def load(key, p, block):
+        u = loads.setdefault(key, np.zeros((pm, block.shape[1]), dtype=np.complex128))
+        u[p * m:(p + 1) * m] += block
+
+    if want_soi:
+        load(("soi",), 0,
+             math.sqrt(scenario.soi.power) * (scenario.soi.code @ proj)[:, None])
+    for p, path in enumerate(paths, start=int(want_soi)):
+        amp = math.sqrt(path.power)
+        if path.family == "white":
+            load(("white", path.stream_index), p, amp * np.eye(m))
+        elif path.family == "periodic":
+            load(("ramp", cmath.phase(path.block_phase)), p,
+                 amp * (path.waveform @ proj)[:, None])
+        else:  # mai: b(k) on the head, b(k-1) on the tail
+            load(("mai", path.stream_index, 0), p, amp * (path.head @ proj)[:, None])
+            load(("mai", path.stream_index, 1), p, amp * (path.tail @ proj)[:, None])
+    # chips @ proj as a real matmul on 0/1 bits: colsum(proj) - 2 bits @ proj
+    proj_ri = np.ascontiguousarray(proj).view(np.float64)
+    colsum = proj.sum(axis=0)
     gram = np.zeros((pm, pm), dtype=np.complex128)
-    for bi, k0 in enumerate(range(0, scenario.symbols, BATCH)):
-        nb = min(BATCH, scenario.symbols - k0)
-        rows = np.empty((steer.shape[1], m, nb), dtype=np.complex128)
-        if want_soi:
-            rows[0] = np.outer(soi_row, bits0[k0:k0 + nb])
-        for i, (p, f) in enumerate(zip(paths, fixed), start=int(want_soi)):
-            if p.family == "white":
-                s = proj.T @ _white_chips(scenario, p, bi, nb, n).T
-            elif p.family == "periodic":
-                # block_phase is unit-modulus; exp of the phase ramp is far
-                # cheaper than a complex power and equal to rounding
-                ramp = cmath.phase(p.block_phase) * np.arange(k0, k0 + nb)
-                s = np.outer(f[0], np.exp(1j * ramp))
-            else:  # mai
-                b = mai_bits[p.stream_index]
-                s = (np.outer(f[0], b[k0 + 1:k0 + nb + 1])
-                     + np.outer(f[1], b[k0:k0 + nb]))
-            rows[i] = math.sqrt(p.power) * s
-        flat = rows.reshape(pm, nb)  # row p*M + j: path p on basis column j
-        gram += flat @ flat.conj().T
+    if loads:
+        u = np.hstack(list(loads.values()))
+        # e^{i phi (k0 + j)} = e^{i phi k0} e^{i phi j}: the exps of one batch
+        # serve every batch. Equal to the complex power of the unit-modulus
+        # block phase to rounding, and exactly 1 for phi = 0.
+        steps = {key[1]: np.exp(1j * key[1] * np.arange(min(BATCH, scenario.symbols)))
+                 for key in loads if key[0] == "ramp"}
+        z_gram = np.zeros((u.shape[1], u.shape[1]), dtype=np.complex128)
+        for bi, k0 in enumerate(range(0, scenario.symbols, BATCH)):
+            nb = min(BATCH, scenario.symbols - k0)
+            z = []
+            for key in loads:
+                if key[0] == "soi":
+                    z.append(bits0[k0:k0 + nb])
+                elif key[0] == "ramp":
+                    z.append(cmath.exp(1j * key[1] * k0) * steps[key[1]][:nb])
+                elif key[0] == "mai":
+                    lag = key[2]  # entry 0 of the stream is b(-1)
+                    z.append(mai_bits[key[1]][k0 + 1 - lag:k0 + nb + 1 - lag])
+                else:  # white
+                    bits = _white_bits(scenario, key[1], bi, nb)
+                    z.append((colsum - 2.0 * (bits @ proj_ri).view(np.complex128)).T)
+            z = np.vstack(z)
+            z_gram += z @ z.conj().T
+        gram = u @ z_gram @ u.conj().T
     # T[(j, l), (p, j')] = steer[l, p] * (j == j')
     steer_all = np.einsum("lp,jk->jlpk", steer, np.eye(m)).reshape(big_l * m, pm)
     if "noise" not in include:

@@ -115,12 +115,33 @@ def test_cli_config_type_error_is_exit_1(config, field, tmp_path, capsys):
     (["analyze", "--preset", "fig4b-pn2", "--inr-db", "inf"], "inr_db"),
     (["analyze", "--preset", "fig4b-pn2", "--inr-db", "nan"], "inr_db"),
     (["analyze", "--preset", "fig4b-pn2", "--inr-db=-inf"], "inr_db"),
+    # finite dB values whose linear power overflows or underflows
+    (["analyze", "--preset", "fig4b-pn2", "--inr-db", "4000"], "inr_db"),
+    (["analyze", "--preset", "fig4b-pn2", "--inr-db=-4000"], "inr_db"),
+    (["pattern", "--preset", "fig4b-pn2", "--snr-db", "4000"], "snr_grid_db"),
+    (["pattern", "--preset", "fig4b-pn2", "--snr-db=-4000"], "snr_grid_db"),
+    (["sweep", "--preset", "fig4b-pn2", "--snr-db=0,4000"], "snr_grid_db"),
+    (["sweep", "--preset", "fig4b-pn2", "--snr-db=-4000"], "snr_grid_db"),
 ])
 def test_cli_out_of_range_field_is_exit_1(args, field, tmp_path, capsys):
     rc = cli.main(args + ["--out", str(tmp_path)])
     assert rc == 1
     assert f"config error: {field} must" in capsys.readouterr().err
     assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("rel_db", [4000.0, -4000.0])
+def test_cli_interferer_power_out_of_range_names_rel_power_db(rel_db, tmp_path, capsys):
+    config = harness.config_to_dict(harness.preset("fig4b-pn2"))
+    config["interferers"][1]["rel_power_db"] = rel_db
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    rc = cli.main(["analyze", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 1
+    assert ("config error: interferers[1].rel_power_db must"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_symbols_floor():

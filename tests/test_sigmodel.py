@@ -234,6 +234,28 @@ def test_iter_blocks_batch_starts():
     assert starts == [0, sm.BATCH] and sizes == [sm.BATCH, 904]
 
 
+@pytest.mark.parametrize("count", [sm.BATCH, 1697, 3, 1])
+def test_white_bits_are_the_integers_stream(count):
+    """The white chips read off the raw Philox words equal numpy's
+    integers(0, 2) draw from the same stream. Odd counts leave the last half
+    word unused. numpy is the reference, so a numpy that changes integers
+    fails here."""
+    sc = _scenario()
+    got = 1.0 - 2.0 * sm._white_bits(sc, 2, 5, count)
+    rng = sm._stream(sc, sm._TAG_WHITE, 2, 5)
+    assert np.array_equal(got, 1 - 2 * rng.integers(0, 2, size=(count, 31)))
+
+
+def test_soi_and_mai_bits_are_the_integers_stream():
+    sc = _scenario(symbols=1697, interferers=(
+        sm.InterfererSpec("mai_multipath", doa_deg=10.0, path_delays=(3,),
+                          path_doas=(10.0,)),))
+    soi = sm._stream(sc, sm._TAG_SOI_BITS, 0).integers(0, 2, size=1697)
+    assert np.array_equal(sm.soi_bits(sc), 1 - 2 * soi)
+    mai = sm._stream(sc, sm._TAG_MAI_BITS, 0).integers(0, 2, size=1698)
+    assert np.array_equal(sm._mai_bit_streams(sc, sm.realize_paths(sc))[0], 1 - 2 * mai)
+
+
 def _complex_basis(seed, m=2):
     rng = np.random.default_rng(seed)
     basis = rng.standard_normal((31, m)) + 1j * rng.standard_normal((31, m))
@@ -259,6 +281,37 @@ def test_projected_sum_signal_part_is_sum_of_outer_products():
     include = ("soi", "interference")
     y = sm.synth_blocks(sc, include=include) @ basis.conj()
     stacked = y.transpose(0, 2, 1).reshape(y.shape[0], -1)  # column j, element l
+    ref = stacked.T @ stacked.conj()
+    got = sm.projected_sum(sc, basis, include=include)
+    assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
+
+
+def test_projected_sum_shared_sources_match_full_blocks():
+    """Every way projected_sum shares a temporal source between rows, against
+    the projected full blocks.
+
+    Two tones at one offset share a ramp, a tone at -0.13 cycles/chip has a
+    block phase far from 1, the periodical noise rides the constant source,
+    the rays of each of two MAI users share that user's b(k) and b(k-1), and
+    each of two white paths has its own chip rows. K spans two full batches
+    and a partial one.
+    """
+    ints = (sm.InterfererSpec("tone", doa_deg=-40.0, power=20.0, normalized_offset=0.05),
+            sm.InterfererSpec("tone", doa_deg=25.0, power=5.0, normalized_offset=0.05),
+            sm.InterfererSpec("tone", doa_deg=60.0, power=8.0, normalized_offset=-0.13),
+            sm.InterfererSpec("periodical_noise", doa_deg=-15.0, power=12.0),
+            sm.InterfererSpec("mai_multipath", doa_deg=10.0, power=3.0, user_code=1,
+                              path_delays=(3, 5), path_doas=(10.0, -20.0)),
+            sm.InterfererSpec("mai_multipath", doa_deg=-55.0, power=6.0, user_code=7,
+                              path_delays=(0, 11), path_doas=(-55.0, 35.0),
+                              path_gains=(1.0, 0.5)),
+            sm.InterfererSpec("bpsk_white", doa_deg=30.0, power=10.0),
+            sm.InterfererSpec("bpsk_white", doa_deg=-70.0, power=4.0))
+    sc = _scenario(symbols=2 * sm.BATCH + 17, interferers=ints)
+    basis = _complex_basis(41, m=3)
+    include = ("soi", "interference")
+    y = sm.synth_blocks(sc, include=include) @ basis.conj()
+    stacked = y.transpose(0, 2, 1).reshape(y.shape[0], -1)
     ref = stacked.T @ stacked.conj()
     got = sm.projected_sum(sc, basis, include=include)
     assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
