@@ -318,8 +318,7 @@ def scenario_at(config: ExperimentConfig, snr_db: float,
         geom = sm.ArrayGeometry(config.element_count, config.element_spacing)
         code = sm.gold31(config.gold_index)
         p0 = _power(snr_db) / config.processing_gain
-        soi = sm.SoiSpec(config.processing_gain, code, config.soi_doa_deg,
-                         0, p0)
+        soi = sm.SoiSpec(config.processing_gain, code, config.soi_doa_deg, p0)
         ints = []
         for ic in config.interferers:
             power = _power(config.inr_db + ic.rel_power_db)
@@ -421,7 +420,7 @@ class _Probe:
         th = theory.thresholds(self.gamma1, m.beta, m.processing_gain, m.a0.shape[0],
                                theory.g_upper(m.q_s, m.q_i, m.a0))
         if th.snr_t0 > 0.0 and (snr_lin is None or any(s <= th.snr_t2 for s in snr_lin)):
-            th = replace(th, g_l=theory.g_lower_oracle(self.scenario, self.bases))
+            th = replace(th, g_l=theory.g_lower_oracle(m))
         return th
 
 
@@ -441,13 +440,15 @@ def _sweep_point(payload):
     """One sweep point: simulate K symbols and extract the exact eigen pair.
 
     Runs in worker processes; must stay order-independent (all randomness
-    comes from the scenario's counter-based streams). The bases come built
-    with the payload, so a Custom basis file is read once per sweep.
+    comes from the scenario's counter-based streams). The bases and the
+    probe's analytic model come built with the payload, so a Custom basis
+    file is read once per sweep and the model is only moved to the point's
+    SOI power.
     """
-    config, bases, index, snr_db = payload
+    config, bases, model, index, snr_db = payload
     try:
         sc = scenario_at(config, snr_db, stream=index)
-        model = mpb.analytic_cov(sc, bases)
+        model = replace(model, soi_power=sc.soi.power)
         pair = mpb.accumulate_cov_pair(sc, bases)
         bw = mpb.solve_weights(pair, model.a0)
         g_sim = mpb.analytic_g(bw.w, model)
@@ -472,7 +473,8 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
     grid_lin = [10.0 ** (s / 10.0) for s in config.snr_grid_db]
     curve = theory.operating_curve(theory.mismatch_spectrum(probe.model),
                                    probe.thresholds(grid_lin), grid_lin)
-    payloads = [(config, probe.bases, i, s) for i, s in enumerate(config.snr_grid_db)]
+    payloads = [(config, probe.bases, probe.model, i, s)
+                for i, s in enumerate(config.snr_grid_db)]
     if workers <= 1:
         results = [_sweep_point(p) for p in payloads]
     else:
@@ -547,9 +549,9 @@ def run_eigencurves(config: ExperimentConfig, out_path=None) -> EigencurveResult
     """
     probe = _probe(config)
     rows = []
-    for i, snr_db in enumerate(config.snr_grid_db):
+    for snr_db in config.snr_grid_db:
         snr_lin = 10.0 ** (snr_db / 10.0)
-        model = mpb.analytic_cov(scenario_at(config, snr_db, stream=i), probe.bases)
+        model = probe.model.at_snr(snr_lin)
         lam = float(la.gen_eig_hpd(model.r_s, model.r_i).eigenvalues[0])
         g0 = theory.gamma0(snr_lin, config.element_count,
                            config.processing_gain, probe.model.beta)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -172,19 +172,34 @@ class AnalyticModel:
     R_S = sigma_s0_sq * a0 a0^H + q_s and R_I = sigma_i0_sq * a0 a0^H + q_i,
     with q_s = a_i_mat Phi_S a_i_mat^H + sigma^2 I (Phi_S = noise_var * inr *
     phi_s0) and likewise for q_i. phi_s0 and phi_i0 are INR-invariant.
+
+    Only sigma_S0^2 = N P0 and sigma_I0^2 = beta P0 depend on the SOI power
+    P0 (soi_power); q_s, q_i and the Phi matrices depend on the interference
+    alone. So one model serves every SNR: at_snr moves it to another one.
     """
     q_s: np.ndarray
     q_i: np.ndarray
     phi_s0: np.ndarray
     phi_i0: np.ndarray
-    sigma_s0_sq: float
-    sigma_i0_sq: float
+    soi_power: float
     beta: float
     a0: np.ndarray
     a_i_mat: np.ndarray
     noise_var: float
     inr: float
     processing_gain: int
+
+    @property
+    def sigma_s0_sq(self) -> float:
+        return self.processing_gain * self.soi_power
+
+    @property
+    def sigma_i0_sq(self) -> float:
+        return self.soi_power * self.beta
+
+    def at_snr(self, snr: float) -> AnalyticModel:
+        """The same model with P0 set from a linear SNR = N P0 / sigma^2."""
+        return replace(self, soi_power=snr * self.noise_var / self.processing_gain)
 
     @property
     def r_s(self) -> np.ndarray:
@@ -272,15 +287,13 @@ def analytic_cov(scenario: sm.Scenario, bases: ProjectionBases) -> AnalyticModel
     q_s = a_mat @ phi_s @ a_mat.conj().T + sigma2 * eye
     q_i = a_mat @ phi_i @ a_mat.conj().T + sigma2 * eye
 
-    p0 = scenario.soi.power
     beta = leakage_ratio(bases, code)
     return AnalyticModel(
         q_s=0.5 * (q_s + q_s.conj().T),
         q_i=0.5 * (q_i + q_i.conj().T),
         phi_s0=phi_s / (sigma2 * inr),
         phi_i0=phi_i / (sigma2 * inr),
-        sigma_s0_sq=n * p0,
-        sigma_i0_sq=p0 * beta,
+        soi_power=scenario.soi.power,
         beta=beta,
         a0=sm.steering(scenario.soi.doa_deg, geo),
         a_i_mat=a_mat,

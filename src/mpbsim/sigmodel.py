@@ -132,7 +132,6 @@ class SoiSpec:
     processing_gain: int
     code: np.ndarray
     doa_deg: float = 0.0
-    delay: int = 0
     power: float = 1.0
     bits: np.ndarray | None = None
 
@@ -143,8 +142,6 @@ class SoiSpec:
         if not np.all(np.abs(code) == 1.0):
             raise ValueError("code chips must be +-1")
         object.__setattr__(self, "code", code)
-        if self.delay < 0:
-            raise ValueError("delay must be >= 0")
         if not self.power >= 0:
             raise ValueError("power must be >= 0")
         if self.bits is not None:
@@ -248,7 +245,6 @@ def realize_paths(scenario: Scenario) -> list:
     SNR sweep sees the same tone phases and noise segments.
     """
     n = scenario.soi.processing_gain
-    n0 = scenario.soi.delay
     paths = []
     for idx, sp in enumerate(scenario.interferers):
         rng = _realization_rng(scenario.seed, idx)
@@ -256,26 +252,23 @@ def realize_paths(scenario: Scenario) -> list:
             paths.append(RealizedPath("white", sp.doa_deg, sp.power, idx))
         elif sp.kind == "tone":
             phi0 = rng.uniform(0.0, 2.0 * math.pi)
-            samp = np.arange(n) + n0
-            wave = np.exp(1j * (phi0 + 2.0 * math.pi * sp.normalized_offset * samp))
+            wave = np.exp(1j * (phi0 + 2.0 * math.pi * sp.normalized_offset * np.arange(n)))
             rho = complex(np.exp(1j * 2.0 * math.pi * sp.normalized_offset * n))
             paths.append(RealizedPath("periodic", sp.doa_deg, sp.power, idx,
                                       waveform=wave, block_phase=rho))
         elif sp.kind == "periodical_noise":
             seg = rng.normal(size=n) + 1j * rng.normal(size=n)
             seg *= math.sqrt(n) / math.sqrt(float(np.sum(np.abs(seg) ** 2)))  # exact unit power
-            wave = seg[(np.arange(n) + n0) % n]
-            paths.append(RealizedPath("periodic", sp.doa_deg, sp.power, idx, waveform=wave))
+            paths.append(RealizedPath("periodic", sp.doa_deg, sp.power, idx, waveform=seg))
         else:  # mai_multipath
             code = gold31(sp.user_code)
             if n != code.shape[0]:
                 raise ValueError(f"mai_multipath requires N = {GOLD_LENGTH} (Gold code length)")
             for d, doa, g in zip(sp.path_delays, sp.path_doas, sp.path_gains):
-                eff = (d - n0) % n
                 head = np.zeros(n)
                 tail = np.zeros(n)
-                head[eff:] = code[:n - eff]
-                tail[:eff] = code[n - eff:]
+                head[d:] = code[:n - d]
+                tail[:d] = code[n - d:]
                 paths.append(RealizedPath("mai", doa, sp.power * g * g, idx,
                                           head=head, tail=tail))
     return paths

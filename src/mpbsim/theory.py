@@ -12,7 +12,7 @@ inverse identities used throughout the derivations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -287,16 +287,16 @@ def operating_curve(spectrum: MismatchSpectrum, th: Thresholds, snr_grid) -> Ope
     return OperatingCurve(points)
 
 
-def g_lower_oracle(scenario: sm.Scenario, bases: mpb.ProjectionBases,
-                   snr_probe: float = 1e-6) -> float:
+def g_lower_oracle(model: mpb.AnalyticModel, snr_probe: float = 1e-6) -> float:
     """Failure-region floor G_L: the normalized output SINR as SNR -> 0.
 
     There is no cheaper exact route than the definition itself, so this
-    builds the analytic pair at a vanishing probe SNR, solves the weights
+    moves the analytic model to a vanishing probe SNR (model.at_snr; only
+    the SOI power changes, so nothing is rebuilt), solves the weights
     exactly and evaluates analytic G. Refuses when there is no mismatch
     (the floor is then just G_U and the failure branch never exists).
     """
-    model_probe = _rescaled_model(scenario, bases, snr_probe)
+    model_probe = model.at_snr(snr_probe)
     g1 = gamma_spectrum(model_probe.q_s, model_probe.q_i, max(1, model_probe.a_i_mat.shape[1]))[0]
     if g1 <= 0.0:
         raise ValueError("no covariance mismatch: G_L is undefined (gamma_1 = 0)")
@@ -304,13 +304,6 @@ def g_lower_oracle(scenario: sm.Scenario, bases: mpb.ProjectionBases,
     opt = mpb.sinr_opt(model_probe.q_s, model_probe.a0, model_probe.sigma_s0_sq)
     return mpb.output_sinr(bw.w, model_probe.q_s, model_probe.a0,
                            model_probe.sigma_s0_sq) / opt
-
-
-def _rescaled_model(scenario: sm.Scenario, bases: mpb.ProjectionBases,
-                    snr: float) -> mpb.AnalyticModel:
-    """Analytic model with the SOI power set from a linear SNR."""
-    p0 = snr * scenario.noise_var / scenario.soi.processing_gain
-    return mpb.analytic_cov(replace(scenario, soi=replace(scenario.soi, power=p0)), bases)
 
 
 def g_of_lambda(lambda_max: float, spectrum: MismatchSpectrum, snr: float,
@@ -346,8 +339,9 @@ class NoiseFreeAnalysis:
     y_s / y_i are built at INR = 1; scaling to any INR is exact by
     homogeneity, so c_y0 is computed once and gamma1_lower scales it.
     has_infinite comes from the semidefinite pencil (null-space route);
-    geometric_bounded is the independent waveform-subspace route, available
-    only when every interferer is periodic (None otherwise).
+    geometric_bounded is the independent waveform-subspace route, taken per
+    coherence class and available only when every interferer is periodic
+    (None otherwise).
     """
     y_s: np.ndarray
     y_i: np.ndarray
@@ -355,27 +349,6 @@ class NoiseFreeAnalysis:
     has_infinite: bool
     infinite_count: int
     geometric_bounded: bool | None
-
-
-def one_period_waveforms(scenario: sm.Scenario) -> np.ndarray:
-    """N x M matrix whose columns span the interference waveform space.
-
-    Periodic paths contribute their one-period waveform; multipath rays
-    contribute both chip-overlap segments. White interference has no
-    one-period description and is rejected.
-    """
-    cols = []
-    for p in sm.realize_paths(scenario):
-        if p.family == "periodic":
-            cols.append(p.waveform)
-        elif p.family == "mai":
-            cols.append(p.head.astype(np.complex128))
-            cols.append(p.tail.astype(np.complex128))
-        else:
-            raise ValueError("white interference has no one-period waveform")
-    if not cols:
-        raise ValueError("scenario has no interferers")
-    return np.stack(cols, axis=1)
 
 
 def boundedness_criterion(h_s: np.ndarray, h_i: np.ndarray, s_i: np.ndarray) -> bool:
@@ -397,7 +370,15 @@ def boundedness_criterion(h_s: np.ndarray, h_i: np.ndarray, s_i: np.ndarray) -> 
 
 
 def noise_free_pair(scenario: sm.Scenario, bases: mpb.ProjectionBases) -> NoiseFreeAnalysis:
-    """Analyze the covariance pair with the noise stripped and INR factored out."""
+    """Analyze the covariance pair with the noise stripped and INR factored out.
+
+    The geometric route runs when every interferer is periodic. Phi has no
+    cross terms between paths of different block phase (mpb._coherent), so
+    with A_I of full column rank the pencil splits by coherence class, and
+    the pair is bounded iff every class passes boundedness_criterion on its
+    own waveform space. One space for all paths is right only when they
+    share one block phase.
+    """
     if not scenario.interferers:
         raise ValueError("scenario has no interferers")
     model = mpb.analytic_cov(scenario, bases)
@@ -412,8 +393,13 @@ def noise_free_pair(scenario: sm.Scenario, bases: mpb.ProjectionBases) -> NoiseF
 
     geometric = None
     if all(sp.kind in ("tone", "periodical_noise") for sp in scenario.interferers):
-        geometric = boundedness_criterion(bases.h_s, bases.h_i,
-                                          one_period_waveforms(scenario))
+        classes = {}  # block phase of a class's first path -> the class's waveforms
+        for p in sm.realize_paths(scenario):
+            key = next((k for k in classes if mpb._coherent(k, p.block_phase)),
+                       p.block_phase)
+            classes.setdefault(key, []).append(p.waveform)
+        geometric = all(boundedness_criterion(bases.h_s, bases.h_i, np.stack(w, axis=1))
+                        for w in classes.values())
     return NoiseFreeAnalysis(y_s, y_i, float(c_y0), hom.infinite_count > 0,
                              hom.infinite_count, geometric)
 
@@ -441,7 +427,7 @@ def verify_supplementary_identities(scenario: sm.Scenario, bases: mpb.Projection
     simplified form used in the derivations drops xi entirely. Returns both
     deviations plus the (rho0, kappa0, xi) triple.
     """
-    model = _rescaled_model(scenario, bases, snr)
+    model = mpb.analytic_cov(scenario, bases).at_snr(snr)
     # the reference: a direct solve, independent of the closed form
     exact = float(np.vdot(model.a0, la.solve_hpd(model.r_i, model.a0)).real)
     spec = mismatch_spectrum(model)

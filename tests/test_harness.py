@@ -470,7 +470,8 @@ def test_sweep_point_linalg_failure_is_named_error(monkeypatch):
         r_i[-1, -1] = -1.0
         return mpb.CovariancePair(np.eye(cfg.element_count, dtype=complex), r_i)
     monkeypatch.setattr(mpb, "accumulate_cov_pair", indefinite_pair)
-    err = harness._sweep_point((cfg, harness.bases_for(cfg), 0, 10.0))[4]
+    probe = harness._probe(cfg)
+    err = harness._sweep_point((cfg, probe.bases, probe.model, 0, 10.0))[4]
     name, _, message = err.partition(": ")
     assert name == "NotPositiveDefiniteError" and message
     rows = harness.run_sweep(cfg)
@@ -510,6 +511,33 @@ def test_sweep_builds_bases_once(monkeypatch, tmp_path):
     rows = harness.run_sweep(cfg)
     assert len(calls) == 1
     assert [r.error for r in rows] == [None, None, None]
+
+
+def _count_analytic_cov(monkeypatch) -> list:
+    calls = []
+    built = mpb.analytic_cov
+
+    def counted(scenario, bases):
+        calls.append(scenario)
+        return built(scenario, bases)
+    monkeypatch.setattr(mpb, "analytic_cov", counted)
+    return calls
+
+
+def test_sweep_builds_model_once(monkeypatch):
+    """One analytic model per sweep, G_L oracle included: every point moves
+    the probe's model to its SOI power instead of rebuilding it."""
+    calls = _count_analytic_cov(monkeypatch)
+    rows = harness.run_sweep(_tiny("fig4b-pn2", grid=(-10.0, 0.0, 10.0)), workers=1)
+    assert len(calls) == 1
+    assert [r.error for r in rows] == [None, None, None]
+
+
+def test_eigencurves_build_model_once(monkeypatch):
+    calls = _count_analytic_cov(monkeypatch)
+    result = harness.run_eigencurves(_tiny("fig4b-pn2", grid=(-10.0, 0.0, 10.0)))
+    assert len(calls) == 1
+    assert len(result.rows) == 3
 
 
 def test_python_m_mpbsim(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -211,6 +213,28 @@ def test_soi_leaks_less_power_into_interference_channel():
     for bases in (mpb.papc_bases(CODE), mpb.maximin_bases(CODE)):
         model = mpb.analytic_cov(sc, bases)
         assert model.sigma_i0_sq < model.sigma_s0_sq
+
+
+@pytest.mark.parametrize("interferers", [(f,) for f in ALL_FAMILIES] + [ALL_FAMILIES],
+                         ids=["white", "tone", "pn", "mai", "all"])
+@pytest.mark.parametrize("make_bases", [mpb.papc_bases, mpb.maximin_bases])
+def test_at_snr_equals_rebuilt_model_bitwise(interferers, make_bases):
+    """Moving a model to an SNR rebuilds nothing: it equals, bit for bit,
+    the model built from the scenario with the SOI power of that SNR."""
+    sc = _scenario(interferers=interferers, power=0.7, noise_var=1.3)
+    bases = make_bases(CODE)
+    model = mpb.analytic_cov(sc, bases)
+    for snr in (1e-6, 0.05, 1.0, 31.0, 2.5e4):
+        moved = model.at_snr(snr)
+        p0 = snr * sc.noise_var / sc.soi.processing_gain
+        built = mpb.analytic_cov(replace(sc, soi=replace(sc.soi, power=p0)), bases)
+        for f in fields(mpb.AnalyticModel):
+            a, b = getattr(moved, f.name), getattr(built, f.name)
+            assert (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b), f.name
+        assert moved.sigma_s0_sq == built.sigma_s0_sq
+        assert moved.sigma_i0_sq == built.sigma_i0_sq
+        assert np.array_equal(moved.r_s, built.r_s)
+        assert np.array_equal(moved.r_i, built.r_i)
 
 
 # ---------- weights and SINR ----------

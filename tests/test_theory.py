@@ -153,7 +153,7 @@ def test_threshold_snr_t0_monotone_in_gamma1(g1, factor):
 # ---------- operating curve ----------
 
 def _spectrum_for(scenario, bases, snr):
-    model = theory._rescaled_model(scenario, bases, snr)
+    model = mpb.analytic_cov(scenario, bases).at_snr(snr)
     return theory.mismatch_spectrum(model)
 
 
@@ -189,9 +189,9 @@ def test_curve_branch_continuity_at_thresholds():
     sc = _pn2(30.0)
     spec = _spectrum_for(sc, bases, 1.0)
     g1 = spec.gammas[0]
-    model = theory._rescaled_model(sc, bases, 1.0)
+    model = mpb.analytic_cov(sc, bases).at_snr(1.0)
     g_u = theory.g_upper(model.q_s, model.q_i, model.a0)
-    g_l = theory.g_lower_oracle(sc, bases)
+    g_l = theory.g_lower_oracle(mpb.analytic_cov(sc, bases))
     th = theory.thresholds(g1, spec.beta, 31, 8, g_u=g_u, g_l=g_l)
     curve = theory.operating_curve(spec, th, np.array([th.snr_t1, th.snr_t2]))
     g_at_t1, g_at_t2 = curve.points[0][1], curve.points[1][1]
@@ -206,7 +206,7 @@ def test_curve_failure_only_slope():
     spec = _spectrum_for(sc, bases, 1.0)
     g1 = spec.gammas[0]
     assert g1 > 30.0            # guarantees the failure-only regime
-    g_l = theory.g_lower_oracle(sc, bases)
+    g_l = theory.g_lower_oracle(mpb.analytic_cov(sc, bases))
     th = theory.thresholds(g1, 1.0, 31, 8, g_u=0.5, g_l=g_l)
     assert th.snr_t0 == np.inf
     snr = np.logspace(3, 5, 9)
@@ -222,7 +222,7 @@ def test_curve_region_tags_follow_thresholds():
     sc = _pn2(30.0)
     spec = _spectrum_for(sc, bases, 1.0)
     g1 = spec.gammas[0]
-    g_l = theory.g_lower_oracle(sc, bases)
+    g_l = theory.g_lower_oracle(mpb.analytic_cov(sc, bases))
     th = theory.thresholds(g1, spec.beta, 31, 8, g_u=0.4, g_l=g_l)
     snr = np.logspace(-3, 5, 33)
     curve = theory.operating_curve(spec, th, snr)
@@ -240,23 +240,33 @@ def test_curve_region_tags_follow_thresholds():
 def test_g_lower_refuses_without_mismatch():
     sc = _scenario((sm.InterfererSpec("bpsk_white", doa_deg=30.0, power=1000.0),))
     with pytest.raises(ValueError):
-        theory.g_lower_oracle(sc, mpb.maximin_bases(CODE))
+        theory.g_lower_oracle(mpb.analytic_cov(sc, mpb.maximin_bases(CODE)))
 
 
 def test_g_lower_positive_and_below_ceiling():
     sc = _pn2(30.0)
     bases = mpb.maximin_bases(CODE)
-    g_l = theory.g_lower_oracle(sc, bases)
-    model = theory._rescaled_model(sc, bases, 1.0)
+    g_l = theory.g_lower_oracle(mpb.analytic_cov(sc, bases))
+    model = mpb.analytic_cov(sc, bases).at_snr(1.0)
     g_u = theory.g_upper(model.q_s, model.q_i, model.a0)
     assert 0.0 < g_l <= g_u
+
+
+def test_g_lower_builds_no_model(monkeypatch):
+    """The oracle moves the given model to its probe SNR; it builds none."""
+    model = mpb.analytic_cov(_pn2(30.0), mpb.maximin_bases(CODE))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("g_lower_oracle called analytic_cov")
+    monkeypatch.setattr(mpb, "analytic_cov", refuse)
+    assert theory.g_lower_oracle(model) > 0.0
 
 
 def test_g_lower_probe_stability():
     sc = _pn2(30.0)
     bases = mpb.maximin_bases(CODE)
-    a = theory.g_lower_oracle(sc, bases, snr_probe=1e-6)
-    b = theory.g_lower_oracle(sc, bases, snr_probe=1e-7)
+    a = theory.g_lower_oracle(mpb.analytic_cov(sc, bases), snr_probe=1e-6)
+    b = theory.g_lower_oracle(mpb.analytic_cov(sc, bases), snr_probe=1e-7)
     assert abs(a - b) / a < 1e-4
 
 
@@ -308,7 +318,7 @@ def test_mismatch_spectrum_enclosure_is_lambda_max_bound(preset):
 def test_mismatch_spectrum_without_interferers():
     bases = mpb.maximin_bases(CODE)
     for snr in (0.0, 1.0):
-        spec = theory.mismatch_spectrum(theory._rescaled_model(_scenario(()), bases, snr))
+        spec = theory.mismatch_spectrum(mpb.analytic_cov(_scenario(()), bases).at_snr(snr))
         assert spec.gammas.size == 0 and spec.delta == 0.0
         assert (spec.lambda_max_pred, spec.bound_radius, spec.feasible) == \
             (spec.gamma0 + 1.0, 0.0, True)
@@ -325,7 +335,7 @@ def test_lambda_containment_on_periodic_scenario_grid():
     bases = mpb.maximin_bases(CODE)
     checked = 0
     for snr_db in range(-30, 52, 4):
-        model = theory._rescaled_model(sc, bases, 10.0 ** (snr_db / 10.0))
+        model = mpb.analytic_cov(sc, bases).at_snr(10.0 ** (snr_db / 10.0))
         spec = theory.mismatch_spectrum(model)
         if not spec.feasible:
             continue
@@ -342,7 +352,7 @@ def test_lambda_containment_full_leakage_scheme():
     sc = _pn2(30.0)
     bases = mpb.papc_bases(CODE)
     for snr_db in range(-30, 52, 4):
-        model = theory._rescaled_model(sc, bases, 10.0 ** (snr_db / 10.0))
+        model = mpb.analytic_cov(sc, bases).at_snr(10.0 ** (snr_db / 10.0))
         spec = theory.mismatch_spectrum(model)
         if not spec.feasible:
             continue
@@ -355,7 +365,7 @@ def test_mismatch_spectrum_invariants():
     sc = _pn2(30.0)
     for bases in (mpb.maximin_bases(CODE), mpb.papc_bases(CODE)):
         for snr in (0.01, 1.0, 100.0):
-            model = theory._rescaled_model(sc, bases, snr)
+            model = mpb.analytic_cov(sc, bases).at_snr(snr)
             spec = theory.mismatch_spectrum(model)
             assert np.all(spec.gammas + 1.0 > 0.0)
             assert 0.0 <= spec.delta < 1.0
@@ -417,7 +427,7 @@ def test_g_of_lambda_matches_analytic_g_two_tones():
     spec1 = _spectrum_for(sc, bases, 1.0)
     th = theory.thresholds(spec1.gammas[0], spec1.beta, 31, 8, g_u=0.5)
     snr = 4.0 * th.snr_t0
-    model = theory._rescaled_model(sc, bases, snr)
+    model = mpb.analytic_cov(sc, bases).at_snr(snr)
     spec = theory.mismatch_spectrum(model)
     bw = mpb.solve_weights(model.cov_pair(), model.a0)
     g_direct = mpb.analytic_g(bw.w, mpb.analytic_cov(sm.Scenario(GEO8, sm.SoiSpec(
@@ -440,7 +450,7 @@ def test_exact_gamma0_near_closed_form():
     sc = _pn2(30.0)
     bases = mpb.maximin_bases(CODE)
     for snr in (0.1, 1.0, 100.0):
-        model = theory._rescaled_model(sc, bases, snr)
+        model = mpb.analytic_cov(sc, bases).at_snr(snr)
         exact = theory.exact_gamma0(model)
         approx = theory.gamma0(snr, 8, 31, model.beta)
         assert abs(exact - approx) / max(exact, 1e-12) < 0.05, snr
@@ -475,6 +485,40 @@ def test_noise_free_coherent_pair_unbounded():
     assert nf.has_infinite
     assert nf.infinite_count == 1
     assert nf.geometric_bounded is False
+
+
+@pytest.mark.parametrize("make_bases", [mpb.papc_bases, mpb.maximin_bases])
+def test_noise_free_incoherent_tones_bounded(make_bases):
+    # two tones whose block phases differ share no cross term in Phi, so
+    # each is a one-path coherence class and both routes call the pair
+    # bounded; one waveform space for both would claim "unbounded"
+    ints = (sm.InterfererSpec("tone", doa_deg=30.0, power=1000.0, normalized_offset=0.05),
+            sm.InterfererSpec("tone", doa_deg=-40.0, power=1000.0, normalized_offset=-0.13))
+    nf = theory.noise_free_pair(_scenario(ints), make_bases(CODE))
+    assert not nf.has_infinite
+    assert nf.geometric_bounded is True
+
+
+def test_noise_free_routes_agree_on_random_periodic_draws():
+    """The null-space and geometric routes agree on every draw: 120
+    mixtures of random-offset tones and periodical noise, D in {1, 2, 3, 5}
+    at DOAs at least 10 degrees apart, under both schemes."""
+    rng = np.random.default_rng(2010)
+    outcomes = set()
+    for draw in range(120):
+        doas = rng.choice(np.arange(-60.0, 61.0, 10.0), size=int(rng.choice([1, 2, 3, 5])),
+                          replace=False)
+        ints = tuple(
+            sm.InterfererSpec("tone", doa_deg=float(doa), power=1000.0,
+                              normalized_offset=float(rng.uniform(-0.5, 0.5)))
+            if rng.random() < 0.5 else
+            sm.InterfererSpec("periodical_noise", doa_deg=float(doa), power=1000.0)
+            for doa in doas)
+        bases = mpb.papc_bases(CODE) if draw % 2 else mpb.maximin_bases(CODE)
+        nf = theory.noise_free_pair(_scenario(ints, seed=int(rng.integers(1, 2 ** 31))), bases)
+        assert nf.has_infinite == (nf.geometric_bounded is False), (draw, ints)
+        outcomes.add(nf.has_infinite)
+    assert outcomes == {False, True}
 
 
 def test_noise_free_crawford_scale_invariant():
@@ -530,7 +574,7 @@ def test_gamma1_bound_holds_on_periodic_scenario():
     for inr_db in (10.0, 20.0, 30.0, 40.0):
         sc = _pn2(inr_db)
         nf = theory.noise_free_pair(sc, bases)
-        model = theory._rescaled_model(sc, bases, 1.0)
+        model = mpb.analytic_cov(sc, bases).at_snr(1.0)
         g1 = theory.gamma_spectrum(model.q_s, model.q_i, 2)[0]
         bound = theory.gamma1_lower_bound(nf.c_y0, 10.0 ** (inr_db / 10.0))
         assert bound is not None
