@@ -471,8 +471,7 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
     """
     probe = _probe(config)
     grid_lin = [10.0 ** (s / 10.0) for s in config.snr_grid_db]
-    curve = theory.operating_curve(theory.mismatch_spectrum(probe.model),
-                                   probe.thresholds(grid_lin), grid_lin)
+    curve = theory.operating_curve(probe.model, probe.thresholds(grid_lin), grid_lin)
     payloads = [(config, probe.bases, probe.model, i, s)
                 for i, s in enumerate(config.snr_grid_db)]
     if workers <= 1:
@@ -601,17 +600,22 @@ def _db(x: float) -> float:
 
 
 def analyze(config: ExperimentConfig) -> dict:
-    """Threshold record, boundedness flags and the gamma_1-vs-INR table."""
+    """Threshold record, boundedness flags and the gamma_1-vs-INR table.
+
+    One analytic model, the probe's, serves the whole report: the table
+    moves it to each INR (the relative interferer powers are kept), and
+    the null-space route reads its Phi matrices. The geometric route reads
+    the waveforms instead, so the two flags stay independent checks.
+    """
     probe = _probe(config)
     th = probe.thresholds()
-    nf = theory.noise_free_pair(probe.scenario, probe.bases)
+    model = probe.model
+    nf = theory.noise_free_pair(model)
 
     table = []
     logs = []
     for inr_db in _GAMMA1_INR_TABLE_DB:
-        cfg_i = replace(config, inr_db=inr_db)
-        g1_i = _gamma1(mpb.analytic_cov(scenario_at(cfg_i, 0.0, stream=0),
-                                        probe.bases))
+        g1_i = _gamma1(model.at_inr(model.inr * _power(inr_db) / _power(config.inr_db)))
         # the Crawford-number bound presumes an infinite noise-free
         # eigenvalue; for bounded pairs it simply does not apply
         lb = (theory.gamma1_lower_bound(nf.c_y0, 10.0 ** (inr_db / 10.0))
@@ -632,7 +636,7 @@ def analyze(config: ExperimentConfig) -> dict:
     return {
         "scheme": config.scheme.name,
         "inr_db": config.inr_db,
-        "beta": probe.model.beta,
+        "beta": model.beta,
         "gamma1": probe.gamma1,
         "thresholds": {
             "snr_t0": th.snr_t0, "snr_t0_db": _db(th.snr_t0),
@@ -643,7 +647,7 @@ def analyze(config: ExperimentConfig) -> dict:
         "c_y0": nf.c_y0,
         "has_infinite": nf.has_infinite,
         "infinite_count": nf.infinite_count,
-        "geometric_bounded": nf.geometric_bounded,
+        "geometric_bounded": theory.geometric_bounded(probe.scenario, probe.bases),
         "gamma1_vs_inr": table,
         "gamma1_inr_loglog_slope": slope,
     }

@@ -216,8 +216,7 @@ def subspace_contains(u, v, tol: float) -> bool:
 
 @dataclass(frozen=True)
 class GenEigHomogeneous:
-    pairs: list          # (nu, mu) with nu^2 + mu^2 = 1; mu = 0 marks infinite
-    eigenvectors: np.ndarray   # columns aligned to pairs, infinite first
+    pairs: list          # (nu, mu) with nu^2 + mu^2 = 1; mu = 0 marks infinite, listed first
     finite_count: int
 
     @property
@@ -240,12 +239,10 @@ def gen_eig_homogeneous(a, b) -> GenEigHomogeneous:
     b = _as_hermitian(b, "B")
     if a.shape != b.shape:
         raise LinAlgError(f"dimension mismatch {a.shape} vs {b.shape}")
-    n = a.shape[0]
 
     e0 = orthonormal_range(np.hstack([a, b]), tol=_DEFLATE_TOL)
-    d = e0.shape[1]
-    if d == 0:
-        return GenEigHomogeneous([], np.zeros((n, 0), dtype=np.complex128), 0)
+    if e0.shape[1] == 0:
+        return GenEigHomogeneous([], 0)
 
     ad = e0.conj().T @ a @ e0
     bd = e0.conj().T @ b @ e0
@@ -259,11 +256,7 @@ def gen_eig_homogeneous(a, b) -> GenEigHomogeneous:
     u1 = bres.eigenvectors[:, keep]
     u0 = bres.eigenvectors[:, ~keep]
 
-    inf_vecs = e0 @ u0
     pairs = [(1.0, 0.0)] * u0.shape[1]
-
-    fin_vals = np.zeros(0)
-    fin_vecs = np.zeros((n, 0), dtype=np.complex128)
     if u1.shape[1]:
         a11 = u1.conj().T @ ad @ u1
         b11 = np.diag(bvals[keep]).astype(np.complex128)
@@ -273,26 +266,15 @@ def gen_eig_homogeneous(a, b) -> GenEigHomogeneous:
             # A is positive definite on N(B) once the common null is gone
             corr = solve_hpd(0.5 * (a00 + a00.conj().T), a10.conj().T)
             a11 = a11 - a10 @ corr
-        res = gen_eig_hpd(0.5 * (a11 + a11.conj().T), b11)
-        y = res.eigenvectors
-        x = u1 @ y
-        if u0.shape[1]:
-            x = x - u0 @ (corr @ y)
-        x = e0 @ x
-        x = x / np.sqrt(np.sum(np.abs(x) ** 2, axis=0).real)
-        fin_vals = np.maximum(res.eigenvalues, 0.0)
-        fin_vecs = x
-
-    vecs = np.hstack([inf_vecs, fin_vecs])
-    for lam in fin_vals:
-        nu = float(lam) / math.hypot(lam, 1.0)
-        mu = 1.0 / math.hypot(lam, 1.0)
-        if mu <= 1e-8:  # chordal scale-free infinity threshold
-            pairs.append((1.0, 0.0))
-        else:
-            pairs.append((nu, mu))
+        for lam in np.maximum(gen_eig_hpd(0.5 * (a11 + a11.conj().T), b11).eigenvalues, 0.0):
+            nu = float(lam) / math.hypot(lam, 1.0)
+            mu = 1.0 / math.hypot(lam, 1.0)
+            if mu <= 1e-8:  # chordal scale-free infinity threshold
+                pairs.append((1.0, 0.0))
+            else:
+                pairs.append((nu, mu))
     finite_count = sum(1 for (_, mu) in pairs if mu > 0.0)
-    return GenEigHomogeneous(pairs, vecs, finite_count)
+    return GenEigHomogeneous(pairs, finite_count)
 
 
 # -----------------------

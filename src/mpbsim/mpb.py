@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -171,14 +171,16 @@ class AnalyticModel:
 
     R_S = sigma_s0_sq * a0 a0^H + q_s and R_I = sigma_i0_sq * a0 a0^H + q_i,
     with q_s = a_i_mat Phi_S a_i_mat^H + sigma^2 I (Phi_S = noise_var * inr *
-    phi_s0) and likewise for q_i. phi_s0 and phi_i0 are INR-invariant.
+    phi_s0) and likewise for q_i.
 
-    Only sigma_S0^2 = N P0 and sigma_I0^2 = beta P0 depend on the SOI power
-    P0 (soi_power); q_s, q_i and the Phi matrices depend on the interference
-    alone. So one model serves every SNR: at_snr moves it to another one.
+    The init fields are what the model is: the INR-invariant phi_s0 and
+    phi_i0, the geometry, and the two scalars that move, the SOI power P0
+    (soi_power) and the INR of the strongest path (inr). q_s and q_i are
+    derived from them here and nowhere else, so replace() rebuilds them.
+    Only sigma_S0^2 = N P0 and sigma_I0^2 = beta P0 depend on P0, and only
+    q_s and q_i on the INR: at_snr and at_inr move one model along either
+    axis instead of rebuilding it from a scenario.
     """
-    q_s: np.ndarray
-    q_i: np.ndarray
     phi_s0: np.ndarray
     phi_i0: np.ndarray
     soi_power: float
@@ -188,6 +190,15 @@ class AnalyticModel:
     noise_var: float
     inr: float
     processing_gain: int
+    q_s: np.ndarray = field(init=False)
+    q_i: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        eye = np.eye(self.a0.shape[0], dtype=np.complex128)
+        scale = self.noise_var * self.inr
+        for name, phi0 in (("q_s", self.phi_s0), ("q_i", self.phi_i0)):
+            q = self.a_i_mat @ (phi0 * scale) @ self.a_i_mat.conj().T + self.noise_var * eye
+            object.__setattr__(self, name, 0.5 * (q + q.conj().T))
 
     @property
     def sigma_s0_sq(self) -> float:
@@ -200,6 +211,11 @@ class AnalyticModel:
     def at_snr(self, snr: float) -> AnalyticModel:
         """The same model with P0 set from a linear SNR = N P0 / sigma^2."""
         return replace(self, soi_power=snr * self.noise_var / self.processing_gain)
+
+    def at_inr(self, inr: float) -> AnalyticModel:
+        """The same model with every interferer power scaled so that the
+        strongest path's INR is inr; the relative powers are kept."""
+        return replace(self, inr=inr)
 
     @property
     def r_s(self) -> np.ndarray:
@@ -283,18 +299,11 @@ def analytic_cov(scenario: sm.Scenario, bases: ProjectionBases) -> AnalyticModel
     w = np.sqrt(powers)
     phi_s = w[:, None] * phi_s0_raw * w[None, :]
     phi_i = w[:, None] * phi_i0_raw * w[None, :]
-    eye = np.eye(geo.element_count, dtype=np.complex128)
-    q_s = a_mat @ phi_s @ a_mat.conj().T + sigma2 * eye
-    q_i = a_mat @ phi_i @ a_mat.conj().T + sigma2 * eye
-
-    beta = leakage_ratio(bases, code)
     return AnalyticModel(
-        q_s=0.5 * (q_s + q_s.conj().T),
-        q_i=0.5 * (q_i + q_i.conj().T),
         phi_s0=phi_s / (sigma2 * inr),
         phi_i0=phi_i / (sigma2 * inr),
         soi_power=scenario.soi.power,
-        beta=beta,
+        beta=leakage_ratio(bases, code),
         a0=sm.steering(scenario.soi.doa_deg, geo),
         a_i_mat=a_mat,
         noise_var=sigma2,

@@ -380,7 +380,7 @@ def iter_blocks(scenario: Scenario, include=("soi", "interference", "noise")):
                 if p.family == "white":
                     s = 1.0 - 2.0 * _white_bits(scenario, p.stream_index, bi, nb)
                 elif p.family == "periodic":
-                    rho_k = p.block_phase ** np.arange(k0, k0 + nb)
+                    rho_k = np.exp(1j * cmath.phase(p.block_phase) * np.arange(k0, k0 + nb))
                     s = rho_k[:, None] * p.waveform[None, :]
                 else:  # mai
                     b = mai_bits[p.stream_index]

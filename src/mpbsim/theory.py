@@ -80,15 +80,10 @@ class MismatchSpectrum:
     beta: float
     delta: float
     psi_t: np.ndarray         # aligned with gammas
-    kappa0: float
-    rho0: float
     lambda_max_pred: float
     bound_radius: float
     feasible: bool
-    snr: float
     noise_var: float
-    l_antennas: int
-    processing_gain: int
 
 
 def lambda_max_bound(gamma0_val: float, gamma1_val: float, delta: float):
@@ -122,7 +117,6 @@ def mismatch_spectrum(model: mpb.AnalyticModel) -> MismatchSpectrum:
     matrix to have full column rank (separated DOAs, D <= L).
     """
     big_l = model.a0.shape[0]
-    n = model.processing_gain
     s2 = model.noise_var
     snr = model.sigma_s0_sq / s2
     a_mat = model.a_i_mat
@@ -135,8 +129,8 @@ def mismatch_spectrum(model: mpb.AnalyticModel) -> MismatchSpectrum:
 
     if d == 0:
         return MismatchSpectrum(g0, np.zeros(0), model.beta, 0.0,
-                                np.zeros(0, dtype=np.complex128), 0.0, 0.0,
-                                *lambda_max_bound(g0, 0.0, 0.0), snr, s2, big_l, n)
+                                np.zeros(0, dtype=np.complex128),
+                                *lambda_max_bound(g0, 0.0, 0.0), s2)
 
     gram = a_mat.conj().T @ ri_inv_amat
     w_mat = la.solve_hpd(0.5 * (gram + gram.conj().T), np.eye(d, dtype=np.complex128))
@@ -148,7 +142,7 @@ def mismatch_spectrum(model: mpb.AnalyticModel) -> MismatchSpectrum:
 
     # T^H W T = I gives T^-H = W T: no explicit inversion needed
     a_eps = a_mat @ (w_mat @ t_mat)
-    coef = (big_l * model.beta / n) * snr + 1.0
+    coef = (big_l * model.beta / model.processing_gain) * snr + 1.0
     coupling = a_eps.conj().T @ ri_inv_a0
     psi_t = coef * coupling
     # delta scales the top coupling against a0^H R_I^-1 a0 exactly; the
@@ -157,22 +151,8 @@ def mismatch_spectrum(model: mpb.AnalyticModel) -> MismatchSpectrum:
     # any basis of its eigenspace as eigenvectors, so the coupling is
     # summed over the whole top cluster, which no such choice moves.
     delta = float(np.sum(np.abs(coupling[mpb.top_cluster(gammas)]) ** 2)) / quad
-
-    psi = a_mat.conj().T @ model.a0 / big_l
-    psi_mat = a_mat.conj().T @ a_mat / big_l
-    # one Cholesky of Psi serves Psi^-1 psi and Psi^-1
-    psi_sol = la.solve_hpd(psi_mat, np.column_stack([psi, np.eye(d, dtype=np.complex128)]))
-    psi_inv_psi, psi_mat_inv = psi_sol[:, 0], psi_sol[:, 1:]
-    rho0 = float(np.vdot(psi, psi_inv_psi).real)
-    phi_i = model.phi_i0 * (s2 * model.inr)
-    xi_core = (big_l / s2) * phi_i + psi_mat_inv
-    xi_mat = la.solve_hpd(0.5 * (xi_core + xi_core.conj().T),
-                          np.eye(d, dtype=np.complex128))
-    kappa0 = float(np.vdot(psi_inv_psi, xi_mat @ psi_inv_psi).real)
-
-    return MismatchSpectrum(g0, gammas, model.beta, delta, psi_t, kappa0, rho0,
-                            *lambda_max_bound(g0, float(gammas[0]), delta),
-                            snr, s2, big_l, n)
+    return MismatchSpectrum(g0, gammas, model.beta, delta, psi_t,
+                            *lambda_max_bound(g0, float(gammas[0]), delta), s2)
 
 
 # -----------------------
@@ -253,18 +233,19 @@ def _g_failure(snr: float, th: Thresholds, beta: float, l_antennas: int, n_gain:
     return ((1.0 + th.k0) / den) ** 2 * th.g_l
 
 
-def operating_curve(spectrum: MismatchSpectrum, th: Thresholds, snr_grid) -> OperatingCurve:
+def operating_curve(model: mpb.AnalyticModel, th: Thresholds, snr_grid) -> OperatingCurve:
     """Predicted G over a linear-SNR grid with region tags.
 
     Above SNR_T2 the operating branch applies, below SNR_T1 the failure
     branch; the band between is bridged by a straight line in
     (log SNR, dB G) coordinates, which is a declared drawing rule rather
-    than a formula.
+    than a formula. Of the model only beta, L and N are read, none of
+    which depends on the SNR, so any SNR of the model serves.
     """
     grid = [float(s) for s in snr_grid]
     if not grid:
         raise ValueError("empty SNR grid")
-    beta, big_l, n = spectrum.beta, spectrum.l_antennas, spectrum.processing_gain
+    beta, big_l, n = model.beta, model.a0.shape[0], model.processing_gain
     needs_gl = any(s <= th.snr_t2 for s in grid) and th.snr_t0 > 0.0
     if needs_gl and not th.g_l > 0.0:
         raise ValueError("failure/threshold region requested but g_l is not set")
@@ -301,9 +282,7 @@ def g_lower_oracle(model: mpb.AnalyticModel, snr_probe: float = 1e-6) -> float:
     if g1 <= 0.0:
         raise ValueError("no covariance mismatch: G_L is undefined (gamma_1 = 0)")
     bw = mpb.solve_weights(model_probe.cov_pair(), model_probe.a0)
-    opt = mpb.sinr_opt(model_probe.q_s, model_probe.a0, model_probe.sigma_s0_sq)
-    return mpb.output_sinr(bw.w, model_probe.q_s, model_probe.a0,
-                           model_probe.sigma_s0_sq) / opt
+    return mpb.analytic_g(bw.w, model_probe)
 
 
 def g_of_lambda(lambda_max: float, spectrum: MismatchSpectrum, snr: float,
@@ -338,17 +317,14 @@ class NoiseFreeAnalysis:
 
     y_s / y_i are built at INR = 1; scaling to any INR is exact by
     homogeneity, so c_y0 is computed once and gamma1_lower scales it.
-    has_infinite comes from the semidefinite pencil (null-space route);
-    geometric_bounded is the independent waveform-subspace route, taken per
-    coherence class and available only when every interferer is periodic
-    (None otherwise).
+    has_infinite comes from the semidefinite pencil (null-space route); the
+    waveform route is geometric_bounded, which reads no part of this.
     """
     y_s: np.ndarray
     y_i: np.ndarray
     c_y0: float
     has_infinite: bool
     infinite_count: int
-    geometric_bounded: bool | None
 
 
 def boundedness_criterion(h_s: np.ndarray, h_i: np.ndarray, s_i: np.ndarray) -> bool:
@@ -369,19 +345,16 @@ def boundedness_criterion(h_s: np.ndarray, h_i: np.ndarray, s_i: np.ndarray) -> 
     return la.subspace_contains(lhs, rhs, 1e-8)
 
 
-def noise_free_pair(scenario: sm.Scenario, bases: mpb.ProjectionBases) -> NoiseFreeAnalysis:
-    """Analyze the covariance pair with the noise stripped and INR factored out.
+def noise_free_pair(model: mpb.AnalyticModel) -> NoiseFreeAnalysis:
+    """The covariance pair with the noise stripped and the INR factored out.
 
-    The geometric route runs when every interferer is periodic. Phi has no
-    cross terms between paths of different block phase (mpb._coherent), so
-    with A_I of full column rank the pencil splits by coherence class, and
-    the pair is bounded iff every class passes boundedness_criterion on its
-    own waveform space. One space for all paths is right only when they
-    share one block phase.
+    Y_S = A_I Phi_S0 A_I^H and Y_I = A_I Phi_I0 A_I^H come from the model's
+    INR-invariant Phi matrices, so one model serves every INR. The pair has
+    an infinite generalized eigenvalue, and gamma_1 then grows without bound
+    in INR, iff some direction is annihilated by Y_I but not by Y_S.
     """
-    if not scenario.interferers:
+    if model.a_i_mat.shape[1] == 0:
         raise ValueError("scenario has no interferers")
-    model = mpb.analytic_cov(scenario, bases)
     y_s = model.a_i_mat @ model.phi_s0 @ model.a_i_mat.conj().T
     y_i = model.a_i_mat @ model.phi_i0 @ model.a_i_mat.conj().T
     y_s = 0.5 * (y_s + y_s.conj().T)
@@ -390,18 +363,30 @@ def noise_free_pair(scenario: sm.Scenario, bases: mpb.ProjectionBases) -> NoiseF
     hom = la.gen_eig_homogeneous(y_s, y_i)
     e0 = la.orthonormal_range(np.hstack([y_s, y_i]), tol=1e-10)
     c_y0 = la.crawford(y_s, y_i, e0=e0)
-
-    geometric = None
-    if all(sp.kind in ("tone", "periodical_noise") for sp in scenario.interferers):
-        classes = {}  # block phase of a class's first path -> the class's waveforms
-        for p in sm.realize_paths(scenario):
-            key = next((k for k in classes if mpb._coherent(k, p.block_phase)),
-                       p.block_phase)
-            classes.setdefault(key, []).append(p.waveform)
-        geometric = all(boundedness_criterion(bases.h_s, bases.h_i, np.stack(w, axis=1))
-                        for w in classes.values())
     return NoiseFreeAnalysis(y_s, y_i, float(c_y0), hom.infinite_count > 0,
-                             hom.infinite_count, geometric)
+                             hom.infinite_count)
+
+
+def geometric_bounded(scenario: sm.Scenario, bases: mpb.ProjectionBases) -> bool | None:
+    """The waveform route to boundedness, independent of noise_free_pair.
+
+    Defined only when every interferer is periodic (None otherwise, and for
+    a scenario without interferers). Phi has no cross terms between paths
+    of different block phase (mpb._coherent), so with A_I of full column
+    rank the pencil splits by coherence class, and the pair is bounded iff
+    every class passes boundedness_criterion on its own waveform space. One
+    space for all paths is right only when they share one block phase.
+    """
+    kinds = [sp.kind for sp in scenario.interferers]
+    if not kinds or not all(k in ("tone", "periodical_noise") for k in kinds):
+        return None
+    classes = {}  # block phase of a class's first path -> the class's waveforms
+    for p in sm.realize_paths(scenario):
+        key = next((k for k in classes if mpb._coherent(k, p.block_phase)),
+                   p.block_phase)
+        classes.setdefault(key, []).append(p.waveform)
+    return all(boundedness_criterion(bases.h_s, bases.h_i, np.stack(w, axis=1))
+               for w in classes.values())
 
 
 def gamma1_lower_bound(c_y0: float, inr: float):
@@ -423,17 +408,33 @@ def verify_supplementary_identities(scenario: sm.Scenario, bases: mpb.Projection
     """Check the closed form of a0^H R_I^-1 a0 against direct inversion.
 
     The exact form is (L/s2)(1-xi) / ((L b / N)(1-xi) SNR + 1) with
-    xi = rho0 - kappa0 built from the interference Gram structure; the
+    xi = rho0 - kappa0 built from the interference Gram structure: with
+    psi = A_I^H a0 / L and Psi = A_I^H A_I / L, rho0 = psi^H Psi^-1 psi and
+    kappa0 = (Psi^-1 psi)^H ((L/s2) Phi_I + Psi^-1)^-1 (Psi^-1 psi). The
     simplified form used in the derivations drops xi entirely. Returns both
     deviations plus the (rho0, kappa0, xi) triple.
     """
     model = mpb.analytic_cov(scenario, bases).at_snr(snr)
     # the reference: a direct solve, independent of the closed form
     exact = float(np.vdot(model.a0, la.solve_hpd(model.r_i, model.a0)).real)
-    spec = mismatch_spectrum(model)
-    big_l, s2 = spec.l_antennas, spec.noise_var
-    xi = spec.rho0 - spec.kappa0
-    mix = (big_l * spec.beta / spec.processing_gain) * snr
+    big_l, s2 = model.a0.shape[0], model.noise_var
+    a_mat = model.a_i_mat
+    d = a_mat.shape[1]
+    rho0 = kappa0 = 0.0
+    if d:
+        psi = a_mat.conj().T @ model.a0 / big_l
+        psi_mat = a_mat.conj().T @ a_mat / big_l
+        # one Cholesky of Psi serves Psi^-1 psi and Psi^-1
+        psi_sol = la.solve_hpd(psi_mat, np.column_stack([psi, np.eye(d, dtype=np.complex128)]))
+        psi_inv_psi, psi_mat_inv = psi_sol[:, 0], psi_sol[:, 1:]
+        rho0 = float(np.vdot(psi, psi_inv_psi).real)
+        phi_i = model.phi_i0 * (s2 * model.inr)
+        xi_core = (big_l / s2) * phi_i + psi_mat_inv
+        xi_mat = la.solve_hpd(0.5 * (xi_core + xi_core.conj().T),
+                              np.eye(d, dtype=np.complex128))
+        kappa0 = float(np.vdot(psi_inv_psi, xi_mat @ psi_inv_psi).real)
+    xi = rho0 - kappa0
+    mix = (big_l * model.beta / model.processing_gain) * snr
     closed = (big_l / s2) * (1.0 - xi) / (mix * (1.0 - xi) + 1.0)
     simplified = (big_l / s2) / (mix + 1.0)
     return {
@@ -442,7 +443,7 @@ def verify_supplementary_identities(scenario: sm.Scenario, bases: mpb.Projection
         "rel_deviation": abs(closed - exact) / abs(exact),
         "simplified": simplified,
         "simplified_rel_error": abs(simplified - exact) / abs(exact),
-        "rho0": spec.rho0,
-        "kappa0": spec.kappa0,
+        "rho0": rho0,
+        "kappa0": kappa0,
         "xi": xi,
     }

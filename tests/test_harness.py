@@ -540,6 +540,29 @@ def test_eigencurves_build_model_once(monkeypatch):
     assert len(result.rows) == 3
 
 
+def test_analyze_builds_model_once(monkeypatch):
+    """The probe's model serves the whole report: the gamma_1-vs-INR table
+    moves it to each INR and the noise-free pair reads its Phi matrices."""
+    calls = _count_analytic_cov(monkeypatch)
+    report = harness.analyze(_tiny("fig4b-pn2"))
+    assert len(calls) == 1
+    assert len(report["gamma1_vs_inr"]) == 4
+
+
+def test_sweep_spectrum_once_per_point(monkeypatch):
+    """The operating curve reads beta, L and N off the model, so the only
+    mismatch spectra of a sweep are its points' own."""
+    calls = []
+    spectrum = theory.mismatch_spectrum
+
+    def counted(model):
+        calls.append(model.soi_power)
+        return spectrum(model)
+    monkeypatch.setattr(theory, "mismatch_spectrum", counted)
+    rows = harness.run_sweep(_tiny("fig4b-pn2", grid=(-10.0, 0.0, 10.0)), workers=1)
+    assert len(calls) == len(rows) == 3
+
+
 def test_python_m_mpbsim(tmp_path):
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)

@@ -237,6 +237,30 @@ def test_at_snr_equals_rebuilt_model_bitwise(interferers, make_bases):
         assert np.array_equal(moved.r_i, built.r_i)
 
 
+_MAI_GAINS = replace(ALL_FAMILIES[3], path_gains=(1.0, 0.6, 0.3))
+
+
+@pytest.mark.parametrize("interferers",
+                         [(f,) for f in ALL_FAMILIES[:3] + (_MAI_GAINS,)]
+                         + [ALL_FAMILIES[:3] + (_MAI_GAINS,)],
+                         ids=["white", "tone", "pn", "mai", "all"])
+@pytest.mark.parametrize("make_bases", [mpb.papc_bases, mpb.maximin_bases])
+def test_at_inr_matches_rebuilt_model(interferers, make_bases):
+    """Moving a model to another INR agrees with the model built from the
+    scenario whose interferer powers are all scaled by the same factor."""
+    sc = _scenario(interferers=interferers, power=0.7, noise_var=1.3)
+    bases = make_bases(CODE)
+    model = mpb.analytic_cov(sc, bases)
+    for scale in (1e-3, 0.02, 1.0, 37.0, 1e4):
+        scaled = tuple(replace(i, power=scale * i.power) for i in interferers)
+        built = mpb.analytic_cov(replace(sc, interferers=scaled), bases)
+        moved = model.at_inr(scale * model.inr)
+        for name in ("q_s", "q_i", "phi_s0", "phi_i0"):
+            a, b = getattr(moved, name), getattr(built, name)
+            assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max(), (name, scale)
+        assert abs(moved.inr - built.inr) <= 1e-15 * built.inr
+
+
 # ---------- weights and SINR ----------
 
 def test_solve_weights_equal_pair_is_unit_eigenvalue():

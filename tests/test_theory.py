@@ -162,7 +162,7 @@ def test_curve_without_mismatch_is_flat():
     bases = mpb.maximin_bases(CODE)
     spec = _spectrum_for(sc, bases, 1.0)
     th = theory.thresholds(0.0, spec.beta, 31, 8, g_u=1.0)
-    curve = theory.operating_curve(spec, th, np.logspace(-2, 4, 13))
+    curve = theory.operating_curve(mpb.analytic_cov(sc, bases), th, np.logspace(-2, 4, 13))
     for _, g, region in curve.points:
         assert region == "Operating"
         assert abs(g - 1.0) < 1e-9
@@ -173,7 +173,7 @@ def test_curve_operating_branch_approaches_ceiling():
     g1 = spec_dummy.gammas[0]
     th = theory.thresholds(g1, spec_dummy.beta, 31, 8, g_u=0.4, g_l=1e-5)
     snr = np.array([th.snr_t2 * 10.0, th.snr_t2 * 1e4])
-    curve = theory.operating_curve(spec_dummy, th, snr)
+    curve = theory.operating_curve(mpb.analytic_cov(_pn2(), mpb.maximin_bases(CODE)), th, snr)
     assert abs(curve.points[-1][1] - 0.4) < 0.01
     assert curve.points[0][1] <= curve.points[-1][1]
 
@@ -193,7 +193,7 @@ def test_curve_branch_continuity_at_thresholds():
     g_u = theory.g_upper(model.q_s, model.q_i, model.a0)
     g_l = theory.g_lower_oracle(mpb.analytic_cov(sc, bases))
     th = theory.thresholds(g1, spec.beta, 31, 8, g_u=g_u, g_l=g_l)
-    curve = theory.operating_curve(spec, th, np.array([th.snr_t1, th.snr_t2]))
+    curve = theory.operating_curve(model, th, np.array([th.snr_t1, th.snr_t2]))
     g_at_t1, g_at_t2 = curve.points[0][1], curve.points[1][1]
     assert abs(g_at_t1 / g_l - 2.0) <= 1e-6
     assert abs(g_at_t2 / g_u - 0.5) <= 1e-6
@@ -210,7 +210,7 @@ def test_curve_failure_only_slope():
     th = theory.thresholds(g1, 1.0, 31, 8, g_u=0.5, g_l=g_l)
     assert th.snr_t0 == np.inf
     snr = np.logspace(3, 5, 9)
-    curve = theory.operating_curve(spec, th, snr)
+    curve = theory.operating_curve(mpb.analytic_cov(sc, bases), th, snr)
     g_db = np.array([10 * np.log10(p[1]) for p in curve.points])
     slope = np.polyfit(np.log10(snr), g_db, 1)[0]
     assert abs(slope - (-20.0)) < 1.0
@@ -225,7 +225,7 @@ def test_curve_region_tags_follow_thresholds():
     g_l = theory.g_lower_oracle(mpb.analytic_cov(sc, bases))
     th = theory.thresholds(g1, spec.beta, 31, 8, g_u=0.4, g_l=g_l)
     snr = np.logspace(-3, 5, 33)
-    curve = theory.operating_curve(spec, th, snr)
+    curve = theory.operating_curve(mpb.analytic_cov(sc, bases), th, snr)
     for s, _, region in curve.points:
         if s < th.snr_t1:
             assert region == "Failure"
@@ -399,9 +399,8 @@ def test_mismatch_delta_independent_of_cluster_basis(monkeypatch):
 def test_g_of_lambda_unity_without_mismatch():
     spec = theory.MismatchSpectrum(
         gamma0=0.0, gammas=np.zeros(2), beta=0.0, delta=0.0,
-        psi_t=np.zeros(2, dtype=complex), kappa0=0.0, rho0=0.0,
-        lambda_max_pred=1.0, bound_radius=0.0, feasible=True, snr=1.0,
-        noise_var=1.0, l_antennas=8, processing_gain=31)
+        psi_t=np.zeros(2, dtype=complex),
+        lambda_max_pred=1.0, bound_radius=0.0, feasible=True, noise_var=1.0)
     assert abs(theory.g_of_lambda(2.0, spec, 1.0, 8, 31) - 1.0) < 1e-12
 
 
@@ -439,9 +438,8 @@ def test_g_of_lambda_matches_analytic_g_two_tones():
 def test_g_of_lambda_rejects_pole():
     spec = theory.MismatchSpectrum(
         gamma0=3.0, gammas=np.array([1.0, 0.0]), beta=0.0, delta=0.0,
-        psi_t=np.zeros(2, dtype=complex), kappa0=0.0, rho0=0.0,
-        lambda_max_pred=4.0, bound_radius=0.0, feasible=True, snr=1.0,
-        noise_var=1.0, l_antennas=8, processing_gain=31)
+        psi_t=np.zeros(2, dtype=complex),
+        lambda_max_pred=4.0, bound_radius=0.0, feasible=True, noise_var=1.0)
     with pytest.raises(ValueError):
         theory.g_of_lambda(2.0, spec, 1.0, 8, 31)   # gamma_1 + 1 exactly
 
@@ -460,7 +458,7 @@ def test_exact_gamma0_near_closed_form():
 
 def test_noise_free_white_is_balanced():
     sc = _scenario((sm.InterfererSpec("bpsk_white", doa_deg=30.0, power=1000.0),))
-    nf = theory.noise_free_pair(sc, mpb.maximin_bases(CODE))
+    nf = theory.noise_free_pair(mpb.analytic_cov(sc, mpb.maximin_bases(CODE)))
     assert np.abs(nf.y_s - nf.y_i).max() < 1e-10 * np.abs(nf.y_s).max()
     assert not nf.has_infinite
     assert nf.infinite_count == 0
@@ -471,20 +469,22 @@ def test_noise_free_single_periodic_bounded():
     # so their ranges coincide and no eigenvalue can escape to infinity
     sc = _scenario((sm.InterfererSpec("periodical_noise", doa_deg=30.0,
                                       power=1000.0),))
-    nf = theory.noise_free_pair(sc, mpb.maximin_bases(CODE))
+    bases = mpb.maximin_bases(CODE)
+    nf = theory.noise_free_pair(mpb.analytic_cov(sc, bases))
     assert not nf.has_infinite
     assert nf.infinite_count == 0
-    assert nf.geometric_bounded is True
+    assert theory.geometric_bounded(sc, bases) is True
 
 
 def test_noise_free_coherent_pair_unbounded():
     # two periodical-noise interferers repeat the same segment, so the
     # interference side collapses to rank one while the mixed side keeps a
     # second direction: exactly one eigenvalue escapes to infinity
-    nf = theory.noise_free_pair(_pn2(30.0), mpb.maximin_bases(CODE))
+    sc, bases = _pn2(30.0), mpb.maximin_bases(CODE)
+    nf = theory.noise_free_pair(mpb.analytic_cov(sc, bases))
     assert nf.has_infinite
     assert nf.infinite_count == 1
-    assert nf.geometric_bounded is False
+    assert theory.geometric_bounded(sc, bases) is False
 
 
 @pytest.mark.parametrize("make_bases", [mpb.papc_bases, mpb.maximin_bases])
@@ -494,9 +494,10 @@ def test_noise_free_incoherent_tones_bounded(make_bases):
     # bounded; one waveform space for both would claim "unbounded"
     ints = (sm.InterfererSpec("tone", doa_deg=30.0, power=1000.0, normalized_offset=0.05),
             sm.InterfererSpec("tone", doa_deg=-40.0, power=1000.0, normalized_offset=-0.13))
-    nf = theory.noise_free_pair(_scenario(ints), make_bases(CODE))
+    sc, bases = _scenario(ints), make_bases(CODE)
+    nf = theory.noise_free_pair(mpb.analytic_cov(sc, bases))
     assert not nf.has_infinite
-    assert nf.geometric_bounded is True
+    assert theory.geometric_bounded(sc, bases) is True
 
 
 def test_noise_free_routes_agree_on_random_periodic_draws():
@@ -515,22 +516,35 @@ def test_noise_free_routes_agree_on_random_periodic_draws():
             sm.InterfererSpec("periodical_noise", doa_deg=float(doa), power=1000.0)
             for doa in doas)
         bases = mpb.papc_bases(CODE) if draw % 2 else mpb.maximin_bases(CODE)
-        nf = theory.noise_free_pair(_scenario(ints, seed=int(rng.integers(1, 2 ** 31))), bases)
-        assert nf.has_infinite == (nf.geometric_bounded is False), (draw, ints)
+        sc = _scenario(ints, seed=int(rng.integers(1, 2 ** 31)))
+        nf = theory.noise_free_pair(mpb.analytic_cov(sc, bases))
+        assert nf.has_infinite == (theory.geometric_bounded(sc, bases) is False), (draw, ints)
         outcomes.add(nf.has_infinite)
     assert outcomes == {False, True}
 
 
 def test_noise_free_crawford_scale_invariant():
     # C_Y0 is INR-normalized: rebuilding with 100x interferer power matches
-    lo = theory.noise_free_pair(_pn2(10.0), mpb.maximin_bases(CODE)).c_y0
-    hi = theory.noise_free_pair(_pn2(30.0), mpb.maximin_bases(CODE)).c_y0
+    lo = theory.noise_free_pair(mpb.analytic_cov(_pn2(10.0), mpb.maximin_bases(CODE))).c_y0
+    hi = theory.noise_free_pair(mpb.analytic_cov(_pn2(30.0), mpb.maximin_bases(CODE))).c_y0
     assert abs(lo - hi) / hi < 1e-3
 
 
 def test_noise_free_requires_interferers():
     with pytest.raises(ValueError):
-        theory.noise_free_pair(_scenario(()), mpb.maximin_bases(CODE))
+        theory.noise_free_pair(mpb.analytic_cov(_scenario(()), mpb.maximin_bases(CODE)))
+
+
+@pytest.mark.parametrize("interferers", [
+    (sm.InterfererSpec("bpsk_white", doa_deg=30.0, power=1000.0),),
+    (sm.InterfererSpec("mai_multipath", doa_deg=30.0, power=1000.0, user_code=1,
+                       path_delays=(3, 5), path_doas=(30.0, -20.0)),),
+    (sm.InterfererSpec("periodical_noise", doa_deg=30.0, power=1000.0),
+     sm.InterfererSpec("bpsk_white", doa_deg=-40.0, power=1000.0)),
+    (),
+], ids=["white", "mai", "periodic+white", "none"])
+def test_geometric_route_needs_periodic_interferers(interferers):
+    assert theory.geometric_bounded(_scenario(interferers), mpb.maximin_bases(CODE)) is None
 
 
 # ---------- boundedness detection ----------
@@ -573,7 +587,7 @@ def test_gamma1_bound_holds_on_periodic_scenario():
     bases = mpb.maximin_bases(CODE)
     for inr_db in (10.0, 20.0, 30.0, 40.0):
         sc = _pn2(inr_db)
-        nf = theory.noise_free_pair(sc, bases)
+        nf = theory.noise_free_pair(mpb.analytic_cov(sc, bases))
         model = mpb.analytic_cov(sc, bases).at_snr(1.0)
         g1 = theory.gamma_spectrum(model.q_s, model.q_i, 2)[0]
         bound = theory.gamma1_lower_bound(nf.c_y0, 10.0 ** (inr_db / 10.0))
