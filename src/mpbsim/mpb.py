@@ -229,12 +229,6 @@ class AnalyticModel:
         return CovariancePair(self.r_s, self.r_i)
 
 
-def _coherent(rho_a: complex, rho_b: complex) -> bool:
-    # per-symbol phase increments must coincide for a cross term to survive
-    # the average over symbols
-    return abs(rho_a - rho_b) <= 1e-8
-
-
 def _phi_entries(paths, h_s: np.ndarray, h_i: np.ndarray, r_i_dim: int):
     """Unit-power projection covariances (Phi without the power weighting)."""
     d = len(paths)
@@ -259,7 +253,9 @@ def _phi_entries(paths, h_s: np.ndarray, h_i: np.ndarray, r_i_dim: int):
             if pi_.family != pj.family:
                 continue  # random data vs deterministic phase: mean zero
             if pi_.family == "periodic":
-                if _coherent(pi_.block_phase, pj.block_phase):
+                # a cross term survives the average over symbols only
+                # between paths that share one ramp
+                if sm.coherent(pi_.block_phase, pj.block_phase):
                     phi_s[i, j] = qs[i] * np.conj(qs[j])
                     phi_i[i, j] = np.vdot(qi[j], qi[i]) / r_i_dim
             else:  # mai x mai
@@ -280,7 +276,7 @@ def analytic_cov(scenario: sm.Scenario, bases: ProjectionBases) -> AnalyticModel
     White interferers contribute identity projection covariance on both
     channels; periodic ones (tones, repeated noise segments) contribute
     deterministic one-period projections with cross terms kept only between
-    phase-coherent pairs; multipath rays of one user contribute the
+    coherent pairs (sm.coherent); multipath rays of one user contribute the
     head/tail chip-overlap products of their shared data stream. All three
     are exact large-sample limits, not fits.
     """

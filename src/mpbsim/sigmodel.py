@@ -17,18 +17,23 @@ realization is shared by every point of a sweep. Per-symbol randomness
 (data bits, white chips) and receiver noise derive from counter-based
 Philox streams keyed by (seed, tag, mc_stream, index...), making synthesis
 a pure function of the scenario and independent of how work is
-partitioned. Every +-1 stream (SOI bits, MAI bits, white chips) is read by
-one helper, _bits, straight off the raw Philox words: bit i is the top bit
-of the i-th 32-bit half, low half first, which is the draw of
-Generator.integers(0, 2) on the same stream. The SOI-bit, MAI-bit and
-white-chip streams are the same in both synthesizers, so the signal part
-of projected_sum equals the sums of the projected full blocks to
-rounding; projected_sum builds it from the few scalar temporal sources
-the rows share rather than from the rows. Receiver noise is drawn where
-it is used: as L x N white chips in iter_blocks, and in projected_sum as
-one exact draw of the noise sums given the signal (complex Wishart,
-Goodman 1963, through Bartlett's decomposition, Bartlett 1933). Both give
-the same law of the sums, but they are different draws.
+partitioned. The +-1 streams are read straight off the raw Philox words.
+SOI and MAI bits go through _bits: bit i is the top bit of the i-th 32-bit
+half, low half first, which is the draw of Generator.integers(0, 2) on the
+same stream. A white path packs a whole symbol into one half word
+(_white_bits): chip n is bit n of the half shifted right by one, which is
+the draw of Generator.integers(0, 2**31, dtype=np.uint32). iter_blocks
+unpacks those chips; projected_sum never does, and looks up the projection
+of each byte of chips in a table instead. The streams are the same in both
+synthesizers, so the signal part of projected_sum equals the sums of the
+projected full blocks to rounding; projected_sum builds it from the few
+scalar temporal sources the rows share rather than from the rows. Two
+periodic paths share a source only when the one coherence rule, coherent,
+says so. Receiver noise is drawn where it is used: as L x N white chips in
+iter_blocks, and in projected_sum as one exact draw of the noise sums given
+the signal (complex Wishart, Goodman 1963, through Bartlett's
+decomposition, Bartlett 1933). Both give the same law of the sums, but
+they are different draws.
 """
 
 from __future__ import annotations
@@ -48,6 +53,8 @@ _TAG_MAI_BITS = 103
 _TAG_WHITE = 104
 _TAG_NOISE = 105
 _TAG_NOISE_SUMS = 107
+
+_WHITE_CHIPS = 31  # chips of a white symbol, packed into one 32-bit half word
 
 
 # -----------------------
@@ -221,7 +228,7 @@ class RealizedPath:
     family "periodic": the block-k row is waveform * block_phase^k.
     family "mai": the block-k row is b(k)*head + b(k-1)*tail where b is the
     +-1 stream identified by stream_index.
-    family "white": i.i.d. +-1 chips from stream_index.
+    family "white": i.i.d. +-1 chips from stream_index, 31 per half word.
     """
     family: str
     doa_deg: float
@@ -233,6 +240,19 @@ class RealizedPath:
     tail: np.ndarray | None = None
 
 
+def coherent(rho_a: complex, rho_b: complex) -> bool:
+    """Whether two periodic paths of block phases rho_a and rho_b are coherent.
+
+    This is the one coherence rule. projected_sum gives coherent paths one
+    temporal ramp, and the closed-form Phi (mpb) and the waveform route to
+    boundedness (theory) keep cross terms only between coherent paths. It
+    holds only for equal phases, so it never merges ramps that differ and
+    the simulation stays exact. realize_paths takes the block phase from
+    frac(f N), so every on-grid offset f = k/N gets exactly 1.
+    """
+    return rho_a == rho_b
+
+
 def _realization_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(
         np.random.SeedSequence([seed, _TAG_REALIZATION, index])))
@@ -242,18 +262,24 @@ def realize_paths(scenario: Scenario) -> list:
     """Expand interferers into directional paths with realizations drawn.
 
     Depends on the scenario seed only (not mc_stream), so every point of an
-    SNR sweep sees the same tone phases and noise segments.
+    SNR sweep sees the same tone phases and noise segments. A tone's block
+    phase e^{i 2 pi f N} is taken from the fractional part of f N, so an
+    integer f N gives exactly 1.
     """
     n = scenario.soi.processing_gain
     paths = []
     for idx, sp in enumerate(scenario.interferers):
         rng = _realization_rng(scenario.seed, idx)
         if sp.kind == "bpsk_white":
+            if n > _WHITE_CHIPS:
+                raise ValueError(f"bpsk_white packs at most {_WHITE_CHIPS} chips "
+                                 f"per symbol, got N = {n}")
             paths.append(RealizedPath("white", sp.doa_deg, sp.power, idx))
         elif sp.kind == "tone":
             phi0 = rng.uniform(0.0, 2.0 * math.pi)
             wave = np.exp(1j * (phi0 + 2.0 * math.pi * sp.normalized_offset * np.arange(n)))
-            rho = complex(np.exp(1j * 2.0 * math.pi * sp.normalized_offset * n))
+            cycles = sp.normalized_offset * n
+            rho = cmath.exp(2j * math.pi * (cycles - round(cycles)))
             paths.append(RealizedPath("periodic", sp.doa_deg, sp.power, idx,
                                       waveform=wave, block_phase=rho))
         elif sp.kind == "periodical_noise":
@@ -294,14 +320,15 @@ def _stream(scenario: Scenario, tag: int, *index: int) -> np.random.Generator:
 def _bits(rng: np.random.Generator, count: int) -> np.ndarray:
     """count 0/1 draws as float64: rng.integers(0, 2, size=count) of a fresh rng.
 
-    integers(0, 2) keeps the top bit of each 32-bit draw (Lemire's bounded
-    method never rejects for a range of two), and Philox serves its 32-bit
-    draws as the low, then the high half of each 64-bit word. The bits are
-    read straight off the raw words instead, as the signs of their halves
-    through a little-endian view, so that the order does not depend on the
-    machine's byte order. The rng must be fresh: integers would first spend
-    a half word left over from an earlier 32-bit draw, and random_raw does
-    not see it.
+    This serves the SOI and MAI bit streams; white chips are packed by
+    _white_bits. integers(0, 2) keeps the top bit of each 32-bit draw
+    (Lemire's bounded method never rejects for a range of two), and Philox
+    serves its 32-bit draws as the low, then the high half of each 64-bit
+    word. The bits are read straight off the raw words instead, as the
+    signs of their halves through a little-endian view, so that the order
+    does not depend on the machine's byte order. The rng must be fresh:
+    integers would first spend a half word left over from an earlier 32-bit
+    draw, and random_raw does not see it.
     """
     words = rng.bit_generator.random_raw((count + 1) // 2).astype("<u8", copy=False)
     return (words.view("<i4")[:count] < 0).astype(np.float64)
@@ -329,11 +356,45 @@ def _mai_bit_streams(scenario: Scenario, paths) -> dict:
 
 def _white_bits(scenario: Scenario, stream_index: int, batch_index: int,
                 count: int) -> np.ndarray:
-    """The 0/1 bits of a white path for one synthesis batch, shape (count, N);
-    its +-1 chips are 1 - 2 bits."""
+    """The packed chips of a white path for one synthesis batch, one uint32
+    per symbol: chip n of a symbol is 1 - 2 * (bit n of its word).
+
+    Symbol k takes the k-th 32-bit half of the raw Philox words, low half
+    first, shifted right by one. That is the draw of
+    integers(0, 2**31, dtype=np.uint32) on the same fresh stream: Lemire's
+    method keeps the top 31 bits of each 32-bit draw and never rejects for
+    a power-of-two range. So one raw word carries two symbols, and the
+    dropped low bit of each half reaches no chip.
+    """
     rng = _stream(scenario, _TAG_WHITE, stream_index, batch_index)
-    n = scenario.soi.processing_gain
-    return _bits(rng, count * n).reshape(count, n)
+    words = rng.bit_generator.random_raw((count + 1) // 2).astype("<u8", copy=False)
+    return words.view("<u4")[:count] >> 1
+
+
+def _chip_bytes(packed: np.ndarray) -> np.ndarray:
+    """The four bytes of each packed symbol, shape (count, 4), chips 0-7 first."""
+    return packed.astype("<u4", copy=False).view(np.uint8).reshape(-1, 4)
+
+
+def _unpack_chips(packed: np.ndarray, n: int) -> np.ndarray:
+    """The +-1 chips of packed symbols, shape (count, n)."""
+    bits = np.unpackbits(_chip_bytes(packed), axis=1, bitorder="little")
+    return 1.0 - 2.0 * bits[:, :n]
+
+
+def _chip_tables(proj: np.ndarray) -> np.ndarray:
+    """Projections of every byte of chips onto an N x M basis, (4, M, 256).
+
+    Entry [j, :, v] is sum_b (1 - 2 * bit b of v) * proj[8 j + b] over the
+    chips 8 j + b < N, so the projection chips @ proj of a packed symbol is
+    the sum of the four entries its bytes pick. Bit 31 of a packed symbol,
+    and every bit past N, meets a zero row and reaches no chip.
+    """
+    padded = np.zeros((32, proj.shape[1]), dtype=np.complex128)
+    padded[:proj.shape[0]] = proj
+    signs = 1.0 - 2.0 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
+                                      axis=1, bitorder="little")
+    return np.stack([(signs @ padded[8 * j:8 * j + 8]).T for j in range(4)])
 
 
 def _check_include(include) -> None:
@@ -378,7 +439,7 @@ def iter_blocks(scenario: Scenario, include=("soi", "interference", "noise")):
             for pi, p in enumerate(paths):
                 amp = math.sqrt(p.power)
                 if p.family == "white":
-                    s = 1.0 - 2.0 * _white_bits(scenario, p.stream_index, bi, nb)
+                    s = _unpack_chips(_white_bits(scenario, p.stream_index, bi, nb), n)
                 elif p.family == "periodic":
                     rho_k = np.exp(1j * cmath.phase(p.block_phase) * np.arange(k0, k0 + nb))
                     s = rho_k[:, None] * p.waveform[None, :]
@@ -431,11 +492,15 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
     sources are shared where the rows share a stream:
       - the SOI bits;
       - b(k) and b(k-1) of each MAI user, for all of that user's rays;
-      - one ramp e^{i phi k} per exactly equal block phase phi of the
-        periodic paths, the constant 1 when phi = 0;
+      - one ramp e^{i phi k} per class of coherent periodic paths (the
+        rule coherent: equal block phases e^{i phi}), the constant 1 when
+        phi = 0, as for every on-grid tone and all periodical noise;
       - the M projected chip rows of each white path.
     So G = U Z U^H with Z = sum_k z z^H, and a symbol costs q^2 work
-    instead of (P M)^2, plus N M for each white path's chips. The streams
+    instead of (P M)^2. A white path's chips are never unpacked: its M
+    rows are the sum of four lookups, one per byte of its packed symbol,
+    in tables of exact +-1 projections that are built once per call from
+    the basis and shared by every white path (_chip_tables). The streams
     are those of iter_blocks, and the signal part agrees with the sums of
     the projected full blocks to rounding.
 
@@ -489,21 +554,22 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
         if path.family == "white":
             load(("white", path.stream_index), p, amp * np.eye(m))
         elif path.family == "periodic":
-            load(("ramp", cmath.phase(path.block_phase)), p,
-                 amp * (path.waveform @ proj)[:, None])
+            key = next((k for k in loads if k[0] == "ramp"
+                        and coherent(k[1], path.block_phase)), ("ramp", path.block_phase))
+            load(key, p, amp * (path.waveform @ proj)[:, None])
         else:  # mai: b(k) on the head, b(k-1) on the tail
             load(("mai", path.stream_index, 0), p, amp * (path.head @ proj)[:, None])
             load(("mai", path.stream_index, 1), p, amp * (path.tail @ proj)[:, None])
-    # chips @ proj as a real matmul on 0/1 bits: colsum(proj) - 2 bits @ proj
-    proj_ri = np.ascontiguousarray(proj).view(np.float64)
-    colsum = proj.sum(axis=0)
     gram = np.zeros((pm, pm), dtype=np.complex128)
     if loads:
         u = np.hstack(list(loads.values()))
+        if any(key[0] == "white" for key in loads):
+            tables = _chip_tables(proj)
         # e^{i phi (k0 + j)} = e^{i phi k0} e^{i phi j}: the exps of one batch
         # serve every batch. Equal to the complex power of the unit-modulus
         # block phase to rounding, and exactly 1 for phi = 0.
-        steps = {key[1]: np.exp(1j * key[1] * np.arange(min(BATCH, scenario.symbols)))
+        j = np.arange(min(BATCH, scenario.symbols))
+        steps = {key[1]: np.exp(1j * cmath.phase(key[1]) * j)
                  for key in loads if key[0] == "ramp"}
         z_gram = np.zeros((u.shape[1], u.shape[1]), dtype=np.complex128)
         for bi, k0 in enumerate(range(0, scenario.symbols, BATCH)):
@@ -513,13 +579,13 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
                 if key[0] == "soi":
                     z.append(bits0[k0:k0 + nb])
                 elif key[0] == "ramp":
-                    z.append(cmath.exp(1j * key[1] * k0) * steps[key[1]][:nb])
+                    z.append(cmath.exp(1j * cmath.phase(key[1]) * k0) * steps[key[1]][:nb])
                 elif key[0] == "mai":
                     lag = key[2]  # entry 0 of the stream is b(-1)
                     z.append(mai_bits[key[1]][k0 + 1 - lag:k0 + nb + 1 - lag])
                 else:  # white
-                    bits = _white_bits(scenario, key[1], bi, nb)
-                    z.append((colsum - 2.0 * (bits @ proj_ri).view(np.complex128)).T)
+                    octets = _chip_bytes(_white_bits(scenario, key[1], bi, nb))
+                    z.append(sum(np.take(tables[b], octets[:, b], axis=1) for b in range(4)))
             z = np.vstack(z)
             z_gram += z @ z.conj().T
         gram = u @ z_gram @ u.conj().T

@@ -371,18 +371,19 @@ def geometric_bounded(scenario: sm.Scenario, bases: mpb.ProjectionBases) -> bool
     """The waveform route to boundedness, independent of noise_free_pair.
 
     Defined only when every interferer is periodic (None otherwise, and for
-    a scenario without interferers). Phi has no cross terms between paths
-    of different block phase (mpb._coherent), so with A_I of full column
-    rank the pencil splits by coherence class, and the pair is bounded iff
-    every class passes boundedness_criterion on its own waveform space. One
-    space for all paths is right only when they share one block phase.
+    a scenario without interferers). Phi has cross terms only between
+    coherent paths (sm.coherent, the rule the simulation shares), so with
+    A_I of full column rank the pencil splits by coherence class, and the
+    pair is bounded iff every class passes boundedness_criterion on its own
+    waveform space. One space for all paths is right only when they form
+    one class.
     """
     kinds = [sp.kind for sp in scenario.interferers]
     if not kinds or not all(k in ("tone", "periodical_noise") for k in kinds):
         return None
     classes = {}  # block phase of a class's first path -> the class's waveforms
     for p in sm.realize_paths(scenario):
-        key = next((k for k in classes if mpb._coherent(k, p.block_phase)),
+        key = next((k for k in classes if sm.coherent(k, p.block_phase)),
                    p.block_phase)
         classes.setdefault(key, []).append(p.waveform)
     return all(boundedness_criterion(bases.h_s, bases.h_i, np.stack(w, axis=1))

@@ -166,9 +166,9 @@ def test_projected_noise_second_moments():
 def test_sample_covariance_error_halves_per_decade():
     """Sample R_S approaches the analytic covariance at the 1/sqrt(K) rate.
 
-    The max-entry error is an extreme-value statistic, so the decade ratio
-    of a random draw scatters around 1/sqrt(10); the fixture seed pins a
-    representative draw and keeps the check deterministic.
+    The statistic is the RMS Frobenius error over 64 seeds, whose decade
+    ratio concentrates at 1/sqrt(10); the ratio of a single draw scatters
+    too widely to test.
     """
     bases = mpb.maximin_bases(CODE)
     inter = (sm.InterfererSpec("bpsk_white", doa_deg=30.0, power=100.0),)
@@ -176,9 +176,10 @@ def test_sample_covariance_error_halves_per_decade():
     target = model.sigma_s0_sq * np.outer(model.a0, model.a0.conj()) + model.q_s
     errs = []
     for k in (1_000, 10_000, 100_000):
-        sc = _scenario(interferers=inter, symbols=k, seed=34)
-        x_s, x_i = mpb.snapshots(sm.synth_blocks(sc), bases)
-        errs.append(np.abs(mpb.estimate_cov_pair(x_s, x_i).r_s - target).max())
+        sq = [np.linalg.norm(mpb.accumulate_cov_pair(
+            _scenario(interferers=inter, symbols=k, seed=seed), bases).r_s - target) ** 2
+            for seed in range(1, 65)]
+        errs.append(np.sqrt(np.mean(sq)))
     for big, small in zip(errs, errs[1:]):
         assert 0.25 <= small / big <= 0.45, errs
 

@@ -1,4 +1,7 @@
+import cmath
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -156,6 +159,20 @@ def test_interferer_unit_power_all_kinds():
         assert 0.98 <= p <= 1.02, (spec.kind, p)
 
 
+def test_block_phase_is_exactly_one_on_the_grid():
+    """Every on-grid offset k/31 has block phase exactly 1; off the grid the
+    phase is e^{i 2 pi f N} to 1e-15. The reference reduces f N modulo 1 in
+    exact rational arithmetic."""
+    for k in range(-15, 16):
+        tone = sm.InterfererSpec("tone", normalized_offset=k / 31.0)
+        assert sm.realize_paths(_wave_scenario((tone,)))[0].block_phase == 1.0 + 0.0j, k
+    for f in (0.05, -0.13, 0.37, 0.45, -0.4999, 1e-3, 1 / 62, 2 / 31 + 1e-9):
+        tone = sm.InterfererSpec("tone", normalized_offset=f)
+        rho = sm.realize_paths(_wave_scenario((tone,)))[0].block_phase
+        ref = cmath.exp(2j * math.pi * float(Fraction(f * 31) % 1))
+        assert abs(rho - ref) < 1e-15, (f, abs(rho - ref))
+
+
 # ---------- block synthesis ----------
 
 def _scenario(**over):
@@ -236,14 +253,38 @@ def test_iter_blocks_batch_starts():
 
 @pytest.mark.parametrize("count", [sm.BATCH, 1697, 3, 1])
 def test_white_bits_are_the_integers_stream(count):
-    """The white chips read off the raw Philox words equal numpy's
-    integers(0, 2) draw from the same stream. Odd counts leave the last half
+    """The packed white chips read off the raw Philox words equal numpy's
+    integers(0, 2**31) draw from the same stream, one draw per symbol, and
+    chip n of a symbol is bit n of its draw. Odd counts leave the last half
     word unused. numpy is the reference, so a numpy that changes integers
     fails here."""
     sc = _scenario()
-    got = 1.0 - 2.0 * sm._white_bits(sc, 2, 5, count)
+    packed = sm._white_bits(sc, 2, 5, count)
     rng = sm._stream(sc, sm._TAG_WHITE, 2, 5)
-    assert np.array_equal(got, 1 - 2 * rng.integers(0, 2, size=(count, 31)))
+    ref = rng.integers(0, 2**31, size=count, dtype=np.uint32)
+    assert np.array_equal(packed, ref)
+    bits = (ref[:, None] >> np.arange(31, dtype=np.uint32)) & 1
+    assert np.array_equal(sm._unpack_chips(packed, 31), 1 - 2 * bits.astype(np.int64))
+
+
+def test_chip_tables_are_exact_byte_projections():
+    """The four byte-table lookups of a packed symbol sum to its unpacked
+    chips times basis*, for all 256 values in each byte position, and bit 31
+    of a packed symbol reaches no chip."""
+    basis = _complex_basis(42, m=3)
+    tables = sm._chip_tables(basis.conj())
+    values = np.arange(256, dtype=np.uint32)
+    rest = np.uint32(0x5A3C96E1)  # the other bytes
+    for j in range(4):
+        byte = np.uint32(255 << 8 * j)
+        packed = (rest & ~byte) | (values << np.uint32(8 * j))
+        octets = sm._chip_bytes(packed)
+        got = sum(tables[i][:, octets[:, i]] for i in range(4)).T
+        ref = sm._unpack_chips(packed, 31) @ basis.conj()
+        assert np.abs(got - ref).max() < 1e-13, j
+    top = np.uint32(1 << 31)
+    assert np.array_equal(tables[3, :, 128:], tables[3, :, :128])
+    assert np.array_equal(sm._unpack_chips(values | top, 31), sm._unpack_chips(values, 31))
 
 
 def test_soi_and_mai_bits_are_the_integers_stream():

@@ -500,6 +500,52 @@ def test_noise_free_incoherent_tones_bounded(make_bases):
     assert theory.geometric_bounded(sc, bases) is True
 
 
+def test_one_coherence_rule_for_simulation_and_theory(monkeypatch):
+    """projected_sum, the closed-form Phi and the waveform route all group
+    tones by sm.coherent.
+
+    fig4c's five on-grid offsets k/31 form one class everywhere: Phi keeps
+    every cross term and both boundedness routes say "unbounded". Two tones
+    whose offsets differ by 1e-12 have block phases that differ, so no
+    consumer merges them: Phi has no cross term between them, and the
+    simulation of both stays exact against the full blocks.
+    """
+    on_grid = tuple(sm.InterfererSpec("tone", doa_deg=d, power=1000.0, normalized_offset=f)
+                    for d, f in zip((-60.0, -20.0, 10.0, 35.0, 65.0),
+                                    (1 / 31, -3 / 31, 0.0, 4 / 31, -1 / 31)))
+    near = (sm.InterfererSpec("tone", doa_deg=30.0, power=1000.0, normalized_offset=0.05),
+            sm.InterfererSpec("tone", doa_deg=-40.0, power=1000.0,
+                              normalized_offset=0.05 + 1e-12))
+    bases = mpb.maximin_bases(CODE)
+    basis = np.column_stack([bases.h_s, bases.h_i])
+    rule, asked = sm.coherent, []
+
+    def spy(rho_a, rho_b):
+        asked.append(rule(rho_a, rho_b))
+        return asked[-1]
+
+    monkeypatch.setattr(sm, "coherent", spy)
+    for ints, merged in ((on_grid, True), (near, False)):
+        sc = _scenario(ints)
+        for consumer in (lambda: sm.projected_sum(sc, basis, include=("interference",)),
+                         lambda: mpb.analytic_cov(sc, bases),
+                         lambda: theory.geometric_bounded(sc, bases)):
+            asked.clear()
+            consumer()
+            assert asked and all(asked) == merged
+        model = mpb.analytic_cov(sc, bases)
+        assert np.all((model.phi_s0 != 0) == (merged or np.eye(len(ints), dtype=bool)))
+    sc = _scenario(near)
+    y = sm.synth_blocks(sc, include=("interference",)) @ basis.conj()
+    stacked = y.transpose(0, 2, 1).reshape(y.shape[0], -1)
+    ref = stacked.T @ stacked.conj()
+    got = sm.projected_sum(sc, basis, include=("interference",))
+    assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
+    sc = _scenario(on_grid)
+    assert theory.geometric_bounded(sc, bases) is False
+    assert theory.noise_free_pair(mpb.analytic_cov(sc, bases)).has_infinite
+
+
 def test_noise_free_routes_agree_on_random_periodic_draws():
     """The null-space and geometric routes agree on every draw: 120
     mixtures of random-offset tones and periodical noise, D in {1, 2, 3, 5}
