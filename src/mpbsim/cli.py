@@ -53,6 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> harness.ExperimentConfig:
+    if args.workers < 1:
+        raise harness.ConfigError(f"--workers must be >= 1, got {args.workers}")
     if args.config and args.preset:
         raise harness.ConfigError("give either --config or --preset, not both")
     if args.config:

@@ -467,14 +467,18 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
     Deterministic for a fixed (config, seed) regardless of worker count:
     every point derives its own RNG streams from (seed, point index) and
     rows are emitted in grid order. Failed points get region "Error", keep
-    their error on the row, and the sweep continues.
+    their error on the row, and the sweep continues. The pool never holds
+    more workers than there are points.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     probe = _probe(config)
     grid_lin = [10.0 ** (s / 10.0) for s in config.snr_grid_db]
     curve = theory.operating_curve(probe.model, probe.thresholds(grid_lin), grid_lin)
     payloads = [(config, probe.bases, probe.model, i, s)
                 for i, s in enumerate(config.snr_grid_db)]
-    if workers <= 1:
+    workers = min(workers, len(payloads))
+    if workers == 1:
         results = [_sweep_point(p) for p in payloads]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

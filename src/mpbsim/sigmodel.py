@@ -20,25 +20,30 @@ a pure function of the scenario and independent of how work is
 partitioned. The +-1 streams are read straight off the raw Philox words.
 SOI and MAI bits go through _bits: bit i is the top bit of the i-th 32-bit
 half, low half first, which is the draw of Generator.integers(0, 2) on the
-same stream. A white path packs a whole symbol into one half word
-(_white_bits): chip n is bit n of the half shifted right by one, which is
-the draw of Generator.integers(0, 2**31, dtype=np.uint32). iter_blocks
-unpacks those chips; projected_sum never does, and looks up the projection
-of each byte of chips in a table instead. The streams are the same in both
+same stream. _bits keeps them as booleans, true where the bit is -1.
+iter_blocks multiplies by them as +-1 floats (soi_bits, _mai_bit_streams);
+projected_sum reads the booleans (_soi_negs, _mai_negs). A white path packs
+a whole symbol into one half word (_white_bits): chip n is bit n of the
+half shifted right by one, which is the draw of
+Generator.integers(0, 2**31, dtype=np.uint32). iter_blocks unpacks those
+chips; projected_sum never does, and looks up the projection of each byte
+of chips in a table instead. The streams are the same in both
 synthesizers, so the signal part of projected_sum equals the sums of the
-projected full blocks to rounding; projected_sum builds it from the few
-scalar temporal sources the rows share rather than from the rows. Two
-periodic paths share a source only when the one coherence rule, coherent,
-says so. Receiver noise is drawn where it is used: as L x N white chips in
-iter_blocks, and in projected_sum as one exact draw of the noise sums given
-the signal (complex Wishart, Goodman 1963, through Bartlett's
-decomposition, Bartlett 1933). Both give the same law of the sums, but
-they are different draws.
+projected full blocks to rounding. projected_sum builds it from the few
+scalar temporal sources the rows share rather than from the rows, and
+when every source is +-1 or constant it counts where the sources agree in
+sign instead of summing symbol by symbol. Two periodic paths share a
+source only when the one coherence rule, coherent, says so. Receiver noise
+is drawn where it is used: as L x N white chips in iter_blocks, and in
+projected_sum as one exact draw of the noise sums given the signal
+(complex Wishart, Goodman 1963, through Bartlett's decomposition, Bartlett
+1933). Both give the same law of the sums, but they are different draws.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -318,7 +323,8 @@ def _stream(scenario: Scenario, tag: int, *index: int) -> np.random.Generator:
 
 
 def _bits(rng: np.random.Generator, count: int) -> np.ndarray:
-    """count 0/1 draws as float64: rng.integers(0, 2, size=count) of a fresh rng.
+    """count bits of a fresh rng as booleans, equal to
+    rng.integers(0, 2, size=count); a set bit stands for the +-1 value -1.
 
     This serves the SOI and MAI bit streams; white chips are packed by
     _white_bits. integers(0, 2) keeps the top bit of each 32-bit draw
@@ -331,27 +337,38 @@ def _bits(rng: np.random.Generator, count: int) -> np.ndarray:
     draw, and random_raw does not see it.
     """
     words = rng.bit_generator.random_raw((count + 1) // 2).astype("<u8", copy=False)
-    return (words.view("<i4")[:count] < 0).astype(np.float64)
+    return words.view("<i4")[:count] < 0
+
+
+def _soi_negs(scenario: Scenario) -> np.ndarray:
+    """Where the SOI data stream is -1, K booleans (pinned bits win)."""
+    if scenario.soi.bits is not None:
+        if len(scenario.soi.bits) < scenario.symbols:
+            raise ValueError("pinned bits shorter than scenario.symbols")
+        return scenario.soi.bits[:scenario.symbols] < 0
+    return _bits(_stream(scenario, _TAG_SOI_BITS, 0), scenario.symbols)
 
 
 def soi_bits(scenario: Scenario) -> np.ndarray:
-    """The +-1 SOI data stream for this scenario (pinned bits win)."""
-    if scenario.soi.bits is not None:
-        bits = np.asarray(scenario.soi.bits, dtype=np.float64)
-        if len(bits) < scenario.symbols:
-            raise ValueError("pinned bits shorter than scenario.symbols")
-        return bits[:scenario.symbols]
-    return 1.0 - 2.0 * _bits(_stream(scenario, _TAG_SOI_BITS, 0), scenario.symbols)
+    """The +-1 SOI data stream for this scenario (pinned bits win), as float64.
+
+    iter_blocks multiplies the blocks by it; projected_sum reads the same
+    stream as booleans (_soi_negs) and never forms this array.
+    """
+    return 1.0 - 2.0 * _soi_negs(scenario)
+
+
+def _mai_negs(scenario: Scenario, paths) -> dict:
+    """Where each MAI user's stream is -1: K+1 booleans per interferer index
+    (entry 0 = b(-1))."""
+    users = dict.fromkeys(p.stream_index for p in paths if p.family == "mai")
+    return {i: _bits(_stream(scenario, _TAG_MAI_BITS, i), scenario.symbols + 1)
+            for i in users}
 
 
 def _mai_bit_streams(scenario: Scenario, paths) -> dict:
     """One +-1 stream of length K+1 per MAI interferer index (entry 0 = b(-1))."""
-    streams = {}
-    for p in paths:
-        if p.family == "mai" and p.stream_index not in streams:
-            streams[p.stream_index] = 1.0 - 2.0 * _bits(
-                _stream(scenario, _TAG_MAI_BITS, p.stream_index), scenario.symbols + 1)
-    return streams
+    return {i: 1.0 - 2.0 * neg for i, neg in _mai_negs(scenario, paths).items()}
 
 
 def _white_bits(scenario: Scenario, stream_index: int, batch_index: int,
@@ -476,6 +493,78 @@ def _wishart_factor(rng: np.random.Generator, dim: int, dof: int) -> np.ndarray:
     return low
 
 
+def _count_gram(keys, negs: dict, k_total: int) -> np.ndarray:
+    """Z = sum_k z z^H of projected_sum's sources when each is +-1 or the
+    constant 1: the keys in negs are +-1 and read from where they are -1,
+    and the one other key is the constant ramp.
+
+    A product of two such sources is -1 exactly where one of them is, so
+    Z_ab = K - 2 count(neg_a xor neg_b), and the diagonal is K. These are
+    the integers _batch_gram reaches by summing the products in float64, so
+    the two give the same complex128 matrix, bit for bit.
+    """
+    never = np.zeros(k_total, dtype=bool)  # the constant 1 is never -1
+    flips = [negs.get(key, never) for key in keys]
+    z_gram = np.full((len(keys), len(keys)), k_total, dtype=np.complex128)
+    for a, b in itertools.combinations(range(len(keys)), 2):
+        z_gram[a, b] = z_gram[b, a] = k_total - 2 * np.count_nonzero(flips[a] ^ flips[b])
+    return z_gram
+
+
+def _batch_gram(scenario: Scenario, keys, negs: dict, proj: np.ndarray) -> np.ndarray:
+    """Z = sum_k z z^H of projected_sum's sources, summed batch by batch.
+
+    keys name the sources in the order of U's columns: "soi" and "mai" keys
+    are read from negs and made +-1 one batch slice at a time, a "ramp" key
+    holds its block phase, and a "white" key stands for the M projected chip
+    rows of one white path.
+    """
+    if any(key[0] == "white" for key in keys):
+        tables = _chip_tables(proj)
+    # e^{i phi (k0 + j)} = e^{i phi k0} e^{i phi j}: the exps of one batch
+    # serve every batch. Equal to the complex power of the unit-modulus
+    # block phase to rounding, and exactly 1 for phi = 0.
+    j = np.arange(min(BATCH, scenario.symbols))
+    steps = {key[1]: np.exp(1j * cmath.phase(key[1]) * j)
+             for key in keys if key[0] == "ramp"}
+    m = proj.shape[1]
+    width = sum(m if key[0] == "white" else 1 for key in keys)
+
+    def buffers(cols):
+        # z, its conjugate and one white lookup, filled in place batch by
+        # batch: arrays allocated per batch are large enough to be mapped
+        # and faulted in anew on every batch
+        return (np.empty((rows, cols), dtype=np.complex128) for rows in (width, width, m))
+
+    z_gram = np.zeros((width, width), dtype=np.complex128)
+    z, z_conj, lookup = buffers(len(j))
+    for bi, k0 in enumerate(range(0, scenario.symbols, BATCH)):
+        nb = min(BATCH, scenario.symbols - k0)
+        if nb < z.shape[1]:
+            z, z_conj, lookup = buffers(nb)
+        row = 0
+        for key in keys:
+            if key[0] == "white":
+                # the sum from 0 of the four byte lookups; mode "clip" writes
+                # out unbuffered, and a byte never leaves a 256-entry table
+                octets = _chip_bytes(_white_bits(scenario, key[1], bi, nb))
+                chips = z[row:row + m]
+                chips[...] = 0.0
+                for b in range(4):
+                    np.take(tables[b], octets[:, b], axis=1, out=lookup, mode="clip")
+                    chips += lookup
+                row += m
+            elif key in negs:
+                z[row] = 1.0 - 2.0 * negs[key][k0:k0 + nb]
+                row += 1
+            else:  # ramp
+                z[row] = cmath.exp(1j * cmath.phase(key[1]) * k0) * steps[key[1]][:nb]
+                row += 1
+        np.conjugate(z, out=z_conj)
+        z_gram += z @ z_conj.T
+    return z_gram
+
+
 def projected_sum(scenario: Scenario, basis: np.ndarray,
                   include=("soi", "interference", "noise")) -> np.ndarray:
     """S = sum_k y(k) y(k)^H over all K symbols, an (L M) x (L M) matrix.
@@ -496,13 +585,27 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
         rule coherent: equal block phases e^{i phi}), the constant 1 when
         phi = 0, as for every on-grid tone and all periodical noise;
       - the M projected chip rows of each white path.
-    So G = U Z U^H with Z = sum_k z z^H, and a symbol costs q^2 work
-    instead of (P M)^2. A white path's chips are never unpacked: its M
-    rows are the sum of four lookups, one per byte of its packed symbol,
-    in tables of exact +-1 projections that are built once per call from
-    the basis and shared by every white path (_chip_tables). The streams
-    are those of iter_blocks, and the signal part agrees with the sums of
-    the projected full blocks to rounding.
+    So G = U Z U^H with Z = sum_k z z^H. The streams are those of
+    iter_blocks, and the signal part agrees with the sums of the projected
+    full blocks to rounding. Z is summed one of two ways:
+      - Counted (_count_gram), when every source is +-1 (SOI bits, b(k),
+        b(k-1)) or the constant 1, as on periodical noise, on-grid tones
+        and MAI. Each entry is K minus twice the number of symbols where
+        exactly one of its two sources is -1, read off the boolean streams
+        (_soi_negs, _mai_negs). No source is formed as floats.
+      - Per symbol (_batch_gram), when any source is a white path or a
+        ramp that is not constant. It sums z z^H over batches of BATCH
+        symbols, so a symbol costs q^2 work instead of (P M)^2. A white
+        path's chips are never unpacked: its M rows are the sum of four
+        lookups, one per byte of its packed symbol, in tables of exact +-1
+        projections that are built once per call from the basis and shared
+        by every white path (_chip_tables).
+    The two ways give the same bytes. The batch loop sums products of +-1
+    and 1 in float64, so every partial sum of a counted source set is an
+    exact integer below 2^53, whatever the order. The loop is kept whole
+    where it is taken: summing the same product in other blocks would move
+    its rounding, and eigh(G) below turns rounding into visible moves of
+    the draw.
 
     Receiver noise is never drawn symbol by symbol. Per symbol it is
     sigma * C z(k), with C = chol(B^H B) kron I_L and z(k) ~ CN(0, I_LM): white
@@ -535,10 +638,13 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
     paths = realize_paths(scenario) if "interference" in include else []
     want_soi = "soi" in include
     steer = steering_matrix(paths, geo)
+    negs = {}  # +-1 source key -> where it is -1, K booleans
     if want_soi:
-        bits0 = soi_bits(scenario)
+        negs[("soi",)] = _soi_negs(scenario)
         steer = np.column_stack([steering(scenario.soi.doa_deg, geo), steer])
-    mai_bits = _mai_bit_streams(scenario, paths)
+    for i, neg in _mai_negs(scenario, paths).items():
+        negs[("mai", i, 0)] = neg[1:]  # b(k); entry 0 of the stream is b(-1)
+        negs[("mai", i, 1)] = neg[:-1]  # b(k-1)
     pm = steer.shape[1] * m
     loads = {}  # source key -> U's columns for it, (P M) x (1, or M for a white path)
 
@@ -563,31 +669,11 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
     gram = np.zeros((pm, pm), dtype=np.complex128)
     if loads:
         u = np.hstack(list(loads.values()))
-        if any(key[0] == "white" for key in loads):
-            tables = _chip_tables(proj)
-        # e^{i phi (k0 + j)} = e^{i phi k0} e^{i phi j}: the exps of one batch
-        # serve every batch. Equal to the complex power of the unit-modulus
-        # block phase to rounding, and exactly 1 for phi = 0.
-        j = np.arange(min(BATCH, scenario.symbols))
-        steps = {key[1]: np.exp(1j * cmath.phase(key[1]) * j)
-                 for key in loads if key[0] == "ramp"}
-        z_gram = np.zeros((u.shape[1], u.shape[1]), dtype=np.complex128)
-        for bi, k0 in enumerate(range(0, scenario.symbols, BATCH)):
-            nb = min(BATCH, scenario.symbols - k0)
-            z = []
-            for key in loads:
-                if key[0] == "soi":
-                    z.append(bits0[k0:k0 + nb])
-                elif key[0] == "ramp":
-                    z.append(cmath.exp(1j * cmath.phase(key[1]) * k0) * steps[key[1]][:nb])
-                elif key[0] == "mai":
-                    lag = key[2]  # entry 0 of the stream is b(-1)
-                    z.append(mai_bits[key[1]][k0 + 1 - lag:k0 + nb + 1 - lag])
-                else:  # white
-                    octets = _chip_bytes(_white_bits(scenario, key[1], bi, nb))
-                    z.append(sum(np.take(tables[b], octets[:, b], axis=1) for b in range(4)))
-            z = np.vstack(z)
-            z_gram += z @ z.conj().T
+        keys = list(loads)
+        if all(key in negs or key[0] == "ramp" and coherent(key[1], 1.0) for key in keys):
+            z_gram = _count_gram(keys, negs, scenario.symbols)
+        else:
+            z_gram = _batch_gram(scenario, keys, negs, proj)
         gram = u @ z_gram @ u.conj().T
     # T[(j, l), (p, j')] = steer[l, p] * (j == j')
     steer_all = np.einsum("lp,jk->jlpk", steer, np.eye(m)).reshape(big_l * m, pm)

@@ -291,6 +291,55 @@ def test_sweep_worker_count_invisible(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("workers, pool", [(1, None), (2, 2), (3, 3), (64, 3)])
+def test_sweep_pool_is_capped_at_the_point_count(workers, pool, monkeypatch):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    cfg = _tiny("fig4b-pn2", symbols=200, grid=(-10.0, 0.0, 10.0))
+    rows = harness.run_sweep(cfg, workers=workers)
+    assert _RecordingPool.sizes == ([] if pool is None else [pool])
+    assert rows == harness.run_sweep(cfg, workers=1)
+
+
+def test_sweep_single_point_runs_without_a_pool(monkeypatch):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    harness.run_sweep(_tiny("fig4b-pn2", symbols=200, grid=(0.0,)), workers=8)
+    assert _RecordingPool.sizes == []
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_sweep_rejects_fewer_than_one_worker(workers):
+    with pytest.raises(ValueError, match="workers"):
+        harness.run_sweep(_tiny("fig4b-pn2", symbols=200, grid=(0.0,)), workers=workers)
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_workers_below_one_is_exit_1(workers, tmp_path, capsys):
+    rc = cli.main(["sweep", "--preset", "fig4b-pn2", "--symbols", "200",
+                   "--workers", workers, "--out", str(tmp_path)])
+    assert rc == 1
+    assert f"config error: --workers must be >= 1, got {workers}" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
 # -----------------------
 # Patterns
 # -----------------------

@@ -358,6 +358,107 @@ def test_projected_sum_shared_sources_match_full_blocks():
     assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
 
 
+_PN = sm.InterfererSpec("periodical_noise", doa_deg=-15.0, power=12.0)
+_MAI_A = sm.InterfererSpec("mai_multipath", doa_deg=10.0, power=3.0, user_code=1,
+                           path_delays=(0, 7), path_doas=(10.0, -20.0))
+_MAI_B = sm.InterfererSpec("mai_multipath", doa_deg=-55.0, power=6.0, user_code=7,
+                           path_delays=(11,), path_doas=(35.0,))
+_ON_GRID = tuple(sm.InterfererSpec("tone", doa_deg=d, power=5.0, normalized_offset=f)
+                 for d, f in ((30.0, 1.0 / 31.0), (-50.0, -3.0 / 31.0), (-20.0, 0.0)))
+_PINNED = np.where(np.random.default_rng(12).random(2 * sm.BATCH + 17) < 0.5, -1.0, 1.0)
+
+# (interferers, include, pinned SOI bits?) of every source set the count
+# route serves
+_COUNTED = {
+    "soi+pn": ((_PN,), ("soi", "interference"), False),
+    "soi+on-grid-tones": (_ON_GRID, ("soi", "interference"), False),
+    "soi+mai": ((_MAI_A,), ("soi", "interference"), False),
+    "two-mai": ((_MAI_A, _MAI_B), ("soi", "interference", "noise"), False),
+    "pinned-soi+pn": ((_PN,), ("soi", "interference"), True),
+    "interference-only": ((_PN, _MAI_B), ("interference",), False),
+    "soi-only": ((_PN, _MAI_A), ("soi",), False),
+}
+
+
+def _spy(monkeypatch, name) -> list:
+    """Record (args, result) of every call of sm.<name>."""
+    calls, orig = [], getattr(sm, name)
+
+    def spy(*args):
+        result = orig(*args)
+        calls.append((args, result))
+        return result
+    monkeypatch.setattr(sm, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("symbols", [1, 2, 17, sm.BATCH, 2 * sm.BATCH + 17])
+@pytest.mark.parametrize("case", sorted(_COUNTED))
+def test_count_route_is_the_integer_gram(case, symbols, monkeypatch):
+    """On a source set of +-1 and constant sources, projected_sum counts Z
+    instead of running the batch loop. Z equals, exactly, the Gram of the
+    sources computed in integers from soi_bits and _mai_bit_streams, and
+    its bytes equal those of the batch loop on the same sources."""
+    interferers, include, pinned = _COUNTED[case]
+    soi = sm.SoiSpec(31, sm.gold31(0), power=2.0, bits=_PINNED if pinned else None)
+    sc = _scenario(symbols=symbols, interferers=interferers, soi=soi)
+    basis = _complex_basis(43)
+    counted = _spy(monkeypatch, "_count_gram")
+    looped = _spy(monkeypatch, "_batch_gram")
+    sm.projected_sum(sc, basis, include=include)
+    assert len(counted) == 1 and not looped
+    (keys, negs, k_total), z_gram = counted[0]
+    assert k_total == symbols
+
+    soi_bits = sm.soi_bits(sc).astype(np.int64)
+    if pinned:
+        assert np.array_equal(soi_bits, _PINNED[:symbols])
+    mai = {i: b.astype(np.int64)
+           for i, b in sm._mai_bit_streams(sc, sm.realize_paths(sc)).items()}
+    rows = []
+    for key in keys:
+        if key[0] == "soi":
+            rows.append(soi_bits)
+        elif key[0] == "mai":  # entry 0 of the stream is b(-1)
+            rows.append(mai[key[1]][1 - key[2]:symbols + 1 - key[2]])
+        else:
+            assert key[0] == "ramp" and key[1] == 1.0
+            rows.append(np.ones(symbols, dtype=np.int64))
+    rows = np.array(rows)
+    ref = rows @ rows.T
+    assert z_gram.dtype == np.complex128
+    assert np.array_equal(z_gram.real, ref) and not np.any(z_gram.imag)
+    loop = sm._batch_gram(sc, keys, negs, basis.conj())
+    assert np.array_equal(loop.view(np.uint64), z_gram.view(np.uint64))
+
+
+def test_count_route_exactly_when_every_source_is_pm1_or_constant(monkeypatch):
+    """The presets whose sources are all +-1 or constant (fig4b, fig4c,
+    fig4d, fig6) never enter the batch loop; white chips (fig4a) and a ramp
+    that is not constant do, and then nothing is counted."""
+    from mpbsim import harness, mpb
+
+    counted = _spy(monkeypatch, "_count_gram")
+    looped = _spy(monkeypatch, "_batch_gram")
+    for name, route in (("fig4a-bpsk3", looped), ("fig4b-pn2", counted),
+                        ("fig4c-tones5", counted), ("fig4d-mai3", counted),
+                        ("fig6-pn2", counted)):
+        config = harness.preset(name)
+        sc = harness.scenario_at(config, 10.0, stream=1)
+        sc = sm.Scenario(sc.geometry, sc.soi, sc.interferers, sc.noise_var,
+                         symbols=300, seed=sc.seed, mc_stream=1)
+        counted.clear()
+        looped.clear()
+        mpb.accumulate_cov_pair(sc, harness.bases_for(config))
+        assert len(route) == 1 and len(counted) + len(looped) == 1, name
+    off_grid = sm.InterfererSpec("tone", doa_deg=60.0, power=8.0, normalized_offset=0.05)
+    for ints in ((off_grid,), (_PN, off_grid, _MAI_A)):
+        counted.clear()
+        looped.clear()
+        sm.projected_sum(_scenario(symbols=300, interferers=ints), _complex_basis(44))
+        assert len(looped) == 1 and not counted, ints
+
+
 def test_iter_projected_matches_projected_blocks():
     """projected_sum's batched projection equals the full blocks times basis*,
     batch by batch.
