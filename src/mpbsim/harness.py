@@ -12,6 +12,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -312,8 +313,12 @@ def preset_names() -> list:
 # -----------------------
 
 def scenario_at(config: ExperimentConfig, snr_db: float,
-                stream: int = 0) -> sm.Scenario:
-    """Linear-unit Scenario for one sweep point; stream keys the per-point RNG."""
+                stream: int = 0, paths=None) -> sm.Scenario:
+    """Linear-unit Scenario for one sweep point; stream keys the per-point RNG.
+
+    paths are the config's realized interferer paths when drawn already
+    (sm.Scenario.paths).
+    """
     try:
         geom = sm.ArrayGeometry(config.element_count, config.element_spacing)
         code = sm.gold31(config.gold_index)
@@ -328,7 +333,7 @@ def scenario_at(config: ExperimentConfig, snr_db: float,
                 user_code=ic.user_code, path_delays=ic.path_delays,
                 path_doas=ic.path_doas, path_gains=ic.path_gains))
         return sm.Scenario(geom, soi, tuple(ints), NOISE_VAR, config.symbols,
-                           config.seed, stream)
+                           config.seed, stream, paths)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -405,8 +410,10 @@ def write_sweep_csv(rows, path) -> None:
 class _Probe:
     """A config's 0 dB probe: its scenario, bases, analytic model and gamma_1.
 
-    gamma_1, G_U and the thresholds do not depend on the SOI power, so one
-    probe serves every SNR of a sweep, the eigencurves and the report.
+    gamma_1, G_U and the thresholds do not depend on the SOI power, nor the
+    interferer paths (drawn once, carried by the scenario) on anything but
+    the seed, so one probe serves every SNR of a sweep, the eigencurves and
+    the report.
     """
     scenario: sm.Scenario
     bases: mpb.ProjectionBases
@@ -418,9 +425,9 @@ class _Probe:
         SNR of snr_lin (any SNR when None) lies at or below SNR_T2."""
         m = self.model
         th = theory.thresholds(self.gamma1, m.beta, m.processing_gain, m.a0.shape[0],
-                               theory.g_upper(m.q_s, m.q_i, m.a0))
+                               theory.g_upper(m.q_s, m.q_i, m.a0, qs_quad=m.qs_quad))
         if th.snr_t0 > 0.0 and (snr_lin is None or any(s <= th.snr_t2 for s in snr_lin)):
-            th = replace(th, g_l=theory.g_lower_oracle(m))
+            th = replace(th, g_l=theory.g_lower_oracle(m, gamma1=self.gamma1))
         return th
 
 
@@ -431,33 +438,78 @@ def _gamma1(model: mpb.AnalyticModel) -> float:
 
 def _probe(config: ExperimentConfig) -> _Probe:
     scenario = scenario_at(config, 0.0, stream=0)
+    scenario = replace(scenario, paths=sm.realize_paths(scenario))
     bases = bases_for(config)
     model = mpb.analytic_cov(scenario, bases)
     return _Probe(scenario, bases, model, _gamma1(model))
 
 
+_NUMERIC_ERRORS = (la.LinAlgError, ValueError, ArithmeticError)
+
+
+def _error(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _over_grid(solve, points) -> list:
+    """solve over all points in one stacked call, or each point alone.
+
+    points holds one argument tuple per point. solve takes one point's
+    arguments, or each argument stacked over the points, and returns a list
+    with one value per point. If the stacked call raises, solve runs on
+    every point alone: a failed point's entry is then its exception, as it
+    would be raised for that point alone, and every other point keeps its
+    value. A slice of a stack equals its point solved alone, bit for bit.
+    """
+    if not points:
+        return []
+    try:
+        return solve(*(np.stack(column) for column in zip(*points)))
+    except _NUMERIC_ERRORS:
+        out = []
+        for args in points:
+            try:
+                out.append(solve(*args)[0])
+            except _NUMERIC_ERRORS as exc:
+                out.append(exc)
+        return out
+
+
 def _sweep_point(payload):
-    """One sweep point: simulate K symbols and extract the exact eigen pair.
+    """One sweep point's sample pair (R_S, R_I), from K simulated symbols.
 
     Runs in worker processes; must stay order-independent (all randomness
     comes from the scenario's counter-based streams). The bases and the
-    probe's analytic model come built with the payload, so a Custom basis
-    file is read once per sweep and the model is only moved to the point's
-    SOI power.
+    realized interferer paths come with the payload, so a Custom basis
+    file is read once per sweep and the paths are drawn once. Everything
+    else about the point is solved in the parent (_solve_points). Returns
+    (index, pair, None), or (index, None, "Type: message") for a failed
+    point.
     """
-    config, bases, model, index, snr_db = payload
+    config, bases, paths, index, snr_db = payload
     try:
-        sc = scenario_at(config, snr_db, stream=index)
-        model = replace(model, soi_power=sc.soi.power)
-        pair = mpb.accumulate_cov_pair(sc, bases)
-        bw = mpb.solve_weights(pair, model.a0)
-        g_sim = mpb.analytic_g(bw.w, model)
-        lam_exact = float(la.gen_eig_hpd(model.r_s, model.r_i).eigenvalues[0])
-        spec = theory.mismatch_spectrum(model)
-        g_sim_db = 10.0 * math.log10(g_sim) if g_sim > 0 else -math.inf
-        return index, g_sim_db, lam_exact, float(spec.lambda_max_pred), None
-    except (la.LinAlgError, ValueError, ArithmeticError) as exc:
-        return index, math.nan, math.nan, math.nan, f"{type(exc).__name__}: {exc}"
+        sc = scenario_at(config, snr_db, stream=index, paths=paths)
+        return index, mpb.accumulate_cov_pair(sc, bases), None
+    except _NUMERIC_ERRORS as exc:
+        return index, None, _error(exc)
+
+
+def _solve_points(model: mpb.AnalyticModel, snr, r_s, r_i) -> list:
+    """(g_sim_db, lambda_max_exact, lambda_max_pred) per sweep point.
+
+    snr is a point's linear SNR and (r_s, r_i) its sample pair, or an array
+    of SNRs with stacks of pairs; each stage (the weights and their G, the
+    exact pencil, the mismatch spectrum) is then one stacked solve over
+    them all, on the probe's model moved to the grid.
+    """
+    at = model.at_snr(snr)
+    g_sim = mpb.analytic_g(mpb.solve_weights(mpb.CovariancePair(r_s, r_i), at.a0).w, at)
+    lam = theory.exact_lambda_max(at)
+    spec = theory.mismatch_spectrum(at)
+    if np.ndim(snr) == 0:
+        g_sim, lam, spec = [g_sim], [lam], [spec]
+    return [(10.0 * math.log10(g) if g > 0 else -math.inf, float(lm),
+             float(sp.lambda_max_pred)) for g, lm, sp in zip(g_sim, lam, spec)]
 
 
 def run_sweep(config: ExperimentConfig, workers: int = 1,
@@ -466,16 +518,19 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
 
     Deterministic for a fixed (config, seed) regardless of worker count:
     every point derives its own RNG streams from (seed, point index) and
-    rows are emitted in grid order. Failed points get region "Error", keep
-    their error on the row, and the sweep continues. The pool never holds
-    more workers than there are points.
+    rows are emitted in grid order. The workers (or the serial loop) only
+    synthesize each point's sample pair; the parent then solves the weights,
+    G and both lambda_max columns for the whole grid at once (_over_grid).
+    Failed points get region "Error", keep their error on the row, and the
+    sweep continues. The pool never holds more workers than there are
+    points.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     probe = _probe(config)
     grid_lin = [10.0 ** (s / 10.0) for s in config.snr_grid_db]
     curve = theory.operating_curve(probe.model, probe.thresholds(grid_lin), grid_lin)
-    payloads = [(config, probe.bases, probe.model, i, s)
+    payloads = [(config, probe.bases, probe.scenario.paths, i, s)
                 for i, s in enumerate(config.snr_grid_db)]
     workers = min(workers, len(payloads))
     if workers == 1:
@@ -484,15 +539,22 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, payloads))
     results.sort(key=lambda r: r[0])
+    solved = iter(_over_grid(
+        partial(_solve_points, probe.model),
+        [(grid_lin[i], pair.r_s, pair.r_i) for i, pair, err in results if err is None]))
 
     rows = []
-    for (index, g_sim_db, lam_exact, lam_pred, err), (snr_lin, g_theory, region) \
-            in zip(results, curve.points):
-        snr_db = config.snr_grid_db[index]
+    for (index, _, err), (snr_lin, g_theory, region) in zip(results, curve.points):
+        values = (math.nan,) * 3
+        if err is None:
+            values = next(solved)
+            if isinstance(values, Exception):
+                values, err = (math.nan,) * 3, _error(values)
+        g_sim_db, lam_exact, lam_pred = values
         g0 = theory.gamma0(snr_lin, config.element_count,
                            config.processing_gain, probe.model.beta)
         rows.append(SweepRow(
-            snr_db=snr_db,
+            snr_db=config.snr_grid_db[index],
             g_sim_db=g_sim_db,
             g_theory_db=10.0 * math.log10(g_theory),
             gamma0=g0, gamma1=probe.gamma1,
@@ -547,18 +609,23 @@ class EigencurveResult:
 def run_eigencurves(config: ExperimentConfig, out_path=None) -> EigencurveResult:
     """gamma_0+1 / gamma_1+1 / exact lambda_max over the SNR grid.
 
+    lambda_max is one stacked solve over the grid (theory.exact_lambda_max
+    on the grid model), the same solve run_sweep makes for its column.
     The crossing abscissa of the two gamma curves is the empirical
     threshold SNR_T0 (log-interpolated between grid points).
     """
     probe = _probe(config)
+    snr_lin = [10.0 ** (s / 10.0) for s in config.snr_grid_db]
+    lams = _over_grid(
+        lambda snr: list(np.atleast_1d(theory.exact_lambda_max(probe.model.at_snr(snr)))),
+        [(s,) for s in snr_lin])
     rows = []
-    for snr_db in config.snr_grid_db:
-        snr_lin = 10.0 ** (snr_db / 10.0)
-        model = probe.model.at_snr(snr_lin)
-        lam = float(la.gen_eig_hpd(model.r_s, model.r_i).eigenvalues[0])
-        g0 = theory.gamma0(snr_lin, config.element_count,
+    for snr_db, snr, lam in zip(config.snr_grid_db, snr_lin, lams):
+        if isinstance(lam, Exception):
+            raise lam
+        g0 = theory.gamma0(snr, config.element_count,
                            config.processing_gain, probe.model.beta)
-        rows.append((snr_db, g0 + 1.0, probe.gamma1 + 1.0, lam))
+        rows.append((snr_db, g0 + 1.0, probe.gamma1 + 1.0, float(lam)))
 
     cross = math.nan
     for (s_a, g0a, g1a, _), (s_b, g0b, g1b, _) in zip(rows, rows[1:]):
@@ -619,7 +686,9 @@ def analyze(config: ExperimentConfig) -> dict:
     table = []
     logs = []
     for inr_db in _GAMMA1_INR_TABLE_DB:
-        g1_i = _gamma1(model.at_inr(model.inr * _power(inr_db) / _power(config.inr_db)))
+        inr = model.inr * _power(inr_db) / _power(config.inr_db)
+        # the probe's own INR (bit for bit) has the probe's gamma_1
+        g1_i = probe.gamma1 if inr == model.inr else _gamma1(model.at_inr(inr))
         # the Crawford-number bound presumes an infinite noise-free
         # eigenvalue; for bounded pairs it simply does not apply
         lb = (theory.gamma1_lower_bound(nf.c_y0, 10.0 ** (inr_db / 10.0))

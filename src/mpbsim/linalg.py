@@ -9,12 +9,18 @@ the f(x) radius function).
 Inputs are validated here (finite, square, Hermitian where required), and a
 LAPACK failure surfaces as this module's NotPositiveDefiniteError or
 ConvergenceError, never as numpy.linalg.LinAlgError.
+
+herm_eig, cholesky, solve_hpd and gen_eig_hpd take one matrix or a stack
+of them, shape (..., n, n), through one implementation: a 2-D input is a
+stack of one. numpy.linalg runs the same LAPACK routine on every slice of
+a stack, so a slice's result equals, bit for bit, that of solving it
+alone. Every check runs per slice, and a stack's error names its first
+failing slice ("slice 3: ..."); a single matrix's error reads as before.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,23 +55,59 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _where(batch: tuple, flat) -> str:
+    """'slice i: ' naming slice number `flat` (in C order) of a stack of
+    batch shape `batch`; '' for a single matrix (batch shape ())."""
+    if not batch:
+        return ""
+    index = tuple(int(k) for k in np.unravel_index(int(flat), batch))
+    return f"slice {index[0] if len(index) == 1 else index}: "
+
+
+def _h(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each slice of a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def _as_hermitian(a, name: str = "matrix") -> np.ndarray:
-    m = _as_matrix(a, name)
-    if m.shape[0] != m.shape[1]:
+    """A Hermitian matrix or stack, checked slice by slice and symmetrized."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim < 2:
+        raise LinAlgError(f"{name} must be 2-D, got ndim={m.ndim}")
+    batch = m.shape[:-2]
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    if not finite.all():
+        raise LinAlgError(f"{_where(batch, np.argmin(finite))}{name} contains "
+                          f"non-finite entries")
+    if m.shape[-2] != m.shape[-1]:
         raise LinAlgError(f"{name} must be square, got {m.shape}")
-    scale = np.abs(m).max() if m.size else 0.0
-    dev = np.abs(m - m.conj().T).max() if m.size else 0.0
-    if dev > 1e-8 * max(scale, 1e-300):
-        raise LinAlgError(f"{name} is not Hermitian (deviation {dev:.3e})")
-    return 0.5 * (m + m.conj().T)
+    scale = np.abs(m).max(axis=(-2, -1), initial=0.0)
+    dev = np.abs(m - _h(m)).max(axis=(-2, -1), initial=0.0)
+    bad = dev > 1e-8 * np.maximum(scale, 1e-300)
+    if bad.any():
+        i = np.argmax(bad)
+        raise LinAlgError(f"{_where(batch, i)}{name} is not Hermitian "
+                          f"(deviation {dev.flat[i]:.3e})")
+    return 0.5 * (m + _h(m))
 
 
-@contextmanager
-def _lapack(error: type, what: str):
-    """Re-raise numpy.linalg.LinAlgError from the enclosed call as `error`."""
+def _lapack(error: type, what: str, routine, *args):
+    """routine(*args) with numpy.linalg.LinAlgError re-raised as `error`.
+
+    numpy.linalg fails a whole stack at once, so the slices of a stack are
+    then solved one by one to name the first that fails.
+    """
     try:
-        yield
+        return routine(*args)
     except np.linalg.LinAlgError as exc:
+        batch = np.broadcast_shapes(*(np.shape(x)[:-2] for x in args if np.ndim(x) > 1))
+        if batch:
+            for flat, i in enumerate(np.ndindex(batch)):
+                try:
+                    routine(*(np.broadcast_to(x, batch + np.shape(x)[-2:])[i]
+                              if np.ndim(x) > 1 else x for x in args))
+                except np.linalg.LinAlgError as one:
+                    raise error(f"{_where(batch, flat)}{what}: {one}") from None
         raise error(f"{what}: {exc}") from None
 
 
@@ -82,15 +124,13 @@ class HermEigResult:
 def herm_eig(a) -> HermEigResult:
     """Eigendecomposition of a Hermitian matrix (LAPACK eigh), eigenvalues descending."""
     a = _as_hermitian(a, "A")
-    with _lapack(ConvergenceError, "eigh did not converge"):
-        vals, vecs = np.linalg.eigh(a)
-    return HermEigResult(vals[::-1].copy(), vecs[:, ::-1].copy())
+    vals, vecs = _lapack(ConvergenceError, "eigh did not converge", np.linalg.eigh, a)
+    return HermEigResult(vals[..., ::-1].copy(), vecs[..., ::-1].copy())
 
 
 def _eigvalsh(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix or a stack of them."""
-    with _lapack(ConvergenceError, "eigvalsh did not converge"):
-        return np.linalg.eigvalsh(m)
+    return _lapack(ConvergenceError, "eigvalsh did not converge", np.linalg.eigvalsh, m)
 
 
 # -----------------------
@@ -104,43 +144,59 @@ def cholesky(b) -> np.ndarray:
     would accept them (it factors diag(1, 1e-30) without complaint).
     """
     b = _as_hermitian(b, "B")
-    with _lapack(NotPositiveDefiniteError, "B is not positive definite"):
-        low = np.linalg.cholesky(b)
-    piv = np.diagonal(low).real
-    bad = np.flatnonzero(piv <= 1e-12 * np.abs(b).max())
-    if bad.size:
-        j = int(bad[0])
-        raise NotPositiveDefiniteError(f"pivot {piv[j]:.3e} at column {j}")
+    low = _lapack(NotPositiveDefiniteError, "B is not positive definite",
+                  np.linalg.cholesky, b)
+    piv = np.diagonal(low, axis1=-2, axis2=-1).real
+    bad = piv <= 1e-12 * np.abs(b).max(axis=(-2, -1), initial=0.0)[..., None]
+    if bad.any():
+        i = np.argmax(bad)  # flat over (slice, column)
+        raise NotPositiveDefiniteError(
+            f"{_where(b.shape[:-2], i // piv.shape[-1])}pivot {piv.flat[i]:.3e} "
+            f"at column {i % piv.shape[-1]}")
     return low
 
 
 def _tri_solve(tri: np.ndarray, rhs) -> np.ndarray:
-    """Solve T X = RHS for a nonsingular triangular factor T."""
-    with _lapack(NotPositiveDefiniteError, "singular triangular factor"):
-        return np.linalg.solve(tri, rhs)
+    """Solve T X = RHS for a nonsingular triangular factor T (or a stack)."""
+    return _lapack(NotPositiveDefiniteError, "singular triangular factor",
+                   np.linalg.solve, tri, rhs)
 
 
 def solve_hpd(b, rhs) -> np.ndarray:
-    """Solve B X = RHS with B Hermitian positive definite (Cholesky)."""
+    """Solve B X = RHS with B Hermitian positive definite (Cholesky).
+
+    A 1-D rhs is one vector, shared by every slice of a stacked B; X then
+    holds one solution vector per slice.
+    """
     low = cholesky(b)
-    return _tri_solve(low.conj().T, _tri_solve(low, rhs))
+    rhs = np.asarray(rhs)
+    if rhs.ndim == 1:  # a one-column matrix: numpy reads 2-D as a stack of matrices
+        return _tri_solve(_h(low), _tri_solve(low, rhs[:, None]))[..., 0]
+    return _tri_solve(_h(low), _tri_solve(low, rhs))
 
 
 def gen_eig_hpd(a, b) -> HermEigResult:
     """Generalized eigendecomposition A v = lambda B v for Hermitian A, HPD B.
 
     Cholesky reduction to the standard problem L^-1 A L^-H; eigenvectors are
-    returned B-orthonormal (V^H B V = I), eigenvalues descending.
+    returned B-orthonormal (V^H B V = I), eigenvalues descending. A and B
+    may be stacks whose leading axes broadcast, as a fixed A against a
+    stack of B.
     """
     a = _as_hermitian(a, "A")
     b = _as_hermitian(b, "B")
-    if a.shape != b.shape:
+    try:
+        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        mismatch = a.shape[-1] != b.shape[-1]
+    except ValueError:
+        mismatch = True
+    if mismatch:
         raise LinAlgError(f"dimension mismatch {a.shape} vs {b.shape}")
     low = cholesky(b)
     c = _tri_solve(low, a)
-    c = _tri_solve(low, c.conj().T).conj().T
-    res = herm_eig(0.5 * (c + c.conj().T))
-    vecs = _tri_solve(low.conj().T, res.eigenvectors)
+    c = _h(_tri_solve(low, _h(c)))
+    res = herm_eig(0.5 * (c + _h(c)))
+    vecs = _tri_solve(_h(low), res.eigenvectors)
     return HermEigResult(res.eigenvalues, vecs)
 
 
@@ -151,8 +207,7 @@ def gen_eig_hpd(a, b) -> HermEigResult:
 def _svd(m: np.ndarray):
     """M = U diag(s) V^H with U and V square, s descending (min(shape) long)."""
     m = _as_matrix(m, "M")
-    with _lapack(ConvergenceError, "SVD did not converge"):
-        u, sig, vh = np.linalg.svd(m)
+    u, sig, vh = _lapack(ConvergenceError, "SVD did not converge", np.linalg.svd, m)
     return u, sig, vh.conj().T
 
 

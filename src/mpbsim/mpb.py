@@ -12,9 +12,11 @@ patterns.
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -179,7 +181,14 @@ class AnalyticModel:
     derived from them here and nowhere else, so replace() rebuilds them.
     Only sigma_S0^2 = N P0 and sigma_I0^2 = beta P0 depend on P0, and only
     q_s and q_i on the INR: at_snr and at_inr move one model along either
-    axis instead of rebuilding it from a scenario.
+    axis instead of rebuilding it from a scenario. at_snr copies the model
+    and sets P0 alone, so q_s, q_i and qs_quad carry over unrecomputed.
+
+    soi_power may be an array of SOI powers, one per point of an SNR grid
+    (at_snr with an array). The model then describes the whole grid:
+    sigma_S0^2 and sigma_I0^2 are arrays, and r_s and r_i are stacks of
+    shape (grid, L, L) from the same formula, each slice bitwise equal to
+    the model moved to that point's SNR alone.
     """
     phi_s0: np.ndarray
     phi_i0: np.ndarray
@@ -208,22 +217,36 @@ class AnalyticModel:
     def sigma_i0_sq(self) -> float:
         return self.soi_power * self.beta
 
-    def at_snr(self, snr: float) -> AnalyticModel:
-        """The same model with P0 set from a linear SNR = N P0 / sigma^2."""
-        return replace(self, soi_power=snr * self.noise_var / self.processing_gain)
+    def at_snr(self, snr) -> AnalyticModel:
+        """The same model with P0 set from a linear SNR = N P0 / sigma^2, or
+        the grid model of an array of SNRs. Nothing else is recomputed."""
+        moved = copy.copy(self)  # no __post_init__: q_s and q_i are shared
+        object.__setattr__(moved, "soi_power",
+                           snr * self.noise_var / self.processing_gain)
+        return moved
 
     def at_inr(self, inr: float) -> AnalyticModel:
         """The same model with every interferer power scaled so that the
         strongest path's INR is inr; the relative powers are kept."""
         return replace(self, inr=inr)
 
+    def _plus_soi(self, sigma_sq, q: np.ndarray) -> np.ndarray:
+        """sigma_sq a0 a0^H + q; a stack over an array of sigma_sq."""
+        return np.multiply.outer(sigma_sq, np.outer(self.a0, self.a0.conj())) + q
+
     @property
     def r_s(self) -> np.ndarray:
-        return self.sigma_s0_sq * np.outer(self.a0, self.a0.conj()) + self.q_s
+        return self._plus_soi(self.sigma_s0_sq, self.q_s)
 
     @property
     def r_i(self) -> np.ndarray:
-        return self.sigma_i0_sq * np.outer(self.a0, self.a0.conj()) + self.q_i
+        return self._plus_soi(self.sigma_i0_sq, self.q_i)
+
+    @cached_property
+    def qs_quad(self) -> float:
+        """a0^H Q_S^-1 a0, which no SOI power moves: one Cholesky of Q_S
+        serves every SNR the model is moved to."""
+        return inv_quad(self.q_s, self.a0)
 
     def cov_pair(self) -> CovariancePair:
         return CovariancePair(self.r_s, self.r_i)
@@ -285,7 +308,7 @@ def analytic_cov(scenario: sm.Scenario, bases: ProjectionBases) -> AnalyticModel
     if np.abs(bases.h_s - code / math.sqrt(n)).max() > 1e-12:
         raise ValueError("bases were built for a different code than the scenario's")
     geo = scenario.geometry
-    paths = sm.realize_paths(scenario)
+    paths = sm.paths_of(scenario)
     a_mat = sm.steering_matrix(paths, geo)
     powers = np.array([p.power for p in paths], dtype=np.float64)
     sigma2 = scenario.noise_var
@@ -330,25 +353,38 @@ def solve_weights(pair: CovariancePair, a0: np.ndarray | None = None) -> BeamWei
     When the top eigenvalue is a cluster (within 1e-8 relative) the member
     with the largest |w^H a0| wins, which keeps the weight deterministic at
     competition boundaries; without a0 the first member is returned.
+
+    R_S and R_I may be stacks (..., L, L), one pair per point of a grid:
+    the pencils are solved in one call, w then has shape (..., L) and
+    lambda_max the stack's leading shape.
     """
     res = la.gen_eig_hpd(pair.r_s, pair.r_i)
-    lam = res.eigenvalues
-    lam_max = float(lam[0])
-    cluster = top_cluster(lam)
-    pick = int(cluster[0])
-    if a0 is not None and len(cluster) > 1:
+    if a0 is not None:
         a0 = np.asarray(a0, dtype=np.complex128)
-        scores = [abs(np.vdot(res.eigenvectors[:, int(i)], a0)) for i in cluster]
-        pick = int(cluster[int(np.argmax(scores))])
-    w = res.eigenvectors[:, pick]
-    return BeamWeights(w / math.sqrt(np.vdot(w, w).real), lam_max)
+    batch = res.eigenvalues.shape[:-1]
+    w = np.empty(res.eigenvalues.shape, dtype=np.complex128)
+    for i in np.ndindex(batch):
+        lam, vecs = res.eigenvalues[i], res.eigenvectors[i]
+        cluster = top_cluster(lam)
+        pick = int(cluster[0])
+        if a0 is not None and len(cluster) > 1:
+            scores = [abs(np.vdot(vecs[:, int(j)], a0)) for j in cluster]
+            pick = int(cluster[int(np.argmax(scores))])
+        v = vecs[:, pick]
+        w[i] = v / math.sqrt(np.vdot(v, v).real)
+    lam_max = res.eigenvalues[..., 0]
+    return BeamWeights(w, float(lam_max) if not batch else lam_max)
+
+
+def inv_quad(m: np.ndarray, a0: np.ndarray) -> float:
+    """a0^H M^-1 a0 for Hermitian positive-definite M."""
+    a0 = np.asarray(a0, dtype=np.complex128)
+    return float(np.vdot(a0, la.solve_hpd(m, a0)).real)
 
 
 def sinr_opt(q_s: np.ndarray, a0: np.ndarray, sigma_s0_sq: float) -> float:
     """Optimal output SINR sigma_S0^2 * a0^H Q_S^-1 a0."""
-    a0 = np.asarray(a0, dtype=np.complex128)
-    val = np.vdot(a0, la.solve_hpd(q_s, a0)).real
-    return float(sigma_s0_sq * val)
+    return float(sigma_s0_sq * inv_quad(q_s, a0))
 
 
 def output_sinr(w: np.ndarray, q_s: np.ndarray, a0: np.ndarray, sigma_s0_sq: float) -> float:
@@ -361,10 +397,20 @@ def output_sinr(w: np.ndarray, q_s: np.ndarray, a0: np.ndarray, sigma_s0_sq: flo
     return float(num / den)
 
 
-def analytic_g(w: np.ndarray, model: AnalyticModel) -> float:
-    """G = SINR(w) / SINR_opt of a fixed weight under a closed-form model."""
-    opt = sinr_opt(model.q_s, model.a0, model.sigma_s0_sq)
-    return output_sinr(w, model.q_s, model.a0, model.sigma_s0_sq) / opt
+def analytic_g(w: np.ndarray, model: AnalyticModel):
+    """G = SINR(w) / SINR_opt of a fixed weight under a closed-form model.
+
+    On a grid model, w is a stack (..., L) of one weight per SNR and G an
+    array of that leading shape. SINR_opt reads the model's qs_quad, so
+    Q_S is factored once however many SNRs are evaluated.
+    """
+    w = np.asarray(w, dtype=np.complex128)
+    sigma = np.broadcast_to(model.sigma_s0_sq, w.shape[:-1])
+    g = np.empty(w.shape[:-1])
+    for i in np.ndindex(g.shape):
+        s0 = float(sigma[i])
+        g[i] = output_sinr(w[i], model.q_s, model.a0, s0) / float(s0 * model.qs_quad)
+    return float(g) if not g.shape else g
 
 
 def measure_g(weights: BeamWeights, scenario: sm.Scenario, bases: ProjectionBases) -> float:

@@ -13,7 +13,8 @@ without ever forming X(k).
 
 Randomness discipline: interferer *realization* parameters (tone phases,
 periodical-noise segments) derive from the scenario seed alone, so one
-realization is shared by every point of a sweep. Per-symbol randomness
+realization is shared by every point of a sweep: a scenario may carry it
+drawn once (Scenario.paths), and paths_of reads it. Per-symbol randomness
 (data bits, white chips) and receiver noise derive from counter-based
 Philox streams keyed by (seed, tag, mc_stream, index...), making synthesis
 a pure function of the scenario and independent of how work is
@@ -45,7 +46,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -209,9 +210,14 @@ class Scenario:
     symbols: int = 1000
     seed: int = 0
     mc_stream: int = 0  # distinguishes Monte Carlo streams across sweep points
+    # realize_paths of a scenario with this seed and these interferers, when
+    # drawn already: the points of one sweep carry one drawing (paths_of)
+    paths: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "interferers", tuple(self.interferers))
+        if self.paths is not None:
+            object.__setattr__(self, "paths", tuple(self.paths))
         if self.symbols < 1:
             raise ValueError("symbols must be >= 1")
         if not self.noise_var > 0:
@@ -303,6 +309,11 @@ def realize_paths(scenario: Scenario) -> list:
                 paths.append(RealizedPath("mai", doa, sp.power * g * g, idx,
                                           head=head, tail=tail))
     return paths
+
+
+def paths_of(scenario: Scenario):
+    """The scenario's realized paths: those it carries, else realize_paths."""
+    return scenario.paths if scenario.paths is not None else realize_paths(scenario)
 
 
 def steering_matrix(paths, geometry: ArrayGeometry) -> np.ndarray:
@@ -434,7 +445,7 @@ def iter_blocks(scenario: Scenario, include=("soi", "interference", "noise")):
     geo = scenario.geometry
     big_l, n = geo.element_count, scenario.soi.processing_gain
     k_total = scenario.symbols
-    paths = realize_paths(scenario)
+    paths = paths_of(scenario)
     want_soi = "soi" in include
     want_int = "interference" in include and paths
     want_noise = "noise" in include
@@ -635,7 +646,7 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
         raise ValueError(f"basis must be N x M with N={n}, got shape {basis.shape}")
     m = basis.shape[1]
     proj = basis.conj()
-    paths = realize_paths(scenario) if "interference" in include else []
+    paths = paths_of(scenario) if "interference" in include else []
     want_soi = "soi" in include
     steer = steering_matrix(paths, geo)
     negs = {}  # +-1 source key -> where it is -1, K booleans

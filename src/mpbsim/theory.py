@@ -57,13 +57,18 @@ def gamma_spectrum(q_s: np.ndarray, q_i: np.ndarray, d: int) -> np.ndarray:
 
 def exact_gamma0(model: mpb.AnalyticModel) -> float:
     """gamma_0 evaluated from matrices: (sigma_S0^2 - sigma_I0^2) a0^H R_I^-1 a0."""
-    q = np.vdot(model.a0, la.solve_hpd(model.r_i, model.a0)).real
-    return _gamma0_from_quad(model, q)
+    return float(_gamma0_from_quad(model, mpb.inv_quad(model.r_i, model.a0)))
 
 
-def _gamma0_from_quad(model: mpb.AnalyticModel, quad: float) -> float:
-    """gamma_0 given the quadratic form a0^H R_I^-1 a0."""
-    return float((model.sigma_s0_sq - model.sigma_i0_sq) * quad)
+def _gamma0_from_quad(model: mpb.AnalyticModel, quad):
+    """gamma_0 given the quadratic form a0^H R_I^-1 a0 (arrays on a grid model)."""
+    return (model.sigma_s0_sq - model.sigma_i0_sq) * quad
+
+
+def exact_lambda_max(model: mpb.AnalyticModel):
+    """Top eigenvalue of the model's exact (R_S, R_I) pencil; on a grid
+    model, one per SNR from one stacked solve."""
+    return la.gen_eig_hpd(model.r_s, model.r_i).eigenvalues[..., 0]
 
 
 @dataclass(frozen=True)
@@ -108,13 +113,17 @@ def lambda_max_bound(gamma0_val: float, gamma1_val: float, delta: float):
     return lam_a + 1.0, radius, True
 
 
-def mismatch_spectrum(model: mpb.AnalyticModel) -> MismatchSpectrum:
+def mismatch_spectrum(model: mpb.AnalyticModel):
     """Exact spectrum ingredients from an analytic covariance model.
 
     Diagonalizes (Phi_S - Phi_I, (A_I^H R_I^-1 A_I)^-1) simultaneously to
     get the mismatch eigenvalues and the coupling vector psi_T, then forms
     delta and the lambda_max enclosure. Requires the interference steering
     matrix to have full column rank (separated DOAs, D <= L).
+
+    On a grid model every solve runs once, stacked over the grid, and the
+    result is a list with one MismatchSpectrum per SNR, each equal to the
+    spectrum of the model moved to that SNR alone.
     """
     big_l = model.a0.shape[0]
     s2 = model.noise_var
@@ -123,48 +132,61 @@ def mismatch_spectrum(model: mpb.AnalyticModel) -> MismatchSpectrum:
     d = a_mat.shape[1]
     # one Cholesky of R_I serves gamma0, delta and the Gram matrix
     ri_inv = la.solve_hpd(model.r_i, np.column_stack([model.a0, a_mat]))
-    ri_inv_a0, ri_inv_amat = ri_inv[:, 0], ri_inv[:, 1:]
-    quad = float(np.vdot(model.a0, ri_inv_a0).real)
-    g0 = _gamma0_from_quad(model, quad)
+    ri_inv_a0, ri_inv_amat = ri_inv[..., 0], ri_inv[..., 1:]
+    quad = np.empty(np.shape(snr))
+    for i in np.ndindex(quad.shape):
+        quad[i] = np.vdot(model.a0, ri_inv_a0[i]).real
+    g0 = np.asarray(_gamma0_from_quad(model, quad))
 
-    if d == 0:
-        return MismatchSpectrum(g0, np.zeros(0), model.beta, 0.0,
-                                np.zeros(0, dtype=np.complex128),
-                                *lambda_max_bound(g0, 0.0, 0.0), s2)
+    if d:
+        gram = a_mat.conj().T @ ri_inv_amat
+        gram = 0.5 * (gram + gram.conj().swapaxes(-1, -2))
+        w_mat = la.solve_hpd(gram, np.eye(d, dtype=np.complex128))
+        w_mat = 0.5 * (w_mat + w_mat.conj().swapaxes(-1, -2))
+        phi_delta = (model.phi_s0 - model.phi_i0) * (s2 * model.inr)
+        # T^H Phi_Delta T = diag(gammas), T^H W T = I
+        res = la.gen_eig_hpd(0.5 * (phi_delta + phi_delta.conj().T), w_mat)
+        # T^H W T = I gives T^-H = W T: no explicit inversion needed
+        a_eps = a_mat @ (w_mat @ res.eigenvectors)
+        coef = np.asarray((big_l * model.beta / model.processing_gain) * snr + 1.0)
 
-    gram = a_mat.conj().T @ ri_inv_amat
-    w_mat = la.solve_hpd(0.5 * (gram + gram.conj().T), np.eye(d, dtype=np.complex128))
-    w_mat = 0.5 * (w_mat + w_mat.conj().T)
-    phi_delta = (model.phi_s0 - model.phi_i0) * (s2 * model.inr)
-    # T^H Phi_Delta T = diag(gammas), T^H W T = I
-    res = la.gen_eig_hpd(0.5 * (phi_delta + phi_delta.conj().T), w_mat)
-    t_mat, gammas = res.eigenvectors, res.eigenvalues
-
-    # T^H W T = I gives T^-H = W T: no explicit inversion needed
-    a_eps = a_mat @ (w_mat @ t_mat)
-    coef = (big_l * model.beta / model.processing_gain) * snr + 1.0
-    coupling = a_eps.conj().T @ ri_inv_a0
-    psi_t = coef * coupling
-    # delta scales the top coupling against a0^H R_I^-1 a0 exactly; the
-    # (L beta / N) snr + 1 normalization is only its wide-separation limit
-    # and under-covers the enclosure by 1/(1 - xi). A repeated gamma_1 has
-    # any basis of its eigenspace as eigenvectors, so the coupling is
-    # summed over the whole top cluster, which no such choice moves.
-    delta = float(np.sum(np.abs(coupling[mpb.top_cluster(gammas)]) ** 2)) / quad
-    return MismatchSpectrum(g0, gammas, model.beta, delta, psi_t,
-                            *lambda_max_bound(g0, float(gammas[0]), delta), s2)
+    spectra = []
+    for i in np.ndindex(quad.shape):
+        g0_i, quad_i = float(g0[i]), float(quad[i])
+        if d == 0:
+            spectra.append(MismatchSpectrum(g0_i, np.zeros(0), model.beta, 0.0,
+                                            np.zeros(0, dtype=np.complex128),
+                                            *lambda_max_bound(g0_i, 0.0, 0.0), s2))
+            continue
+        gammas = res.eigenvalues[i]
+        coupling = a_eps[i].conj().T @ ri_inv_a0[i]
+        psi_t = coef[i] * coupling
+        # delta scales the top coupling against a0^H R_I^-1 a0 exactly; the
+        # (L beta / N) snr + 1 normalization is only its wide-separation limit
+        # and under-covers the enclosure by 1/(1 - xi). A repeated gamma_1 has
+        # any basis of its eigenspace as eigenvectors, so the coupling is
+        # summed over the whole top cluster, which no such choice moves.
+        delta = float(np.sum(np.abs(coupling[mpb.top_cluster(gammas)]) ** 2)) / quad_i
+        spectra.append(MismatchSpectrum(g0_i, gammas, model.beta, delta, psi_t,
+                                        *lambda_max_bound(g0_i, float(gammas[0]), delta),
+                                        s2))
+    return spectra if quad.shape else spectra[0]
 
 
 # -----------------------
 # G bounds, thresholds, operating curve
 # -----------------------
 
-def g_upper(q_s: np.ndarray, q_i: np.ndarray, a0: np.ndarray) -> float:
-    """Operating-region ceiling G_U = [a0^H Q_I^-1 a0]^2 / ([a0^H Q_S^-1 a0][a0^H Q_I^-1 Q_S Q_I^-1 a0])."""
+def g_upper(q_s: np.ndarray, q_i: np.ndarray, a0: np.ndarray,
+            qs_quad: float | None = None) -> float:
+    """Operating-region ceiling G_U = [a0^H Q_I^-1 a0]^2 / ([a0^H Q_S^-1 a0][a0^H Q_I^-1 Q_S Q_I^-1 a0]).
+
+    qs_quad is a0^H Q_S^-1 a0 when the caller has it (AnalyticModel.qs_quad).
+    """
     a0 = np.asarray(a0, dtype=np.complex128)
     qi_inv_a0 = la.solve_hpd(q_i, a0)
     num = np.vdot(a0, qi_inv_a0).real ** 2
-    den1 = np.vdot(a0, la.solve_hpd(q_s, a0)).real
+    den1 = mpb.inv_quad(q_s, a0) if qs_quad is None else qs_quad
     den2 = np.vdot(qi_inv_a0, np.asarray(q_s, dtype=np.complex128) @ qi_inv_a0).real
     return float(num / (den1 * den2))
 
@@ -268,17 +290,21 @@ def operating_curve(model: mpb.AnalyticModel, th: Thresholds, snr_grid) -> Opera
     return OperatingCurve(points)
 
 
-def g_lower_oracle(model: mpb.AnalyticModel, snr_probe: float = 1e-6) -> float:
+def g_lower_oracle(model: mpb.AnalyticModel, snr_probe: float = 1e-6,
+                   gamma1: float | None = None) -> float:
     """Failure-region floor G_L: the normalized output SINR as SNR -> 0.
 
     There is no cheaper exact route than the definition itself, so this
-    moves the analytic model to a vanishing probe SNR (model.at_snr; only
-    the SOI power changes, so nothing is rebuilt), solves the weights
-    exactly and evaluates analytic G. Refuses when there is no mismatch
-    (the floor is then just G_U and the failure branch never exists).
+    moves the analytic model to a vanishing probe SNR (model.at_snr sets
+    the SOI power alone; Q_S, Q_I and a0^H Q_S^-1 a0 are carried over, not
+    recomputed), solves the weights exactly and evaluates analytic G.
+    Refuses when there is no mismatch (the floor is then just G_U and the
+    failure branch never exists). gamma1 is the model's gamma_1 when the
+    caller has it; no SOI power moves it.
     """
     model_probe = model.at_snr(snr_probe)
-    g1 = gamma_spectrum(model_probe.q_s, model_probe.q_i, max(1, model_probe.a_i_mat.shape[1]))[0]
+    g1 = gamma1 if gamma1 is not None else gamma_spectrum(
+        model.q_s, model.q_i, max(1, model.a_i_mat.shape[1]))[0]
     if g1 <= 0.0:
         raise ValueError("no covariance mismatch: G_L is undefined (gamma_1 = 0)")
     bw = mpb.solve_weights(model_probe.cov_pair(), model_probe.a0)
@@ -382,7 +408,7 @@ def geometric_bounded(scenario: sm.Scenario, bases: mpb.ProjectionBases) -> bool
     if not kinds or not all(k in ("tone", "periodical_noise") for k in kinds):
         return None
     classes = {}  # block phase of a class's first path -> the class's waveforms
-    for p in sm.realize_paths(scenario):
+    for p in sm.paths_of(scenario):
         key = next((k for k in classes if sm.coherent(k, p.block_phase)),
                    p.block_phase)
         classes.setdefault(key, []).append(p.waveform)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from mpbsim import cli, harness, mpb, theory
+from mpbsim import linalg as la
 from mpbsim import sigmodel as sm
 
 ALL_PRESETS = ("fig4a-bpsk3", "fig4b-pn2", "fig4c-tones5", "fig4d-mai3",
@@ -511,21 +512,53 @@ def test_cli_lapack_failure_is_exit_2(monkeypatch, capsys):
     assert "numeric failure: eigh did not converge" in capsys.readouterr().err
 
 
-def test_sweep_point_linalg_failure_is_named_error(monkeypatch):
-    cfg = _tiny("fig4b-pn2")
+def _indefinite_pair(size: int) -> mpb.CovariancePair:
+    r_i = np.eye(size, dtype=complex)
+    r_i[-1, -1] = -1.0
+    return mpb.CovariancePair(np.eye(size, dtype=complex), r_i)
 
-    def indefinite_pair(scenario, bases):
-        r_i = np.eye(cfg.element_count, dtype=complex)
-        r_i[-1, -1] = -1.0
-        return mpb.CovariancePair(np.eye(cfg.element_count, dtype=complex), r_i)
-    monkeypatch.setattr(mpb, "accumulate_cov_pair", indefinite_pair)
+
+def test_sweep_point_linalg_failure_is_named_error(monkeypatch):
+    """A worker returns the point's sample pair and the parent solves it: a
+    pencil that cannot be solved fails each point with the message that
+    solving its weights alone raises."""
+    cfg = _tiny("fig4b-pn2")
+    bad = _indefinite_pair(cfg.element_count)
+    monkeypatch.setattr(mpb, "accumulate_cov_pair", lambda scenario, bases: bad)
     probe = harness._probe(cfg)
-    err = harness._sweep_point((cfg, probe.bases, probe.model, 0, 10.0))[4]
-    name, _, message = err.partition(": ")
-    assert name == "NotPositiveDefiniteError" and message
+    index, pair, err = harness._sweep_point((cfg, probe.bases, probe.scenario.paths, 1, 10.0))
+    assert index == 1 and pair is bad and err is None
+    with pytest.raises(la.NotPositiveDefiniteError) as alone:
+        mpb.solve_weights(bad, probe.model.a0)
+    expected = f"NotPositiveDefiniteError: {alone.value}"
+    assert "slice" not in expected
     rows = harness.run_sweep(cfg)
     assert [r.region for r in rows] == ["Error", "Error"]
-    assert [r.error for r in rows] == [err, err]
+    assert [r.error for r in rows] == [expected, expected]
+    assert all(math.isnan(v) for r in rows
+               for v in (r.g_sim_db, r.lambda_max_exact, r.lambda_max_pred))
+
+
+def test_sweep_only_the_indefinite_point_fails(monkeypatch, tmp_path):
+    """One bad sample pair in the middle of the grid: the stacked solve
+    raises, every point is solved alone, and only that row is an Error,
+    with the message it gets alone. Every other row keeps its bytes."""
+    cfg = _tiny("fig4b-pn2", symbols=500, grid=(-10.0, 0.0, 10.0))
+    clean = tmp_path / "clean.csv"
+    harness.run_sweep(cfg, out_path=clean)
+    real = mpb.accumulate_cov_pair
+    bad = _indefinite_pair(cfg.element_count)
+    monkeypatch.setattr(mpb, "accumulate_cov_pair", lambda scenario, bases:
+                        bad if scenario.mc_stream == 1 else real(scenario, bases))
+    broken = tmp_path / "broken.csv"
+    rows = harness.run_sweep(cfg, out_path=broken)
+    with pytest.raises(la.NotPositiveDefiniteError) as alone:
+        mpb.solve_weights(bad, harness._probe(cfg).model.a0)
+    assert [r.error for r in rows] == [None, f"NotPositiveDefiniteError: {alone.value}", None]
+    assert [r.region for r in rows][1] == "Error"
+    want, got = clean.read_text().splitlines(), broken.read_text().splitlines()
+    assert [got[i] for i in (0, 1, 3)] == [want[i] for i in (0, 1, 3)]
+    assert got[2].split(",")[1] == "nan" and got[2].endswith(",Error")
 
 
 def test_cli_sweep_reports_each_failed_point(monkeypatch, tmp_path, capsys):
@@ -598,18 +631,104 @@ def test_analyze_builds_model_once(monkeypatch):
     assert len(report["gamma1_vs_inr"]) == 4
 
 
-def test_sweep_spectrum_once_per_point(monkeypatch):
+def test_sweep_spectrum_once_per_sweep(monkeypatch):
     """The operating curve reads beta, L and N off the model, so the only
-    mismatch spectra of a sweep are its points' own."""
+    mismatch spectrum of a sweep is its points': one solve over the grid,
+    whose SOI powers are the points' own, each point's equal to it alone."""
     calls = []
     spectrum = theory.mismatch_spectrum
 
     def counted(model):
-        calls.append(model.soi_power)
+        calls.append(model)
         return spectrum(model)
     monkeypatch.setattr(theory, "mismatch_spectrum", counted)
-    rows = harness.run_sweep(_tiny("fig4b-pn2", grid=(-10.0, 0.0, 10.0)), workers=1)
-    assert len(calls) == len(rows) == 3
+    cfg = _tiny("fig4b-pn2", grid=(-10.0, 0.0, 10.0))
+    rows = harness.run_sweep(cfg, workers=1)
+    assert len(calls) == 1
+    grid = calls[0]
+    assert len(grid.soi_power) == len(rows) == 3
+    for row, p0 in zip(rows, grid.soi_power):
+        point = harness.scenario_at(cfg, row.snr_db).soi.power
+        assert p0 == point
+        alone = spectrum(replace(grid, soi_power=point))
+        assert row.lambda_max_pred == alone.lambda_max_pred
+
+
+def test_sweep_and_eigencurves_share_the_lambda_max_solve(monkeypatch):
+    """Both solve the grid's exact lambda_max in one stacked call, so the
+    sweep's column equals the eigencurves' bit for bit."""
+    cfg = _tiny("fig4d-mai3", grid=(-20.0, 0.0, 5.0, 30.0))
+    calls = []
+    solve = theory.exact_lambda_max
+
+    def counted(model):
+        calls.append(np.shape(model.soi_power))
+        return solve(model)
+    monkeypatch.setattr(theory, "exact_lambda_max", counted)
+    rows = harness.run_sweep(cfg)
+    eigen = harness.run_eigencurves(cfg)
+    assert calls == [(4,), (4,)]
+    assert [r.lambda_max_exact for r in rows] == [row[3] for row in eigen.rows]
+
+
+def test_sweep_factors_the_probes_q_s_once(monkeypatch):
+    """a0^H Q_S^-1 a0 does not move with the SNR: G_U, the G_L oracle and
+    every point's SINR_opt share one Cholesky factorization of Q_S."""
+    cfg = _tiny("fig4b-pn2", grid=(-20.0, -10.0, 0.0, 10.0))
+    q_s = harness._probe(cfg).model.q_s
+    factored = []
+    cholesky = la.cholesky
+
+    def counted(b):
+        if np.shape(b) == q_s.shape and np.array_equal(b, q_s):
+            factored.append(b)
+        return cholesky(b)
+    monkeypatch.setattr(la, "cholesky", counted)
+    rows = harness.run_sweep(cfg, workers=1)
+    assert [r.error for r in rows] == [None] * 4
+    assert "Failure" in [r.region for r in rows]  # the G_L oracle ran
+    assert len(factored) == 1
+
+
+def test_sweep_realizes_the_paths_once(monkeypatch, tmp_path):
+    """The interferer paths depend on the seed alone: one realization per
+    sweep serves the model and every point, and the CSV keeps its bytes
+    against a sweep that realizes them again at every point."""
+    cfg = _tiny("fig4c-tones5", symbols=500, grid=(-10.0, 0.0, 10.0))
+    calls = []
+    realize = sm.realize_paths
+
+    def counted(scenario):
+        calls.append(scenario.mc_stream)
+        return realize(scenario)
+    monkeypatch.setattr(sm, "realize_paths", counted)
+    once = tmp_path / "once.csv"
+    harness.run_sweep(cfg, workers=1, out_path=once)
+    assert calls == [0]
+    monkeypatch.setattr(sm, "paths_of", counted)
+    again = tmp_path / "again.csv"
+    harness.run_sweep(cfg, workers=1, out_path=again)
+    assert len(calls) > 1 + len(cfg.snr_grid_db)
+    assert once.read_bytes() == again.read_bytes()
+
+
+def test_analyze_solves_gamma1_once_per_inr(monkeypatch):
+    """gamma_1 of the probe's Q pair is solved once: the G_L oracle takes
+    it, and so does the INR table's row at the config's own INR. The other
+    three rows solve theirs."""
+    calls = []
+    spectrum = theory.gamma_spectrum
+
+    def counted(q_s, q_i, d):
+        calls.append(q_s)
+        return spectrum(q_s, q_i, d)
+    monkeypatch.setattr(theory, "gamma_spectrum", counted)
+    cfg = _tiny("fig4b-pn2")
+    report = harness.analyze(cfg)
+    assert report["thresholds"]["g_l"] > 0.0  # the G_L oracle ran
+    assert [row["inr_db"] for row in report["gamma1_vs_inr"]].count(cfg.inr_db) == 1
+    assert len(calls) == 4  # probe + 3 moved INRs; 6 when each re-solved it
+    assert report["gamma1_vs_inr"][2]["gamma1_plus1"] == report["gamma1"] + 1.0
 
 
 def test_python_m_mpbsim(tmp_path):

@@ -173,6 +173,82 @@ def test_gen_eig_hpd_rejects_indefinite_b():
         la.gen_eig_hpd(np.eye(2, dtype=complex), np.diag([1.0, 0.0]).astype(complex))
 
 
+# ---------- stacks ----------
+
+def _stack(make, rng, n, count=5):
+    return np.stack([make(rng, n) for _ in range(count)])
+
+
+@pytest.mark.parametrize("n", [2, 8, 32])
+def test_stack_equals_each_slice_bitwise(n):
+    """A stack runs the same LAPACK routine on every slice: each slice of
+    the result is the slice solved alone, bit for bit."""
+    rng = np.random.default_rng(100 + n)
+    a, b = _stack(rand_herm, rng, n), _stack(rand_hpd, rng, n)
+    rhs = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    vec = rhs[:, 0]
+    low = la.cholesky(b)
+    x, xv = la.solve_hpd(b, rhs), la.solve_hpd(b, vec)
+    res = la.gen_eig_hpd(a, b)
+    fixed = la.gen_eig_hpd(a[0], b)  # one A against every B
+    top = la.herm_eig(a)
+    assert low.shape == b.shape and xv.shape == (len(b), n)
+    for i in range(len(b)):
+        assert np.array_equal(low[i], la.cholesky(b[i]))
+        assert np.array_equal(x[i], la.solve_hpd(b[i], rhs))
+        assert np.array_equal(xv[i], la.solve_hpd(b[i], vec))
+        one = la.gen_eig_hpd(a[i], b[i])
+        assert np.array_equal(res.eigenvalues[i], one.eigenvalues)
+        assert np.array_equal(res.eigenvectors[i], one.eigenvectors)
+        alone = la.gen_eig_hpd(a[0], b[i])
+        assert np.array_equal(fixed.eigenvalues[i], alone.eigenvalues)
+        assert np.array_equal(fixed.eigenvectors[i], alone.eigenvectors)
+        assert np.array_equal(top.eigenvalues[i], la.herm_eig(a[i]).eigenvalues)
+        assert np.array_equal(top.eigenvectors[i], la.herm_eig(a[i]).eigenvectors)
+
+
+@pytest.mark.parametrize("call", [
+    lambda b: la.cholesky(b),
+    lambda b: la.solve_hpd(b, np.ones(4)),
+    lambda b: la.gen_eig_hpd(np.eye(4), b),
+], ids=["cholesky", "solve_hpd", "gen_eig_hpd"])
+def test_stack_error_names_the_indefinite_slice(call):
+    rng = np.random.default_rng(7)
+    b = _stack(rand_hpd, rng, 4)
+    single = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
+    with pytest.raises(la.NotPositiveDefiniteError) as alone:
+        call(single)
+    b[2] = single
+    with pytest.raises(la.NotPositiveDefiniteError) as stacked:
+        call(b)
+    # the stack's message is the slice's own, prefixed with its index
+    assert str(stacked.value) == f"slice 2: {alone.value}"
+    assert "slice" not in str(alone.value)
+
+
+def test_stack_checks_run_per_slice():
+    rng = np.random.default_rng(8)
+    b = _stack(rand_hpd, rng, 3, count=4)
+    tiny = b.copy()
+    tiny[1] = np.diag([1.0, 1e-30, 1.0])  # LAPACK factors it; the floor does not
+    with pytest.raises(la.NotPositiveDefiniteError, match=r"^slice 1: pivot .* at column 1$"):
+        la.cholesky(tiny)
+    skew = b.copy()
+    skew[3, 0, 1] += 1.0
+    with pytest.raises(la.LinAlgError, match=r"^slice 3: A is not Hermitian"):
+        la.herm_eig(skew)
+    bad = b.copy()
+    bad[2, 1, 1] = np.nan
+    with pytest.raises(la.LinAlgError, match=r"^slice 2: B contains non-finite"):
+        la.cholesky(bad)
+    grid = np.broadcast_to(b, (2, 4, 3, 3)).copy()
+    grid[1, 2] = np.diag([1.0, -1.0, 1.0])
+    with pytest.raises(la.NotPositiveDefiniteError, match=r"^slice \(1, 2\): B is not"):
+        la.cholesky(grid)
+    with pytest.raises(la.LinAlgError, match="dimension mismatch"):
+        la.gen_eig_hpd(b[:3], b)
+
+
 # ---------- gen_eig_homogeneous ----------
 
 def test_homogeneous_explicit_singular_b():

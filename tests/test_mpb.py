@@ -238,6 +238,74 @@ def test_at_snr_equals_rebuilt_model_bitwise(interferers, make_bases):
         assert np.array_equal(moved.r_i, built.r_i)
 
 
+def test_at_snr_rebuilds_nothing(monkeypatch):
+    """at_snr sets P0 alone: no __post_init__ runs, Q_S and Q_I keep their
+    bytes, and a computed a0^H Q_S^-1 a0 carries over without a solve."""
+    model = mpb.analytic_cov(_scenario(interferers=ALL_FAMILIES, power=0.7),
+                             mpb.maximin_bases(CODE))
+    quad = model.qs_quad
+    calls = []
+    post_init = mpb.AnalyticModel.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        post_init(self)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a0^H Q_S^-1 a0 solved again")
+    monkeypatch.setattr(mpb.AnalyticModel, "__post_init__", counted)
+    monkeypatch.setattr(la, "solve_hpd", refuse)
+    for snr in (1e-6, 1.0, 2.5e4, np.array([0.5, 2.0, 3e3])):
+        moved = model.at_snr(snr)
+        assert moved.q_s.tobytes() == model.q_s.tobytes()
+        assert moved.q_i.tobytes() == model.q_i.tobytes()
+        assert moved.qs_quad == quad
+        assert model.soi_power == 0.7  # the original stays where it was
+    assert calls == []
+    model.at_inr(2.0 * model.inr)  # the INR moves Q: that model is rebuilt
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("interferers", [(f,) for f in ALL_FAMILIES] + [ALL_FAMILIES],
+                         ids=["white", "tone", "pn", "mai", "all"])
+def test_grid_model_slices_equal_points_bitwise(interferers):
+    """A model moved to an array of SNRs gives R_S and R_I as stacks whose
+    slices are the matrices of the model moved to each SNR alone."""
+    model = mpb.analytic_cov(_scenario(interferers=interferers, noise_var=1.3),
+                             mpb.maximin_bases(CODE))
+    snrs = [1e-6, 0.05, 1.0, 31.0, 2.5e4]
+    grid = model.at_snr(np.array(snrs))
+    assert grid.r_s.shape == grid.r_i.shape == (len(snrs), 8, 8)
+    for i, snr in enumerate(snrs):
+        point = model.at_snr(snr)
+        assert grid.soi_power[i] == point.soi_power
+        assert np.array_equal(grid.r_s[i], point.r_s)
+        assert np.array_equal(grid.r_i[i], point.r_i)
+
+
+def test_stacked_weights_and_g_equal_each_point_bitwise():
+    """solve_weights and analytic_g over a stack of pairs equal the pairs
+    solved alone, the cluster tie-break (an equal pair) included."""
+    sc = _scenario(interferers=ALL_FAMILIES, symbols=400)
+    bases = mpb.maximin_bases(CODE)
+    model = mpb.analytic_cov(sc, bases)
+    snrs = [0.01, 1.0, 100.0, 1.0]
+    pairs = [mpb.accumulate_cov_pair(replace(sc, mc_stream=i), bases) for i in range(3)]
+    pairs.append(mpb.CovariancePair(pairs[0].r_i, pairs[0].r_i))  # all eigenvalues 1
+    r_s = np.stack([p.r_s for p in pairs])
+    r_i = np.stack([p.r_i for p in pairs])
+    grid = model.at_snr(np.array(snrs))
+    bw = mpb.solve_weights(mpb.CovariancePair(r_s, r_i), grid.a0)
+    g = mpb.analytic_g(bw.w, grid)
+    assert bw.w.shape == (4, 8) and bw.lambda_max.shape == g.shape == (4,)
+    for i, (snr, pair) in enumerate(zip(snrs, pairs)):
+        one = mpb.solve_weights(pair, model.a0)
+        assert np.array_equal(bw.w[i], one.w)
+        assert bw.lambda_max[i] == one.lambda_max
+        assert g[i] == mpb.analytic_g(one.w, model.at_snr(snr))
+    assert len(mpb.top_cluster(la.gen_eig_hpd(pairs[3].r_s, pairs[3].r_i).eigenvalues)) == 8
+
+
 _MAI_GAINS = replace(ALL_FAMILIES[3], path_gains=(1.0, 0.6, 0.3))
 
 

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -262,6 +264,21 @@ def test_g_lower_builds_no_model(monkeypatch):
     assert theory.g_lower_oracle(model) > 0.0
 
 
+def test_g_lower_takes_the_callers_gamma1(monkeypatch):
+    """Given gamma_1, the oracle solves no mismatch spectrum and returns the
+    same bytes as when it computes gamma_1 itself."""
+    model = mpb.analytic_cov(_pn2(30.0), mpb.maximin_bases(CODE))
+    g1 = float(theory.gamma_spectrum(model.q_s, model.q_i, 2)[0])
+    own = theory.g_lower_oracle(model)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("g_lower_oracle solved gamma_spectrum")
+    monkeypatch.setattr(theory, "gamma_spectrum", refuse)
+    assert theory.g_lower_oracle(model, gamma1=g1) == own
+    with pytest.raises(ValueError, match="gamma_1 = 0"):
+        theory.g_lower_oracle(model, gamma1=0.0)
+
+
 def test_g_lower_probe_stability():
     sc = _pn2(30.0)
     bases = mpb.maximin_bases(CODE)
@@ -322,6 +339,28 @@ def test_mismatch_spectrum_without_interferers():
         assert spec.gammas.size == 0 and spec.delta == 0.0
         assert (spec.lambda_max_pred, spec.bound_radius, spec.feasible) == \
             (spec.gamma0 + 1.0, 0.0, True)
+
+
+@pytest.mark.parametrize("preset", sorted(harness.PRESETS))
+def test_grid_spectrum_and_lambda_max_equal_each_point_bitwise(preset):
+    """On a grid model the spectrum is solved once over the grid: one
+    MismatchSpectrum per SNR, each field equal to that SNR's alone, and
+    likewise the exact lambda_max."""
+    config = harness.preset(preset)
+    model = mpb.analytic_cov(harness.scenario_at(config, 0.0), harness.bases_for(config))
+    snrs = [10.0 ** (s / 10.0) for s in (-30.0, -7.0, 0.0, 12.0, 50.0)]
+    grid = model.at_snr(np.array(snrs))
+    spectra = theory.mismatch_spectrum(grid)
+    lams = theory.exact_lambda_max(grid)
+    assert len(spectra) == lams.shape[0] == len(snrs)
+    for snr, spec, lam in zip(snrs, spectra, lams):
+        point = model.at_snr(snr)
+        alone = theory.mismatch_spectrum(point)
+        for f in fields(theory.MismatchSpectrum):
+            a, b = getattr(spec, f.name), getattr(alone, f.name)
+            assert type(a) is type(b) and np.array_equal(a, b), f.name
+        assert lam == la.gen_eig_hpd(point.r_s, point.r_i).eigenvalues[0]
+    assert float(theory.exact_lambda_max(model.at_snr(snrs[1]))) == lams[1]
 
 
 def test_lambda_containment_on_periodic_scenario_grid():
