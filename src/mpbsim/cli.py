@@ -11,6 +11,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 
 from . import harness, linalg
 
@@ -41,7 +42,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--snr-db", metavar="LIST", default=None,
                        help="comma-separated SNR grid in dB")
         p.add_argument("--inr-db", type=float, metavar="X", default=None)
-        p.add_argument("--workers", type=int, metavar="N", default=1)
+        p.add_argument("--workers", type=int, metavar="N", default=1,
+                       help="upper bound on sweep processes (at least 1); "
+                            "a sweep always runs in one")
 
     for name, text in (("sweep", "Monte Carlo G sweep vs theory, CSV output"),
                        ("pattern", "array patterns for both schemes at one SNR"),
@@ -50,6 +53,10 @@ def build_parser() -> argparse.ArgumentParser:
         add_common(sub.add_parser(name, help=text))
     sub.add_parser("presets", help="list built-in scenario names")
     return parser
+
+
+# parse_args builds a fresh namespace per call, so one parser serves them all
+_PARSER = build_parser()
 
 
 def _resolve_config(args) -> harness.ExperimentConfig:
@@ -64,7 +71,6 @@ def _resolve_config(args) -> harness.ExperimentConfig:
     else:
         raise harness.ConfigError("a --config file or --preset name is required")
 
-    from dataclasses import replace
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     if args.symbols is not None:
@@ -150,9 +156,8 @@ def _cmd_analyze(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
 

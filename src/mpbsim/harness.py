@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import partial
 
@@ -475,23 +474,22 @@ def _over_grid(solve, points) -> list:
         return out
 
 
-def _sweep_point(payload):
+def _sweep_point(config: ExperimentConfig, bases: mpb.ProjectionBases, paths,
+                 index: int, snr_db: float):
     """One sweep point's sample pair (R_S, R_I), from K simulated symbols.
 
-    Runs in worker processes; must stay order-independent (all randomness
-    comes from the scenario's counter-based streams). The bases and the
-    realized interferer paths come with the payload, so a Custom basis
-    file is read once per sweep and the paths are drawn once. Everything
-    else about the point is solved in the parent (_solve_points). Returns
-    (index, pair, None), or (index, None, "Type: message") for a failed
+    All randomness comes from the scenario's counter-based streams, keyed by
+    (seed, index). bases and the realized interferer paths are the probe's,
+    so a Custom basis file is read once per sweep and the paths are drawn
+    once. Everything else about the point is solved over the whole grid
+    (_solve_points). Returns the pair, or "Type: message" for a failed
     point.
     """
-    config, bases, paths, index, snr_db = payload
     try:
         sc = scenario_at(config, snr_db, stream=index, paths=paths)
-        return index, mpb.accumulate_cov_pair(sc, bases), None
+        return mpb.accumulate_cov_pair(sc, bases)
     except _NUMERIC_ERRORS as exc:
-        return index, None, _error(exc)
+        return _error(exc)
 
 
 def _solve_points(model: mpb.AnalyticModel, snr, r_s, r_i) -> list:
@@ -516,35 +514,30 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
               out_path=None) -> list:
     """Simulated-vs-theory sweep over the config's SNR grid.
 
-    Deterministic for a fixed (config, seed) regardless of worker count:
-    every point derives its own RNG streams from (seed, point index) and
-    rows are emitted in grid order. The workers (or the serial loop) only
-    synthesize each point's sample pair; the parent then solves the weights,
-    G and both lambda_max columns for the whole grid at once (_over_grid).
-    Failed points get region "Error", keep their error on the row, and the
-    sweep continues. The pool never holds more workers than there are
-    points.
+    Deterministic for a fixed (config, seed): every point derives its own
+    RNG streams from (seed, point index), and the points are synthesized in
+    grid order in the calling process. Only the sample pairs are synthesized
+    per point; the weights, G and both lambda_max columns are then solved
+    for the whole grid at once (_over_grid). Failed points get region
+    "Error", keep their error on the row, and the sweep continues. workers
+    (at least 1) bounds the processes a sweep may use; one always meets it.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     probe = _probe(config)
     grid_lin = [10.0 ** (s / 10.0) for s in config.snr_grid_db]
     curve = theory.operating_curve(probe.model, probe.thresholds(grid_lin), grid_lin)
-    payloads = [(config, probe.bases, probe.scenario.paths, i, s)
-                for i, s in enumerate(config.snr_grid_db)]
-    workers = min(workers, len(payloads))
-    if workers == 1:
-        results = [_sweep_point(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_point, payloads))
-    results.sort(key=lambda r: r[0])
+    pairs = [_sweep_point(config, probe.bases, probe.scenario.paths, i, s)
+             for i, s in enumerate(config.snr_grid_db)]
     solved = iter(_over_grid(
         partial(_solve_points, probe.model),
-        [(grid_lin[i], pair.r_s, pair.r_i) for i, pair, err in results if err is None]))
+        [(snr, pair.r_s, pair.r_i) for snr, pair in zip(grid_lin, pairs)
+         if not isinstance(pair, str)]))
 
     rows = []
-    for (index, _, err), (snr_lin, g_theory, region) in zip(results, curve.points):
+    for snr_db, pair, (snr_lin, g_theory, region) in zip(config.snr_grid_db, pairs,
+                                                         curve.points):
+        err = pair if isinstance(pair, str) else None
         values = (math.nan,) * 3
         if err is None:
             values = next(solved)
@@ -554,7 +547,7 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
         g0 = theory.gamma0(snr_lin, config.element_count,
                            config.processing_gain, probe.model.beta)
         rows.append(SweepRow(
-            snr_db=config.snr_grid_db[index],
+            snr_db=snr_db,
             g_sim_db=g_sim_db,
             g_theory_db=10.0 * math.log10(g_theory),
             gamma0=g0, gamma1=probe.gamma1,
@@ -581,11 +574,11 @@ def run_pattern(config: ExperimentConfig, snr_db: float, out_path=None) -> list:
     names = ["PAPC", "Maximin"]
     if config.scheme.name == "Custom":
         names.append("Custom")
+    sc = scenario_at(config, snr_db, stream=0)
+    sc = replace(sc, paths=sm.realize_paths(sc))
     rows = []
     for name in names:
-        bases = _bases_named(config, name)
-        sc = scenario_at(config, snr_db, stream=0)
-        model = mpb.analytic_cov(sc, bases)
+        model = mpb.analytic_cov(sc, _bases_named(config, name))
         bw = mpb.solve_weights(model.cov_pair(), model.a0)
         for theta, gain in mpb.array_pattern(bw.w, sc.geometry, thetas):
             rows.append((name, theta, gain))

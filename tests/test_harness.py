@@ -1,7 +1,9 @@
 """Config round-trips and validation, presets, harness runs, and the CLI."""
 
+import concurrent.futures
 import json
 import math
+import multiprocessing.process
 import os
 import subprocess
 import sys
@@ -292,44 +294,42 @@ def test_sweep_worker_count_invisible(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
+def _refuse_to_start(*args, **kwargs):
+    raise AssertionError("a sweep started a process")
 
 
-@pytest.mark.parametrize("workers, pool", [(1, None), (2, 2), (3, 3), (64, 3)])
-def test_sweep_pool_is_capped_at_the_point_count(workers, pool, monkeypatch):
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
+@pytest.mark.parametrize("workers", [1, 2, 64])
+def test_sweep_starts_no_process(workers, monkeypatch):
+    """Every sweep synthesizes its points in the calling process: no pool and
+    no child process at any worker count, and the rows of one worker."""
     cfg = _tiny("fig4b-pn2", symbols=200, grid=(-10.0, 0.0, 10.0))
-    rows = harness.run_sweep(cfg, workers=workers)
-    assert _RecordingPool.sizes == ([] if pool is None else [pool])
-    assert rows == harness.run_sweep(cfg, workers=1)
-
-
-def test_sweep_single_point_runs_without_a_pool(monkeypatch):
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    harness.run_sweep(_tiny("fig4b-pn2", symbols=200, grid=(0.0,)), workers=8)
-    assert _RecordingPool.sizes == []
+    serial = harness.run_sweep(cfg, workers=1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _refuse_to_start)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", _refuse_to_start)
+    assert harness.run_sweep(cfg, workers=workers) == serial
 
 
 @pytest.mark.parametrize("workers", [0, -3])
 def test_sweep_rejects_fewer_than_one_worker(workers):
     with pytest.raises(ValueError, match="workers"):
         harness.run_sweep(_tiny("fig4b-pn2", symbols=200, grid=(0.0,)), workers=workers)
+
+
+def test_cli_parses_without_leaking_between_calls(monkeypatch, tmp_path):
+    """The parser is built once per process, and a flag given to one call
+    does not carry over to the next."""
+    def refuse():
+        raise AssertionError("parser rebuilt")
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    seen = []
+    monkeypatch.setattr(harness, "run_sweep",
+                        lambda config, workers, out_path: seen.append(config) or [])
+    common = ["sweep", "--preset", "fig4b-pn2", "--out", str(tmp_path)]
+    assert cli.main([*common, "--seed", "5", "--symbols", "300"]) == 0
+    assert cli.main(common) == 0
+    own = harness.preset("fig4b-pn2")
+    assert [(c.seed, c.symbols) for c in seen] == [(5, 300), (own.seed, own.symbols)]
+    assert seen[1] == replace(own, out_dir=str(tmp_path))
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -358,6 +358,27 @@ def test_pattern_rows_and_normalization():
         assert thetas[0] == -90.0 and thetas[-1] == 90.0
         assert len(thetas) == 361
         assert max(g for _, g in pts) == 0.0
+
+
+@pytest.mark.parametrize("scheme", ["Maximin", "Custom"])
+def test_pattern_realizes_the_paths_once(scheme, monkeypatch, tmp_path):
+    """One realization of the interferer paths serves every scheme's model."""
+    cfg = _tiny("fig4c-tones5", grid=(20.0,))
+    if scheme == "Custom":
+        bases = mpb.maximin_bases(sm.gold31(0))
+        npz = tmp_path / "basis.npz"
+        np.savez(npz, h_s=bases.h_s, h_i=bases.h_i)
+        cfg = replace(cfg, scheme=harness.SchemeConfig("Custom", basis_file=str(npz)))
+    calls = []
+    realize = sm.realize_paths
+
+    def counted(scenario):
+        calls.append(scenario)
+        return realize(scenario)
+    monkeypatch.setattr(sm, "realize_paths", counted)
+    rows = harness.run_pattern(cfg, 20.0)
+    assert len(calls) == 1
+    assert {name for name, _, _ in rows} == ({"PAPC", "Maximin"} | {scheme})
 
 
 def test_pattern_csv(tmp_path):
@@ -519,15 +540,14 @@ def _indefinite_pair(size: int) -> mpb.CovariancePair:
 
 
 def test_sweep_point_linalg_failure_is_named_error(monkeypatch):
-    """A worker returns the point's sample pair and the parent solves it: a
-    pencil that cannot be solved fails each point with the message that
-    solving its weights alone raises."""
+    """A point returns its sample pair and the grid solve takes it: a pencil
+    that cannot be solved fails each point with the message that solving
+    its weights alone raises."""
     cfg = _tiny("fig4b-pn2")
     bad = _indefinite_pair(cfg.element_count)
     monkeypatch.setattr(mpb, "accumulate_cov_pair", lambda scenario, bases: bad)
     probe = harness._probe(cfg)
-    index, pair, err = harness._sweep_point((cfg, probe.bases, probe.scenario.paths, 1, 10.0))
-    assert index == 1 and pair is bad and err is None
+    assert harness._sweep_point(cfg, probe.bases, probe.scenario.paths, 1, 10.0) is bad
     with pytest.raises(la.NotPositiveDefiniteError) as alone:
         mpb.solve_weights(bad, probe.model.a0)
     expected = f"NotPositiveDefiniteError: {alone.value}"
