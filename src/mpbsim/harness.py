@@ -43,6 +43,12 @@ def _power(db: float) -> float:
         return math.inf
 
 
+def _check_doa(field: str, doa: float) -> None:
+    """A source direction must lie off endfire, |doa| < 90 deg (sm.steering)."""
+    if not abs(doa) < 90.0:
+        raise ConfigError(f"{field} must satisfy |doa| < 90 deg, got {doa}")
+
+
 # -----------------------
 # Config model
 # -----------------------
@@ -121,11 +127,32 @@ class ExperimentConfig:
         if self.processing_gain != sm.GOLD_LENGTH:
             raise ConfigError(f"processing_gain must be {sm.GOLD_LENGTH} (the Gold "
                               f"code length), got {self.processing_gain!r}")
+        if not 0.0 < self.element_spacing < math.inf:
+            raise ConfigError(f"element_spacing must be positive and finite, "
+                              f"got {self.element_spacing}")
+        _check_doa("soi_doa_deg", self.soi_doa_deg)
         for s in self.snr_grid_db:
             if not 0.0 < _power(s) / self.processing_gain < math.inf:
                 raise ConfigError(f"snr_grid_db must give a finite, positive "
                                   f"linear power, got {s} dB")
         for i, ic in enumerate(self.interferers):
+            where = f"interferers[{i}]"
+            _check_doa(f"{where}.doa_deg", ic.doa_deg)
+            for j, doa in enumerate(ic.path_doas):
+                _check_doa(f"{where}.path_doas[{j}]", doa)
+            for j, gain in enumerate(ic.path_gains or ()):
+                if not 0.0 < gain < math.inf:
+                    raise ConfigError(f"{where}.path_gains[{j}] must be positive "
+                                      f"and finite, got {gain}")
+            if ic.kind == "mai_multipath":
+                try:
+                    sm.gold31(ic.user_code)
+                except ValueError as exc:
+                    raise ConfigError(f"{where}.user_code must name a Gold code: "
+                                      f"{exc}") from None
+            if ic.kind == "tone" and not math.isfinite(ic.normalized_offset):
+                raise ConfigError(f"{where}.normalized_offset must be finite, "
+                                  f"got {ic.normalized_offset}")
             if not 0.0 < _power(self.inr_db + ic.rel_power_db) < math.inf:
                 field = ("inr_db" if not 0.0 < _power(self.inr_db) < math.inf
                          else f"interferers[{i}].rel_power_db")
@@ -459,6 +486,8 @@ def _over_grid(solve, points) -> list:
     every point alone: a failed point's entry is then its exception, as it
     would be raised for that point alone, and every other point keeps its
     value. A slice of a stack equals its point solved alone, bit for bit.
+    A sweep goes through here twice: once to synthesize its sample pairs
+    (_sample_pairs) and once to solve them (_solve_points).
     """
     if not points:
         return []
@@ -474,22 +503,24 @@ def _over_grid(solve, points) -> list:
         return out
 
 
-def _sweep_point(config: ExperimentConfig, bases: mpb.ProjectionBases, paths,
-                 index: int, snr_db: float):
-    """One sweep point's sample pair (R_S, R_I), from K simulated symbols.
+def _sample_pairs(bases: mpb.ProjectionBases, base: sm.Scenario, index, snr_db) -> list:
+    """The sample pairs (R_S, R_I) of sweep points, from K simulated symbols
+    each, synthesized in one mpb.accumulate_cov_pair call.
 
-    All randomness comes from the scenario's counter-based streams, keyed by
-    (seed, index). bases and the realized interferer paths are the probe's,
-    so a Custom basis file is read once per sweep and the paths are drawn
-    once. Everything else about the point is solved over the whole grid
-    (_solve_points). Returns the pair, or "Type: message" for a failed
-    point.
+    index and snr_db are one point's grid index and SNR, or arrays of them
+    over the grid (_over_grid). Point i is base, the 0 dB probe's scenario,
+    with the SOI power of its SNR and mc_stream i, as scenario_at would
+    build it: its randomness comes from counter-based streams keyed by
+    (seed, i), and it carries the probe's interferer paths, drawn once per
+    sweep. bases are the probe's, so a Custom basis file is read once per
+    sweep.
+    Returns one (r_s, r_i) per point, slices of the stacked pair.
     """
-    try:
-        sc = scenario_at(config, snr_db, stream=index, paths=paths)
-        return mpb.accumulate_cov_pair(sc, bases)
-    except _NUMERIC_ERRORS as exc:
-        return _error(exc)
+    grid = [replace(base, mc_stream=int(i), soi=replace(
+                base.soi, power=_power(float(s)) / base.soi.processing_gain))
+            for i, s in zip(np.atleast_1d(index), np.atleast_1d(snr_db))]
+    pair = mpb.accumulate_cov_pair(grid, bases)
+    return list(zip(pair.r_s, pair.r_i))
 
 
 def _solve_points(model: mpb.AnalyticModel, snr, r_s, r_i) -> list:
@@ -515,10 +546,11 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
     """Simulated-vs-theory sweep over the config's SNR grid.
 
     Deterministic for a fixed (config, seed): every point derives its own
-    RNG streams from (seed, point index), and the points are synthesized in
-    grid order in the calling process. Only the sample pairs are synthesized
-    per point; the weights, G and both lambda_max columns are then solved
-    for the whole grid at once (_over_grid). Failed points get region
+    RNG streams from (seed, point index), in the calling process. The
+    sample pairs of the whole grid come from one synthesis call, and the
+    weights, G and both lambda_max columns from one stacked solve over
+    them (_over_grid each); if either call raises, it is repeated point by
+    point, so a failed point keeps its own error. Failed points get region
     "Error", keep their error on the row, and the sweep continues. workers
     (at least 1) bounds the processes a sweep may use; one always meets it.
     """
@@ -527,17 +559,17 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
     probe = _probe(config)
     grid_lin = [10.0 ** (s / 10.0) for s in config.snr_grid_db]
     curve = theory.operating_curve(probe.model, probe.thresholds(grid_lin), grid_lin)
-    pairs = [_sweep_point(config, probe.bases, probe.scenario.paths, i, s)
-             for i, s in enumerate(config.snr_grid_db)]
+    pairs = _over_grid(partial(_sample_pairs, probe.bases, probe.scenario),
+                       list(enumerate(config.snr_grid_db)))
     solved = iter(_over_grid(
         partial(_solve_points, probe.model),
-        [(snr, pair.r_s, pair.r_i) for snr, pair in zip(grid_lin, pairs)
-         if not isinstance(pair, str)]))
+        [(snr, *pair) for snr, pair in zip(grid_lin, pairs)
+         if not isinstance(pair, Exception)]))
 
     rows = []
     for snr_db, pair, (snr_lin, g_theory, region) in zip(config.snr_grid_db, pairs,
                                                          curve.points):
-        err = pair if isinstance(pair, str) else None
+        err = _error(pair) if isinstance(pair, Exception) else None
         values = (math.nan,) * 3
         if err is None:
             values = next(solved)

@@ -47,6 +47,10 @@ class ProjectionBases:
         h_i = np.asarray(self.h_i, dtype=np.complex128)
         if h_i.ndim != 2 or h_i.shape[0] != h_s.shape[0]:
             raise ValueError("h_i must be N x r_I")
+        # every check below is a comparison, and NaN fails none of them
+        for name, h in (("h_s", h_s), ("h_i", h_i)):
+            if not np.isfinite(h).all():
+                raise ValueError(f"{name} contains non-finite entries")
         if abs(np.vdot(h_s, h_s).real - 1.0) > 1e-12:
             raise ValueError("h_s must be unit norm")
         gram = h_i.conj().T @ h_i
@@ -123,13 +127,14 @@ class CovariancePair:
 
 
 def _sample_pair(acc_s: np.ndarray, acc_i: np.ndarray, k: int, r_i_dim: int) -> CovariancePair:
-    """R_S = acc_s / K and R_I = acc_i / (K r_I), made exactly Hermitian."""
-    big_l = acc_s.shape[0]
+    """R_S = acc_s / K and R_I = acc_i / (K r_I), made exactly Hermitian;
+    acc_s and acc_i may be stacks (..., L, L)."""
+    big_l = acc_s.shape[-1]
     if k < 10 * big_l:
         warnings.warn(f"only {k} snapshots for L={big_l}: covariance estimates are noisy")
     r_s = acc_s / k
     r_i = acc_i / (k * r_i_dim)
-    return CovariancePair(0.5 * (r_s + r_s.conj().T), 0.5 * (r_i + r_i.conj().T))
+    return CovariancePair(0.5 * (r_s + la._h(r_s)), 0.5 * (r_i + la._h(r_i)))
 
 
 def estimate_cov_pair(x_s: np.ndarray, x_i: np.ndarray) -> CovariancePair:
@@ -146,21 +151,28 @@ def estimate_cov_pair(x_s: np.ndarray, x_i: np.ndarray) -> CovariancePair:
     return _sample_pair(x_s.T @ x_s.conj(), x_it @ x_it.conj().T, k, x_i.shape[2])
 
 
-def accumulate_cov_pair(scenario: sm.Scenario, bases: ProjectionBases,
+def accumulate_cov_pair(scenarios, bases: ProjectionBases,
                         include=("soi", "interference", "noise")) -> CovariancePair:
-    """estimate_cov_pair over all scenario symbols, without their snapshots.
+    """estimate_cov_pair over all scenario symbols, without their snapshots,
+    at every point of a sweep grid.
 
-    The sums come from sm.projected_sum with the basis [h_s, h_i]: R_S is
-    its h_s block, and R_I the sum of its h_i diagonal blocks over r_I. The
-    L x N blocks are never formed, and receiver noise is drawn from the
-    exact law of the sums; see that function.
+    scenarios is one sm.Scenario, or a sequence of them that differ only in
+    the SOI power and mc_stream (see sm.projected_sum). For a sequence, R_S
+    and R_I are stacks of shape (P, L, L), each slice bitwise equal to that
+    point's pair computed alone; a single scenario gives one unstacked pair.
+    The sums come from one sm.projected_sum call with the basis [h_s, h_i]:
+    R_S is its h_s block, and R_I the sum of its h_i diagonal blocks over
+    r_I. The L x N blocks are never formed, and receiver noise is drawn
+    from the exact law of the sums; see that function.
     """
-    big_l, m = scenario.geometry.element_count, 1 + bases.r_i
-    total = sm.projected_sum(scenario, np.column_stack([bases.h_s, bases.h_i]),
+    m = 1 + bases.r_i
+    total = sm.projected_sum(scenarios, np.column_stack([bases.h_s, bases.h_i]),
                              include=include)
-    blocks = total.reshape(m, big_l, m, big_l)
-    acc_i = np.einsum("jajb->ab", blocks[1:, :, 1:, :])
-    return _sample_pair(blocks[0, :, 0, :], acc_i, scenario.symbols, bases.r_i)
+    big_l = total.shape[-1] // m
+    first = scenarios if isinstance(scenarios, sm.Scenario) else scenarios[0]
+    blocks = total.reshape(*total.shape[:-2], m, big_l, m, big_l)
+    acc_i = np.einsum("...jajb->...ab", blocks[..., 1:, :, 1:, :])
+    return _sample_pair(blocks[..., 0, :, 0, :], acc_i, first.symbols, bases.r_i)
 
 
 # -----------------------

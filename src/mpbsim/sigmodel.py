@@ -9,7 +9,11 @@ Two synthesizers share the random streams. iter_blocks builds the full
 L x N block X(k) of every symbol and is kept as the reference.
 projected_sum returns only the second-order sums of the projections
 X(k) B* onto an N x M basis B, which is all the beamformer consumes,
-without ever forming X(k).
+without ever forming X(k). It takes a whole sweep grid at once: scenarios
+that differ only in the SOI power and mc_stream. What no point changes
+(paths, steering, the projected loads, the noise colouring, chip tables)
+is built once per grid, each point draws its own streams, and the rest is
+stacked over the grid; a single scenario is the one-point grid.
 
 Randomness discipline: interferer *realization* parameters (tone phases,
 periodical-noise segments) derive from the scenario seed alone, so one
@@ -46,9 +50,11 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
+
+from . import linalg as la
 
 BATCH = 4096  # symbols per synthesis batch; fixed so streams never depend on partitioning
 
@@ -324,6 +330,52 @@ def steering_matrix(paths, geometry: ArrayGeometry) -> np.ndarray:
 
 
 # -----------------------
+# Sweep grids
+# -----------------------
+
+def _grid_field(a, b, prefix: str = "") -> str | None:
+    """The first field, other than soi.power and mc_stream, in which two
+    scenarios (or two SoiSpecs, under prefix "soi.") differ; None if none.
+
+    Arrays compare by value and realized paths by identity: the points of
+    a grid share one drawing of the paths.
+    """
+    for f in fields(a):
+        name, x, y = prefix + f.name, getattr(a, f.name), getattr(b, f.name)
+        if x is y or name in ("soi.power", "mc_stream"):
+            continue
+        if isinstance(x, SoiSpec):
+            differs = _grid_field(x, y, "soi.")
+            if differs:
+                return differs
+        elif name == "paths":
+            if x is None or y is None or len(x) != len(y) or any(
+                    p is not q for p, q in zip(x, y)):
+                return name
+        elif isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            if x is None or y is None or not np.array_equal(x, y):
+                return name
+        elif x != y:
+            return name
+    return None
+
+
+def _grid_of(scenarios) -> tuple:
+    """A sweep grid as a tuple of scenarios; a single Scenario is the
+    one-point grid. Points may differ only in soi.power and mc_stream."""
+    grid = (scenarios,) if isinstance(scenarios, Scenario) else tuple(scenarios)
+    if not grid:
+        raise ValueError("a grid needs at least one scenario")
+    for i, sc in enumerate(grid[1:], start=1):
+        differs = _grid_field(grid[0], sc)
+        if differs:
+            raise ValueError(f"grid point {i} differs from point 0 in {differs}; "
+                             f"a grid's points may differ only in soi.power "
+                             f"and mc_stream")
+    return grid
+
+
+# -----------------------
 # Block synthesis
 # -----------------------
 
@@ -522,63 +574,91 @@ def _count_gram(keys, negs: dict, k_total: int) -> np.ndarray:
     return z_gram
 
 
-def _batch_gram(scenario: Scenario, keys, negs: dict, proj: np.ndarray) -> np.ndarray:
-    """Z = sum_k z z^H of projected_sum's sources, summed batch by batch.
+def _batch_gram(grid, keys, negs, proj: np.ndarray) -> np.ndarray:
+    """Z = sum_k z z^H of projected_sum's sources at every point of a grid,
+    summed batch by batch: shape (P, q', q') for P points.
 
     keys name the sources in the order of U's columns: "soi" and "mai" keys
-    are read from negs and made +-1 one batch slice at a time, a "ramp" key
-    holds its block phase, and a "white" key stands for the M projected chip
-    rows of one white path.
+    are read from a point's dict in negs (an iterable of one per point) and
+    made +-1 one batch slice at a time, a "ramp" key holds its block phase,
+    and a "white" key stands for the M projected chip rows of one white
+    path. The chip tables, the ramp steps and the buffers serve every point.
     """
+    k_total = grid[0].symbols
     if any(key[0] == "white" for key in keys):
         tables = _chip_tables(proj)
     # e^{i phi (k0 + j)} = e^{i phi k0} e^{i phi j}: the exps of one batch
     # serve every batch. Equal to the complex power of the unit-modulus
     # block phase to rounding, and exactly 1 for phi = 0.
-    j = np.arange(min(BATCH, scenario.symbols))
+    j = np.arange(min(BATCH, k_total))
     steps = {key[1]: np.exp(1j * cmath.phase(key[1]) * j)
              for key in keys if key[0] == "ramp"}
     m = proj.shape[1]
     width = sum(m if key[0] == "white" else 1 for key in keys)
+    # z, its conjugate and one white lookup, filled in place batch by batch
+    # and point by point: arrays allocated per batch are large enough to be
+    # mapped and faulted in anew on every batch. A partial batch fills the
+    # leading part of each, which is contiguous too.
+    rows = (width, width, m)
+    flat = [np.empty(r * len(j), dtype=np.complex128) for r in rows]
 
-    def buffers(cols):
-        # z, its conjugate and one white lookup, filled in place batch by
-        # batch: arrays allocated per batch are large enough to be mapped
-        # and faulted in anew on every batch
-        return (np.empty((rows, cols), dtype=np.complex128) for rows in (width, width, m))
-
-    z_gram = np.zeros((width, width), dtype=np.complex128)
-    z, z_conj, lookup = buffers(len(j))
-    for bi, k0 in enumerate(range(0, scenario.symbols, BATCH)):
-        nb = min(BATCH, scenario.symbols - k0)
-        if nb < z.shape[1]:
-            z, z_conj, lookup = buffers(nb)
-        row = 0
-        for key in keys:
-            if key[0] == "white":
-                # the sum from 0 of the four byte lookups; mode "clip" writes
-                # out unbuffered, and a byte never leaves a 256-entry table
-                octets = _chip_bytes(_white_bits(scenario, key[1], bi, nb))
-                chips = z[row:row + m]
-                chips[...] = 0.0
-                for b in range(4):
-                    np.take(tables[b], octets[:, b], axis=1, out=lookup, mode="clip")
-                    chips += lookup
-                row += m
-            elif key in negs:
-                z[row] = 1.0 - 2.0 * negs[key][k0:k0 + nb]
-                row += 1
-            else:  # ramp
-                z[row] = cmath.exp(1j * cmath.phase(key[1]) * k0) * steps[key[1]][:nb]
-                row += 1
-        np.conjugate(z, out=z_conj)
-        z_gram += z @ z_conj.T
+    z_gram = np.zeros((len(grid), width, width), dtype=np.complex128)
+    for scenario, point_negs, point_gram in zip(grid, negs, z_gram):
+        for bi, k0 in enumerate(range(0, k_total, BATCH)):
+            nb = min(BATCH, k_total - k0)
+            z, z_conj, lookup = (buf[:r * nb].reshape(r, nb) for buf, r in zip(flat, rows))
+            row = 0
+            for key in keys:
+                if key[0] == "white":
+                    # the sum from 0 of the four byte lookups; mode "clip"
+                    # writes out unbuffered, and a byte never leaves a
+                    # 256-entry table
+                    octets = _chip_bytes(_white_bits(scenario, key[1], bi, nb))
+                    chips = z[row:row + m]
+                    chips[...] = 0.0
+                    for b in range(4):
+                        np.take(tables[b], octets[:, b], axis=1, out=lookup, mode="clip")
+                        chips += lookup
+                    row += m
+                elif key in point_negs:
+                    z[row] = 1.0 - 2.0 * point_negs[key][k0:k0 + nb]
+                    row += 1
+                else:  # ramp
+                    z[row] = cmath.exp(1j * cmath.phase(key[1]) * k0) * steps[key[1]][:nb]
+                    row += 1
+            np.conjugate(z, out=z_conj)
+            point_gram += z @ z_conj.T
     return z_gram
 
 
-def projected_sum(scenario: Scenario, basis: np.ndarray,
+def _point_negs(scenario: Scenario, paths, want_soi: bool) -> dict:
+    """Where each +-1 source of projected_sum is -1 at one point: K booleans
+    per source key."""
+    negs = {}
+    if want_soi:
+        negs[("soi",)] = _soi_negs(scenario)
+    for i, neg in _mai_negs(scenario, paths).items():
+        negs[("mai", i, 0)] = neg[1:]  # b(k); entry 0 of the stream is b(-1)
+        negs[("mai", i, 1)] = neg[:-1]  # b(k-1)
+    return negs
+
+
+def projected_sum(scenarios, basis: np.ndarray,
                   include=("soi", "interference", "noise")) -> np.ndarray:
-    """S = sum_k y(k) y(k)^H over all K symbols, an (L M) x (L M) matrix.
+    """S = sum_k y(k) y(k)^H over all K symbols, an (L M) x (L M) matrix, at
+    every point of a sweep grid.
+
+    scenarios is one Scenario, or a sequence of them that differ only in
+    soi.power and mc_stream (a sweep grid); any other difference raises a
+    ValueError naming the field. The result is then a stack of shape
+    (P, L M, L M), each slice bitwise equal to that point's sum computed
+    alone, and a single Scenario is the one-point grid, unstacked. Per grid,
+    the paths, the steering, U (all but the SOI column's sqrt(P0)), T, C and
+    the chip tables are built once. Each point draws its own streams: the
+    SOI and MAI bits, the white chips when Z is summed per symbol, then W1
+    and W2 from its noise stream. Everything else (U Z U^H, eigh(G),
+    T R^H + C W1, the Gram products and the Hermitian fold) is stacked over
+    the grid.
 
     y(k) stacks the M columns of X(k) basis*, so the (j, j') block of S is
     sum_k (X(k) b_j*) (X(k) b_j'*)^H for basis columns b_j and b_j'.
@@ -609,8 +689,9 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
         symbols, so a symbol costs q^2 work instead of (P M)^2. A white
         path's chips are never unpacked: its M rows are the sum of four
         lookups, one per byte of its packed symbol, in tables of exact +-1
-        projections that are built once per call from the basis and shared
-        by every white path (_chip_tables).
+        projections that are built once per grid from the basis and shared
+        by every white path and point (_chip_tables). The batch buffers
+        serve every point, and hold one point's batch at a time.
     The two ways give the same bytes. The batch loop sums products of +-1
     and 1 in float64, so every partial sum of a counted source set is an
     exact integer below 2^53, whatever the order. The loop is kept whole
@@ -639,23 +720,20 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
     share that stream and are not independent of each other.
     """
     _check_include(include)
-    geo = scenario.geometry
-    big_l, n = geo.element_count, scenario.soi.processing_gain
+    grid = _grid_of(scenarios)
+    first = grid[0]
+    geo = first.geometry
+    big_l, n, k_total = geo.element_count, first.soi.processing_gain, first.symbols
     basis = np.asarray(basis, dtype=np.complex128)
     if basis.ndim != 2 or basis.shape[0] != n:
         raise ValueError(f"basis must be N x M with N={n}, got shape {basis.shape}")
     m = basis.shape[1]
     proj = basis.conj()
-    paths = paths_of(scenario) if "interference" in include else []
+    paths = paths_of(first) if "interference" in include else []
     want_soi = "soi" in include
     steer = steering_matrix(paths, geo)
-    negs = {}  # +-1 source key -> where it is -1, K booleans
     if want_soi:
-        negs[("soi",)] = _soi_negs(scenario)
-        steer = np.column_stack([steering(scenario.soi.doa_deg, geo), steer])
-    for i, neg in _mai_negs(scenario, paths).items():
-        negs[("mai", i, 0)] = neg[1:]  # b(k); entry 0 of the stream is b(-1)
-        negs[("mai", i, 1)] = neg[:-1]  # b(k-1)
+        steer = np.column_stack([steering(first.soi.doa_deg, geo), steer])
     pm = steer.shape[1] * m
     loads = {}  # source key -> U's columns for it, (P M) x (1, or M for a white path)
 
@@ -663,9 +741,8 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
         u = loads.setdefault(key, np.zeros((pm, block.shape[1]), dtype=np.complex128))
         u[p * m:(p + 1) * m] += block
 
-    if want_soi:
-        load(("soi",), 0,
-             math.sqrt(scenario.soi.power) * (scenario.soi.code @ proj)[:, None])
+    if want_soi:  # column 0; its rows 0..M-1, sqrt(P0) c0 B*, are added per point
+        load(("soi",), 0, np.zeros((m, 1)))
     for p, path in enumerate(paths, start=int(want_soi)):
         amp = math.sqrt(path.power)
         if path.family == "white":
@@ -677,31 +754,48 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
         else:  # mai: b(k) on the head, b(k-1) on the tail
             load(("mai", path.stream_index, 0), p, amp * (path.head @ proj)[:, None])
             load(("mai", path.stream_index, 1), p, amp * (path.tail @ proj)[:, None])
-    gram = np.zeros((pm, pm), dtype=np.complex128)
+    gram = np.zeros((len(grid), pm, pm), dtype=np.complex128)
     if loads:
-        u = np.hstack(list(loads.values()))
+        u = np.repeat(np.hstack(list(loads.values()))[None], len(grid), axis=0)
+        if want_soi:
+            amps = np.sqrt([sc.soi.power for sc in grid])
+            u[:, :m, 0] += amps[:, None] * (first.soi.code @ proj)
         keys = list(loads)
-        if all(key in negs or key[0] == "ramp" and coherent(key[1], 1.0) for key in keys):
-            z_gram = _count_gram(keys, negs, scenario.symbols)
+        # drawn point by point, so one point's K-length streams live at a time
+        negs = (_point_negs(sc, paths, want_soi) for sc in grid)
+        if all(key[0] in ("soi", "mai") or key[0] == "ramp" and coherent(key[1], 1.0)
+               for key in keys):
+            z_gram = np.stack([_count_gram(keys, point_negs, k_total) for point_negs in negs])
         else:
-            z_gram = _batch_gram(scenario, keys, negs, proj)
-        gram = u @ z_gram @ u.conj().T
+            z_gram = _batch_gram(grid, keys, negs, proj)
+        gram = u @ z_gram @ la._h(u)
     # T[(j, l), (p, j')] = steer[l, p] * (j == j')
-    steer_all = np.einsum("lp,jk->jlpk", steer, np.eye(m)).reshape(big_l * m, pm)
+    dim = big_l * m
+    steer_all = np.einsum("lp,jk->jlpk", steer, np.eye(m)).reshape(dim, pm)
     if "noise" not in include:
-        total = steer_all @ gram @ steer_all.conj().T
+        total = steer_all @ gram @ la._h(steer_all)
     else:
-        r = min(pm, scenario.symbols)
+        r = min(pm, k_total)
         lam, vec = np.linalg.eigh(gram)
-        r_h = vec[:, pm - r:] * np.sqrt(np.maximum(lam[pm - r:], 0.0))  # R^H
-        noise = math.sqrt(scenario.noise_var) * np.kron(
+        r_h = vec[..., pm - r:] * np.sqrt(np.maximum(lam[..., None, pm - r:], 0.0))  # R^H
+        noise = math.sqrt(first.noise_var) * np.kron(
             np.linalg.cholesky(basis.conj().T @ basis), np.eye(big_l))
-        rng = _stream(scenario, _TAG_NOISE_SUMS)
-        signal_and_cross = steer_all @ r_h + noise @ _cn(rng, (big_l * m, r))
-        rest = noise @ _wishart_factor(rng, big_l * m, scenario.symbols - r)
-        total = (signal_and_cross @ signal_and_cross.conj().T
-                 + rest @ rest.conj().T)
-    return 0.5 * (total + total.conj().T)
+        w1 = np.empty((len(grid), dim, r), dtype=np.complex128)
+        w2 = np.empty((len(grid), dim, min(dim, k_total - r)), dtype=np.complex128)
+        for sc, w1_point, w2_point in zip(grid, w1, w2):
+            rng = _stream(sc, _TAG_NOISE_SUMS)
+            w1_point[...] = _cn(rng, (dim, r))
+            w2_point[...] = _wishart_factor(rng, dim, k_total - r)
+        # (P, LM, LM) temporaries released as soon as they are used
+        rest = noise @ w2
+        del w2
+        total = rest @ la._h(rest)
+        del rest
+        signal_and_cross = steer_all @ r_h + noise @ w1
+        total += signal_and_cross @ la._h(signal_and_cross)
+    total += la._h(total)
+    total *= 0.5
+    return total[0] if isinstance(scenarios, Scenario) else total
 
 
 def synth_blocks(scenario: Scenario, include=("soi", "interference", "noise")) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Config round-trips and validation, presets, harness runs, and the CLI."""
 
 import concurrent.futures
+import itertools
 import json
 import math
 import multiprocessing.process
@@ -147,6 +148,49 @@ def test_cli_interferer_power_out_of_range_names_rel_power_db(rel_db, tmp_path, 
     assert not out.exists()
 
 
+def _set(path, value):
+    """A config edit: set the entry at path (keys and indices) to value."""
+    def edit(config):
+        target = config
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("preset, edit, field", [
+    ("fig4b-pn2", _set(("interferers", 1, "doa_deg"), 95.0), "interferers[1].doa_deg"),
+    ("fig4b-pn2", _set(("interferers", 0, "doa_deg"), math.nan), "interferers[0].doa_deg"),
+    ("fig4d-mai3", _set(("interferers", 0, "path_doas", 2), -90.0),
+     "interferers[0].path_doas[2]"),
+    ("fig4d-mai3", _set(("interferers", 0, "path_gains"), [1.0, math.nan, 1.0]),
+     "interferers[0].path_gains[1]"),
+    ("fig4c-tones5", _set(("interferers", 3, "normalized_offset"), math.nan),
+     "interferers[3].normalized_offset"),
+    ("fig4c-tones5", _set(("interferers", 1, "normalized_offset"), -math.inf),
+     "interferers[1].normalized_offset"),
+    ("fig4d-mai3", _set(("interferers", 0, "user_code"), 40), "interferers[0].user_code"),
+    ("fig4b-pn2", _set(("element_spacing",), math.inf), "element_spacing"),
+    ("fig4b-pn2", _set(("soi_doa_deg",), 90.0), "soi_doa_deg"),
+])
+@pytest.mark.parametrize("command", ["sweep", "analyze"])
+def test_cli_bad_config_field_is_exit_1(command, preset, edit, field, tmp_path, capsys):
+    """Endfire or non-finite DOAs, a non-finite tone offset, ray gain or
+    element spacing and an MAI user code that names no Gold code are config
+    errors that name the field, not numeric failures deep in the run. JSON
+    NaN and Infinity parse as floats."""
+    config = harness.config_to_dict(harness.preset(preset))
+    edit(config)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    rc = cli.main([command, "--config", str(cfg_path), "--symbols", "500",
+                   "--out", str(out)])
+    assert rc == 1
+    assert f"config error: {field} must" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_symbols_floor():
     with pytest.raises(harness.ConfigError, match="symbols"):
         harness.config_from_dict({"symbols": 50})
@@ -242,6 +286,23 @@ def test_bases_for_custom_npz(tmp_path):
     bases = harness.bases_for(cfg)
     assert bases.scheme == "Custom"
     assert bases.h_i.shape == (31, 1)
+
+
+@pytest.mark.parametrize("name", ["h_s", "h_i"])
+@pytest.mark.parametrize("command", ["sweep", "analyze"])
+def test_cli_non_finite_custom_basis_is_exit_1(command, name, tmp_path, capsys):
+    bases = mpb.maximin_bases(sm.gold31(0))
+    arrays = {"h_s": bases.h_s.copy(), "h_i": bases.h_i.copy()}
+    arrays[name].flat[4] = math.nan
+    npz = tmp_path / "basis.npz"
+    np.savez(npz, **arrays)
+    cfg = replace(_tiny("fig4b-pn2"), out_dir=str(tmp_path / "out"),
+                  scheme=harness.SchemeConfig("Custom", basis_file=str(npz)))
+    cfg_path = tmp_path / "cfg.json"
+    harness.save_config(cfg, cfg_path)
+    rc = cli.main([command, "--config", str(cfg_path)])
+    assert rc == 1
+    assert f"config error: {name} contains non-finite entries" in capsys.readouterr().err
 
 
 def test_bases_for_custom_missing_file():
@@ -545,9 +606,11 @@ def test_sweep_point_linalg_failure_is_named_error(monkeypatch):
     its weights alone raises."""
     cfg = _tiny("fig4b-pn2")
     bad = _indefinite_pair(cfg.element_count)
-    monkeypatch.setattr(mpb, "accumulate_cov_pair", lambda scenario, bases: bad)
+    monkeypatch.setattr(mpb, "accumulate_cov_pair", lambda grid, bases: mpb.CovariancePair(
+        np.stack([bad.r_s] * len(grid)), np.stack([bad.r_i] * len(grid))))
     probe = harness._probe(cfg)
-    assert harness._sweep_point(cfg, probe.bases, probe.scenario.paths, 1, 10.0) is bad
+    [(r_s, r_i)] = harness._sample_pairs(probe.bases, probe.scenario, 1, 10.0)
+    assert np.array_equal(r_s, bad.r_s) and np.array_equal(r_i, bad.r_i)
     with pytest.raises(la.NotPositiveDefiniteError) as alone:
         mpb.solve_weights(bad, probe.model.a0)
     expected = f"NotPositiveDefiniteError: {alone.value}"
@@ -568,8 +631,14 @@ def test_sweep_only_the_indefinite_point_fails(monkeypatch, tmp_path):
     harness.run_sweep(cfg, out_path=clean)
     real = mpb.accumulate_cov_pair
     bad = _indefinite_pair(cfg.element_count)
-    monkeypatch.setattr(mpb, "accumulate_cov_pair", lambda scenario, bases:
-                        bad if scenario.mc_stream == 1 else real(scenario, bases))
+
+    def bad_at_stream_1(grid, bases):
+        pair = real(grid, bases)
+        for i, scenario in enumerate(grid):
+            if scenario.mc_stream == 1:
+                pair.r_s[i], pair.r_i[i] = bad.r_s, bad.r_i
+        return pair
+    monkeypatch.setattr(mpb, "accumulate_cov_pair", bad_at_stream_1)
     broken = tmp_path / "broken.csv"
     rows = harness.run_sweep(cfg, out_path=broken)
     with pytest.raises(la.NotPositiveDefiniteError) as alone:
@@ -582,7 +651,7 @@ def test_sweep_only_the_indefinite_point_fails(monkeypatch, tmp_path):
 
 
 def test_cli_sweep_reports_each_failed_point(monkeypatch, tmp_path, capsys):
-    def fail(scenario, bases):
+    def fail(grid, bases):
         raise ArithmeticError("synthetic blow-up")
     monkeypatch.setattr(mpb, "accumulate_cov_pair", fail)
     rc = cli.main(["sweep", "--preset", "fig4b-pn2", "--symbols", "500",
@@ -591,6 +660,62 @@ def test_cli_sweep_reports_each_failed_point(monkeypatch, tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert lines == [f"sweep point {s} dB failed: ArithmeticError: synthetic blow-up"
                      for s in ("-5", "5", "15")]
+
+
+_INCLUDES = [c for k in (1, 2, 3)
+             for c in itertools.combinations(("soi", "interference", "noise"), k)]
+
+
+def _grid(config, snrs_db=(-10.0, 5.0, 20.0)) -> list:
+    """A sweep grid of config as run_sweep's points: one drawing of the
+    paths, scenario_at per point."""
+    paths = sm.realize_paths(harness.scenario_at(config, 0.0))
+    return [harness.scenario_at(config, s, stream=i, paths=paths)
+            for i, s in enumerate(snrs_db)]
+
+
+def _assert_slices_alone(grid, bases, include=("soi", "interference", "noise")):
+    """Each slice of the grid's stacked pair equals its point alone, bit for bit."""
+    pair = mpb.accumulate_cov_pair(grid, bases, include=include)
+    assert pair.r_s.shape == pair.r_i.shape == (len(grid), 8, 8)
+    for i, point in enumerate(grid):
+        alone = mpb.accumulate_cov_pair(point, bases, include=include)
+        assert alone.r_s.shape == (8, 8)
+        for got, want in ((pair.r_s[i], alone.r_s), (pair.r_i[i], alone.r_i)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (i, include)
+
+
+@pytest.mark.parametrize("scheme", ["PAPC", "Maximin"])
+@pytest.mark.parametrize("name", ALL_PRESETS)
+def test_grid_slices_equal_each_point_alone(name, scheme):
+    cfg = replace(harness.preset(name), symbols=300,
+                  scheme=harness.SchemeConfig(scheme))
+    grid = _grid(cfg)
+    for include in _INCLUDES:
+        _assert_slices_alone(grid, harness.bases_for(cfg), include)
+
+
+def test_white_grid_crosses_a_batch_boundary():
+    """fig4a's white chips are summed per symbol with buffers shared by the
+    grid's points; K = BATCH + 300 ends every point on a partial batch."""
+    cfg = replace(harness.preset("fig4a-bpsk3"), symbols=sm.BATCH + 300)
+    grid = _grid(cfg)
+    _assert_slices_alone(grid, harness.bases_for(cfg))
+    _assert_slices_alone(grid, harness.bases_for(cfg), ("interference",))
+
+
+def test_sweep_synthesizes_the_grid_in_one_call(monkeypatch):
+    cfg = _tiny("fig4d-mai3", grid=(-10.0, 0.0, 10.0))
+    calls = []
+    real = mpb.accumulate_cov_pair
+
+    def counted(grid, bases):
+        calls.append([sc.mc_stream for sc in grid])
+        return real(grid, bases)
+    monkeypatch.setattr(mpb, "accumulate_cov_pair", counted)
+    rows = harness.run_sweep(cfg)
+    assert calls == [[0, 1, 2]]
+    assert [r.error for r in rows] == [None, None, None]
 
 
 def test_sweep_builds_bases_once(monkeypatch, tmp_path):
@@ -713,7 +838,8 @@ def test_sweep_factors_the_probes_q_s_once(monkeypatch):
 def test_sweep_realizes_the_paths_once(monkeypatch, tmp_path):
     """The interferer paths depend on the seed alone: one realization per
     sweep serves the model and every point, and the CSV keeps its bytes
-    against a sweep that realizes them again at every point."""
+    against a sweep that synthesizes each point alone and realizes the
+    paths again at every point."""
     cfg = _tiny("fig4c-tones5", symbols=500, grid=(-10.0, 0.0, 10.0))
     calls = []
     realize = sm.realize_paths
@@ -726,6 +852,13 @@ def test_sweep_realizes_the_paths_once(monkeypatch, tmp_path):
     harness.run_sweep(cfg, workers=1, out_path=once)
     assert calls == [0]
     monkeypatch.setattr(sm, "paths_of", counted)
+    real = mpb.accumulate_cov_pair
+
+    def point_by_point(grid, bases):
+        pairs = [real([scenario], bases) for scenario in grid]
+        return mpb.CovariancePair(np.concatenate([p.r_s for p in pairs]),
+                                  np.concatenate([p.r_i for p in pairs]))
+    monkeypatch.setattr(mpb, "accumulate_cov_pair", point_by_point)
     again = tmp_path / "again.csv"
     harness.run_sweep(cfg, workers=1, out_path=again)
     assert len(calls) > 1 + len(cfg.snr_grid_db)

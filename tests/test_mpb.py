@@ -50,6 +50,17 @@ def test_maximin_leakage_vanishes_on_bin_frequencies():
         assert mpb.leakage_ratio(bases, CODE) <= 1e-12, k
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["h_s", "h_i"])
+def test_bases_reject_non_finite_entries(name, bad):
+    """Every other check on the bases is a comparison that NaN passes."""
+    bases = mpb.maximin_bases(CODE)
+    arrays = {"h_s": bases.h_s.copy(), "h_i": bases.h_i.copy()}
+    arrays[name].flat[7] = bad
+    with pytest.raises(ValueError, match=f"{name} contains non-finite entries"):
+        mpb.ProjectionBases(arrays["h_s"], arrays["h_i"])
+
+
 def test_maximin_rejects_degenerate_frequency():
     # f = 1 folds the monitor column onto the signal signature
     with pytest.raises(ValueError):
