@@ -130,6 +130,12 @@ class ExperimentConfig:
         if not 0.0 < self.element_spacing < math.inf:
             raise ConfigError(f"element_spacing must be positive and finite, "
                               f"got {self.element_spacing}")
+        if self.element_count < 2:
+            raise ConfigError(f"element_count must be at least 2, got {self.element_count}")
+        try:
+            sm.gold31(self.gold_index)
+        except ValueError as exc:
+            raise ConfigError(f"gold_index must name a Gold code: {exc}") from None
         _check_doa("soi_doa_deg", self.soi_doa_deg)
         for s in self.snr_grid_db:
             if not 0.0 < _power(s) / self.processing_gain < math.inf:
@@ -150,6 +156,10 @@ class ExperimentConfig:
                 except ValueError as exc:
                     raise ConfigError(f"{where}.user_code must name a Gold code: "
                                       f"{exc}") from None
+                for j, delay in enumerate(ic.path_delays):
+                    if not 0 <= delay < self.processing_gain:
+                        raise ConfigError(f"{where}.path_delays[{j}] must lie in "
+                                          f"[0, {self.processing_gain}), got {delay}")
             if ic.kind == "tone" and not math.isfinite(ic.normalized_offset):
                 raise ConfigError(f"{where}.normalized_offset must be finite, "
                                   f"got {ic.normalized_offset}")
@@ -339,12 +349,8 @@ def preset_names() -> list:
 # -----------------------
 
 def scenario_at(config: ExperimentConfig, snr_db: float,
-                stream: int = 0, paths=None) -> sm.Scenario:
-    """Linear-unit Scenario for one sweep point; stream keys the per-point RNG.
-
-    paths are the config's realized interferer paths when drawn already
-    (sm.Scenario.paths).
-    """
+                stream: int = 0) -> sm.Scenario:
+    """Linear-unit Scenario for one sweep point; stream keys the per-point RNG."""
     try:
         geom = sm.ArrayGeometry(config.element_count, config.element_spacing)
         code = sm.gold31(config.gold_index)
@@ -359,7 +365,7 @@ def scenario_at(config: ExperimentConfig, snr_db: float,
                 user_code=ic.user_code, path_delays=ic.path_delays,
                 path_doas=ic.path_doas, path_gains=ic.path_gains))
         return sm.Scenario(geom, soi, tuple(ints), NOISE_VAR, config.symbols,
-                           config.seed, stream, paths)
+                           config.seed, stream)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -486,8 +492,6 @@ def _over_grid(solve, points) -> list:
     every point alone: a failed point's entry is then its exception, as it
     would be raised for that point alone, and every other point keeps its
     value. A slice of a stack equals its point solved alone, bit for bit.
-    A sweep goes through here twice: once to synthesize its sample pairs
-    (_sample_pairs) and once to solve them (_solve_points).
     """
     if not points:
         return []
@@ -503,36 +507,26 @@ def _over_grid(solve, points) -> list:
         return out
 
 
-def _sample_pairs(bases: mpb.ProjectionBases, base: sm.Scenario, index, snr_db) -> list:
-    """The sample pairs (R_S, R_I) of sweep points, from K simulated symbols
-    each, synthesized in one mpb.accumulate_cov_pair call.
-
-    index and snr_db are one point's grid index and SNR, or arrays of them
-    over the grid (_over_grid). Point i is base, the 0 dB probe's scenario,
-    with the SOI power of its SNR and mc_stream i, as scenario_at would
-    build it: its randomness comes from counter-based streams keyed by
-    (seed, i), and it carries the probe's interferer paths, drawn once per
-    sweep. bases are the probe's, so a Custom basis file is read once per
-    sweep.
-    Returns one (r_s, r_i) per point, slices of the stacked pair.
-    """
-    grid = [replace(base, mc_stream=int(i), soi=replace(
-                base.soi, power=_power(float(s)) / base.soi.processing_gain))
-            for i, s in zip(np.atleast_1d(index), np.atleast_1d(snr_db))]
-    pair = mpb.accumulate_cov_pair(grid, bases)
-    return list(zip(pair.r_s, pair.r_i))
-
-
-def _solve_points(model: mpb.AnalyticModel, snr, r_s, r_i) -> list:
+def _solve_points(probe: _Probe, stream, snr) -> list:
     """(g_sim_db, lambda_max_exact, lambda_max_pred) per sweep point.
 
-    snr is a point's linear SNR and (r_s, r_i) its sample pair, or an array
-    of SNRs with stacks of pairs; each stage (the weights and their G, the
-    exact pencil, the mismatch spectrum) is then one stacked solve over
-    them all, on the probe's model moved to the grid.
+    stream and snr are one point's grid index and linear SNR, or arrays of
+    them over the grid (_over_grid). The probe's model moves to the points'
+    SOI powers, and the probe's scenario with those powers and streams
+    gives the sample pairs (R_S, R_I) from K simulated symbols each, in one
+    mpb.accumulate_cov_pair call: a point's randomness comes from
+    counter-based streams keyed by (seed, stream), and the interferer
+    paths are the probe's, drawn once per sweep. The weights and their G,
+    the exact pencil and the mismatch spectrum are then each one stacked
+    solve over the points; a single point solves its pair unstacked, so
+    that an error reads as it would for that point alone.
     """
-    at = model.at_snr(snr)
-    g_sim = mpb.analytic_g(mpb.solve_weights(mpb.CovariancePair(r_s, r_i), at.a0).w, at)
+    at = probe.model.at_snr(snr)
+    points = list(zip(np.atleast_1d(at.soi_power).tolist(), np.atleast_1d(stream).tolist()))
+    pair = mpb.accumulate_cov_pair(probe.scenario, probe.bases, points=points)
+    if np.ndim(snr) == 0:
+        pair = mpb.CovariancePair(pair.r_s[0], pair.r_i[0])
+    g_sim = mpb.analytic_g(mpb.solve_weights(pair, at.a0).w, at)
     lam = theory.exact_lambda_max(at)
     spec = theory.mismatch_spectrum(at)
     if np.ndim(snr) == 0:
@@ -547,34 +541,26 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
 
     Deterministic for a fixed (config, seed): every point derives its own
     RNG streams from (seed, point index), in the calling process. The
-    sample pairs of the whole grid come from one synthesis call, and the
-    weights, G and both lambda_max columns from one stacked solve over
-    them (_over_grid each); if either call raises, it is repeated point by
-    point, so a failed point keeps its own error. Failed points get region
-    "Error", keep their error on the row, and the sweep continues. workers
-    (at least 1) bounds the processes a sweep may use; one always meets it.
+    whole grid is one _over_grid call: one synthesis of the sample pairs,
+    then one stacked solve for the weights, G and both lambda_max columns.
+    If it raises, each point is synthesized and solved alone, so a failed
+    point keeps its own error. Failed points get region "Error", keep
+    their error on the row, and the sweep continues. workers (at least 1)
+    bounds the processes a sweep may use; one always meets it.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     probe = _probe(config)
     grid_lin = [10.0 ** (s / 10.0) for s in config.snr_grid_db]
     curve = theory.operating_curve(probe.model, probe.thresholds(grid_lin), grid_lin)
-    pairs = _over_grid(partial(_sample_pairs, probe.bases, probe.scenario),
-                       list(enumerate(config.snr_grid_db)))
-    solved = iter(_over_grid(
-        partial(_solve_points, probe.model),
-        [(snr, *pair) for snr, pair in zip(grid_lin, pairs)
-         if not isinstance(pair, Exception)]))
+    solved = _over_grid(partial(_solve_points, probe), list(enumerate(grid_lin)))
 
     rows = []
-    for snr_db, pair, (snr_lin, g_theory, region) in zip(config.snr_grid_db, pairs,
-                                                         curve.points):
-        err = _error(pair) if isinstance(pair, Exception) else None
-        values = (math.nan,) * 3
-        if err is None:
-            values = next(solved)
-            if isinstance(values, Exception):
-                values, err = (math.nan,) * 3, _error(values)
+    for snr_db, values, (snr_lin, g_theory, region) in zip(config.snr_grid_db, solved,
+                                                           curve.points):
+        err = None
+        if isinstance(values, Exception):
+            values, err = (math.nan,) * 3, _error(values)
         g_sim_db, lam_exact, lam_pred = values
         g0 = theory.gamma0(snr_lin, config.element_count,
                            config.processing_gain, probe.model.beta)

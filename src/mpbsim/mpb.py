@@ -151,28 +151,28 @@ def estimate_cov_pair(x_s: np.ndarray, x_i: np.ndarray) -> CovariancePair:
     return _sample_pair(x_s.T @ x_s.conj(), x_it @ x_it.conj().T, k, x_i.shape[2])
 
 
-def accumulate_cov_pair(scenarios, bases: ProjectionBases,
-                        include=("soi", "interference", "noise")) -> CovariancePair:
+def accumulate_cov_pair(scenario: sm.Scenario, bases: ProjectionBases,
+                        include=("soi", "interference", "noise"),
+                        points=None) -> CovariancePair:
     """estimate_cov_pair over all scenario symbols, without their snapshots,
-    at every point of a sweep grid.
+    of the scenario or at every point of a sweep grid.
 
-    scenarios is one sm.Scenario, or a sequence of them that differ only in
-    the SOI power and mc_stream (see sm.projected_sum). For a sequence, R_S
-    and R_I are stacks of shape (P, L, L), each slice bitwise equal to that
-    point's pair computed alone; a single scenario gives one unstacked pair.
-    The sums come from one sm.projected_sum call with the basis [h_s, h_i]:
-    R_S is its h_s block, and R_I the sum of its h_i diagonal blocks over
-    r_I. The L x N blocks are never formed, and receiver noise is drawn
-    from the exact law of the sums; see that function.
+    points, when given, is a sequence of (soi_power, mc_stream) (see
+    sm.projected_sum); R_S and R_I are then stacks of shape (P, L, L), each
+    slice bitwise equal to the pair of the scenario with that SOI power and
+    mc_stream computed alone. The sums come from one sm.projected_sum call
+    with the basis [h_s, h_i]: R_S is its h_s block, and R_I the sum of its
+    h_i diagonal blocks over r_I. The L x N blocks are never formed, and
+    receiver noise is drawn from the exact law of the sums; see that
+    function.
     """
     m = 1 + bases.r_i
-    total = sm.projected_sum(scenarios, np.column_stack([bases.h_s, bases.h_i]),
-                             include=include)
+    total = sm.projected_sum(scenario, np.column_stack([bases.h_s, bases.h_i]),
+                             include=include, points=points)
     big_l = total.shape[-1] // m
-    first = scenarios if isinstance(scenarios, sm.Scenario) else scenarios[0]
     blocks = total.reshape(*total.shape[:-2], m, big_l, m, big_l)
     acc_i = np.einsum("...jajb->...ab", blocks[..., 1:, :, 1:, :])
-    return _sample_pair(blocks[..., 0, :, 0, :], acc_i, first.symbols, bases.r_i)
+    return _sample_pair(blocks[..., 0, :, 0, :], acc_i, scenario.symbols, bases.r_i)
 
 
 # -----------------------

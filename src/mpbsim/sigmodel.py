@@ -9,11 +9,11 @@ Two synthesizers share the random streams. iter_blocks builds the full
 L x N block X(k) of every symbol and is kept as the reference.
 projected_sum returns only the second-order sums of the projections
 X(k) B* onto an N x M basis B, which is all the beamformer consumes,
-without ever forming X(k). It takes a whole sweep grid at once: scenarios
-that differ only in the SOI power and mc_stream. What no point changes
-(paths, steering, the projected loads, the noise colouring, chip tables)
-is built once per grid, each point draws its own streams, and the rest is
-stacked over the grid; a single scenario is the one-point grid.
+without ever forming X(k). It takes a whole sweep grid at once: one
+scenario and the points (soi_power, mc_stream) that a sweep moves, and
+nothing else. What no point changes (paths, steering, the projected loads,
+the noise colouring, chip tables) is built once per grid, each point draws
+its own streams, and the rest is stacked over the grid.
 
 Randomness discipline: interferer *realization* parameters (tone phases,
 periodical-noise segments) derive from the scenario seed alone, so one
@@ -50,7 +50,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -330,52 +330,6 @@ def steering_matrix(paths, geometry: ArrayGeometry) -> np.ndarray:
 
 
 # -----------------------
-# Sweep grids
-# -----------------------
-
-def _grid_field(a, b, prefix: str = "") -> str | None:
-    """The first field, other than soi.power and mc_stream, in which two
-    scenarios (or two SoiSpecs, under prefix "soi.") differ; None if none.
-
-    Arrays compare by value and realized paths by identity: the points of
-    a grid share one drawing of the paths.
-    """
-    for f in fields(a):
-        name, x, y = prefix + f.name, getattr(a, f.name), getattr(b, f.name)
-        if x is y or name in ("soi.power", "mc_stream"):
-            continue
-        if isinstance(x, SoiSpec):
-            differs = _grid_field(x, y, "soi.")
-            if differs:
-                return differs
-        elif name == "paths":
-            if x is None or y is None or len(x) != len(y) or any(
-                    p is not q for p, q in zip(x, y)):
-                return name
-        elif isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
-            if x is None or y is None or not np.array_equal(x, y):
-                return name
-        elif x != y:
-            return name
-    return None
-
-
-def _grid_of(scenarios) -> tuple:
-    """A sweep grid as a tuple of scenarios; a single Scenario is the
-    one-point grid. Points may differ only in soi.power and mc_stream."""
-    grid = (scenarios,) if isinstance(scenarios, Scenario) else tuple(scenarios)
-    if not grid:
-        raise ValueError("a grid needs at least one scenario")
-    for i, sc in enumerate(grid[1:], start=1):
-        differs = _grid_field(grid[0], sc)
-        if differs:
-            raise ValueError(f"grid point {i} differs from point 0 in {differs}; "
-                             f"a grid's points may differ only in soi.power "
-                             f"and mc_stream")
-    return grid
-
-
-# -----------------------
 # Block synthesis
 # -----------------------
 
@@ -643,18 +597,17 @@ def _point_negs(scenario: Scenario, paths, want_soi: bool) -> dict:
     return negs
 
 
-def projected_sum(scenarios, basis: np.ndarray,
-                  include=("soi", "interference", "noise")) -> np.ndarray:
-    """S = sum_k y(k) y(k)^H over all K symbols, an (L M) x (L M) matrix, at
-    every point of a sweep grid.
+def projected_sum(scenario: Scenario, basis: np.ndarray,
+                  include=("soi", "interference", "noise"), points=None) -> np.ndarray:
+    """S = sum_k y(k) y(k)^H over all K symbols, an (L M) x (L M) matrix, of
+    the scenario or at every point of a sweep grid.
 
-    scenarios is one Scenario, or a sequence of them that differ only in
-    soi.power and mc_stream (a sweep grid); any other difference raises a
-    ValueError naming the field. The result is then a stack of shape
-    (P, L M, L M), each slice bitwise equal to that point's sum computed
-    alone, and a single Scenario is the one-point grid, unstacked. Per grid,
-    the paths, the steering, U (all but the SOI column's sqrt(P0)), T, C and
-    the chip tables are built once. Each point draws its own streams: the
+    points, when given, is a non-empty sequence of (soi_power, mc_stream),
+    the two things a sweep moves. The result is then a stack of shape
+    (P, L M, L M), each slice bitwise equal to the sum of the scenario with
+    that SOI power and mc_stream computed alone. Per grid, the paths, the
+    steering, U (all but the SOI column's sqrt(P0)), T, C and the chip
+    tables are built once. Each point draws its own streams: the
     SOI and MAI bits, the white chips when Z is summed per symbol, then W1
     and W2 from its noise stream. Everything else (U Z U^H, eigh(G),
     T R^H + C W1, the Gram products and the Hermitian fold) is stacked over
@@ -720,20 +673,23 @@ def projected_sum(scenarios, basis: np.ndarray,
     share that stream and are not independent of each other.
     """
     _check_include(include)
-    grid = _grid_of(scenarios)
-    first = grid[0]
-    geo = first.geometry
-    big_l, n, k_total = geo.element_count, first.soi.processing_gain, first.symbols
+    grid = [scenario] if points is None else [
+        replace(scenario, soi=replace(scenario.soi, power=power), mc_stream=stream)
+        for power, stream in points]
+    if not grid:
+        raise ValueError("points must hold at least one (soi_power, mc_stream)")
+    geo = scenario.geometry
+    big_l, n, k_total = geo.element_count, scenario.soi.processing_gain, scenario.symbols
     basis = np.asarray(basis, dtype=np.complex128)
     if basis.ndim != 2 or basis.shape[0] != n:
         raise ValueError(f"basis must be N x M with N={n}, got shape {basis.shape}")
     m = basis.shape[1]
     proj = basis.conj()
-    paths = paths_of(first) if "interference" in include else []
+    paths = paths_of(scenario) if "interference" in include else []
     want_soi = "soi" in include
     steer = steering_matrix(paths, geo)
     if want_soi:
-        steer = np.column_stack([steering(first.soi.doa_deg, geo), steer])
+        steer = np.column_stack([steering(scenario.soi.doa_deg, geo), steer])
     pm = steer.shape[1] * m
     loads = {}  # source key -> U's columns for it, (P M) x (1, or M for a white path)
 
@@ -759,7 +715,7 @@ def projected_sum(scenarios, basis: np.ndarray,
         u = np.repeat(np.hstack(list(loads.values()))[None], len(grid), axis=0)
         if want_soi:
             amps = np.sqrt([sc.soi.power for sc in grid])
-            u[:, :m, 0] += amps[:, None] * (first.soi.code @ proj)
+            u[:, :m, 0] += amps[:, None] * (scenario.soi.code @ proj)
         keys = list(loads)
         # drawn point by point, so one point's K-length streams live at a time
         negs = (_point_negs(sc, paths, want_soi) for sc in grid)
@@ -778,7 +734,7 @@ def projected_sum(scenarios, basis: np.ndarray,
         r = min(pm, k_total)
         lam, vec = np.linalg.eigh(gram)
         r_h = vec[..., pm - r:] * np.sqrt(np.maximum(lam[..., None, pm - r:], 0.0))  # R^H
-        noise = math.sqrt(first.noise_var) * np.kron(
+        noise = math.sqrt(scenario.noise_var) * np.kron(
             np.linalg.cholesky(basis.conj().T @ basis), np.eye(big_l))
         w1 = np.empty((len(grid), dim, r), dtype=np.complex128)
         w2 = np.empty((len(grid), dim, min(dim, k_total - r)), dtype=np.complex128)
@@ -795,7 +751,7 @@ def projected_sum(scenarios, basis: np.ndarray,
         total += signal_and_cross @ la._h(signal_and_cross)
     total += la._h(total)
     total *= 0.5
-    return total[0] if isinstance(scenarios, Scenario) else total
+    return total[0] if points is None else total
 
 
 def synth_blocks(scenario: Scenario, include=("soi", "interference", "noise")) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Config round-trips and validation, presets, harness runs, and the CLI."""
 
+import argparse
 import concurrent.futures
 import itertools
 import json
@@ -172,13 +173,18 @@ def _set(path, value):
     ("fig4d-mai3", _set(("interferers", 0, "user_code"), 40), "interferers[0].user_code"),
     ("fig4b-pn2", _set(("element_spacing",), math.inf), "element_spacing"),
     ("fig4b-pn2", _set(("soi_doa_deg",), 90.0), "soi_doa_deg"),
+    ("fig4b-pn2", _set(("gold_index",), 40), "gold_index"),
+    ("fig4b-pn2", _set(("element_count",), 1), "element_count"),
+    ("fig4d-mai3", _set(("interferers", 0, "path_delays", 1), 31),
+     "interferers[0].path_delays[1]"),
 ])
 @pytest.mark.parametrize("command", ["sweep", "analyze"])
 def test_cli_bad_config_field_is_exit_1(command, preset, edit, field, tmp_path, capsys):
     """Endfire or non-finite DOAs, a non-finite tone offset, ray gain or
-    element spacing and an MAI user code that names no Gold code are config
-    errors that name the field, not numeric failures deep in the run. JSON
-    NaN and Infinity parse as floats."""
+    element spacing, a SOI or MAI code index that names no Gold code, a
+    single-element array and an MAI path delay of a whole code length are
+    config errors that name the field, not numeric failures deep in the
+    run. JSON NaN and Infinity parse as floats."""
     config = harness.config_to_dict(harness.preset(preset))
     edit(config)
     cfg_path = tmp_path / "cfg.json"
@@ -601,20 +607,23 @@ def _indefinite_pair(size: int) -> mpb.CovariancePair:
 
 
 def test_sweep_point_linalg_failure_is_named_error(monkeypatch):
-    """A point returns its sample pair and the grid solve takes it: a pencil
-    that cannot be solved fails each point with the message that solving
-    its weights alone raises."""
+    """A pencil that cannot be solved fails each point with the message
+    that solving its weights alone raises: the stacked solve fails, and
+    each point is solved again from its unstacked pair."""
     cfg = _tiny("fig4b-pn2")
     bad = _indefinite_pair(cfg.element_count)
-    monkeypatch.setattr(mpb, "accumulate_cov_pair", lambda grid, bases: mpb.CovariancePair(
-        np.stack([bad.r_s] * len(grid)), np.stack([bad.r_i] * len(grid))))
+    monkeypatch.setattr(mpb, "accumulate_cov_pair",
+                        lambda scenario, bases, points: mpb.CovariancePair(
+                            np.stack([bad.r_s] * len(points)),
+                            np.stack([bad.r_i] * len(points))))
     probe = harness._probe(cfg)
-    [(r_s, r_i)] = harness._sample_pairs(probe.bases, probe.scenario, 1, 10.0)
-    assert np.array_equal(r_s, bad.r_s) and np.array_equal(r_i, bad.r_i)
     with pytest.raises(la.NotPositiveDefiniteError) as alone:
         mpb.solve_weights(bad, probe.model.a0)
     expected = f"NotPositiveDefiniteError: {alone.value}"
     assert "slice" not in expected
+    with pytest.raises(la.NotPositiveDefiniteError) as point:
+        harness._solve_points(probe, 1, 10.0)
+    assert str(point.value) == str(alone.value)
     rows = harness.run_sweep(cfg)
     assert [r.region for r in rows] == ["Error", "Error"]
     assert [r.error for r in rows] == [expected, expected]
@@ -632,10 +641,10 @@ def test_sweep_only_the_indefinite_point_fails(monkeypatch, tmp_path):
     real = mpb.accumulate_cov_pair
     bad = _indefinite_pair(cfg.element_count)
 
-    def bad_at_stream_1(grid, bases):
-        pair = real(grid, bases)
-        for i, scenario in enumerate(grid):
-            if scenario.mc_stream == 1:
+    def bad_at_stream_1(scenario, bases, points):
+        pair = real(scenario, bases, points=points)
+        for i, (_, stream) in enumerate(points):
+            if stream == 1:
                 pair.r_s[i], pair.r_i[i] = bad.r_s, bad.r_i
         return pair
     monkeypatch.setattr(mpb, "accumulate_cov_pair", bad_at_stream_1)
@@ -651,7 +660,7 @@ def test_sweep_only_the_indefinite_point_fails(monkeypatch, tmp_path):
 
 
 def test_cli_sweep_reports_each_failed_point(monkeypatch, tmp_path, capsys):
-    def fail(grid, bases):
+    def fail(scenario, bases, points):
         raise ArithmeticError("synthetic blow-up")
     monkeypatch.setattr(mpb, "accumulate_cov_pair", fail)
     rc = cli.main(["sweep", "--preset", "fig4b-pn2", "--symbols", "500",
@@ -666,17 +675,18 @@ _INCLUDES = [c for k in (1, 2, 3)
              for c in itertools.combinations(("soi", "interference", "noise"), k)]
 
 
-def _grid(config, snrs_db=(-10.0, 5.0, 20.0)) -> list:
-    """A sweep grid of config as run_sweep's points: one drawing of the
-    paths, scenario_at per point."""
-    paths = sm.realize_paths(harness.scenario_at(config, 0.0))
-    return [harness.scenario_at(config, s, stream=i, paths=paths)
-            for i, s in enumerate(snrs_db)]
-
-
-def _assert_slices_alone(grid, bases, include=("soi", "interference", "noise")):
-    """Each slice of the grid's stacked pair equals its point alone, bit for bit."""
-    pair = mpb.accumulate_cov_pair(grid, bases, include=include)
+def _assert_slices_alone(config, include=("soi", "interference", "noise"),
+                         snrs_db=(-10.0, 5.0, 20.0)):
+    """Each slice of a grid's stacked pair equals its point alone, bit for
+    bit. The grid is run_sweep's: the 0 dB scenario carrying one drawing of
+    the paths, and each point's (soi_power, stream). Each point alone is
+    scenario_at's, and draws its paths itself."""
+    bases = harness.bases_for(config)
+    probe = harness.scenario_at(config, 0.0)
+    probe = replace(probe, paths=sm.realize_paths(probe))
+    grid = [harness.scenario_at(config, s, stream=i) for i, s in enumerate(snrs_db)]
+    pair = mpb.accumulate_cov_pair(probe, bases, include=include,
+                                   points=[(sc.soi.power, sc.mc_stream) for sc in grid])
     assert pair.r_s.shape == pair.r_i.shape == (len(grid), 8, 8)
     for i, point in enumerate(grid):
         alone = mpb.accumulate_cov_pair(point, bases, include=include)
@@ -690,18 +700,16 @@ def _assert_slices_alone(grid, bases, include=("soi", "interference", "noise")):
 def test_grid_slices_equal_each_point_alone(name, scheme):
     cfg = replace(harness.preset(name), symbols=300,
                   scheme=harness.SchemeConfig(scheme))
-    grid = _grid(cfg)
     for include in _INCLUDES:
-        _assert_slices_alone(grid, harness.bases_for(cfg), include)
+        _assert_slices_alone(cfg, include)
 
 
 def test_white_grid_crosses_a_batch_boundary():
     """fig4a's white chips are summed per symbol with buffers shared by the
     grid's points; K = BATCH + 300 ends every point on a partial batch."""
     cfg = replace(harness.preset("fig4a-bpsk3"), symbols=sm.BATCH + 300)
-    grid = _grid(cfg)
-    _assert_slices_alone(grid, harness.bases_for(cfg))
-    _assert_slices_alone(grid, harness.bases_for(cfg), ("interference",))
+    _assert_slices_alone(cfg)
+    _assert_slices_alone(cfg, ("interference",))
 
 
 def test_sweep_synthesizes_the_grid_in_one_call(monkeypatch):
@@ -709,9 +717,9 @@ def test_sweep_synthesizes_the_grid_in_one_call(monkeypatch):
     calls = []
     real = mpb.accumulate_cov_pair
 
-    def counted(grid, bases):
-        calls.append([sc.mc_stream for sc in grid])
-        return real(grid, bases)
+    def counted(scenario, bases, points):
+        calls.append([stream for _, stream in points])
+        return real(scenario, bases, points=points)
     monkeypatch.setattr(mpb, "accumulate_cov_pair", counted)
     rows = harness.run_sweep(cfg)
     assert calls == [[0, 1, 2]]
@@ -854,8 +862,8 @@ def test_sweep_realizes_the_paths_once(monkeypatch, tmp_path):
     monkeypatch.setattr(sm, "paths_of", counted)
     real = mpb.accumulate_cov_pair
 
-    def point_by_point(grid, bases):
-        pairs = [real([scenario], bases) for scenario in grid]
+    def point_by_point(scenario, bases, points):
+        pairs = [real(scenario, bases, points=[point]) for point in points]
         return mpb.CovariancePair(np.concatenate([p.r_s for p in pairs]),
                                   np.concatenate([p.r_i for p in pairs]))
     monkeypatch.setattr(mpb, "accumulate_cov_pair", point_by_point)
@@ -882,6 +890,22 @@ def test_analyze_solves_gamma1_once_per_inr(monkeypatch):
     assert [row["inr_db"] for row in report["gamma1_vs_inr"]].count(cfg.inr_db) == 1
     assert len(calls) == 4  # probe + 3 moved INRs; 6 when each re-solved it
     assert report["gamma1_vs_inr"][2]["gamma1_plus1"] == report["gamma1"] + 1.0
+
+
+_RUN_FLAGS = {"-h", "--help", "--config", "--preset", "--out", "--seed", "--symbols",
+              "--snr-db", "--inr-db", "--workers"}
+
+
+def test_cli_flags_are_pinned():
+    """The CLI's subcommands and their option strings do not change."""
+    parser = cli.build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: {opt for action in p._actions for opt in action.option_strings}
+             for name, p in sub.choices.items()}
+    assert {opt for action in parser._actions for opt in action.option_strings} == {
+        "-h", "--help"}
+    assert flags == {"sweep": _RUN_FLAGS, "pattern": _RUN_FLAGS, "eigen": _RUN_FLAGS,
+                     "analyze": _RUN_FLAGS, "presets": {"-h", "--help"}}
 
 
 def test_python_m_mpbsim(tmp_path):

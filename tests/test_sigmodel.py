@@ -489,35 +489,14 @@ def test_iter_projected_matches_projected_blocks():
         before = upto
 
 
-_GRID_BASE = dict(interferers=(_PN, _MAI_A), symbols=300)
-
-
-@pytest.mark.parametrize("field, change", [
-    ("seed", dict(seed=4)),
-    ("symbols", dict(symbols=301)),
-    ("noise_var", dict(noise_var=2.0)),
-    ("geometry", dict(geometry=sm.ArrayGeometry(8, spacing=0.4))),
-    ("interferers", dict(interferers=(_PN,))),
-    ("soi.doa_deg", dict(soi=sm.SoiSpec(31, sm.gold31(0), doa_deg=5.0, power=2.0))),
-    ("soi.code", dict(soi=sm.SoiSpec(31, sm.gold31(1), power=2.0))),
-    ("soi.bits", dict(soi=sm.SoiSpec(31, sm.gold31(0), power=2.0, bits=_PINNED))),
-    ("paths", dict(paths=sm.realize_paths(_scenario(**_GRID_BASE)))),
-])
-def test_mixed_grid_names_the_field(field, change):
-    """A grid's points share everything but the SOI power and mc_stream;
-    the paths are shared by identity, so a second drawing is a mix too."""
-    base = _scenario(**_GRID_BASE)
-    same = _scenario(**_GRID_BASE, mc_stream=1,
-                     soi=sm.SoiSpec(31, sm.gold31(0), power=9.0))
-    assert sm.projected_sum([base, same], _complex_basis(45)).shape == (2, 16, 16)
-    mixed = _scenario(**{**_GRID_BASE, **change})
-    with pytest.raises(ValueError, match=rf"grid point 2 differs from point 0 in {field};"):
-        sm.projected_sum([base, same, mixed], _complex_basis(45))
-
-
 def test_empty_grid_is_rejected():
-    with pytest.raises(ValueError, match="at least one scenario"):
-        sm.projected_sum([], _complex_basis(45))
+    """points, when given, stack the sums over at least one (soi_power,
+    mc_stream); an empty grid is an error, not an empty stack."""
+    sc = _scenario(interferers=(_PN, _MAI_A), symbols=300)
+    grid = sm.projected_sum(sc, _complex_basis(45), points=[(2.0, 0), (9.0, 1)])
+    assert grid.shape == (2, 16, 16)
+    with pytest.raises(ValueError, match="at least one"):
+        sm.projected_sum(sc, _complex_basis(45), points=[])
 
 
 def _check_conditional_law(interferers, symbols, draws, basis):
