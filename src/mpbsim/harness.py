@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, replace
-from functools import partial
 
 import numpy as np
 
@@ -151,6 +150,13 @@ class ExperimentConfig:
                     raise ConfigError(f"{where}.path_gains[{j}] must be positive "
                                       f"and finite, got {gain}")
             if ic.kind == "mai_multipath":
+                rays = len(ic.path_delays)
+                if not rays:
+                    raise ConfigError(f"{where}.path_delays must list at least one ray")
+                for name, per_ray in (("path_doas", ic.path_doas), ("path_gains", ic.path_gains)):
+                    if per_ray is not None and len(per_ray) != rays:
+                        raise ConfigError(f"{where}.{name} must hold one entry per "
+                                          f"path delay ({rays}), got {len(per_ray)}")
                 try:
                     sm.gold31(ic.user_code)
                 except ValueError as exc:
@@ -442,10 +448,10 @@ def write_sweep_csv(rows, path) -> None:
 class _Probe:
     """A config's 0 dB probe: its scenario, bases, analytic model and gamma_1.
 
-    gamma_1, G_U and the thresholds do not depend on the SOI power, nor the
-    interferer paths (drawn once, carried by the scenario) on anything but
-    the seed, so one probe serves every SNR of a sweep, the eigencurves and
-    the report.
+    gamma_1, G_U and the thresholds do not depend on the SOI power, so one
+    probe serves every SNR of a sweep, the eigencurves and the report. It
+    keeps the L^3 work (the model's Q pair, gamma_1); whatever uses the
+    scenario draws the interferer paths from its seed (sm.realize_paths).
     """
     scenario: sm.Scenario
     bases: mpb.ProjectionBases
@@ -470,7 +476,6 @@ def _gamma1(model: mpb.AnalyticModel) -> float:
 
 def _probe(config: ExperimentConfig) -> _Probe:
     scenario = scenario_at(config, 0.0, stream=0)
-    scenario = replace(scenario, paths=sm.realize_paths(scenario))
     bases = bases_for(config)
     model = mpb.analytic_cov(scenario, bases)
     return _Probe(scenario, bases, model, _gamma1(model))
@@ -483,43 +488,19 @@ def _error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _over_grid(solve, points) -> list:
-    """solve over all points in one stacked call, or each point alone.
-
-    points holds one argument tuple per point. solve takes one point's
-    arguments, or each argument stacked over the points, and returns a list
-    with one value per point. If the stacked call raises, solve runs on
-    every point alone: a failed point's entry is then its exception, as it
-    would be raised for that point alone, and every other point keeps its
-    value. A slice of a stack equals its point solved alone, bit for bit.
-    """
-    if not points:
-        return []
-    try:
-        return solve(*(np.stack(column) for column in zip(*points)))
-    except _NUMERIC_ERRORS:
-        out = []
-        for args in points:
-            try:
-                out.append(solve(*args)[0])
-            except _NUMERIC_ERRORS as exc:
-                out.append(exc)
-        return out
-
-
 def _solve_points(probe: _Probe, stream, snr) -> list:
     """(g_sim_db, lambda_max_exact, lambda_max_pred) per sweep point.
 
     stream and snr are one point's grid index and linear SNR, or arrays of
-    them over the grid (_over_grid). The probe's model moves to the points'
+    them over the grid (run_sweep). The probe's model moves to the points'
     SOI powers, and the probe's scenario with those powers and streams
     gives the sample pairs (R_S, R_I) from K simulated symbols each, in one
     mpb.accumulate_cov_pair call: a point's randomness comes from
-    counter-based streams keyed by (seed, stream), and the interferer
-    paths are the probe's, drawn once per sweep. The weights and their G,
-    the exact pencil and the mismatch spectrum are then each one stacked
-    solve over the points; a single point solves its pair unstacked, so
-    that an error reads as it would for that point alone.
+    counter-based streams keyed by (seed, stream), the interferer paths
+    from the seed alone. The weights and their G, the exact pencil and the
+    mismatch spectrum are then each one stacked solve over the points; a
+    single point solves its pair unstacked, so that an error reads as it
+    would for that point alone.
     """
     at = probe.model.at_snr(snr)
     points = list(zip(np.atleast_1d(at.soi_power).tolist(), np.atleast_1d(stream).tolist()))
@@ -541,10 +522,12 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
 
     Deterministic for a fixed (config, seed): every point derives its own
     RNG streams from (seed, point index), in the calling process. The
-    whole grid is one _over_grid call: one synthesis of the sample pairs,
-    then one stacked solve for the weights, G and both lambda_max columns.
-    If it raises, each point is synthesized and solved alone, so a failed
-    point keeps its own error. Failed points get region "Error", keep
+    whole grid is one _solve_points call: one synthesis of the sample
+    pairs, then one stacked solve for the weights, G and both lambda_max
+    columns. If it raises, each point is synthesized and solved alone, so a
+    failed point keeps its own error, as it would be raised for that point
+    alone; a slice of a stack equals its point alone, bit for bit, so every
+    other point keeps its value. Failed points get region "Error", keep
     their error on the row, and the sweep continues. workers (at least 1)
     bounds the processes a sweep may use; one always meets it.
     """
@@ -553,7 +536,15 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
     probe = _probe(config)
     grid_lin = [10.0 ** (s / 10.0) for s in config.snr_grid_db]
     curve = theory.operating_curve(probe.model, probe.thresholds(grid_lin), grid_lin)
-    solved = _over_grid(partial(_solve_points, probe), list(enumerate(grid_lin)))
+    try:
+        solved = _solve_points(probe, np.arange(len(grid_lin)), np.array(grid_lin))
+    except _NUMERIC_ERRORS:
+        solved = []
+        for i, snr in enumerate(grid_lin):
+            try:
+                solved.append(_solve_points(probe, i, snr)[0])
+            except _NUMERIC_ERRORS as exc:
+                solved.append(exc)
 
     rows = []
     for snr_db, values, (snr_lin, g_theory, region) in zip(config.snr_grid_db, solved,
@@ -593,7 +584,6 @@ def run_pattern(config: ExperimentConfig, snr_db: float, out_path=None) -> list:
     if config.scheme.name == "Custom":
         names.append("Custom")
     sc = scenario_at(config, snr_db, stream=0)
-    sc = replace(sc, paths=sm.realize_paths(sc))
     rows = []
     for name in names:
         model = mpb.analytic_cov(sc, _bases_named(config, name))
@@ -622,18 +612,15 @@ def run_eigencurves(config: ExperimentConfig, out_path=None) -> EigencurveResult
 
     lambda_max is one stacked solve over the grid (theory.exact_lambda_max
     on the grid model), the same solve run_sweep makes for its column.
+    A failed solve raises, naming its grid point ("slice i: ...").
     The crossing abscissa of the two gamma curves is the empirical
     threshold SNR_T0 (log-interpolated between grid points).
     """
     probe = _probe(config)
     snr_lin = [10.0 ** (s / 10.0) for s in config.snr_grid_db]
-    lams = _over_grid(
-        lambda snr: list(np.atleast_1d(theory.exact_lambda_max(probe.model.at_snr(snr)))),
-        [(s,) for s in snr_lin])
+    lams = theory.exact_lambda_max(probe.model.at_snr(np.array(snr_lin)))
     rows = []
     for snr_db, snr, lam in zip(config.snr_grid_db, snr_lin, lams):
-        if isinstance(lam, Exception):
-            raise lam
         g0 = theory.gamma0(snr, config.element_count,
                            config.processing_gain, probe.model.beta)
         rows.append((snr_db, g0 + 1.0, probe.gamma1 + 1.0, float(lam)))

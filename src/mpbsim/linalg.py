@@ -144,15 +144,30 @@ def cholesky(b) -> np.ndarray:
     would accept them (it factors diag(1, 1e-30) without complaint).
     """
     b = _as_hermitian(b, "B")
-    low = _lapack(NotPositiveDefiniteError, "B is not positive definite",
-                  np.linalg.cholesky, b)
+    try:
+        return _floored_cholesky(b)
+    except NotPositiveDefiniteError:
+        # a stack fails as a whole: factor the slices one by one, so that
+        # the first to fail, by LAPACK or by the floor, is named
+        for flat, i in enumerate(np.ndindex(b.shape[:-2])):
+            try:
+                _floored_cholesky(b[i])
+            except NotPositiveDefiniteError as exc:
+                raise NotPositiveDefiniteError(f"{_where(b.shape[:-2], flat)}{exc}") from None
+        raise
+
+
+def _floored_cholesky(b: np.ndarray) -> np.ndarray:
+    """cholesky of a checked matrix or stack; an error names no slice."""
+    try:
+        low = np.linalg.cholesky(b)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(f"B is not positive definite: {exc}") from None
     piv = np.diagonal(low, axis1=-2, axis2=-1).real
     bad = piv <= 1e-12 * np.abs(b).max(axis=(-2, -1), initial=0.0)[..., None]
     if bad.any():
         i = np.argmax(bad)  # flat over (slice, column)
-        raise NotPositiveDefiniteError(
-            f"{_where(b.shape[:-2], i // piv.shape[-1])}pivot {piv.flat[i]:.3e} "
-            f"at column {i % piv.shape[-1]}")
+        raise NotPositiveDefiniteError(f"pivot {piv.flat[i]:.3e} at column {i % piv.shape[-1]}")
     return low
 
 

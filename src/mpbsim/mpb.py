@@ -320,7 +320,7 @@ def analytic_cov(scenario: sm.Scenario, bases: ProjectionBases) -> AnalyticModel
     if np.abs(bases.h_s - code / math.sqrt(n)).max() > 1e-12:
         raise ValueError("bases were built for a different code than the scenario's")
     geo = scenario.geometry
-    paths = sm.paths_of(scenario)
+    paths = sm.realize_paths(scenario)
     a_mat = sm.steering_matrix(paths, geo)
     powers = np.array([p.power for p in paths], dtype=np.float64)
     sigma2 = scenario.noise_var

@@ -16,9 +16,9 @@ the noise colouring, chip tables) is built once per grid, each point draws
 its own streams, and the rest is stacked over the grid.
 
 Randomness discipline: interferer *realization* parameters (tone phases,
-periodical-noise segments) derive from the scenario seed alone, so one
-realization is shared by every point of a sweep: a scenario may carry it
-drawn once (Scenario.paths), and paths_of reads it. Per-symbol randomness
+periodical-noise segments) derive from the scenario seed alone, so every
+point of a sweep sees the same ones: realize_paths draws them wherever they
+are used, and a Scenario carries no drawing. Per-symbol randomness
 (data bits, white chips) and receiver noise derive from counter-based
 Philox streams keyed by (seed, tag, mc_stream, index...), making synthesis
 a pure function of the scenario and independent of how work is
@@ -50,7 +50,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,8 +81,8 @@ class ArrayGeometry:
     def __post_init__(self):
         if self.element_count < 2:
             raise ValueError(f"need at least 2 elements, got {self.element_count}")
-        if not self.spacing > 0:
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
+        if not 0 < self.spacing < math.inf:
+            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
 
 
 def steering(doa_deg: float, geometry: ArrayGeometry) -> np.ndarray:
@@ -161,8 +161,8 @@ class SoiSpec:
         if not np.all(np.abs(code) == 1.0):
             raise ValueError("code chips must be +-1")
         object.__setattr__(self, "code", code)
-        if not self.power >= 0:
-            raise ValueError("power must be >= 0")
+        if not 0 <= self.power < math.inf:
+            raise ValueError(f"power must be >= 0 and finite, got {self.power}")
         if self.bits is not None:
             bits = np.asarray(self.bits, dtype=np.float64)
             if not np.all(np.abs(bits) == 1.0):
@@ -194,16 +194,16 @@ class InterfererSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown interferer kind {self.kind!r}")
-        if not self.power > 0:
-            raise ValueError("power must be > 0")
+        if not 0 < self.power < math.inf:
+            raise ValueError(f"power must be positive and finite, got {self.power}")
         if self.kind == "mai_multipath":
             if len(self.path_delays) == 0 or len(self.path_delays) != len(self.path_doas):
                 raise ValueError("mai_multipath needs matching path_delays and path_doas")
             gains = self.path_gains
             if gains is None:
                 gains = tuple(1.0 for _ in self.path_delays)
-            if len(gains) != len(self.path_delays) or any(g <= 0 for g in gains):
-                raise ValueError("path_gains must be positive, one per ray")
+            if len(gains) != len(self.path_delays) or any(not 0 < g < math.inf for g in gains):
+                raise ValueError("path_gains must be positive and finite, one per ray")
             object.__setattr__(self, "path_gains", tuple(float(g) for g in gains))
 
 
@@ -216,18 +216,13 @@ class Scenario:
     symbols: int = 1000
     seed: int = 0
     mc_stream: int = 0  # distinguishes Monte Carlo streams across sweep points
-    # realize_paths of a scenario with this seed and these interferers, when
-    # drawn already: the points of one sweep carry one drawing (paths_of)
-    paths: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "interferers", tuple(self.interferers))
-        if self.paths is not None:
-            object.__setattr__(self, "paths", tuple(self.paths))
         if self.symbols < 1:
             raise ValueError("symbols must be >= 1")
-        if not self.noise_var > 0:
-            raise ValueError("noise_var must be > 0")
+        if not 0 < self.noise_var < math.inf:
+            raise ValueError(f"noise_var must be positive and finite, got {self.noise_var}")
         n = self.soi.processing_gain
         for sp in self.interferers:
             if sp.kind == "mai_multipath" and any(not 0 <= d < n for d in sp.path_delays):
@@ -315,11 +310,6 @@ def realize_paths(scenario: Scenario) -> list:
                 paths.append(RealizedPath("mai", doa, sp.power * g * g, idx,
                                           head=head, tail=tail))
     return paths
-
-
-def paths_of(scenario: Scenario):
-    """The scenario's realized paths: those it carries, else realize_paths."""
-    return scenario.paths if scenario.paths is not None else realize_paths(scenario)
 
 
 def steering_matrix(paths, geometry: ArrayGeometry) -> np.ndarray:
@@ -451,7 +441,7 @@ def iter_blocks(scenario: Scenario, include=("soi", "interference", "noise")):
     geo = scenario.geometry
     big_l, n = geo.element_count, scenario.soi.processing_gain
     k_total = scenario.symbols
-    paths = paths_of(scenario)
+    paths = realize_paths(scenario)
     want_soi = "soi" in include
     want_int = "interference" in include and paths
     want_noise = "noise" in include
@@ -605,9 +595,10 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
     points, when given, is a non-empty sequence of (soi_power, mc_stream),
     the two things a sweep moves. The result is then a stack of shape
     (P, L M, L M), each slice bitwise equal to the sum of the scenario with
-    that SOI power and mc_stream computed alone. Per grid, the paths, the
-    steering, U (all but the SOI column's sqrt(P0)), T, C and the chip
-    tables are built once. Each point draws its own streams: the
+    that SOI power and mc_stream computed alone. Per call, the paths (drawn
+    from the seed by realize_paths), the steering, U (all but the SOI
+    column's sqrt(P0)), T, C and the chip tables are built once, so a
+    whole grid shares them. Each point draws its own streams: the
     SOI and MAI bits, the white chips when Z is summed per symbol, then W1
     and W2 from its noise stream. Everything else (U Z U^H, eigh(G),
     T R^H + C W1, the Gram products and the Hermitian fold) is stacked over
@@ -685,7 +676,7 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
         raise ValueError(f"basis must be N x M with N={n}, got shape {basis.shape}")
     m = basis.shape[1]
     proj = basis.conj()
-    paths = paths_of(scenario) if "interference" in include else []
+    paths = realize_paths(scenario) if "interference" in include else []
     want_soi = "soi" in include
     steer = steering_matrix(paths, geo)
     if want_soi:

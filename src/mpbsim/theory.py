@@ -408,7 +408,7 @@ def geometric_bounded(scenario: sm.Scenario, bases: mpb.ProjectionBases) -> bool
     if not kinds or not all(k in ("tone", "periodical_noise") for k in kinds):
         return None
     classes = {}  # block phase of a class's first path -> the class's waveforms
-    for p in sm.paths_of(scenario):
+    for p in sm.realize_paths(scenario):
         key = next((k for k in classes if sm.coherent(k, p.block_phase)),
                    p.block_phase)
         classes.setdefault(key, []).append(p.waveform)

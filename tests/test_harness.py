@@ -177,14 +177,21 @@ def _set(path, value):
     ("fig4b-pn2", _set(("element_count",), 1), "element_count"),
     ("fig4d-mai3", _set(("interferers", 0, "path_delays", 1), 31),
      "interferers[0].path_delays[1]"),
+    ("fig4d-mai3", _set(("interferers", 0, "path_doas"), [30.0, -20.0]),
+     "interferers[0].path_doas"),
+    ("fig4d-mai3", _set(("interferers", 0, "path_delays"), []),
+     "interferers[0].path_delays"),
+    ("fig4d-mai3", _set(("interferers", 0, "path_gains"), [1.0, 1.0]),
+     "interferers[0].path_gains"),
 ])
 @pytest.mark.parametrize("command", ["sweep", "analyze"])
 def test_cli_bad_config_field_is_exit_1(command, preset, edit, field, tmp_path, capsys):
     """Endfire or non-finite DOAs, a non-finite tone offset, ray gain or
     element spacing, a SOI or MAI code index that names no Gold code, a
-    single-element array and an MAI path delay of a whole code length are
-    config errors that name the field, not numeric failures deep in the
-    run. JSON NaN and Infinity parse as floats."""
+    single-element array, an MAI path delay of a whole code length, and MAI
+    ray lists that are empty or differ in length are config errors that
+    name the field, not numeric failures deep in the run. JSON NaN and
+    Infinity parse as floats."""
     config = harness.config_to_dict(harness.preset(preset))
     edit(config)
     cfg_path = tmp_path / "cfg.json"
@@ -274,11 +281,15 @@ def test_scenario_at_unit_conversion():
 
 
 def test_scenario_at_wraps_model_errors():
-    bad = replace(harness.preset("fig4d-mai3"), interferers=(
-        harness.InterfererConfig("mai_multipath", path_delays=(3, 5),
-                                 path_doas=(30.0,)),))
-    with pytest.raises(harness.ConfigError):
-        harness.scenario_at(bad, 0.0)
+    """A model error at a point is a ConfigError: here the SOI power of a
+    NaN SNR, which no config can hold. Mismatched MAI ray lists, once the
+    model's error here, are now the config's own."""
+    with pytest.raises(harness.ConfigError, match="power must be"):
+        harness.scenario_at(harness.preset("fig4d-mai3"), math.nan)
+    with pytest.raises(harness.ConfigError, match=r"^interferers\[0\]\.path_doas must"):
+        replace(harness.preset("fig4d-mai3"), interferers=(
+            harness.InterfererConfig("mai_multipath", path_delays=(3, 5),
+                                     path_doas=(30.0,)),))
 
 
 def test_bases_for_custom_npz(tmp_path):
@@ -412,7 +423,7 @@ def test_cli_workers_below_one_is_exit_1(workers, tmp_path, capsys):
 # Patterns
 # -----------------------
 
-def test_pattern_rows_and_normalization():
+def test_pattern_rows_and_normalization(tmp_path):
     cfg = _tiny("fig4b-pn2", grid=(40.9,))
     rows = harness.run_pattern(cfg, 40.9)
     assert len(rows) == 2 * 361
@@ -425,27 +436,15 @@ def test_pattern_rows_and_normalization():
         assert thetas[0] == -90.0 and thetas[-1] == 90.0
         assert len(thetas) == 361
         assert max(g for _, g in pts) == 0.0
-
-
-@pytest.mark.parametrize("scheme", ["Maximin", "Custom"])
-def test_pattern_realizes_the_paths_once(scheme, monkeypatch, tmp_path):
-    """One realization of the interferer paths serves every scheme's model."""
-    cfg = _tiny("fig4c-tones5", grid=(20.0,))
-    if scheme == "Custom":
-        bases = mpb.maximin_bases(sm.gold31(0))
-        npz = tmp_path / "basis.npz"
-        np.savez(npz, h_s=bases.h_s, h_i=bases.h_i)
-        cfg = replace(cfg, scheme=harness.SchemeConfig("Custom", basis_file=str(npz)))
-    calls = []
-    realize = sm.realize_paths
-
-    def counted(scenario):
-        calls.append(scenario)
-        return realize(scenario)
-    monkeypatch.setattr(sm, "realize_paths", counted)
-    rows = harness.run_pattern(cfg, 20.0)
-    assert len(calls) == 1
-    assert {name for name, _, _ in rows} == ({"PAPC", "Maximin"} | {scheme})
+    # a Custom scheme's rows follow the two standard ones; here its basis
+    # is the default Maximin one, so its pattern is Maximin's
+    bases = mpb.maximin_bases(sm.gold31(0))
+    npz = tmp_path / "basis.npz"
+    np.savez(npz, h_s=bases.h_s, h_i=bases.h_i)
+    custom = harness.run_pattern(
+        replace(cfg, scheme=harness.SchemeConfig("Custom", basis_file=str(npz))), 40.9)
+    assert custom[:2 * 361] == rows
+    assert custom[2 * 361:] == [("Custom", t, g) for _, t, g in rows[361:]]
 
 
 def test_pattern_csv(tmp_path):
@@ -600,6 +599,19 @@ def test_cli_lapack_failure_is_exit_2(monkeypatch, capsys):
     assert "numeric failure: eigh did not converge" in capsys.readouterr().err
 
 
+def test_cli_eigen_failure_names_its_grid_point(tmp_path, capsys):
+    """The grid's lambda_max is one stacked solve, so a failure names its
+    slice: the third SNR, where PAPC's exact R_I meets the pivot floor."""
+    config = harness.config_to_dict(harness.preset("fig4b-pn2"))
+    config["scheme"] = {"name": "PAPC"}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    rc = cli.main(["eigen", "--config", str(cfg_path), "--snr-db=0,100,140,200",
+                   "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == "numeric failure: slice 2: pivot 1.260e+00 at column 3\n"
+
+
 def _indefinite_pair(size: int) -> mpb.CovariancePair:
     r_i = np.eye(size, dtype=complex)
     r_i[-1, -1] = -1.0
@@ -678,12 +690,10 @@ _INCLUDES = [c for k in (1, 2, 3)
 def _assert_slices_alone(config, include=("soi", "interference", "noise"),
                          snrs_db=(-10.0, 5.0, 20.0)):
     """Each slice of a grid's stacked pair equals its point alone, bit for
-    bit. The grid is run_sweep's: the 0 dB scenario carrying one drawing of
-    the paths, and each point's (soi_power, stream). Each point alone is
-    scenario_at's, and draws its paths itself."""
+    bit. The grid is run_sweep's: the 0 dB scenario and each point's
+    (soi_power, stream). Each point alone is scenario_at's."""
     bases = harness.bases_for(config)
     probe = harness.scenario_at(config, 0.0)
-    probe = replace(probe, paths=sm.realize_paths(probe))
     grid = [harness.scenario_at(config, s, stream=i) for i, s in enumerate(snrs_db)]
     pair = mpb.accumulate_cov_pair(probe, bases, include=include,
                                    points=[(sc.soi.power, sc.mc_stream) for sc in grid])
@@ -843,23 +853,12 @@ def test_sweep_factors_the_probes_q_s_once(monkeypatch):
     assert len(factored) == 1
 
 
-def test_sweep_realizes_the_paths_once(monkeypatch, tmp_path):
-    """The interferer paths depend on the seed alone: one realization per
-    sweep serves the model and every point, and the CSV keeps its bytes
-    against a sweep that synthesizes each point alone and realizes the
-    paths again at every point."""
+def test_sweep_grid_equals_point_by_point_synthesis(monkeypatch, tmp_path):
+    """The CSV of a sweep that synthesizes its grid in one call keeps its
+    bytes against one that synthesizes each point alone."""
     cfg = _tiny("fig4c-tones5", symbols=500, grid=(-10.0, 0.0, 10.0))
-    calls = []
-    realize = sm.realize_paths
-
-    def counted(scenario):
-        calls.append(scenario.mc_stream)
-        return realize(scenario)
-    monkeypatch.setattr(sm, "realize_paths", counted)
     once = tmp_path / "once.csv"
     harness.run_sweep(cfg, workers=1, out_path=once)
-    assert calls == [0]
-    monkeypatch.setattr(sm, "paths_of", counted)
     real = mpb.accumulate_cov_pair
 
     def point_by_point(scenario, bases, points):
@@ -869,8 +868,20 @@ def test_sweep_realizes_the_paths_once(monkeypatch, tmp_path):
     monkeypatch.setattr(mpb, "accumulate_cov_pair", point_by_point)
     again = tmp_path / "again.csv"
     harness.run_sweep(cfg, workers=1, out_path=again)
-    assert len(calls) > 1 + len(cfg.snr_grid_db)
     assert once.read_bytes() == again.read_bytes()
+
+
+def test_probe_scenario_is_a_plain_value():
+    """A scenario carries no drawing of its interferer paths: one moved to
+    another seed gives the model of a fresh scenario with that seed."""
+    cfg = harness.preset("fig4b-pn2")
+    probe = harness._probe(cfg)
+    moved = replace(probe.scenario, seed=2)
+    fresh = harness.scenario_at(replace(cfg, seed=2), 0.0)
+    got = mpb.analytic_cov(moved, probe.bases)
+    want = mpb.analytic_cov(fresh, probe.bases)
+    assert np.array_equal(got.q_s, want.q_s) and np.array_equal(got.q_i, want.q_i)
+    assert not np.allclose(got.q_s, probe.model.q_s)
 
 
 def test_analyze_solves_gamma1_once_per_inr(monkeypatch):

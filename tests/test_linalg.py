@@ -233,6 +233,17 @@ def test_stack_checks_run_per_slice():
     tiny[1] = np.diag([1.0, 1e-30, 1.0])  # LAPACK factors it; the floor does not
     with pytest.raises(la.NotPositiveDefiniteError, match=r"^slice 1: pivot .* at column 1$"):
         la.cholesky(tiny)
+    # slice 1 fails only the floor, slice 3 fails LAPACK: slice 1 is named,
+    # also through the solvers that factor with cholesky
+    both = tiny.copy()
+    both[3] = np.diag([1.0, -1.0, 1.0])
+    first = r"^slice 1: pivot 1\.000e-15 at column 1$"
+    with pytest.raises(la.NotPositiveDefiniteError, match=first):
+        la.cholesky(both)
+    with pytest.raises(la.NotPositiveDefiniteError, match=first):
+        la.solve_hpd(both, np.ones(3))
+    with pytest.raises(la.NotPositiveDefiniteError, match=first):
+        la.gen_eig_hpd(b, both)
     skew = b.copy()
     skew[3, 0, 1] += 1.0
     with pytest.raises(la.LinAlgError, match=r"^slice 3: A is not Hermitian"):

@@ -68,6 +68,27 @@ def test_gold_codes_distinct_and_range_checked():
         sm.gold31(-1)
 
 
+# ---------- Specs ----------
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_specs_reject_non_finite_and_non_positive_values(bad):
+    """Each spec rejects what the config layer rejects: a NaN or infinite
+    spacing, ray gain, power or noise variance would reach steering or
+    the model as a silent NaN."""
+    with pytest.raises(ValueError, match="spacing must be positive and finite"):
+        sm.ArrayGeometry(8, bad)
+    with pytest.raises(ValueError, match="path_gains must be positive and finite"):
+        sm.InterfererSpec("mai_multipath", path_delays=(0, 3), path_doas=(0.0, 20.0),
+                          path_gains=(1.0, bad))
+    with pytest.raises(ValueError, match="power must be positive and finite"):
+        sm.InterfererSpec("tone", power=bad)
+    with pytest.raises(ValueError, match="noise_var must be positive and finite"):
+        sm.Scenario(GEO8, sm.SoiSpec(31, sm.gold31(0)), (), noise_var=bad)
+    if bad != 0.0:  # a silent SOI is allowed
+        with pytest.raises(ValueError, match="power must be >= 0 and finite"):
+            sm.SoiSpec(31, sm.gold31(0), power=bad)
+
+
 # ---------- SOI and interferer waveforms ----------
 #
 # Every steering vector has entry 1 at the reference element, so element 0
