@@ -420,12 +420,7 @@ class SweepRow:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.9g}"
+    return x if isinstance(x, str) else f"{float(x):.9g}"
 
 
 def _write_lines(path, header: str, lines) -> None:
@@ -488,30 +483,17 @@ def _error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _solve_points(probe: _Probe, stream, snr) -> list:
-    """(g_sim_db, lambda_max_exact, lambda_max_pred) per sweep point.
+def _solve_points(pair: mpb.CovariancePair, at: mpb.AnalyticModel) -> list:
+    """(g_sim_db, lambda_max_exact, lambda_max_pred) per point of a grid.
 
-    stream and snr are one point's grid index and linear SNR, or arrays of
-    them over the grid (run_sweep). The probe's model moves to the points'
-    SOI powers, and the probe's scenario with those powers and streams
-    gives the sample pairs (R_S, R_I) from K simulated symbols each, in one
-    mpb.accumulate_cov_pair call: a point's randomness comes from
-    counter-based streams keyed by (seed, stream), the interferer paths
-    from the seed alone. The weights and their G, the exact pencil and the
-    mismatch spectrum are then each one stacked solve over the points; a
-    single point solves its pair unstacked, so that an error reads as it
-    would for that point alone.
+    pair is the points' stacked sample pairs (R_S, R_I), and at the probe's
+    model moved to their linear SNRs, an array. The weights and their G,
+    the exact pencil and the mismatch spectrum are each one stacked solve.
+    A stack of one point raises what that point alone raises.
     """
-    at = probe.model.at_snr(snr)
-    points = list(zip(np.atleast_1d(at.soi_power).tolist(), np.atleast_1d(stream).tolist()))
-    pair = mpb.accumulate_cov_pair(probe.scenario, probe.bases, points=points)
-    if np.ndim(snr) == 0:
-        pair = mpb.CovariancePair(pair.r_s[0], pair.r_i[0])
     g_sim = mpb.analytic_g(mpb.solve_weights(pair, at.a0).w, at)
     lam = theory.exact_lambda_max(at)
     spec = theory.mismatch_spectrum(at)
-    if np.ndim(snr) == 0:
-        g_sim, lam, spec = [g_sim], [lam], [spec]
     return [(10.0 * math.log10(g) if g > 0 else -math.inf, float(lm),
              float(sp.lambda_max_pred)) for g, lm, sp in zip(g_sim, lam, spec)]
 
@@ -521,30 +503,38 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
     """Simulated-vs-theory sweep over the config's SNR grid.
 
     Deterministic for a fixed (config, seed): every point derives its own
-    RNG streams from (seed, point index), in the calling process. The
-    whole grid is one _solve_points call: one synthesis of the sample
-    pairs, then one stacked solve for the weights, G and both lambda_max
-    columns. If it raises, each point is synthesized and solved alone, so a
-    failed point keeps its own error, as it would be raised for that point
-    alone; a slice of a stack equals its point alone, bit for bit, so every
-    other point keeps its value. Failed points get region "Error", keep
-    their error on the row, and the sweep continues. workers (at least 1)
-    bounds the processes a sweep may use; one always meets it.
+    RNG streams from (seed, point index), in the calling process. One
+    mpb.accumulate_cov_pair call synthesizes every point's sample pair, and
+    _solve_points solves them as one stack. If that raises, each point is
+    solved again from its one-point slice, so a failed point keeps the
+    error it raises alone, and every other point its value (a slice equals
+    its point alone, bit for bit). If synthesis raises, every point carries
+    its error. Failed points get region "Error", keep their error on the
+    row, and the sweep continues. workers (at least 1) bounds the processes
+    a sweep may use; one always meets it.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     probe = _probe(config)
     grid_lin = [10.0 ** (s / 10.0) for s in config.snr_grid_db]
     curve = theory.operating_curve(probe.model, probe.thresholds(grid_lin), grid_lin)
+    at = probe.model.at_snr(np.array(grid_lin))
+    points = list(zip(at.soi_power.tolist(), range(len(grid_lin))))
     try:
-        solved = _solve_points(probe, np.arange(len(grid_lin)), np.array(grid_lin))
-    except _NUMERIC_ERRORS:
-        solved = []
-        for i, snr in enumerate(grid_lin):
-            try:
-                solved.append(_solve_points(probe, i, snr)[0])
-            except _NUMERIC_ERRORS as exc:
-                solved.append(exc)
+        pair = mpb.accumulate_cov_pair(probe.scenario, probe.bases, points=points)
+    except _NUMERIC_ERRORS as exc:
+        solved = [exc] * len(points)
+    else:
+        try:
+            solved = _solve_points(pair, at)
+        except _NUMERIC_ERRORS:
+            solved = []
+            for i, snr in enumerate(grid_lin):
+                one = mpb.CovariancePair(pair.r_s[i:i + 1], pair.r_i[i:i + 1])
+                try:
+                    solved += _solve_points(one, probe.model.at_snr(np.array([snr])))
+                except _NUMERIC_ERRORS as exc:
+                    solved.append(exc)
 
     rows = []
     for snr_db, values, (snr_lin, g_theory, region) in zip(config.snr_grid_db, solved,

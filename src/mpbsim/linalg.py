@@ -15,7 +15,8 @@ of them, shape (..., n, n), through one implementation: a 2-D input is a
 stack of one. numpy.linalg runs the same LAPACK routine on every slice of
 a stack, so a slice's result equals, bit for bit, that of solving it
 alone. Every check runs per slice, and a stack's error names its first
-failing slice ("slice 3: ..."); a single matrix's error reads as before.
+failing slice ("slice 3: ..."). A single matrix's error names no slice,
+and neither does that of a stack of one, which reads as its matrix alone.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 def _where(batch: tuple, flat) -> str:
     """'slice i: ' naming slice number `flat` (in C order) of a stack of
-    batch shape `batch`; '' for a single matrix (batch shape ())."""
-    if not batch:
+    batch shape `batch`; '' for a single matrix or a stack of one."""
+    if math.prod(batch) == 1:
         return ""
     index = tuple(int(k) for k in np.unravel_index(int(flat), batch))
     return f"slice {index[0] if len(index) == 1 else index}: "

@@ -50,7 +50,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -146,13 +146,15 @@ class SoiSpec:
 
     power is linear and normally set through SNR = N * P0 / sigma^2. bits
     may be pinned for reproducible waveform-level tests; when None the
-    synthesizer draws i.i.d. +-1 data from the scenario seed.
+    synthesizer draws i.i.d. +-1 data from the scenario seed. A SoiSpec
+    compares and hashes by value: the arrays code and bits by their bytes.
     """
     processing_gain: int
-    code: np.ndarray
+    code: np.ndarray = field(compare=False)
     doa_deg: float = 0.0
     power: float = 1.0
-    bits: np.ndarray | None = None
+    bits: np.ndarray | None = field(default=None, compare=False)
+    _array_bytes: tuple = field(init=False, repr=False)  # (code, bits), compared
 
     def __post_init__(self):
         code = np.asarray(self.code, dtype=np.float64)
@@ -161,13 +163,20 @@ class SoiSpec:
         if not np.all(np.abs(code) == 1.0):
             raise ValueError("code chips must be +-1")
         object.__setattr__(self, "code", code)
-        if not 0 <= self.power < math.inf:
-            raise ValueError(f"power must be >= 0 and finite, got {self.power}")
+        _check_soi_power(self.power)
         if self.bits is not None:
             bits = np.asarray(self.bits, dtype=np.float64)
             if not np.all(np.abs(bits) == 1.0):
                 raise ValueError("bits must be +-1")
             object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "_array_bytes", (
+            code.tobytes(), None if self.bits is None else self.bits.tobytes()))
+
+
+def _check_soi_power(power) -> None:
+    """The SOI power rule, of a SoiSpec and of each point of projected_sum."""
+    if not 0 <= power < math.inf:
+        raise ValueError(f"power must be >= 0 and finite, got {power}")
 
 
 KINDS = ("bpsk_white", "tone", "periodical_noise", "mai_multipath")
@@ -323,10 +332,10 @@ def steering_matrix(paths, geometry: ArrayGeometry) -> np.ndarray:
 # Block synthesis
 # -----------------------
 
-def _stream(scenario: Scenario, tag: int, *index: int) -> np.random.Generator:
+def _stream(seed: int, tag: int, mc_stream: int, *index: int) -> np.random.Generator:
     """The Philox stream keyed by (seed, tag, mc_stream, *index)."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(
-        [scenario.seed, tag, scenario.mc_stream, *index])))
+        [seed, tag, mc_stream, *index])))
 
 
 def _bits(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -347,13 +356,13 @@ def _bits(rng: np.random.Generator, count: int) -> np.ndarray:
     return words.view("<i4")[:count] < 0
 
 
-def _soi_negs(scenario: Scenario) -> np.ndarray:
-    """Where the SOI data stream is -1, K booleans (pinned bits win)."""
+def _soi_negs(scenario: Scenario, mc_stream: int) -> np.ndarray:
+    """Where mc_stream's SOI data stream is -1, K booleans (pinned bits win)."""
     if scenario.soi.bits is not None:
         if len(scenario.soi.bits) < scenario.symbols:
             raise ValueError("pinned bits shorter than scenario.symbols")
         return scenario.soi.bits[:scenario.symbols] < 0
-    return _bits(_stream(scenario, _TAG_SOI_BITS, 0), scenario.symbols)
+    return _bits(_stream(scenario.seed, _TAG_SOI_BITS, mc_stream, 0), scenario.symbols)
 
 
 def soi_bits(scenario: Scenario) -> np.ndarray:
@@ -362,26 +371,27 @@ def soi_bits(scenario: Scenario) -> np.ndarray:
     iter_blocks multiplies the blocks by it; projected_sum reads the same
     stream as booleans (_soi_negs) and never forms this array.
     """
-    return 1.0 - 2.0 * _soi_negs(scenario)
+    return 1.0 - 2.0 * _soi_negs(scenario, scenario.mc_stream)
 
 
-def _mai_negs(scenario: Scenario, paths) -> dict:
-    """Where each MAI user's stream is -1: K+1 booleans per interferer index
-    (entry 0 = b(-1))."""
+def _mai_negs(scenario: Scenario, paths, mc_stream: int) -> dict:
+    """Where each MAI user's stream of mc_stream is -1: K+1 booleans per
+    interferer index (entry 0 = b(-1))."""
     users = dict.fromkeys(p.stream_index for p in paths if p.family == "mai")
-    return {i: _bits(_stream(scenario, _TAG_MAI_BITS, i), scenario.symbols + 1)
+    return {i: _bits(_stream(scenario.seed, _TAG_MAI_BITS, mc_stream, i), scenario.symbols + 1)
             for i in users}
 
 
 def _mai_bit_streams(scenario: Scenario, paths) -> dict:
     """One +-1 stream of length K+1 per MAI interferer index (entry 0 = b(-1))."""
-    return {i: 1.0 - 2.0 * neg for i, neg in _mai_negs(scenario, paths).items()}
+    return {i: 1.0 - 2.0 * neg
+            for i, neg in _mai_negs(scenario, paths, scenario.mc_stream).items()}
 
 
-def _white_bits(scenario: Scenario, stream_index: int, batch_index: int,
+def _white_bits(seed: int, mc_stream: int, stream_index: int, batch_index: int,
                 count: int) -> np.ndarray:
-    """The packed chips of a white path for one synthesis batch, one uint32
-    per symbol: chip n of a symbol is 1 - 2 * (bit n of its word).
+    """The packed chips of a white path for one synthesis batch of mc_stream,
+    one uint32 per symbol: chip n of a symbol is 1 - 2 * (bit n of its word).
 
     Symbol k takes the k-th 32-bit half of the raw Philox words, low half
     first, shifted right by one. That is the draw of
@@ -390,7 +400,7 @@ def _white_bits(scenario: Scenario, stream_index: int, batch_index: int,
     a power-of-two range. So one raw word carries two symbols, and the
     dropped low bit of each half reaches no chip.
     """
-    rng = _stream(scenario, _TAG_WHITE, stream_index, batch_index)
+    rng = _stream(seed, _TAG_WHITE, mc_stream, stream_index, batch_index)
     words = rng.bit_generator.random_raw((count + 1) // 2).astype("<u8", copy=False)
     return words.view("<u4")[:count] >> 1
 
@@ -463,7 +473,8 @@ def iter_blocks(scenario: Scenario, include=("soi", "interference", "noise")):
             for pi, p in enumerate(paths):
                 amp = math.sqrt(p.power)
                 if p.family == "white":
-                    s = _unpack_chips(_white_bits(scenario, p.stream_index, bi, nb), n)
+                    s = _unpack_chips(_white_bits(scenario.seed, scenario.mc_stream,
+                                                  p.stream_index, bi, nb), n)
                 elif p.family == "periodic":
                     rho_k = np.exp(1j * cmath.phase(p.block_phase) * np.arange(k0, k0 + nb))
                     s = rho_k[:, None] * p.waveform[None, :]
@@ -474,7 +485,7 @@ def iter_blocks(scenario: Scenario, include=("soi", "interference", "noise")):
                     s = cur[:, None] * p.head[None, :] + prev[:, None] * p.tail[None, :]
                 x += amp * steer[None, :, pi, None] * s[:, None, :]
         if want_noise:
-            rng = _stream(scenario, _TAG_NOISE, bi)
+            rng = _stream(scenario.seed, _TAG_NOISE, scenario.mc_stream, bi)
             sd = math.sqrt(scenario.noise_var / 2.0)
             x += sd * (rng.normal(size=(nb, big_l, n)) + 1j * rng.normal(size=(nb, big_l, n)))
         yield k0, x
@@ -518,9 +529,9 @@ def _count_gram(keys, negs: dict, k_total: int) -> np.ndarray:
     return z_gram
 
 
-def _batch_gram(grid, keys, negs, proj: np.ndarray) -> np.ndarray:
+def _batch_gram(scenario: Scenario, streams, keys, negs, proj: np.ndarray) -> np.ndarray:
     """Z = sum_k z z^H of projected_sum's sources at every point of a grid,
-    summed batch by batch: shape (P, q', q') for P points.
+    summed batch by batch: shape (P, q', q') for the P mc_streams in streams.
 
     keys name the sources in the order of U's columns: "soi" and "mai" keys
     are read from a point's dict in negs (an iterable of one per point) and
@@ -528,7 +539,7 @@ def _batch_gram(grid, keys, negs, proj: np.ndarray) -> np.ndarray:
     and a "white" key stands for the M projected chip rows of one white
     path. The chip tables, the ramp steps and the buffers serve every point.
     """
-    k_total = grid[0].symbols
+    k_total = scenario.symbols
     if any(key[0] == "white" for key in keys):
         tables = _chip_tables(proj)
     # e^{i phi (k0 + j)} = e^{i phi k0} e^{i phi j}: the exps of one batch
@@ -546,8 +557,8 @@ def _batch_gram(grid, keys, negs, proj: np.ndarray) -> np.ndarray:
     rows = (width, width, m)
     flat = [np.empty(r * len(j), dtype=np.complex128) for r in rows]
 
-    z_gram = np.zeros((len(grid), width, width), dtype=np.complex128)
-    for scenario, point_negs, point_gram in zip(grid, negs, z_gram):
+    z_gram = np.zeros((len(streams), width, width), dtype=np.complex128)
+    for stream, point_negs, point_gram in zip(streams, negs, z_gram):
         for bi, k0 in enumerate(range(0, k_total, BATCH)):
             nb = min(BATCH, k_total - k0)
             z, z_conj, lookup = (buf[:r * nb].reshape(r, nb) for buf, r in zip(flat, rows))
@@ -557,7 +568,7 @@ def _batch_gram(grid, keys, negs, proj: np.ndarray) -> np.ndarray:
                     # the sum from 0 of the four byte lookups; mode "clip"
                     # writes out unbuffered, and a byte never leaves a
                     # 256-entry table
-                    octets = _chip_bytes(_white_bits(scenario, key[1], bi, nb))
+                    octets = _chip_bytes(_white_bits(scenario.seed, stream, key[1], bi, nb))
                     chips = z[row:row + m]
                     chips[...] = 0.0
                     for b in range(4):
@@ -575,13 +586,12 @@ def _batch_gram(grid, keys, negs, proj: np.ndarray) -> np.ndarray:
     return z_gram
 
 
-def _point_negs(scenario: Scenario, paths, want_soi: bool) -> dict:
-    """Where each +-1 source of projected_sum is -1 at one point: K booleans
-    per source key."""
+def _point_negs(scenario: Scenario, paths, want_soi: bool, mc_stream: int) -> dict:
+    """Where each +-1 source of projected_sum is -1 at mc_stream's point, K per key."""
     negs = {}
     if want_soi:
-        negs[("soi",)] = _soi_negs(scenario)
-    for i, neg in _mai_negs(scenario, paths).items():
+        negs[("soi",)] = _soi_negs(scenario, mc_stream)
+    for i, neg in _mai_negs(scenario, paths, mc_stream).items():
         negs[("mai", i, 0)] = neg[1:]  # b(k); entry 0 of the stream is b(-1)
         negs[("mai", i, 1)] = neg[:-1]  # b(k-1)
     return negs
@@ -593,16 +603,17 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
     the scenario or at every point of a sweep grid.
 
     points, when given, is a non-empty sequence of (soi_power, mc_stream),
-    the two things a sweep moves. The result is then a stack of shape
-    (P, L M, L M), each slice bitwise equal to the sum of the scenario with
-    that SOI power and mc_stream computed alone. Per call, the paths (drawn
-    from the seed by realize_paths), the steering, U (all but the SOI
-    column's sqrt(P0)), T, C and the chip tables are built once, so a
-    whole grid shares them. Each point draws its own streams: the
-    SOI and MAI bits, the white chips when Z is summed per symbol, then W1
-    and W2 from its noise stream. Everything else (U Z U^H, eigh(G),
-    T R^H + C W1, the Gram products and the Hermitian fold) is stacked over
-    the grid.
+    the two things a sweep moves; a power obeys SoiSpec's rule. The result
+    is then a stack of shape (P, L M, L M), each slice bitwise equal to the
+    sum of the scenario with that SOI power and mc_stream computed alone.
+    Without points, the scenario's own (soi.power, mc_stream) is the one
+    point, unstacked. Per call, the paths (drawn from the seed by
+    realize_paths), the steering, U (all but the SOI column's sqrt(P0)), T,
+    C and the chip tables are built once, so a whole grid shares them.
+    Each point draws its own streams: the SOI and MAI bits, the white chips
+    when Z is summed per symbol, then W1 and W2 from its noise stream.
+    Everything else (U Z U^H, eigh(G), T R^H + C W1, the Gram products and
+    the Hermitian fold) is stacked over the grid.
 
     y(k) stacks the M columns of X(k) basis*, so the (j, j') block of S is
     sum_k (X(k) b_j*) (X(k) b_j'*)^H for basis columns b_j and b_j'.
@@ -659,16 +670,17 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
     Any R with R^H R = G gives the same law; it is taken from an
     eigendecomposition of G with rounding-negative eigenvalues set to 0.
 
-    The noise draws come from one stream per scenario (so per sweep point),
-    not per batch. Sums of one scenario for different bases or components
-    share that stream and are not independent of each other.
+    The noise draws come from one stream per point (its mc_stream), not per
+    batch. Sums of one point for different bases or components share that
+    stream and are not independent of each other.
     """
     _check_include(include)
-    grid = [scenario] if points is None else [
-        replace(scenario, soi=replace(scenario.soi, power=power), mc_stream=stream)
-        for power, stream in points]
+    grid = [(scenario.soi.power, scenario.mc_stream)] if points is None else list(points)
     if not grid:
         raise ValueError("points must hold at least one (soi_power, mc_stream)")
+    powers, streams = zip(*grid)
+    for power in powers:
+        _check_soi_power(power)
     geo = scenario.geometry
     big_l, n, k_total = geo.element_count, scenario.soi.processing_gain, scenario.symbols
     basis = np.asarray(basis, dtype=np.complex128)
@@ -701,20 +713,19 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
         else:  # mai: b(k) on the head, b(k-1) on the tail
             load(("mai", path.stream_index, 0), p, amp * (path.head @ proj)[:, None])
             load(("mai", path.stream_index, 1), p, amp * (path.tail @ proj)[:, None])
-    gram = np.zeros((len(grid), pm, pm), dtype=np.complex128)
+    gram = np.zeros((len(streams), pm, pm), dtype=np.complex128)
     if loads:
-        u = np.repeat(np.hstack(list(loads.values()))[None], len(grid), axis=0)
+        u = np.repeat(np.hstack(list(loads.values()))[None], len(streams), axis=0)
         if want_soi:
-            amps = np.sqrt([sc.soi.power for sc in grid])
-            u[:, :m, 0] += amps[:, None] * (scenario.soi.code @ proj)
+            u[:, :m, 0] += np.sqrt(powers)[:, None] * (scenario.soi.code @ proj)
         keys = list(loads)
         # drawn point by point, so one point's K-length streams live at a time
-        negs = (_point_negs(sc, paths, want_soi) for sc in grid)
+        negs = (_point_negs(scenario, paths, want_soi, stream) for stream in streams)
         if all(key[0] in ("soi", "mai") or key[0] == "ramp" and coherent(key[1], 1.0)
                for key in keys):
             z_gram = np.stack([_count_gram(keys, point_negs, k_total) for point_negs in negs])
         else:
-            z_gram = _batch_gram(grid, keys, negs, proj)
+            z_gram = _batch_gram(scenario, streams, keys, negs, proj)
         gram = u @ z_gram @ la._h(u)
     # T[(j, l), (p, j')] = steer[l, p] * (j == j')
     dim = big_l * m
@@ -727,10 +738,10 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
         r_h = vec[..., pm - r:] * np.sqrt(np.maximum(lam[..., None, pm - r:], 0.0))  # R^H
         noise = math.sqrt(scenario.noise_var) * np.kron(
             np.linalg.cholesky(basis.conj().T @ basis), np.eye(big_l))
-        w1 = np.empty((len(grid), dim, r), dtype=np.complex128)
-        w2 = np.empty((len(grid), dim, min(dim, k_total - r)), dtype=np.complex128)
-        for sc, w1_point, w2_point in zip(grid, w1, w2):
-            rng = _stream(sc, _TAG_NOISE_SUMS)
+        w1 = np.empty((len(streams), dim, r), dtype=np.complex128)
+        w2 = np.empty((len(streams), dim, min(dim, k_total - r)), dtype=np.complex128)
+        for stream, w1_point, w2_point in zip(streams, w1, w2):
+            rng = _stream(scenario.seed, _TAG_NOISE_SUMS, stream)
             w1_point[...] = _cn(rng, (dim, r))
             w2_point[...] = _wishart_factor(rng, dim, k_total - r)
         # (P, LM, LM) temporaries released as soon as they are used

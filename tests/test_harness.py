@@ -352,6 +352,16 @@ def test_sweep_csv_format(tmp_path):
     print("\n".join(lines))
 
 
+def test_sweep_csv_spells_non_finite_values(tmp_path):
+    row = harness.SweepRow(snr_db=-0.0, g_sim_db=-math.inf, g_theory_db=math.nan,
+                           gamma0=math.inf, gamma1=0.0, lambda_max_exact=1.5,
+                           lambda_max_pred=math.nan, region="Error", error="E: e")
+    path = tmp_path / "sweep.csv"
+    harness.write_sweep_csv([row], path)
+    assert path.read_bytes() == (harness.SWEEP_HEADER
+                                 + "\n-0,-inf,nan,inf,0,1.5,nan,Error\n").encode()
+
+
 def test_sweep_white_interferers_track_theory():
     # gamma_1 = 0 scenario: theory curve is identically 1 and the K = 2000
     # estimate should already sit within a fraction of a dB of it
@@ -601,15 +611,17 @@ def test_cli_lapack_failure_is_exit_2(monkeypatch, capsys):
 
 def test_cli_eigen_failure_names_its_grid_point(tmp_path, capsys):
     """The grid's lambda_max is one stacked solve, so a failure names its
-    slice: the third SNR, where PAPC's exact R_I meets the pivot floor."""
+    slice: the third SNR, where PAPC's exact R_I meets the pivot floor. A
+    grid of that one SNR is a stack of one, and names no slice."""
     config = harness.config_to_dict(harness.preset("fig4b-pn2"))
     config["scheme"] = {"name": "PAPC"}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
-    rc = cli.main(["eigen", "--config", str(cfg_path), "--snr-db=0,100,140,200",
-                   "--out", str(tmp_path)])
-    assert rc == 2
-    assert capsys.readouterr().err == "numeric failure: slice 2: pivot 1.260e+00 at column 3\n"
+    for grid, where in (("0,100,140,200", "slice 2: "), ("140", "")):
+        rc = cli.main(["eigen", "--config", str(cfg_path), f"--snr-db={grid}",
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"numeric failure: {where}pivot 1.260e+00 at column 3\n"
 
 
 def _indefinite_pair(size: int) -> mpb.CovariancePair:
@@ -621,7 +633,7 @@ def _indefinite_pair(size: int) -> mpb.CovariancePair:
 def test_sweep_point_linalg_failure_is_named_error(monkeypatch):
     """A pencil that cannot be solved fails each point with the message
     that solving its weights alone raises: the stacked solve fails, and
-    each point is solved again from its unstacked pair."""
+    each point is solved again from its one-point slice of the stack."""
     cfg = _tiny("fig4b-pn2")
     bad = _indefinite_pair(cfg.element_count)
     monkeypatch.setattr(mpb, "accumulate_cov_pair",
@@ -633,8 +645,9 @@ def test_sweep_point_linalg_failure_is_named_error(monkeypatch):
         mpb.solve_weights(bad, probe.model.a0)
     expected = f"NotPositiveDefiniteError: {alone.value}"
     assert "slice" not in expected
+    one = mpb.CovariancePair(bad.r_s[None], bad.r_i[None])
     with pytest.raises(la.NotPositiveDefiniteError) as point:
-        harness._solve_points(probe, 1, 10.0)
+        harness._solve_points(one, probe.model.at_snr(np.array([10.0])))
     assert str(point.value) == str(alone.value)
     rows = harness.run_sweep(cfg)
     assert [r.region for r in rows] == ["Error", "Error"]
@@ -645,15 +658,18 @@ def test_sweep_point_linalg_failure_is_named_error(monkeypatch):
 
 def test_sweep_only_the_indefinite_point_fails(monkeypatch, tmp_path):
     """One bad sample pair in the middle of the grid: the stacked solve
-    raises, every point is solved alone, and only that row is an Error,
-    with the message it gets alone. Every other row keeps its bytes."""
+    raises, every point is solved again from its slice of the one
+    synthesis, and only that row is an Error, with the message it gets
+    alone. Every other row keeps its bytes."""
     cfg = _tiny("fig4b-pn2", symbols=500, grid=(-10.0, 0.0, 10.0))
     clean = tmp_path / "clean.csv"
     harness.run_sweep(cfg, out_path=clean)
     real = mpb.accumulate_cov_pair
     bad = _indefinite_pair(cfg.element_count)
+    sizes = []
 
     def bad_at_stream_1(scenario, bases, points):
+        sizes.append(len(points))
         pair = real(scenario, bases, points=points)
         for i, (_, stream) in enumerate(points):
             if stream == 1:
@@ -662,6 +678,7 @@ def test_sweep_only_the_indefinite_point_fails(monkeypatch, tmp_path):
     monkeypatch.setattr(mpb, "accumulate_cov_pair", bad_at_stream_1)
     broken = tmp_path / "broken.csv"
     rows = harness.run_sweep(cfg, out_path=broken)
+    assert sizes == [3]
     with pytest.raises(la.NotPositiveDefiniteError) as alone:
         mpb.solve_weights(bad, harness._probe(cfg).model.a0)
     assert [r.error for r in rows] == [None, f"NotPositiveDefiniteError: {alone.value}", None]
@@ -671,13 +688,31 @@ def test_sweep_only_the_indefinite_point_fails(monkeypatch, tmp_path):
     assert got[2].split(",")[1] == "nan" and got[2].endswith(",Error")
 
 
+def test_cli_sweep_fails_only_the_non_finite_point(tmp_path, capsys):
+    """At 3070 dB SNR the sample pair overflows: that row alone fails, with
+    the error its weights raise alone, and the sweep exits 0."""
+    rc = cli.main(["sweep", "--preset", "fig4b-pn2", "--symbols", "500",
+                   "--snr-db=0,10,3070", "--out", str(tmp_path)])
+    assert rc == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "sweep point 3070 dB failed: LinAlgError: A contains non-finite entries"]
+    regions = [line.rsplit(",", 1)[1]
+               for line in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+    assert regions[2] == "Error" and "Error" not in regions[:2]
+
+
 def test_cli_sweep_reports_each_failed_point(monkeypatch, tmp_path, capsys):
+    """Synthesis that raises is not retried: every point carries its error."""
+    calls = []
+
     def fail(scenario, bases, points):
+        calls.append(points)
         raise ArithmeticError("synthetic blow-up")
     monkeypatch.setattr(mpb, "accumulate_cov_pair", fail)
     rc = cli.main(["sweep", "--preset", "fig4b-pn2", "--symbols", "500",
                    "--snr-db=-5,5,15", "--out", str(tmp_path)])
     assert rc == 0
+    assert len(calls) == 1
     lines = capsys.readouterr().err.splitlines()
     assert lines == [f"sweep point {s} dB failed: ArithmeticError: synthetic blow-up"
                      for s in ("-5", "5", "15")]
@@ -869,6 +904,24 @@ def test_sweep_grid_equals_point_by_point_synthesis(monkeypatch, tmp_path):
     again = tmp_path / "again.csv"
     harness.run_sweep(cfg, workers=1, out_path=again)
     assert once.read_bytes() == again.read_bytes()
+
+
+def test_scenarios_compare_and_hash_by_value():
+    """Two scenarios built apart are equal when their fields are, SOI code
+    and bits included, and hash alike; another code or seed tells them
+    apart."""
+    cfg = harness.preset("fig4b-pn2")
+    fresh = harness.scenario_at(replace(cfg, seed=2), 0.0)
+    moved = replace(harness._probe(cfg).scenario, seed=2)
+    assert fresh.soi is not moved.soi
+    assert fresh == moved and hash(fresh) == hash(moved)
+    assert hash(fresh.soi) == hash(moved.soi)
+    assert fresh != harness.scenario_at(cfg, 0.0)
+    assert fresh.soi != replace(fresh.soi, code=sm.gold31(1))
+    bits = np.array([1.0, -1.0, 1.0])
+    assert replace(fresh.soi, bits=bits) == replace(fresh.soi, bits=bits.copy())
+    assert replace(fresh.soi, bits=bits) != replace(fresh.soi, bits=-bits)
+    assert replace(fresh.soi, bits=bits) != fresh.soi
 
 
 def test_probe_scenario_is_a_plain_value():

@@ -258,6 +258,18 @@ def test_stack_checks_run_per_slice():
         la.cholesky(grid)
     with pytest.raises(la.LinAlgError, match="dimension mismatch"):
         la.gen_eig_hpd(b[:3], b)
+    # a stack of one matrix raises what that matrix raises alone
+    for call, single in ((la.herm_eig, skew[3]), (la.cholesky, tiny[1]),
+                         (la.cholesky, both[3]), (la.cholesky, bad[2]),
+                         (lambda m: la.solve_hpd(m, np.ones(3)), both[3]),
+                         (lambda m: la.gen_eig_hpd(np.eye(3), m), tiny[1]),
+                         (lambda m: la.gen_eig_hpd(np.eye(3), m), both[3])):
+        with pytest.raises(la.LinAlgError) as alone:
+            call(single)
+        with pytest.raises(la.LinAlgError) as one:
+            call(single[None])
+        assert type(one.value) is type(alone.value)
+        assert str(one.value) == str(alone.value) and "slice" not in str(one.value)
 
 
 # ---------- gen_eig_homogeneous ----------

@@ -280,8 +280,8 @@ def test_white_bits_are_the_integers_stream(count):
     word unused. numpy is the reference, so a numpy that changes integers
     fails here."""
     sc = _scenario()
-    packed = sm._white_bits(sc, 2, 5, count)
-    rng = sm._stream(sc, sm._TAG_WHITE, 2, 5)
+    packed = sm._white_bits(sc.seed, sc.mc_stream, 2, 5, count)
+    rng = sm._stream(sc.seed, sm._TAG_WHITE, sc.mc_stream, 2, 5)
     ref = rng.integers(0, 2**31, size=count, dtype=np.uint32)
     assert np.array_equal(packed, ref)
     bits = (ref[:, None] >> np.arange(31, dtype=np.uint32)) & 1
@@ -312,9 +312,9 @@ def test_soi_and_mai_bits_are_the_integers_stream():
     sc = _scenario(symbols=1697, interferers=(
         sm.InterfererSpec("mai_multipath", doa_deg=10.0, path_delays=(3,),
                           path_doas=(10.0,)),))
-    soi = sm._stream(sc, sm._TAG_SOI_BITS, 0).integers(0, 2, size=1697)
+    soi = sm._stream(sc.seed, sm._TAG_SOI_BITS, sc.mc_stream, 0).integers(0, 2, size=1697)
     assert np.array_equal(sm.soi_bits(sc), 1 - 2 * soi)
-    mai = sm._stream(sc, sm._TAG_MAI_BITS, 0).integers(0, 2, size=1698)
+    mai = sm._stream(sc.seed, sm._TAG_MAI_BITS, sc.mc_stream, 0).integers(0, 2, size=1698)
     assert np.array_equal(sm._mai_bit_streams(sc, sm.realize_paths(sc))[0], 1 - 2 * mai)
 
 
@@ -449,7 +449,7 @@ def test_count_route_is_the_integer_gram(case, symbols, monkeypatch):
     ref = rows @ rows.T
     assert z_gram.dtype == np.complex128
     assert np.array_equal(z_gram.real, ref) and not np.any(z_gram.imag)
-    [loop] = sm._batch_gram((sc,), keys, [negs], basis.conj())
+    [loop] = sm._batch_gram(sc, [sc.mc_stream], keys, [negs], basis.conj())
     assert np.array_equal(loop.view(np.uint64), z_gram.view(np.uint64))
 
 
@@ -518,6 +518,18 @@ def test_empty_grid_is_rejected():
     assert grid.shape == (2, 16, 16)
     with pytest.raises(ValueError, match="at least one"):
         sm.projected_sum(sc, _complex_basis(45), points=[])
+
+
+@pytest.mark.parametrize("power", [-1.0, math.nan])
+def test_grid_point_power_obeys_the_soi_rule(power):
+    """A point's SOI power is checked as SoiSpec checks its own, with the
+    same message."""
+    sc = _scenario(interferers=(_PN,), symbols=300)
+    with pytest.raises(ValueError, match=r"^power must be >= 0 and finite, got") as spec:
+        sm.SoiSpec(31, sm.gold31(0), power=power)
+    with pytest.raises(ValueError) as point:
+        sm.projected_sum(sc, _complex_basis(45), points=[(2.0, 0), (power, 1)])
+    assert str(point.value) == str(spec.value)
 
 
 def _check_conditional_law(interferers, symbols, draws, basis):
