@@ -1,9 +1,12 @@
 """Experiment orchestration: configs, presets, sweeps, patterns, eigencurves.
 
 File-facing conventions are fixed here: angles in degrees, powers in dB,
-CSV numbers with 9 significant digits, infinities spelled ``inf``. All
-linear-unit conversion happens when a :class:`sigmodel.Scenario` is built
-for a sweep point, so configs round-trip through JSON exactly.
+CSV numbers with 9 significant digits, infinities spelled ``inf``. Configs
+keep dB, so they round-trip through JSON exactly. dB become linear units in
+``_linear`` only, and a linear SNR becomes the SOI power P0 = SNR sigma^2 / N
+in ``mpb._soi_power`` only: a sweep point's :class:`sigmodel.Scenario`
+(``scenario_at``) and the model moved to its SNR (``AnalyticModel.at_snr``)
+both take P0 from there.
 """
 
 from __future__ import annotations
@@ -34,10 +37,10 @@ class ConfigError(ValueError):
     """Configuration file or field rejected; maps to CLI exit code 1."""
 
 
-def _power(db: float) -> float:
-    """NOISE_VAR * 10^(db / 10), inf where that overflows a float."""
+def _linear(db: float) -> float:
+    """10^(db / 10), inf where that overflows a float."""
     try:
-        return 10.0 ** (db / 10.0) * NOISE_VAR
+        return 10.0 ** (db / 10.0)
     except OverflowError:
         return math.inf
 
@@ -137,7 +140,7 @@ class ExperimentConfig:
             raise ConfigError(f"gold_index must name a Gold code: {exc}") from None
         _check_doa("soi_doa_deg", self.soi_doa_deg)
         for s in self.snr_grid_db:
-            if not 0.0 < _power(s) / self.processing_gain < math.inf:
+            if not 0.0 < mpb._soi_power(_linear(s), NOISE_VAR, self.processing_gain) < math.inf:
                 raise ConfigError(f"snr_grid_db must give a finite, positive "
                                   f"linear power, got {s} dB")
         for i, ic in enumerate(self.interferers):
@@ -169,8 +172,8 @@ class ExperimentConfig:
             if ic.kind == "tone" and not math.isfinite(ic.normalized_offset):
                 raise ConfigError(f"{where}.normalized_offset must be finite, "
                                   f"got {ic.normalized_offset}")
-            if not 0.0 < _power(self.inr_db + ic.rel_power_db) < math.inf:
-                field = ("inr_db" if not 0.0 < _power(self.inr_db) < math.inf
+            if not 0.0 < _linear(self.inr_db + ic.rel_power_db) * NOISE_VAR < math.inf:
+                field = ("inr_db" if not 0.0 < _linear(self.inr_db) * NOISE_VAR < math.inf
                          else f"interferers[{i}].rel_power_db")
                 raise ConfigError(
                     f"{field} must give a finite, positive linear power, got "
@@ -360,11 +363,11 @@ def scenario_at(config: ExperimentConfig, snr_db: float,
     try:
         geom = sm.ArrayGeometry(config.element_count, config.element_spacing)
         code = sm.gold31(config.gold_index)
-        p0 = _power(snr_db) / config.processing_gain
+        p0 = mpb._soi_power(_linear(snr_db), NOISE_VAR, config.processing_gain)
         soi = sm.SoiSpec(config.processing_gain, code, config.soi_doa_deg, p0)
         ints = []
         for ic in config.interferers:
-            power = _power(config.inr_db + ic.rel_power_db)
+            power = _linear(config.inr_db + ic.rel_power_db) * NOISE_VAR
             ints.append(sm.InterfererSpec(
                 kind=ic.kind, doa_deg=ic.doa_deg, power=power,
                 normalized_offset=ic.normalized_offset,
@@ -516,7 +519,7 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     probe = _probe(config)
-    grid_lin = [10.0 ** (s / 10.0) for s in config.snr_grid_db]
+    grid_lin = [_linear(s) for s in config.snr_grid_db]
     curve = theory.operating_curve(probe.model, probe.thresholds(grid_lin), grid_lin)
     at = probe.model.at_snr(np.array(grid_lin))
     points = list(zip(at.soi_power.tolist(), range(len(grid_lin))))
@@ -607,7 +610,7 @@ def run_eigencurves(config: ExperimentConfig, out_path=None) -> EigencurveResult
     threshold SNR_T0 (log-interpolated between grid points).
     """
     probe = _probe(config)
-    snr_lin = [10.0 ** (s / 10.0) for s in config.snr_grid_db]
+    snr_lin = [_linear(s) for s in config.snr_grid_db]
     lams = theory.exact_lambda_max(probe.model.at_snr(np.array(snr_lin)))
     rows = []
     for snr_db, snr, lam in zip(config.snr_grid_db, snr_lin, lams):
@@ -674,7 +677,7 @@ def analyze(config: ExperimentConfig) -> dict:
     table = []
     logs = []
     for inr_db in _GAMMA1_INR_TABLE_DB:
-        inr = model.inr * _power(inr_db) / _power(config.inr_db)
+        inr = model.inr * _linear(inr_db) / _linear(config.inr_db)
         # the probe's own INR (bit for bit) has the probe's gamma_1
         g1_i = probe.gamma1 if inr == model.inr else _gamma1(model.at_inr(inr))
         # the Crawford-number bound presumes an infinite noise-free

@@ -6,16 +6,19 @@ eigenproblems (including infinite eigenvalues of PSD pairs), SVD-based
 subspace geometry, and the perturbation-bound toolbox (Crawford number,
 the f(x) radius function).
 
-Inputs are validated here (finite, square, Hermitian where required), and a
-LAPACK failure surfaces as this module's NotPositiveDefiniteError or
-ConvergenceError, never as numpy.linalg.LinAlgError.
+Inputs are validated here (finite, square, Hermitian where required), once
+per call, and a LAPACK failure surfaces as this module's
+NotPositiveDefiniteError or ConvergenceError, never as
+numpy.linalg.LinAlgError. solve_hpd and gen_eig_hpd reduce through one
+floored Cholesky factor L and one inverse of it: numpy has no triangular
+solver, and L^-1 serves every product with L^-1 or L^-H.
 
 herm_eig, cholesky, solve_hpd and gen_eig_hpd take one matrix or a stack
 of them, shape (..., n, n), through one implementation: a 2-D input is a
 stack of one. numpy.linalg runs the same LAPACK routine on every slice of
 a stack, so a slice's result equals, bit for bit, that of solving it
 alone. Every check runs per slice, and a stack's error names its first
-failing slice ("slice 3: ..."). A single matrix's error names no slice,
+failing slice ("slice 3: ...", _per_slice). A single matrix's error names no slice,
 and neither does that of a stack of one, which reads as its matrix alone.
 """
 
@@ -47,12 +50,19 @@ class InfeasibleBoundError(LinAlgError):
 # Validation helpers
 # -----------------------
 
+def _check_finite(m: np.ndarray, name: str) -> None:
+    """Raise, naming the first failing slice of a stack, unless m is finite."""
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    if not finite.all():
+        raise LinAlgError(f"{_where(m.shape[:-2], np.argmin(finite))}{name} contains "
+                          f"non-finite entries")
+
+
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise LinAlgError(f"{name} must be 2-D, got ndim={m.ndim}")
-    if not np.isfinite(m).all():
-        raise LinAlgError(f"{name} contains non-finite entries")
+    _check_finite(m, name)
     return m
 
 
@@ -75,11 +85,7 @@ def _as_hermitian(a, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim < 2:
         raise LinAlgError(f"{name} must be 2-D, got ndim={m.ndim}")
-    batch = m.shape[:-2]
-    finite = np.isfinite(m).all(axis=(-2, -1))
-    if not finite.all():
-        raise LinAlgError(f"{_where(batch, np.argmin(finite))}{name} contains "
-                          f"non-finite entries")
+    _check_finite(m, name)
     if m.shape[-2] != m.shape[-1]:
         raise LinAlgError(f"{name} must be square, got {m.shape}")
     scale = np.abs(m).max(axis=(-2, -1), initial=0.0)
@@ -87,29 +93,35 @@ def _as_hermitian(a, name: str = "matrix") -> np.ndarray:
     bad = dev > 1e-8 * np.maximum(scale, 1e-300)
     if bad.any():
         i = np.argmax(bad)
-        raise LinAlgError(f"{_where(batch, i)}{name} is not Hermitian "
+        raise LinAlgError(f"{_where(m.shape[:-2], i)}{name} is not Hermitian "
                           f"(deviation {dev.flat[i]:.3e})")
     return 0.5 * (m + _h(m))
 
 
 def _lapack(error: type, what: str, routine, *args):
-    """routine(*args) with numpy.linalg.LinAlgError re-raised as `error`.
-
-    numpy.linalg fails a whole stack at once, so the slices of a stack are
-    then solved one by one to name the first that fails.
-    """
+    """routine(*args) with numpy.linalg.LinAlgError re-raised as `error`."""
     try:
         return routine(*args)
     except np.linalg.LinAlgError as exc:
-        batch = np.broadcast_shapes(*(np.shape(x)[:-2] for x in args if np.ndim(x) > 1))
-        if batch:
-            for flat, i in enumerate(np.ndindex(batch)):
-                try:
-                    routine(*(np.broadcast_to(x, batch + np.shape(x)[-2:])[i]
-                              if np.ndim(x) > 1 else x for x in args))
-                except np.linalg.LinAlgError as one:
-                    raise error(f"{_where(batch, flat)}{what}: {one}") from None
         raise error(f"{what}: {exc}") from None
+
+
+def _per_slice(routine, *stacks):
+    """routine(*stacks) on matrices or stacks whose leading axes broadcast.
+
+    A stack fails as a whole, so the slices are then run one by one to name
+    the first that fails, by LAPACK or by a check alike ("slice 3: ...").
+    """
+    try:
+        return routine(*stacks)
+    except LinAlgError:
+        batch = np.broadcast_shapes(*(x.shape[:-2] for x in stacks))
+        for flat, i in enumerate(np.ndindex(batch)):
+            try:
+                routine(*(np.broadcast_to(x, batch + x.shape[-2:])[i] for x in stacks))
+            except LinAlgError as one:
+                raise type(one)(f"{_where(batch, flat)}{one}") from None
+        raise
 
 
 # -----------------------
@@ -124,14 +136,19 @@ class HermEigResult:
 
 def herm_eig(a) -> HermEigResult:
     """Eigendecomposition of a Hermitian matrix (LAPACK eigh), eigenvalues descending."""
-    a = _as_hermitian(a, "A")
-    vals, vecs = _lapack(ConvergenceError, "eigh did not converge", np.linalg.eigh, a)
+    return _per_slice(_eigh, _as_hermitian(a, "A"))
+
+
+def _eigh(m: np.ndarray) -> HermEigResult:
+    """herm_eig of a checked matrix or stack; an error names no slice."""
+    vals, vecs = _lapack(ConvergenceError, "eigh did not converge", np.linalg.eigh, m)
     return HermEigResult(vals[..., ::-1].copy(), vecs[..., ::-1].copy())
 
 
 def _eigvalsh(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix or a stack of them."""
-    return _lapack(ConvergenceError, "eigvalsh did not converge", np.linalg.eigvalsh, m)
+    return _per_slice(lambda s: _lapack(ConvergenceError, "eigvalsh did not converge",
+                                        np.linalg.eigvalsh, s), m)
 
 
 # -----------------------
@@ -144,26 +161,12 @@ def cholesky(b) -> np.ndarray:
     Pivots at or below 1e-12 * max|B| count as a failure even where LAPACK
     would accept them (it factors diag(1, 1e-30) without complaint).
     """
-    b = _as_hermitian(b, "B")
-    try:
-        return _floored_cholesky(b)
-    except NotPositiveDefiniteError:
-        # a stack fails as a whole: factor the slices one by one, so that
-        # the first to fail, by LAPACK or by the floor, is named
-        for flat, i in enumerate(np.ndindex(b.shape[:-2])):
-            try:
-                _floored_cholesky(b[i])
-            except NotPositiveDefiniteError as exc:
-                raise NotPositiveDefiniteError(f"{_where(b.shape[:-2], flat)}{exc}") from None
-        raise
+    return _per_slice(_floored_cholesky, _as_hermitian(b, "B"))
 
 
 def _floored_cholesky(b: np.ndarray) -> np.ndarray:
     """cholesky of a checked matrix or stack; an error names no slice."""
-    try:
-        low = np.linalg.cholesky(b)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(f"B is not positive definite: {exc}") from None
+    low = _lapack(NotPositiveDefiniteError, "B is not positive definite", np.linalg.cholesky, b)
     piv = np.diagonal(low, axis1=-2, axis2=-1).real
     bad = piv <= 1e-12 * np.abs(b).max(axis=(-2, -1), initial=0.0)[..., None]
     if bad.any():
@@ -172,32 +175,35 @@ def _floored_cholesky(b: np.ndarray) -> np.ndarray:
     return low
 
 
-def _tri_solve(tri: np.ndarray, rhs) -> np.ndarray:
-    """Solve T X = RHS for a nonsingular triangular factor T (or a stack)."""
+def _inverse_factor(b: np.ndarray) -> np.ndarray:
+    """L^-1 of the floored Cholesky factor of a checked matrix or stack; numpy
+    has no triangular solver, and an LU solve would factor L once more."""
     return _lapack(NotPositiveDefiniteError, "singular triangular factor",
-                   np.linalg.solve, tri, rhs)
+                   np.linalg.inv, _floored_cholesky(b))
 
 
 def solve_hpd(b, rhs) -> np.ndarray:
-    """Solve B X = RHS with B Hermitian positive definite (Cholesky).
+    """Solve B X = RHS with B = L L^H Hermitian positive definite: X = L^-H L^-1 RHS.
 
     A 1-D rhs is one vector, shared by every slice of a stacked B; X then
     holds one solution vector per slice.
     """
-    low = cholesky(b)
+    inv_low = _per_slice(_inverse_factor, _as_hermitian(b, "B"))
     rhs = np.asarray(rhs)
     if rhs.ndim == 1:  # a one-column matrix: numpy reads 2-D as a stack of matrices
-        return _tri_solve(_h(low), _tri_solve(low, rhs[:, None]))[..., 0]
-    return _tri_solve(_h(low), _tri_solve(low, rhs))
+        return (_h(inv_low) @ (inv_low @ rhs[:, None]))[..., 0]
+    return _h(inv_low) @ (inv_low @ rhs)
 
 
 def gen_eig_hpd(a, b) -> HermEigResult:
     """Generalized eigendecomposition A v = lambda B v for Hermitian A, HPD B.
 
-    Cholesky reduction to the standard problem L^-1 A L^-H; eigenvectors are
-    returned B-orthonormal (V^H B V = I), eigenvalues descending. A and B
-    may be stacks whose leading axes broadcast, as a fixed A against a
-    stack of B.
+    Reduction to the standard problem L^-1 A L^-H with one inverse of the
+    floored Cholesky factor B = L L^H; eigenvectors are returned
+    B-orthonormal (V^H B V = I), eigenvalues descending. A and B may be
+    stacks whose leading axes broadcast, as a fixed A against a stack of B.
+    A and B are checked once. The reduced matrix is Hermitian by
+    construction (eigh reads one triangle), so only non-finite entries stop it.
     """
     a = _as_hermitian(a, "A")
     b = _as_hermitian(b, "B")
@@ -208,34 +214,33 @@ def gen_eig_hpd(a, b) -> HermEigResult:
         mismatch = True
     if mismatch:
         raise LinAlgError(f"dimension mismatch {a.shape} vs {b.shape}")
-    low = cholesky(b)
-    c = _tri_solve(low, a)
-    c = _h(_tri_solve(low, _h(c)))
-    res = herm_eig(0.5 * (c + _h(c)))
-    vecs = _tri_solve(_h(low), res.eigenvectors)
-    return HermEigResult(res.eigenvalues, vecs)
+    inv_low = _per_slice(_inverse_factor, b)
+    reduced = inv_low @ a @ _h(inv_low)
+    _check_finite(reduced, "A")
+    res = _per_slice(_eigh, reduced)
+    return HermEigResult(res.eigenvalues, _h(inv_low) @ res.eigenvectors)
 
 
 # -----------------------
 # SVD and subspace geometry
 # -----------------------
 
-def _svd(m: np.ndarray):
+def _svd(m):
     """M = U diag(s) V^H with U and V square, s descending (min(shape) long)."""
-    m = _as_matrix(m, "M")
-    u, sig, vh = _lapack(ConvergenceError, "SVD did not converge", np.linalg.svd, m)
+    u, sig, vh = _lapack(ConvergenceError, "SVD did not converge", np.linalg.svd,
+                         _as_matrix(m, "M"))
     return u, sig, vh.conj().T
 
 
-def _rank(m: np.ndarray, sig: np.ndarray, tol) -> int:
-    """Number of singular values at or above tol * sigma_max.
+def _rank(u: np.ndarray, sig: np.ndarray, v: np.ndarray, tol) -> int:
+    """Number of singular values at or above tol * sigma_max of M = U S V^H.
 
-    The default tol is max(shape) * eps; a zero matrix has rank 0.
+    The default tol is max(shape of M) * eps; a zero matrix has rank 0.
     """
     if sig.size == 0 or sig[0] == 0.0:
         return 0
     if tol is None:
-        tol = max(m.shape) * 2.0 ** -52
+        tol = max(len(u), len(v)) * 2.0 ** -52
     elif tol <= 0:
         raise LinAlgError("tol must be positive")
     return int(np.sum(sig >= tol * sig[0]))
@@ -243,16 +248,14 @@ def _rank(m: np.ndarray, sig: np.ndarray, tol) -> int:
 
 def orthonormal_range(m, tol: float | None = None) -> np.ndarray:
     """Orthonormal columns spanning range(M); rank cut at tol * sigma_max."""
-    m = _as_matrix(m, "M")
-    u, sig, _ = _svd(m)
-    return u[:, :_rank(m, sig, tol)]
+    u, sig, v = _svd(m)
+    return u[:, :_rank(u, sig, v, tol)]
 
 
 def null_space(m, tol: float | None = None) -> np.ndarray:
     """Orthonormal columns spanning the (right) null space of M."""
-    m = _as_matrix(m, "M")
-    _, sig, v = _svd(m)
-    return v[:, _rank(m, sig, tol):]
+    u, sig, v = _svd(m)
+    return v[:, _rank(u, sig, v, tol):]
 
 
 def projector(q) -> np.ndarray:
@@ -318,7 +321,6 @@ def gen_eig_homogeneous(a, b) -> GenEigHomogeneous:
     ad = e0.conj().T @ a @ e0
     bd = e0.conj().T @ b @ e0
     ad = 0.5 * (ad + ad.conj().T)
-    bd = 0.5 * (bd + bd.conj().T)
 
     bres = herm_eig(bd)
     bvals = np.maximum(bres.eigenvalues, 0.0)  # PSD clip

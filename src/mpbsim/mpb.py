@@ -179,6 +179,12 @@ def accumulate_cov_pair(scenario: sm.Scenario, bases: ProjectionBases,
 # Analytic covariance structure
 # -----------------------
 
+def _soi_power(snr, noise_var: float, processing_gain: int):
+    """P0 = SNR sigma^2 / N from a linear SNR (or an array of them): the one
+    home of the conversion, for harness.scenario_at and AnalyticModel.at_snr."""
+    return snr * noise_var / processing_gain
+
+
 @dataclass(frozen=True)
 class AnalyticModel:
     """Closed-form second-order model of the projected snapshots.
@@ -234,7 +240,7 @@ class AnalyticModel:
         the grid model of an array of SNRs. Nothing else is recomputed."""
         moved = copy.copy(self)  # no __post_init__: q_s and q_i are shared
         object.__setattr__(moved, "soi_power",
-                           snr * self.noise_var / self.processing_gain)
+                           _soi_power(snr, self.noise_var, self.processing_gain))
         return moved
 
     def at_inr(self, inr: float) -> AnalyticModel:

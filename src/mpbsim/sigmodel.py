@@ -597,6 +597,19 @@ def _point_negs(scenario: Scenario, paths, want_soi: bool, mc_stream: int) -> di
     return negs
 
 
+def _coloured(colour: np.ndarray, w: np.ndarray, big_l: int) -> np.ndarray:
+    """C W for C = colour kron I_L, a stack W (P, L M, c): colour on the (P, M, L c) view."""
+    return (colour @ w.reshape(len(w), len(colour), big_l * w.shape[-1])).reshape(w.shape)
+
+
+def _steered(steer: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
+    """T X for T[(j, l), (p, j')] = steer[l, p] * (j == j') and a stack X
+    (P, paths M, c): the (L x paths) steer on the (P, paths, M c) view."""
+    (big_l, paths), (count, _, c) = steer.shape, x.shape
+    y = (steer @ x.reshape(count, paths, m * c)).reshape(count, big_l, m, c)
+    return y.swapaxes(1, 2).reshape(count, big_l * m, c)
+
+
 def projected_sum(scenario: Scenario, basis: np.ndarray,
                   include=("soi", "interference", "noise"), points=None) -> np.ndarray:
     """S = sum_k y(k) y(k)^H over all K symbols, an (L M) x (L M) matrix, of
@@ -608,8 +621,8 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
     sum of the scenario with that SOI power and mc_stream computed alone.
     Without points, the scenario's own (soi.power, mc_stream) is the one
     point, unstacked. Per call, the paths (drawn from the seed by
-    realize_paths), the steering, U (all but the SOI column's sqrt(P0)), T,
-    C and the chip tables are built once, so a whole grid shares them.
+    realize_paths), the steering, U (all but the SOI column's sqrt(P0)),
+    chol(B^H B) and the chip tables are built once, so a whole grid shares them.
     Each point draws its own streams: the SOI and MAI bits, the white chips
     when Z is summed per symbol, then W1 and W2 from its noise stream.
     Everything else (U Z U^H, eigh(G), T R^H + C W1, the Gram products and
@@ -667,6 +680,7 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
     independent dimensions. W2 is drawn by Bartlett's decomposition
     (Bartlett, 1933), so the noise costs O((LM)^2) draws whatever K is.
     Assembled, S = V V^H + sigma^2 C W2 C^H with V = T R^H + sigma C W1.
+    C and T are applied by their structure (_coloured, _steered), never formed.
     Any R with R^H R = G gives the same law; it is taken from an
     eigendecomposition of G with rounding-negative eigenvalues set to 0.
 
@@ -727,17 +741,14 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
         else:
             z_gram = _batch_gram(scenario, streams, keys, negs, proj)
         gram = u @ z_gram @ la._h(u)
-    # T[(j, l), (p, j')] = steer[l, p] * (j == j')
     dim = big_l * m
-    steer_all = np.einsum("lp,jk->jlpk", steer, np.eye(m)).reshape(dim, pm)
     if "noise" not in include:
-        total = steer_all @ gram @ la._h(steer_all)
+        total = la._h(_steered(steer, la._h(_steered(steer, gram, m)), m))  # (T (T G)^H)^H
     else:
         r = min(pm, k_total)
         lam, vec = np.linalg.eigh(gram)
         r_h = vec[..., pm - r:] * np.sqrt(np.maximum(lam[..., None, pm - r:], 0.0))  # R^H
-        noise = math.sqrt(scenario.noise_var) * np.kron(
-            np.linalg.cholesky(basis.conj().T @ basis), np.eye(big_l))
+        colour = math.sqrt(scenario.noise_var) * np.linalg.cholesky(basis.conj().T @ basis)
         w1 = np.empty((len(streams), dim, r), dtype=np.complex128)
         w2 = np.empty((len(streams), dim, min(dim, k_total - r)), dtype=np.complex128)
         for stream, w1_point, w2_point in zip(streams, w1, w2):
@@ -745,11 +756,11 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
             w1_point[...] = _cn(rng, (dim, r))
             w2_point[...] = _wishart_factor(rng, dim, k_total - r)
         # (P, LM, LM) temporaries released as soon as they are used
-        rest = noise @ w2
+        rest = _coloured(colour, w2, big_l)
         del w2
         total = rest @ la._h(rest)
         del rest
-        signal_and_cross = steer_all @ r_h + noise @ w1
+        signal_and_cross = _steered(steer, r_h, m) + _coloured(colour, w1, big_l)
         total += signal_and_cross @ la._h(signal_and_cross)
     total += la._h(total)
     total *= 0.5

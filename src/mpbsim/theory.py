@@ -44,8 +44,7 @@ def gamma_spectrum(q_s: np.ndarray, q_i: np.ndarray, d: int) -> np.ndarray:
     """
     q_s = np.asarray(q_s, dtype=np.complex128)
     q_i = np.asarray(q_i, dtype=np.complex128)
-    diff = q_s - q_i
-    res = la.gen_eig_hpd(0.5 * (diff + diff.conj().T), q_i)
+    res = la.gen_eig_hpd(q_s - q_i, q_i)
     lam = res.eigenvalues
     cut = 1e-8 * max(1.0, float(np.abs(lam).max()) if lam.size else 0.0)
     keep = lam[np.abs(lam) > cut]
@@ -182,7 +181,11 @@ def g_upper(q_s: np.ndarray, q_i: np.ndarray, a0: np.ndarray,
     """Operating-region ceiling G_U = [a0^H Q_I^-1 a0]^2 / ([a0^H Q_S^-1 a0][a0^H Q_I^-1 Q_S Q_I^-1 a0]).
 
     qs_quad is a0^H Q_S^-1 a0 when the caller has it (AnalyticModel.qs_quad).
+    G_U <= 1 by Cauchy-Schwarz, and Q_S == Q_I (white interference) returns
+    exactly 1, where the three forms would leave rounding residue.
     """
+    if np.array_equal(q_s, q_i):
+        return 1.0
     a0 = np.asarray(a0, dtype=np.complex128)
     qi_inv_a0 = la.solve_hpd(q_i, a0)
     num = np.vdot(a0, qi_inv_a0).real ** 2

@@ -609,6 +609,19 @@ def test_cli_lapack_failure_is_exit_2(monkeypatch, capsys):
     assert "numeric failure: eigh did not converge" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("inr_db", ["35", "45", "65", "70", "80", "95", "100"])
+@pytest.mark.parametrize("command", [["analyze"], ["sweep", "--symbols", "4096"]],
+                         ids=["analyze", "sweep"])
+def test_cli_white_interference_at_high_inr_is_exit_0(command, inr_db, tmp_path, capsys):
+    """fig4a's white interference gives Q_S == Q_I, so G_U is exactly 1 at
+    any INR. Its rounding residue above 1 made these runs exit 2 with
+    "g_u must be in (0, 1]"."""
+    rc = cli.main(command + ["--preset", "fig4a-bpsk3", "--inr-db", inr_db,
+                             "--out", str(tmp_path)])
+    assert rc == 0
+    assert "failure" not in capsys.readouterr().err
+
+
 def test_cli_eigen_failure_names_its_grid_point(tmp_path, capsys):
     """The grid's lambda_max is one stacked solve, so a failure names its
     slice: the third SNR, where PAPC's exact R_I meets the pivot floor. A
@@ -852,6 +865,23 @@ def test_sweep_spectrum_once_per_sweep(monkeypatch):
         assert row.lambda_max_pred == alone.lambda_max_pred
 
 
+def test_soi_power_has_one_home(monkeypatch):
+    """A sweep point's Scenario and the model moved to its SNR both take
+    P0 = SNR sigma^2 / N from mpb._soi_power, so they agree by construction."""
+    cfg = _tiny("fig4b-pn2")
+    model = harness._probe(cfg).model
+    calls = []
+    soi_power = mpb._soi_power
+
+    def counted(snr, noise_var, processing_gain):
+        calls.append(snr)
+        return soi_power(snr, noise_var, processing_gain)
+    monkeypatch.setattr(mpb, "_soi_power", counted)
+    point = harness.scenario_at(cfg, 20.0).soi.power
+    assert model.at_snr(np.array([100.0])).soi_power[0] == point
+    assert calls[0] == 100.0 and list(calls[1]) == [100.0]
+
+
 def test_sweep_and_eigencurves_share_the_lambda_max_solve(monkeypatch):
     """Both solve the grid's exact lambda_max in one stacked call, so the
     sweep's column equals the eigencurves' bit for bit."""
@@ -875,13 +905,13 @@ def test_sweep_factors_the_probes_q_s_once(monkeypatch):
     cfg = _tiny("fig4b-pn2", grid=(-20.0, -10.0, 0.0, 10.0))
     q_s = harness._probe(cfg).model.q_s
     factored = []
-    cholesky = la.cholesky
+    floored_cholesky = la._floored_cholesky  # every linalg solve factors through it
 
     def counted(b):
         if np.shape(b) == q_s.shape and np.array_equal(b, q_s):
             factored.append(b)
-        return cholesky(b)
-    monkeypatch.setattr(la, "cholesky", counted)
+        return floored_cholesky(b)
+    monkeypatch.setattr(la, "_floored_cholesky", counted)
     rows = harness.run_sweep(cfg, workers=1)
     assert [r.error for r in rows] == [None] * 4
     assert "Failure" in [r.region for r in rows]  # the G_L oracle ran

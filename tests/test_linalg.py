@@ -101,7 +101,7 @@ def test_cholesky_rejects_near_singular():
     ("eigvalsh", lambda: la.crawford(np.eye(3), np.eye(3)), la.ConvergenceError),
     ("svd", lambda: la.orthonormal_range(np.eye(3)), la.ConvergenceError),
     ("cholesky", lambda: la.cholesky(np.eye(3)), la.NotPositiveDefiniteError),
-    ("solve", lambda: la.solve_hpd(np.eye(3), np.ones(3)), la.NotPositiveDefiniteError),
+    ("inv", lambda: la.solve_hpd(np.eye(3), np.ones(3)), la.NotPositiveDefiniteError),
 ])
 def test_lapack_failures_keep_module_errors(monkeypatch, routine, call, error):
     def fail(*args, **kwargs):
@@ -171,6 +171,64 @@ def test_gen_eig_hpd_l32():
 def test_gen_eig_hpd_rejects_indefinite_b():
     with pytest.raises(la.NotPositiveDefiniteError):
         la.gen_eig_hpd(np.eye(2, dtype=complex), np.diag([1.0, 0.0]).astype(complex))
+
+
+@pytest.mark.parametrize("n", [2, 8, 64])
+def test_solvers_agree_with_numpy(n):
+    """solve_hpd and gen_eig_hpd, single and stacked, against numpy.linalg's
+    LU solve and nonsymmetric eigvals, with one B of condition number 1e10:
+    forward errors within 1e-13 cond(B), residuals at rounding level."""
+    rng = np.random.default_rng(200 + n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    stiff = (q * np.logspace(0, -10, n)) @ q.conj().T
+    b = np.stack([rand_hpd(rng, n), 0.5 * (stiff + stiff.conj().T), rand_hpd(rng, n)])
+    a = _stack(rand_herm, rng, n, count=3)
+    rhs = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    x, res = la.solve_hpd(b, rhs), la.gen_eig_hpd(a, b)
+    assert np.linalg.cond(b[1]) == pytest.approx(1e10, rel=1e-3)
+    for i in range(len(b)):
+        tol = 1e-13 * np.linalg.cond(b[i])
+        one = la.gen_eig_hpd(a[i], b[i])
+        for xi, lam, v in ((x[i], res.eigenvalues[i], res.eigenvectors[i]),
+                           (la.solve_hpd(b[i], rhs), one.eigenvalues, one.eigenvectors)):
+            want = np.linalg.solve(b[i], rhs)
+            assert np.abs(xi - want).max() <= tol * np.abs(want).max()
+            want = np.sort(np.linalg.eigvals(np.linalg.solve(b[i], a[i])).real)[::-1]
+            assert np.abs(lam - want).max() <= tol * np.abs(want).max()
+            scale = (la.spectral_norm(a[i]) + np.abs(lam).max() * la.spectral_norm(b[i]))
+            assert np.abs(a[i] @ v - (b[i] @ v) * lam).max() <= 1e-13 * scale * np.abs(v).max()
+            assert np.abs(v.conj().T @ b[i] @ v - np.eye(n)).max() <= tol
+
+
+def test_gen_eig_hpd_overflowing_reduction_is_an_error():
+    """Finite A and B whose reduction L^-1 A L^-H overflows raise, naming the
+    slice, instead of handing eigh a matrix it would answer with NaN."""
+    a = 1e300 * np.eye(2, dtype=complex)
+    b = np.diag([1.0, 1e-10]).astype(complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(la.LinAlgError, match=r"^A contains non-finite entries$"):
+            la.gen_eig_hpd(a, b)
+        with pytest.raises(la.LinAlgError, match=r"^slice 1: A contains non-finite entries$"):
+            la.gen_eig_hpd(np.stack([np.eye(2), a, a]), np.stack([np.eye(2), b, b]))
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_gen_eig_hpd_checks_each_input_once(monkeypatch, stacked):
+    """A and B are checked once each: the Cholesky and eigen steps inside
+    gen_eig_hpd run on checked matrices and do not check them again."""
+    rng = np.random.default_rng(31)
+    a, b = _stack(rand_herm, rng, 4, count=3), _stack(rand_hpd, rng, 4, count=3)
+    if not stacked:
+        a, b = a[0], b[0]
+    checked = []
+    as_hermitian = la._as_hermitian
+
+    def counted(m, name="matrix"):
+        checked.append(name)
+        return as_hermitian(m, name)
+    monkeypatch.setattr(la, "_as_hermitian", counted)
+    la.gen_eig_hpd(a, b)
+    assert checked == ["A", "B"]
 
 
 # ---------- stacks ----------

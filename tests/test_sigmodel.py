@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from mpbsim import linalg as la
 from mpbsim import sigmodel as sm
 
 
@@ -508,6 +509,34 @@ def test_iter_projected_matches_projected_blocks():
         ref = stacked.T @ stacked.conj()
         assert np.abs((upto - before) - ref).max() < 1e-12 * np.abs(ref).max()
         before = upto
+
+
+@pytest.mark.parametrize("big_l, m", [(8, 2), (64, 3)])
+def test_structured_operators_equal_their_dense_forms(big_l, m):
+    """projected_sum applies sigma C = colour kron I_L and the block-sparse
+    steering T by reshape and matmul, as _coloured and _steered. On a
+    41-point grid they equal the dense products C W, T X and T G T^H to
+    rounding: the BLAS kernels behind the two shapes may round differently."""
+    rng = np.random.default_rng(big_l + m)
+
+    def cn(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    paths, count = 5, 41
+    steer = cn(big_l, paths)
+    basis = _complex_basis(46, m)
+    colour = np.linalg.cholesky(basis.conj().T @ basis)
+    dense_c = np.kron(colour, np.eye(big_l))
+    dense_t = np.zeros((big_l * m, paths * m), dtype=complex)
+    for j, el, p in itertools.product(range(m), range(big_l), range(paths)):
+        dense_t[j * big_l + el, p * m + j] = steer[el, p]
+    w, x, g = cn(count, big_l * m, 7), cn(count, paths * m, 3), cn(count, paths * m, paths * m)
+
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert close(sm._coloured(colour, w, big_l), dense_c @ w)
+    assert close(sm._steered(steer, x, m), dense_t @ x)
+    t_g_th = la._h(sm._steered(steer, la._h(sm._steered(steer, g, m)), m))
+    assert close(t_g_th, dense_t @ g @ la._h(dense_t))
 
 
 def test_empty_grid_is_rejected():

@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -99,6 +99,17 @@ def test_g_upper_white_noise_scenario():
     sc = _scenario((sm.InterfererSpec("bpsk_white", doa_deg=30.0, power=1000.0),))
     model = mpb.analytic_cov(sc, mpb.maximin_bases(CODE))
     assert abs(theory.g_upper(model.q_s, model.q_i, model.a0) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("inr_db", [30.0, 35.0, 95.0])
+def test_g_upper_is_exactly_one_when_q_s_equals_q_i(inr_db):
+    """White interference (fig4a) gives Q_S == Q_I: G_U is exactly 1 and
+    P_I exactly 0, with no rounding residue on either side."""
+    probe = harness._probe(replace(harness.preset("fig4a-bpsk3"), inr_db=inr_db))
+    model = probe.model
+    assert np.array_equal(model.q_s, model.q_i)
+    th = probe.thresholds()
+    assert th.g_u == 1.0 and th.p_i == 0.0
 
 
 @given(st.integers(0, 10_000))
