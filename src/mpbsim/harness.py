@@ -3,10 +3,10 @@
 File-facing conventions are fixed here: angles in degrees, powers in dB,
 CSV numbers with 9 significant digits, infinities spelled ``inf``. Configs
 keep dB, so they round-trip through JSON exactly. dB become linear units in
-``_linear`` only, and a linear SNR becomes the SOI power P0 = SNR sigma^2 / N
-in ``mpb._soi_power`` only: a sweep point's :class:`sigmodel.Scenario`
-(``scenario_at``) and the model moved to its SNR (``AnalyticModel.at_snr``)
-both take P0 from there.
+``_linear`` only and go back in ``_db`` only, and a linear SNR becomes the
+SOI power P0 = SNR sigma^2 / N in ``mpb._soi_power`` only: a sweep point's
+:class:`sigmodel.Scenario` (``scenario_at``) and the model moved to its SNR
+(``AnalyticModel.at_snr``) both take P0 from there.
 """
 
 from __future__ import annotations
@@ -43,6 +43,13 @@ def _linear(db: float) -> float:
         return 10.0 ** (db / 10.0)
     except OverflowError:
         return math.inf
+
+
+def _db(x: float) -> float:
+    """10 log10(x), -inf for x <= 0."""
+    if x <= 0.0:
+        return -math.inf
+    return 10.0 * math.log10(x)
 
 
 def _check_doa(field: str, doa: float) -> None:
@@ -362,9 +369,8 @@ def scenario_at(config: ExperimentConfig, snr_db: float,
     """Linear-unit Scenario for one sweep point; stream keys the per-point RNG."""
     try:
         geom = sm.ArrayGeometry(config.element_count, config.element_spacing)
-        code = sm.gold31(config.gold_index)
         p0 = mpb._soi_power(_linear(snr_db), NOISE_VAR, config.processing_gain)
-        soi = sm.SoiSpec(config.processing_gain, code, config.soi_doa_deg, p0)
+        soi = sm.SoiSpec(config.gold_index, config.soi_doa_deg, p0)
         ints = []
         for ic in config.interferers:
             power = _linear(config.inr_db + ic.rel_power_db) * NOISE_VAR
@@ -491,14 +497,17 @@ def _solve_points(pair: mpb.CovariancePair, at: mpb.AnalyticModel) -> list:
 
     pair is the points' stacked sample pairs (R_S, R_I), and at the probe's
     model moved to their linear SNRs, an array. The weights and their G,
-    the exact pencil and the mismatch spectrum are each one stacked solve.
-    A stack of one point raises what that point alone raises.
+    the exact pencil and the mismatch spectrum are each one stacked solve,
+    after a check that names a sample matrix that is not finite. A stack of
+    one point raises what that point alone raises.
     """
+    la._check_finite(pair.r_s, "sample R_S")
+    la._check_finite(pair.r_i, "sample R_I")
     g_sim = mpb.analytic_g(mpb.solve_weights(pair, at.a0).w, at)
     lam = theory.exact_lambda_max(at)
     spec = theory.mismatch_spectrum(at)
-    return [(10.0 * math.log10(g) if g > 0 else -math.inf, float(lm),
-             float(sp.lambda_max_pred)) for g, lm, sp in zip(g_sim, lam, spec)]
+    return [(_db(g), float(lm), float(sp.lambda_max_pred))
+            for g, lm, sp in zip(g_sim, lam, spec)]
 
 
 def run_sweep(config: ExperimentConfig, workers: int = 1,
@@ -551,7 +560,7 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
         rows.append(SweepRow(
             snr_db=snr_db,
             g_sim_db=g_sim_db,
-            g_theory_db=10.0 * math.log10(g_theory),
+            g_theory_db=_db(g_theory),
             gamma0=g0, gamma1=probe.gamma1,
             lambda_max_exact=lam_exact, lambda_max_pred=lam_pred,
             region="Error" if err else region, error=err))
@@ -655,12 +664,6 @@ def _json_safe(x):
     return x
 
 
-def _db(x: float) -> float:
-    if x <= 0.0:
-        return -math.inf
-    return 10.0 * math.log10(x)
-
-
 def analyze(config: ExperimentConfig) -> dict:
     """Threshold record, boundedness flags and the gamma_1-vs-INR table.
 
@@ -680,10 +683,9 @@ def analyze(config: ExperimentConfig) -> dict:
         inr = model.inr * _linear(inr_db) / _linear(config.inr_db)
         # the probe's own INR (bit for bit) has the probe's gamma_1
         g1_i = probe.gamma1 if inr == model.inr else _gamma1(model.at_inr(inr))
-        # the Crawford-number bound presumes an infinite noise-free
-        # eigenvalue; for bounded pairs it simply does not apply
-        lb = (theory.gamma1_lower_bound(nf.c_y0, 10.0 ** (inr_db / 10.0))
-              if nf.has_infinite else None)
+        # the Crawford-number bound at the row's INR (the strongest path's, as
+        # in noise_free_pair) presumes an infinite noise-free eigenvalue
+        lb = theory.gamma1_lower_bound(nf.c_y0, inr) if nf.has_infinite else None
         table.append({"inr_db": inr_db, "gamma1_plus1": g1_i + 1.0,
                       "gamma1_lower_bound_plus1":
                           None if lb is None else lb + 1.0})

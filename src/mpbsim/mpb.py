@@ -322,7 +322,7 @@ def analytic_cov(scenario: sm.Scenario, bases: ProjectionBases) -> AnalyticModel
     are exact large-sample limits, not fits.
     """
     code = scenario.soi.code
-    n = scenario.soi.processing_gain
+    n = sm.GOLD_LENGTH
     if np.abs(bases.h_s - code / math.sqrt(n)).max() > 1e-12:
         raise ValueError("bases were built for a different code than the scenario's")
     geo = scenario.geometry

@@ -50,7 +50,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,8 +65,6 @@ _TAG_MAI_BITS = 103
 _TAG_WHITE = 104
 _TAG_NOISE = 105
 _TAG_NOISE_SUMS = 107
-
-_WHITE_CHIPS = 31  # chips of a white symbol, packed into one 32-bit half word
 
 
 # -----------------------
@@ -111,7 +109,7 @@ def _m_sequence(recurrence_lags: tuple, degree: int = 5) -> np.ndarray:
     return np.array(bits[:period], dtype=np.int64)
 
 
-GOLD_LENGTH = 31  # chips per Gold code, and so the only processing gain N supported
+GOLD_LENGTH = 31  # chips per Gold code: the processing gain N of every SOI
 
 # preferred pair of degree-5 feedback polynomials: x^5+x^2+1 and x^5+x^4+x^3+x^2+1
 _M1 = _m_sequence((3, 5))
@@ -142,35 +140,24 @@ def gold31(pair_index: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SoiSpec:
-    """The spread-spectrum signal of interest.
+    """The spread-spectrum signal of interest: Gold code number gold_index at
+    doa_deg, with linear power, normally set through SNR = N * P0 / sigma^2.
 
-    power is linear and normally set through SNR = N * P0 / sigma^2. bits
-    may be pinned for reproducible waveform-level tests; when None the
-    synthesizer draws i.i.d. +-1 data from the scenario seed. A SoiSpec
-    compares and hashes by value: the arrays code and bits by their bytes.
+    The code is gold31(gold_index), read through the code property and never
+    stored. The synthesizer draws i.i.d. +-1 data from the scenario seed.
     """
-    processing_gain: int
-    code: np.ndarray = field(compare=False)
+    gold_index: int
     doa_deg: float = 0.0
     power: float = 1.0
-    bits: np.ndarray | None = field(default=None, compare=False)
-    _array_bytes: tuple = field(init=False, repr=False)  # (code, bits), compared
 
     def __post_init__(self):
-        code = np.asarray(self.code, dtype=np.float64)
-        if code.shape != (self.processing_gain,):
-            raise ValueError(f"code length {code.shape} != N={self.processing_gain}")
-        if not np.all(np.abs(code) == 1.0):
-            raise ValueError("code chips must be +-1")
-        object.__setattr__(self, "code", code)
+        if not 0 <= self.gold_index < 33:
+            raise ValueError(f"gold_index must be in [0, 33), got {self.gold_index}")
         _check_soi_power(self.power)
-        if self.bits is not None:
-            bits = np.asarray(self.bits, dtype=np.float64)
-            if not np.all(np.abs(bits) == 1.0):
-                raise ValueError("bits must be +-1")
-            object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "_array_bytes", (
-            code.tobytes(), None if self.bits is None else self.bits.tobytes()))
+
+    @property
+    def code(self) -> np.ndarray:
+        return gold31(self.gold_index)
 
 
 def _check_soi_power(power) -> None:
@@ -232,10 +219,10 @@ class Scenario:
             raise ValueError("symbols must be >= 1")
         if not 0 < self.noise_var < math.inf:
             raise ValueError(f"noise_var must be positive and finite, got {self.noise_var}")
-        n = self.soi.processing_gain
         for sp in self.interferers:
-            if sp.kind == "mai_multipath" and any(not 0 <= d < n for d in sp.path_delays):
-                raise ValueError(f"MAI path delays must lie in [0, {n})")
+            if sp.kind == "mai_multipath" and any(not 0 <= d < GOLD_LENGTH
+                                                  for d in sp.path_delays):
+                raise ValueError(f"MAI path delays must lie in [0, {GOLD_LENGTH})")
 
 
 # -----------------------
@@ -287,14 +274,11 @@ def realize_paths(scenario: Scenario) -> list:
     phase e^{i 2 pi f N} is taken from the fractional part of f N, so an
     integer f N gives exactly 1.
     """
-    n = scenario.soi.processing_gain
+    n = GOLD_LENGTH
     paths = []
     for idx, sp in enumerate(scenario.interferers):
         rng = _realization_rng(scenario.seed, idx)
         if sp.kind == "bpsk_white":
-            if n > _WHITE_CHIPS:
-                raise ValueError(f"bpsk_white packs at most {_WHITE_CHIPS} chips "
-                                 f"per symbol, got N = {n}")
             paths.append(RealizedPath("white", sp.doa_deg, sp.power, idx))
         elif sp.kind == "tone":
             phi0 = rng.uniform(0.0, 2.0 * math.pi)
@@ -309,8 +293,6 @@ def realize_paths(scenario: Scenario) -> list:
             paths.append(RealizedPath("periodic", sp.doa_deg, sp.power, idx, waveform=seg))
         else:  # mai_multipath
             code = gold31(sp.user_code)
-            if n != code.shape[0]:
-                raise ValueError(f"mai_multipath requires N = {GOLD_LENGTH} (Gold code length)")
             for d, doa, g in zip(sp.path_delays, sp.path_doas, sp.path_gains):
                 head = np.zeros(n)
                 tail = np.zeros(n)
@@ -357,16 +339,12 @@ def _bits(rng: np.random.Generator, count: int) -> np.ndarray:
 
 
 def _soi_negs(scenario: Scenario, mc_stream: int) -> np.ndarray:
-    """Where mc_stream's SOI data stream is -1, K booleans (pinned bits win)."""
-    if scenario.soi.bits is not None:
-        if len(scenario.soi.bits) < scenario.symbols:
-            raise ValueError("pinned bits shorter than scenario.symbols")
-        return scenario.soi.bits[:scenario.symbols] < 0
+    """Where mc_stream's SOI data stream is -1, K booleans."""
     return _bits(_stream(scenario.seed, _TAG_SOI_BITS, mc_stream, 0), scenario.symbols)
 
 
 def soi_bits(scenario: Scenario) -> np.ndarray:
-    """The +-1 SOI data stream for this scenario (pinned bits win), as float64.
+    """The +-1 SOI data stream for this scenario, as float64.
 
     iter_blocks multiplies the blocks by it; projected_sum reads the same
     stream as booleans (_soi_negs) and never forms this array.
@@ -449,7 +427,7 @@ def iter_blocks(scenario: Scenario, include=("soi", "interference", "noise")):
     """
     _check_include(include)
     geo = scenario.geometry
-    big_l, n = geo.element_count, scenario.soi.processing_gain
+    big_l, n = geo.element_count, GOLD_LENGTH
     k_total = scenario.symbols
     paths = realize_paths(scenario)
     want_soi = "soi" in include
@@ -696,7 +674,7 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
     for power in powers:
         _check_soi_power(power)
     geo = scenario.geometry
-    big_l, n, k_total = geo.element_count, scenario.soi.processing_gain, scenario.symbols
+    big_l, n, k_total = geo.element_count, GOLD_LENGTH, scenario.symbols
     basis = np.asarray(basis, dtype=np.complex128)
     if basis.ndim != 2 or basis.shape[0] != n:
         raise ValueError(f"basis must be N x M with N={n}, got shape {basis.shape}")

@@ -15,7 +15,7 @@ CODE = sm.gold31(0)
 
 def _scenario(interferers=(), power=1.0, noise_var=1.0, symbols=200, seed=3,
               soi_doa=0.0):
-    return sm.Scenario(GEO8, sm.SoiSpec(31, CODE, doa_deg=soi_doa, power=power),
+    return sm.Scenario(GEO8, sm.SoiSpec(0, doa_deg=soi_doa, power=power),
                        tuple(interferers), noise_var=noise_var,
                        symbols=symbols, seed=seed)
 
@@ -134,7 +134,7 @@ def test_accumulate_matches_estimate():
     the streamed covariances equal the directly estimated ones to rounding.
     Receiver noise is drawn differently by design; see the next test.
     """
-    sc = sm.Scenario(GEO8, sm.SoiSpec(31, CODE, power=0.7), ALL_FAMILIES,
+    sc = sm.Scenario(GEO8, sm.SoiSpec(0, power=0.7), ALL_FAMILIES,
                      symbols=5000, seed=7, mc_stream=2)
     include = ("soi", "interference")
     for bases in (mpb.papc_bases(CODE), mpb.maximin_bases(CODE)):
@@ -238,7 +238,7 @@ def test_at_snr_equals_rebuilt_model_bitwise(interferers, make_bases):
     model = mpb.analytic_cov(sc, bases)
     for snr in (1e-6, 0.05, 1.0, 31.0, 2.5e4):
         moved = model.at_snr(snr)
-        p0 = snr * sc.noise_var / sc.soi.processing_gain
+        p0 = snr * sc.noise_var / sm.GOLD_LENGTH
         built = mpb.analytic_cov(replace(sc, soi=replace(sc.soi, power=p0)), bases)
         for f in fields(mpb.AnalyticModel):
             a, b = getattr(moved, f.name), getattr(built, f.name)

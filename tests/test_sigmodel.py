@@ -84,10 +84,20 @@ def test_specs_reject_non_finite_and_non_positive_values(bad):
     with pytest.raises(ValueError, match="power must be positive and finite"):
         sm.InterfererSpec("tone", power=bad)
     with pytest.raises(ValueError, match="noise_var must be positive and finite"):
-        sm.Scenario(GEO8, sm.SoiSpec(31, sm.gold31(0)), (), noise_var=bad)
+        sm.Scenario(GEO8, sm.SoiSpec(0), (), noise_var=bad)
     if bad != 0.0:  # a silent SOI is allowed
         with pytest.raises(ValueError, match="power must be >= 0 and finite"):
-            sm.SoiSpec(31, sm.gold31(0), power=bad)
+            sm.SoiSpec(0, power=bad)
+
+
+@pytest.mark.parametrize("bad", [-1, 33])
+def test_soi_rejects_a_gold_index_out_of_range(bad):
+    with pytest.raises(ValueError, match="gold_index"):
+        sm.SoiSpec(bad)
+
+
+def test_soi_code_is_its_gold_code():
+    assert np.array_equal(sm.SoiSpec(2).code, sm.gold31(2))
 
 
 # ---------- SOI and interferer waveforms ----------
@@ -96,39 +106,13 @@ def test_specs_reject_non_finite_and_non_positive_values(bad):
 # of the synthesized blocks carries the unscaled chip sequence (unit powers)
 # of whatever the scenario holds.
 
-def _wave_scenario(interferers=(), symbols=1, soi=None):
-    return sm.Scenario(GEO8, soi or sm.SoiSpec(31, sm.gold31(0)), interferers,
-                       symbols=symbols, seed=5)
+def _wave_scenario(interferers=(), symbols=1):
+    return sm.Scenario(GEO8, sm.SoiSpec(0), interferers, symbols=symbols, seed=5)
 
 
 def _chips(scenario, include=("interference",)):
     """Element-0 chips of every block, flattened to one sequence."""
     return sm.synth_blocks(scenario, include=include)[:, 0, :].reshape(-1)
-
-
-def _soi_chips(bits, code):
-    sc = _wave_scenario(soi=sm.SoiSpec(31, code, bits=bits), symbols=len(bits))
-    return _chips(sc, include=("soi",))
-
-
-def test_soi_sequence_tiles_code():
-    code = sm.gold31(0)
-    s = _soi_chips(np.ones(2), code)
-    assert np.array_equal(s[:31], code.astype(complex))
-    assert np.array_equal(s[31:], code.astype(complex))
-
-
-def test_soi_sequence_bit_sign():
-    code = sm.gold31(0)
-    s = _soi_chips(np.array([-1.0, 1.0]), code)
-    assert np.array_equal(s[:31], -code.astype(complex))
-
-
-def test_soi_sequence_symbol_energy():
-    s = _soi_chips(np.ones(4), sm.gold31(2))
-    for k in range(4):
-        win = s[k * 31:(k + 1) * 31]
-        assert abs(np.sum(np.abs(win) ** 2) - 31.0) < 1e-12
 
 
 def test_tone_zero_offset_is_constant():
@@ -200,7 +184,7 @@ def test_block_phase_is_exactly_one_on_the_grid():
 def _scenario(**over):
     base = dict(
         geometry=GEO8,
-        soi=sm.SoiSpec(31, sm.gold31(0), power=2.0),
+        soi=sm.SoiSpec(0, power=2.0),
         interferers=(),
         noise_var=1.0,
         symbols=50,
@@ -215,6 +199,7 @@ def test_synth_blocks_soi_only_is_exact():
     blocks = sm.synth_blocks(sc, include=("soi",))
     assert blocks.shape == (50, 8, 31)
     bits = sm.soi_bits(sc)
+    assert set(bits[[0, 7, 49]]) == {-1.0, 1.0}  # both signs are checked
     a0 = sm.steering(0.0, GEO8)
     for k in (0, 7, 49):
         expect = np.sqrt(2.0) * bits[k] * np.outer(a0, sm.gold31(0))
@@ -222,7 +207,7 @@ def test_synth_blocks_soi_only_is_exact():
 
 
 def test_synth_blocks_noise_moments():
-    sc = _scenario(symbols=500, soi=sm.SoiSpec(31, sm.gold31(0), power=0.0),
+    sc = _scenario(symbols=500, soi=sm.SoiSpec(0, power=0.0),
                    noise_var=2.5)
     blocks = sm.synth_blocks(sc, include=("noise",))
     var = np.mean(np.abs(blocks) ** 2)
@@ -387,18 +372,15 @@ _MAI_B = sm.InterfererSpec("mai_multipath", doa_deg=-55.0, power=6.0, user_code=
                            path_delays=(11,), path_doas=(35.0,))
 _ON_GRID = tuple(sm.InterfererSpec("tone", doa_deg=d, power=5.0, normalized_offset=f)
                  for d, f in ((30.0, 1.0 / 31.0), (-50.0, -3.0 / 31.0), (-20.0, 0.0)))
-_PINNED = np.where(np.random.default_rng(12).random(2 * sm.BATCH + 17) < 0.5, -1.0, 1.0)
 
-# (interferers, include, pinned SOI bits?) of every source set the count
-# route serves
+# (interferers, include) of every source set the count route serves
 _COUNTED = {
-    "soi+pn": ((_PN,), ("soi", "interference"), False),
-    "soi+on-grid-tones": (_ON_GRID, ("soi", "interference"), False),
-    "soi+mai": ((_MAI_A,), ("soi", "interference"), False),
-    "two-mai": ((_MAI_A, _MAI_B), ("soi", "interference", "noise"), False),
-    "pinned-soi+pn": ((_PN,), ("soi", "interference"), True),
-    "interference-only": ((_PN, _MAI_B), ("interference",), False),
-    "soi-only": ((_PN, _MAI_A), ("soi",), False),
+    "soi+pn": ((_PN,), ("soi", "interference")),
+    "soi+on-grid-tones": (_ON_GRID, ("soi", "interference")),
+    "soi+mai": ((_MAI_A,), ("soi", "interference")),
+    "two-mai": ((_MAI_A, _MAI_B), ("soi", "interference", "noise")),
+    "interference-only": ((_PN, _MAI_B), ("interference",)),
+    "soi-only": ((_PN, _MAI_A), ("soi",)),
 }
 
 
@@ -421,9 +403,8 @@ def test_count_route_is_the_integer_gram(case, symbols, monkeypatch):
     instead of running the batch loop. Z equals, exactly, the Gram of the
     sources computed in integers from soi_bits and _mai_bit_streams, and
     its bytes equal those of the batch loop on the same sources."""
-    interferers, include, pinned = _COUNTED[case]
-    soi = sm.SoiSpec(31, sm.gold31(0), power=2.0, bits=_PINNED if pinned else None)
-    sc = _scenario(symbols=symbols, interferers=interferers, soi=soi)
+    interferers, include = _COUNTED[case]
+    sc = _scenario(symbols=symbols, interferers=interferers)
     basis = _complex_basis(43)
     counted = _spy(monkeypatch, "_count_gram")
     looped = _spy(monkeypatch, "_batch_gram")
@@ -433,8 +414,6 @@ def test_count_route_is_the_integer_gram(case, symbols, monkeypatch):
     assert k_total == symbols
 
     soi_bits = sm.soi_bits(sc).astype(np.int64)
-    if pinned:
-        assert np.array_equal(soi_bits, _PINNED[:symbols])
     mai = {i: b.astype(np.int64)
            for i, b in sm._mai_bit_streams(sc, sm.realize_paths(sc)).items()}
     rows = []
@@ -555,7 +534,7 @@ def test_grid_point_power_obeys_the_soi_rule(power):
     same message."""
     sc = _scenario(interferers=(_PN,), symbols=300)
     with pytest.raises(ValueError, match=r"^power must be >= 0 and finite, got") as spec:
-        sm.SoiSpec(31, sm.gold31(0), power=power)
+        sm.SoiSpec(0, power=power)
     with pytest.raises(ValueError) as point:
         sm.projected_sum(sc, _complex_basis(45), points=[(2.0, 0), (power, 1)])
     assert str(point.value) == str(spec.value)

@@ -18,7 +18,7 @@ CODE = sm.gold31(0)
 
 def _scenario(interferers, snr=1.0, noise_var=1.0, seed=3):
     p0 = snr * noise_var / 31.0
-    return sm.Scenario(GEO8, sm.SoiSpec(31, CODE, power=p0), tuple(interferers),
+    return sm.Scenario(GEO8, sm.SoiSpec(0, power=p0), tuple(interferers),
                        noise_var=noise_var, symbols=1000, seed=seed)
 
 
@@ -74,7 +74,7 @@ def test_gamma_spectrum_zero_pads_to_d():
 def test_gamma_spectrum_charpoly_oracle_small_array():
     geo4 = sm.ArrayGeometry(4)
     p0 = 1.0 / 31.0
-    sc = sm.Scenario(geo4, sm.SoiSpec(31, CODE, power=p0),
+    sc = sm.Scenario(geo4, sm.SoiSpec(0, power=p0),
                      (sm.InterfererSpec("tone", doa_deg=30.0, power=1000.0,
                                         normalized_offset=2.0 / 31.0),),
                      symbols=100, seed=3)
@@ -479,8 +479,8 @@ def test_g_of_lambda_matches_analytic_g_two_tones():
     model = mpb.analytic_cov(sc, bases).at_snr(snr)
     spec = theory.mismatch_spectrum(model)
     bw = mpb.solve_weights(model.cov_pair(), model.a0)
-    g_direct = mpb.analytic_g(bw.w, mpb.analytic_cov(sm.Scenario(GEO8, sm.SoiSpec(
-        31, CODE, power=snr / 31.0), ints, symbols=100, seed=3), bases))
+    g_direct = mpb.analytic_g(bw.w, mpb.analytic_cov(sm.Scenario(
+        GEO8, sm.SoiSpec(0, power=snr / 31.0), ints, symbols=100, seed=3), bases))
     g_closed = theory.g_of_lambda(bw.lambda_max, spec, snr, 8, 31)
     assert abs(10 * np.log10(g_closed / g_direct)) < 0.5
 
