@@ -488,8 +488,31 @@ def _probe(config: ExperimentConfig) -> _Probe:
 _NUMERIC_ERRORS = (la.LinAlgError, ValueError, ArithmeticError)
 
 
-def _error(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
+def _stage(name: str, solve, *args):
+    """solve(*args), an error raised again as its type, prefixed by name."""
+    try:
+        return solve(*args)
+    except _NUMERIC_ERRORS as exc:
+        raise type(exc)(f"{name}: {exc}") from exc
+
+
+def _by_point(solve, count: int) -> list:
+    """solve(points), points a slice of a grid of count points, per point.
+
+    The grid is solved as one stack. If that raises, each point is solved
+    from its one-point slice, which equals its point alone bit for bit, and
+    a failed point holds the exception it raises alone in place of a value.
+    """
+    try:
+        return list(solve(slice(None)))
+    except _NUMERIC_ERRORS:
+        solved = []
+        for i in range(count):
+            try:
+                solved.extend(solve(slice(i, i + 1)))
+            except _NUMERIC_ERRORS as exc:
+                solved.append(exc)
+        return solved
 
 
 def _solve_points(pair: mpb.CovariancePair, at: mpb.AnalyticModel) -> list:
@@ -498,14 +521,16 @@ def _solve_points(pair: mpb.CovariancePair, at: mpb.AnalyticModel) -> list:
     pair is the points' stacked sample pairs (R_S, R_I), and at the probe's
     model moved to their linear SNRs, an array. The weights and their G,
     the exact pencil and the mismatch spectrum are each one stacked solve,
-    after a check that names a sample matrix that is not finite. A stack of
-    one point raises what that point alone raises.
+    after a check that names a sample matrix that is not finite. A solve's
+    error is prefixed by its _stage: "sample pencil", "exact pencil" or
+    "mismatch spectrum".
     """
     la._check_finite(pair.r_s, "sample R_S")
     la._check_finite(pair.r_i, "sample R_I")
-    g_sim = mpb.analytic_g(mpb.solve_weights(pair, at.a0).w, at)
-    lam = theory.exact_lambda_max(at)
-    spec = theory.mismatch_spectrum(at)
+    g_sim = _stage("sample pencil",
+                   lambda: mpb.analytic_g(mpb.solve_weights(pair, at.a0).w, at))
+    lam = _stage("exact pencil", theory.exact_lambda_max, at)
+    spec = _stage("mismatch spectrum", theory.mismatch_spectrum, at)
     return [(_db(g), float(lm), float(sp.lambda_max_pred))
             for g, lm, sp in zip(g_sim, lam, spec)]
 
@@ -517,43 +542,35 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
     Deterministic for a fixed (config, seed): every point derives its own
     RNG streams from (seed, point index), in the calling process. One
     mpb.accumulate_cov_pair call synthesizes every point's sample pair, and
-    _solve_points solves them as one stack. If that raises, each point is
-    solved again from its one-point slice, so a failed point keeps the
-    error it raises alone, and every other point its value (a slice equals
-    its point alone, bit for bit). If synthesis raises, every point carries
-    its error. Failed points get region "Error", keep their error on the
-    row, and the sweep continues. workers (at least 1) bounds the processes
-    a sweep may use; one always meets it.
+    _solve_points solves them through _by_point: as one stack, and if that
+    raises, point by point, so a failed point keeps the error it raises
+    alone and every other point its value. If synthesis raises, every point
+    carries its error. Failed points get region "Error", keep their error
+    on the row, and the sweep continues. workers (at least 1) bounds the
+    processes a sweep may use; one always meets it.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     probe = _probe(config)
     grid_lin = [_linear(s) for s in config.snr_grid_db]
     curve = theory.operating_curve(probe.model, probe.thresholds(grid_lin), grid_lin)
-    at = probe.model.at_snr(np.array(grid_lin))
-    points = list(zip(at.soi_power.tolist(), range(len(grid_lin))))
+    grid = np.array(grid_lin)
+    points = list(zip(probe.model.at_snr(grid).soi_power.tolist(), range(len(grid))))
     try:
         pair = mpb.accumulate_cov_pair(probe.scenario, probe.bases, points=points)
     except _NUMERIC_ERRORS as exc:
         solved = [exc] * len(points)
     else:
-        try:
-            solved = _solve_points(pair, at)
-        except _NUMERIC_ERRORS:
-            solved = []
-            for i, snr in enumerate(grid_lin):
-                one = mpb.CovariancePair(pair.r_s[i:i + 1], pair.r_i[i:i + 1])
-                try:
-                    solved += _solve_points(one, probe.model.at_snr(np.array([snr])))
-                except _NUMERIC_ERRORS as exc:
-                    solved.append(exc)
+        solved = _by_point(lambda s: _solve_points(
+            mpb.CovariancePair(pair.r_s[s], pair.r_i[s]), probe.model.at_snr(grid[s])),
+            len(grid))
 
     rows = []
     for snr_db, values, (snr_lin, g_theory, region) in zip(config.snr_grid_db, solved,
                                                            curve.points):
         err = None
         if isinstance(values, Exception):
-            values, err = (math.nan,) * 3, _error(values)
+            values, err = (math.nan,) * 3, f"{type(values).__name__}: {values}"
         g_sim_db, lam_exact, lam_pred = values
         g0 = theory.gamma0(snr_lin, config.element_count,
                            config.processing_gain, probe.model.beta)
@@ -613,16 +630,20 @@ def run_eigencurves(config: ExperimentConfig, out_path=None) -> EigencurveResult
     """gamma_0+1 / gamma_1+1 / exact lambda_max over the SNR grid.
 
     lambda_max is one stacked solve over the grid (theory.exact_lambda_max
-    on the grid model), the same solve run_sweep makes for its column.
-    A failed solve raises, naming its grid point ("slice i: ...").
+    on the grid model), the same solve run_sweep makes for its column. If
+    it fails, the first point that fails alone raises its error, prefixed
+    by its SNR ("140 dB: ..."), for a grid of any length.
     The crossing abscissa of the two gamma curves is the empirical
     threshold SNR_T0 (log-interpolated between grid points).
     """
     probe = _probe(config)
-    snr_lin = [_linear(s) for s in config.snr_grid_db]
-    lams = theory.exact_lambda_max(probe.model.at_snr(np.array(snr_lin)))
+    grid = np.array([_linear(s) for s in config.snr_grid_db])
+    lams = _by_point(lambda s: theory.exact_lambda_max(probe.model.at_snr(grid[s])),
+                     len(grid))
     rows = []
-    for snr_db, snr, lam in zip(config.snr_grid_db, snr_lin, lams):
+    for snr_db, snr, lam in zip(config.snr_grid_db, grid.tolist(), lams):
+        if isinstance(lam, Exception):
+            raise type(lam)(f"{snr_db:g} dB: {lam}") from lam
         g0 = theory.gamma0(snr, config.element_count,
                            config.processing_gain, probe.model.beta)
         rows.append((snr_db, g0 + 1.0, probe.gamma1 + 1.0, float(lam)))

@@ -17,9 +17,9 @@ herm_eig, cholesky, solve_hpd and gen_eig_hpd take one matrix or a stack
 of them, shape (..., n, n), through one implementation: a 2-D input is a
 stack of one. numpy.linalg runs the same LAPACK routine on every slice of
 a stack, so a slice's result equals, bit for bit, that of solving it
-alone. Every check runs per slice, and a stack's error names its first
-failing slice ("slice 3: ...", _per_slice). A single matrix's error names no slice,
-and neither does that of a stack of one, which reads as its matrix alone.
+alone. Every check runs per slice at its own scale, and a stack is solved
+once: a failing slice raises its check's or LAPACK's message, which names
+the matrix but no slice; the caller names the point (harness._by_point).
 """
 
 from __future__ import annotations
@@ -51,11 +51,9 @@ class InfeasibleBoundError(LinAlgError):
 # -----------------------
 
 def _check_finite(m: np.ndarray, name: str) -> None:
-    """Raise, naming the first failing slice of a stack, unless m is finite."""
-    finite = np.isfinite(m).all(axis=(-2, -1))
-    if not finite.all():
-        raise LinAlgError(f"{_where(m.shape[:-2], np.argmin(finite))}{name} contains "
-                          f"non-finite entries")
+    """Raise unless every entry of the matrix or stack m is finite."""
+    if not np.isfinite(m).all():
+        raise LinAlgError(f"{name} contains non-finite entries")
 
 
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -64,15 +62,6 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise LinAlgError(f"{name} must be 2-D, got ndim={m.ndim}")
     _check_finite(m, name)
     return m
-
-
-def _where(batch: tuple, flat) -> str:
-    """'slice i: ' naming slice number `flat` (in C order) of a stack of
-    batch shape `batch`; '' for a single matrix or a stack of one."""
-    if math.prod(batch) == 1:
-        return ""
-    index = tuple(int(k) for k in np.unravel_index(int(flat), batch))
-    return f"slice {index[0] if len(index) == 1 else index}: "
 
 
 def _h(m: np.ndarray) -> np.ndarray:
@@ -93,8 +82,7 @@ def _as_hermitian(a, name: str = "matrix") -> np.ndarray:
     bad = dev > 1e-8 * np.maximum(scale, 1e-300)
     if bad.any():
         i = np.argmax(bad)
-        raise LinAlgError(f"{_where(m.shape[:-2], i)}{name} is not Hermitian "
-                          f"(deviation {dev.flat[i]:.3e})")
+        raise LinAlgError(f"{name} is not Hermitian (deviation {dev.flat[i]:.3e})")
     return 0.5 * (m + _h(m))
 
 
@@ -104,24 +92,6 @@ def _lapack(error: type, what: str, routine, *args):
         return routine(*args)
     except np.linalg.LinAlgError as exc:
         raise error(f"{what}: {exc}") from None
-
-
-def _per_slice(routine, *stacks):
-    """routine(*stacks) on matrices or stacks whose leading axes broadcast.
-
-    A stack fails as a whole, so the slices are then run one by one to name
-    the first that fails, by LAPACK or by a check alike ("slice 3: ...").
-    """
-    try:
-        return routine(*stacks)
-    except LinAlgError:
-        batch = np.broadcast_shapes(*(x.shape[:-2] for x in stacks))
-        for flat, i in enumerate(np.ndindex(batch)):
-            try:
-                routine(*(np.broadcast_to(x, batch + x.shape[-2:])[i] for x in stacks))
-            except LinAlgError as one:
-                raise type(one)(f"{_where(batch, flat)}{one}") from None
-        raise
 
 
 # -----------------------
@@ -136,19 +106,18 @@ class HermEigResult:
 
 def herm_eig(a) -> HermEigResult:
     """Eigendecomposition of a Hermitian matrix (LAPACK eigh), eigenvalues descending."""
-    return _per_slice(_eigh, _as_hermitian(a, "A"))
+    return _eigh(_as_hermitian(a, "A"))
 
 
 def _eigh(m: np.ndarray) -> HermEigResult:
-    """herm_eig of a checked matrix or stack; an error names no slice."""
+    """herm_eig of a checked matrix or stack."""
     vals, vecs = _lapack(ConvergenceError, "eigh did not converge", np.linalg.eigh, m)
     return HermEigResult(vals[..., ::-1].copy(), vecs[..., ::-1].copy())
 
 
 def _eigvalsh(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix or a stack of them."""
-    return _per_slice(lambda s: _lapack(ConvergenceError, "eigvalsh did not converge",
-                                        np.linalg.eigvalsh, s), m)
+    return _lapack(ConvergenceError, "eigvalsh did not converge", np.linalg.eigvalsh, m)
 
 
 # -----------------------
@@ -161,11 +130,11 @@ def cholesky(b) -> np.ndarray:
     Pivots at or below 1e-12 * max|B| count as a failure even where LAPACK
     would accept them (it factors diag(1, 1e-30) without complaint).
     """
-    return _per_slice(_floored_cholesky, _as_hermitian(b, "B"))
+    return _floored_cholesky(_as_hermitian(b, "B"))
 
 
 def _floored_cholesky(b: np.ndarray) -> np.ndarray:
-    """cholesky of a checked matrix or stack; an error names no slice."""
+    """cholesky of a checked matrix or stack."""
     low = _lapack(NotPositiveDefiniteError, "B is not positive definite", np.linalg.cholesky, b)
     piv = np.diagonal(low, axis1=-2, axis2=-1).real
     bad = piv <= 1e-12 * np.abs(b).max(axis=(-2, -1), initial=0.0)[..., None]
@@ -188,7 +157,7 @@ def solve_hpd(b, rhs) -> np.ndarray:
     A 1-D rhs is one vector, shared by every slice of a stacked B; X then
     holds one solution vector per slice.
     """
-    inv_low = _per_slice(_inverse_factor, _as_hermitian(b, "B"))
+    inv_low = _inverse_factor(_as_hermitian(b, "B"))
     rhs = np.asarray(rhs)
     if rhs.ndim == 1:  # a one-column matrix: numpy reads 2-D as a stack of matrices
         return (_h(inv_low) @ (inv_low @ rhs[:, None]))[..., 0]
@@ -214,10 +183,10 @@ def gen_eig_hpd(a, b) -> HermEigResult:
         mismatch = True
     if mismatch:
         raise LinAlgError(f"dimension mismatch {a.shape} vs {b.shape}")
-    inv_low = _per_slice(_inverse_factor, b)
+    inv_low = _inverse_factor(b)
     reduced = inv_low @ a @ _h(inv_low)
     _check_finite(reduced, "A")
-    res = _per_slice(_eigh, reduced)
+    res = _eigh(reduced)
     return HermEigResult(res.eigenvalues, _h(inv_low) @ res.eigenvectors)
 
 

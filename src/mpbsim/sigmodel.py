@@ -116,6 +116,14 @@ _M1 = _m_sequence((3, 5))
 _M2 = _m_sequence((1, 2, 3, 5))
 
 
+def _check_gold_index(index, name: str) -> None:
+    """The one Gold code index rule: an integer (not a bool) in [0, 33)."""
+    if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {index!r}")
+    if not 0 <= index < 33:
+        raise ValueError(f"{name} must be in [0, 33), got {index}")
+
+
 def gold31(pair_index: int) -> np.ndarray:
     """31-chip +-1 Gold code number pair_index from the degree-5 preferred pair.
 
@@ -123,8 +131,7 @@ def gold31(pair_index: int) -> np.ndarray:
     are the two m-sequences themselves. Distinct indices give distinct codes
     and every distinct pair has periodic cross-correlation in {-1, -9, 7}.
     """
-    if not 0 <= pair_index < 33:
-        raise ValueError(f"pair_index must be in [0, 33), got {pair_index}")
+    _check_gold_index(pair_index, "pair_index")
     if pair_index < 31:
         bits = np.bitwise_xor(_M1, np.roll(_M2, -pair_index))
     elif pair_index == 31:
@@ -151,8 +158,7 @@ class SoiSpec:
     power: float = 1.0
 
     def __post_init__(self):
-        if not 0 <= self.gold_index < 33:
-            raise ValueError(f"gold_index must be in [0, 33), got {self.gold_index}")
+        _check_gold_index(self.gold_index, "gold_index")
         _check_soi_power(self.power)
 
     @property
@@ -192,7 +198,10 @@ class InterfererSpec:
             raise ValueError(f"unknown interferer kind {self.kind!r}")
         if not 0 < self.power < math.inf:
             raise ValueError(f"power must be positive and finite, got {self.power}")
+        if self.kind == "tone" and not math.isfinite(self.normalized_offset):
+            raise ValueError(f"normalized_offset must be finite, got {self.normalized_offset}")
         if self.kind == "mai_multipath":
+            _check_gold_index(self.user_code, "user_code")
             if len(self.path_delays) == 0 or len(self.path_delays) != len(self.path_doas):
                 raise ValueError("mai_multipath needs matching path_delays and path_doas")
             gains = self.path_gains

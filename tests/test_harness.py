@@ -638,18 +638,19 @@ def test_cli_white_interference_at_high_inr_is_exit_0(command, inr_db, tmp_path,
 
 
 def test_cli_eigen_failure_names_its_grid_point(tmp_path, capsys):
-    """The grid's lambda_max is one stacked solve, so a failure names its
-    slice: the third SNR, where PAPC's exact R_I meets the pivot floor. A
-    grid of that one SNR is a stack of one, and names no slice."""
+    """A failed eigen run names its first failing SNR: 140 dB, where PAPC's
+    exact R_I meets the pivot floor, in a grid of four points or of that
+    one alone."""
     config = harness.config_to_dict(harness.preset("fig4b-pn2"))
     config["scheme"] = {"name": "PAPC"}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
-    for grid, where in (("0,100,140,200", "slice 2: "), ("140", "")):
+    for grid in ("0,100,140,200", "140"):
         rc = cli.main(["eigen", "--config", str(cfg_path), f"--snr-db={grid}",
                        "--out", str(tmp_path)])
         assert rc == 2
-        assert capsys.readouterr().err == f"numeric failure: {where}pivot 1.260e+00 at column 3\n"
+        assert capsys.readouterr().err == ("numeric failure: 140 dB: "
+                                           "pivot 1.260e+00 at column 3\n")
 
 
 def _indefinite_pair(size: int) -> mpb.CovariancePair:
@@ -660,8 +661,9 @@ def _indefinite_pair(size: int) -> mpb.CovariancePair:
 
 def test_sweep_point_linalg_failure_is_named_error(monkeypatch):
     """A pencil that cannot be solved fails each point with the message
-    that solving its weights alone raises: the stacked solve fails, and
-    each point is solved again from its one-point slice of the stack."""
+    that solving its weights alone raises, prefixed by its stage: the
+    stacked solve fails, and each point is solved again from its one-point
+    slice of the stack."""
     cfg = _tiny("fig4b-pn2")
     bad = _indefinite_pair(cfg.element_count)
     monkeypatch.setattr(mpb, "accumulate_cov_pair",
@@ -671,12 +673,11 @@ def test_sweep_point_linalg_failure_is_named_error(monkeypatch):
     probe = harness._probe(cfg)
     with pytest.raises(la.NotPositiveDefiniteError) as alone:
         mpb.solve_weights(bad, probe.model.a0)
-    expected = f"NotPositiveDefiniteError: {alone.value}"
-    assert "slice" not in expected
+    expected = f"NotPositiveDefiniteError: sample pencil: {alone.value}"
     one = mpb.CovariancePair(bad.r_s[None], bad.r_i[None])
     with pytest.raises(la.NotPositiveDefiniteError) as point:
         harness._solve_points(one, probe.model.at_snr(np.array([10.0])))
-    assert str(point.value) == str(alone.value)
+    assert str(point.value) == f"sample pencil: {alone.value}"
     rows = harness.run_sweep(cfg)
     assert [r.region for r in rows] == ["Error", "Error"]
     assert [r.error for r in rows] == [expected, expected]
@@ -709,7 +710,8 @@ def test_sweep_only_the_indefinite_point_fails(monkeypatch, tmp_path):
     assert sizes == [3]
     with pytest.raises(la.NotPositiveDefiniteError) as alone:
         mpb.solve_weights(bad, harness._probe(cfg).model.a0)
-    assert [r.error for r in rows] == [None, f"NotPositiveDefiniteError: {alone.value}", None]
+    assert [r.error for r in rows] == [
+        None, f"NotPositiveDefiniteError: sample pencil: {alone.value}", None]
     assert [r.region for r in rows][1] == "Error"
     want, got = clean.read_text().splitlines(), broken.read_text().splitlines()
     assert [got[i] for i in (0, 1, 3)] == [want[i] for i in (0, 1, 3)]

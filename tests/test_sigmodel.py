@@ -96,6 +96,31 @@ def test_soi_rejects_a_gold_index_out_of_range(bad):
         sm.SoiSpec(bad)
 
 
+def _mai(user_code):
+    return sm.InterfererSpec("mai_multipath", user_code=user_code, path_delays=(0,),
+                             path_doas=(0.0,))
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: sm.gold31(2.5), "pair_index"),
+    (lambda: sm.gold31(True), "pair_index"),
+    (lambda: sm.SoiSpec(31.5), "gold_index"),
+    (lambda: sm.SoiSpec(False), "gold_index"),
+    (lambda: _mai(40), "user_code"),
+    (lambda: _mai(2.5), "user_code"),
+    (lambda: sm.InterfererSpec("tone", normalized_offset=math.nan), "normalized_offset"),
+    (lambda: sm.InterfererSpec("tone", normalized_offset=-math.inf), "normalized_offset"),
+], ids=["gold31-fraction", "gold31-bool", "soi-fraction", "soi-bool", "mai-range",
+        "mai-fraction", "tone-nan", "tone-inf"])
+def test_specs_reject_a_bad_code_index_or_tone_offset(build, field):
+    """A Gold code index is an integer in [0, 33), by one rule for gold31, the
+    SOI and an MAI user, and a tone offset is finite: each spec rejects
+    what would otherwise round to another code or fail deep in realize_paths,
+    naming the field."""
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        build()
+
+
 def test_soi_code_is_its_gold_code():
     assert np.array_equal(sm.SoiSpec(2).code, sm.gold31(2))
 
