@@ -90,14 +90,9 @@ def _resolve_config(args) -> harness.ExperimentConfig:
     return config
 
 
-def _out_path(config, filename: str) -> str:
-    os.makedirs(config.out_dir, exist_ok=True)
-    return os.path.join(config.out_dir, filename)
-
-
 def _cmd_sweep(args) -> int:
     config = _resolve_config(args)
-    path = _out_path(config, "sweep.csv")
+    path = os.path.join(config.out_dir, "sweep.csv")
     rows = harness.run_sweep(config, workers=args.workers, out_path=path)
     errors = [r for r in rows if r.region == "Error"]
     for r in errors:
@@ -111,7 +106,7 @@ def _cmd_pattern(args) -> int:
     if len(config.snr_grid_db) != 1:
         raise harness.ConfigError(
             "pattern needs exactly one SNR point; pass --snr-db X")
-    path = _out_path(config, "pattern.csv")
+    path = os.path.join(config.out_dir, "pattern.csv")
     harness.run_pattern(config, config.snr_grid_db[0], out_path=path)
     print(f"wrote {path}")
     return 0
@@ -119,7 +114,7 @@ def _cmd_pattern(args) -> int:
 
 def _cmd_eigen(args) -> int:
     config = _resolve_config(args)
-    path = _out_path(config, "eigen.csv")
+    path = os.path.join(config.out_dir, "eigen.csv")
     result = harness.run_eigencurves(config, out_path=path)
     t0 = result.empirical_snr_t0_db
     t0_text = f"{t0:.3f} dB" if not math.isnan(t0) else "none on grid"
@@ -130,7 +125,7 @@ def _cmd_eigen(args) -> int:
 def _cmd_analyze(args) -> int:
     config = _resolve_config(args)
     report = harness.analyze(config)
-    path = _out_path(config, "analysis.json")
+    path = os.path.join(config.out_dir, "analysis.json")
     harness.write_analysis(report, path)
 
     th = report["thresholds"]

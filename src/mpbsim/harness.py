@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -52,15 +53,12 @@ def _db(x: float) -> float:
     return 10.0 * math.log10(x)
 
 
-def _check_doa(field: str, doa: float) -> None:
-    """A source direction must lie off endfire, |doa| < 90 deg (sm.steering)."""
-    if not abs(doa) < 90.0:
-        raise ConfigError(f"{field} must satisfy |doa| < 90 deg, got {doa}")
-
-
 # -----------------------
 # Config model
 # -----------------------
+
+_SCHEME_FIELDS = {"PAPC": "position", "Maximin": "monitor_freq", "Custom": "basis_file"}
+
 
 @dataclass(frozen=True)
 class SchemeConfig:
@@ -103,7 +101,14 @@ class InterfererConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A full experiment in file units (degrees, dB)."""
+    """A full experiment in file units (degrees, dB).
+
+    The config checks only what no spec sees: the SNR grid, inr_db, seed,
+    symbols, processing_gain, and whether a bad interferer power is named
+    inr_db or rel_power_db (in _specs). Every other field is checked by
+    building the sigmodel spec that owns it (_specs), and the scheme's
+    fields where its bases are built (_bases_named).
+    """
     scheme: SchemeConfig
     interferers: tuple[InterfererConfig, ...] = ()
     snr_grid_db: tuple[float, ...] = DEFAULT_SNR_GRID_DB
@@ -136,56 +141,44 @@ class ExperimentConfig:
         if self.processing_gain != sm.GOLD_LENGTH:
             raise ConfigError(f"processing_gain must be {sm.GOLD_LENGTH} (the Gold "
                               f"code length), got {self.processing_gain!r}")
-        if not 0.0 < self.element_spacing < math.inf:
-            raise ConfigError(f"element_spacing must be positive and finite, "
-                              f"got {self.element_spacing}")
-        if self.element_count < 2:
-            raise ConfigError(f"element_count must be at least 2, got {self.element_count}")
-        try:
-            sm.gold31(self.gold_index)
-        except ValueError as exc:
-            raise ConfigError(f"gold_index must name a Gold code: {exc}") from None
-        _check_doa("soi_doa_deg", self.soi_doa_deg)
         for s in self.snr_grid_db:
             if not 0.0 < mpb._soi_power(_linear(s), NOISE_VAR, self.processing_gain) < math.inf:
                 raise ConfigError(f"snr_grid_db must give a finite, positive "
                                   f"linear power, got {s} dB")
-        for i, ic in enumerate(self.interferers):
-            where = f"interferers[{i}]"
-            _check_doa(f"{where}.doa_deg", ic.doa_deg)
-            for j, doa in enumerate(ic.path_doas):
-                _check_doa(f"{where}.path_doas[{j}]", doa)
-            for j, gain in enumerate(ic.path_gains or ()):
-                if not 0.0 < gain < math.inf:
-                    raise ConfigError(f"{where}.path_gains[{j}] must be positive "
-                                      f"and finite, got {gain}")
-            if ic.kind == "mai_multipath":
-                rays = len(ic.path_delays)
-                if not rays:
-                    raise ConfigError(f"{where}.path_delays must list at least one ray")
-                for name, per_ray in (("path_doas", ic.path_doas), ("path_gains", ic.path_gains)):
-                    if per_ray is not None and len(per_ray) != rays:
-                        raise ConfigError(f"{where}.{name} must hold one entry per "
-                                          f"path delay ({rays}), got {len(per_ray)}")
-                try:
-                    sm.gold31(ic.user_code)
-                except ValueError as exc:
-                    raise ConfigError(f"{where}.user_code must name a Gold code: "
-                                      f"{exc}") from None
-                for j, delay in enumerate(ic.path_delays):
-                    if not 0 <= delay < self.processing_gain:
-                        raise ConfigError(f"{where}.path_delays[{j}] must lie in "
-                                          f"[0, {self.processing_gain}), got {delay}")
-            if ic.kind == "tone" and not math.isfinite(ic.normalized_offset):
-                raise ConfigError(f"{where}.normalized_offset must be finite, "
-                                  f"got {ic.normalized_offset}")
-            if not 0.0 < _linear(self.inr_db + ic.rel_power_db) * NOISE_VAR < math.inf:
-                field = ("inr_db" if not 0.0 < _linear(self.inr_db) * NOISE_VAR < math.inf
-                         else f"interferers[{i}].rel_power_db")
-                raise ConfigError(
-                    f"{field} must give a finite, positive linear power, got "
-                    f"inr_db + interferers[{i}].rel_power_db = "
-                    f"{self.inr_db} + {ic.rel_power_db} dB")
+        _specs(self, 1.0)  # the SOI power of a grid point obeys the SNR rule above
+
+
+def _named(where: str, renames: dict, spec, **fields):
+    """spec(**fields), its ValueError raised as a ConfigError that names the
+    config field: where (the config object's path) and the field renamed."""
+    try:
+        return spec(**fields)
+    except ValueError as exc:
+        name, _, rest = str(exc).partition(" ")
+        raise ConfigError(f"{where}{renames.get(name, name)} {rest}") from exc
+
+
+def _specs(config: ExperimentConfig, soi_power: float) -> tuple:
+    """(geometry, SOI, interferers): the config's sigmodel specs, with the
+    SOI at soi_power. Each spec checks its own fields when built."""
+    geometry = _named("", {"spacing": "element_spacing"}, sm.ArrayGeometry,
+                      element_count=config.element_count, spacing=config.element_spacing)
+    soi = _named("", {"doa_deg": "soi_doa_deg"}, sm.SoiSpec, gold_index=config.gold_index,
+                 doa_deg=config.soi_doa_deg, power=soi_power)
+    ints = []
+    for i, ic in enumerate(config.interferers):
+        power = _linear(config.inr_db + ic.rel_power_db) * NOISE_VAR
+        if not 0.0 < power < math.inf:
+            field = ("inr_db" if not 0.0 < _linear(config.inr_db) * NOISE_VAR < math.inf
+                     else f"interferers[{i}].rel_power_db")
+            raise ConfigError(f"{field} must give a finite, positive linear power, got "
+                              f"inr_db + interferers[{i}].rel_power_db = "
+                              f"{config.inr_db} + {ic.rel_power_db} dB")
+        ints.append(_named(f"interferers[{i}].", {}, sm.InterfererSpec, kind=ic.kind,
+                           doa_deg=ic.doa_deg, power=power, user_code=ic.user_code,
+                           normalized_offset=ic.normalized_offset, path_delays=ic.path_delays,
+                           path_doas=ic.path_doas, path_gains=ic.path_gains))
+    return geometry, soi, tuple(ints)
 
 
 def _field_types(cls) -> dict:
@@ -251,13 +244,8 @@ def config_from_dict(d: dict) -> ExperimentConfig:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    sch = {"name": config.scheme.name}
-    if config.scheme.name == "PAPC":
-        sch["position"] = config.scheme.position
-    elif config.scheme.name == "Maximin":
-        sch["monitor_freq"] = config.scheme.monitor_freq
-    else:
-        sch["basis_file"] = config.scheme.basis_file
+    field = _SCHEME_FIELDS[config.scheme.name]
+    sch = {"name": config.scheme.name, field: getattr(config.scheme, field)}
     ints = []
     for it in config.interferers:
         entry = {"kind": it.kind, "doa_deg": it.doa_deg,
@@ -367,48 +355,35 @@ def preset_names() -> list:
 def scenario_at(config: ExperimentConfig, snr_db: float,
                 stream: int = 0) -> sm.Scenario:
     """Linear-unit Scenario for one sweep point; stream keys the per-point RNG."""
-    try:
-        geom = sm.ArrayGeometry(config.element_count, config.element_spacing)
-        p0 = mpb._soi_power(_linear(snr_db), NOISE_VAR, config.processing_gain)
-        soi = sm.SoiSpec(config.gold_index, config.soi_doa_deg, p0)
-        ints = []
-        for ic in config.interferers:
-            power = _linear(config.inr_db + ic.rel_power_db) * NOISE_VAR
-            ints.append(sm.InterfererSpec(
-                kind=ic.kind, doa_deg=ic.doa_deg, power=power,
-                normalized_offset=ic.normalized_offset,
-                user_code=ic.user_code, path_delays=ic.path_delays,
-                path_doas=ic.path_doas, path_gains=ic.path_gains))
-        return sm.Scenario(geom, soi, tuple(ints), NOISE_VAR, config.symbols,
-                           config.seed, stream)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    p0 = mpb._soi_power(_linear(snr_db), NOISE_VAR, config.processing_gain)
+    return sm.Scenario(*_specs(config, p0), NOISE_VAR, config.symbols, config.seed, stream)
 
 
 def _bases_named(config: ExperimentConfig, name: str) -> mpb.ProjectionBases:
+    """The bases of scheme name, from the config's fields if it is the config's
+    scheme and else the defaults; a failure is a ConfigError naming the field."""
+    scheme = config.scheme if config.scheme.name == name else SchemeConfig(name)
     code = sm.gold31(config.gold_index)
-    if name == "PAPC":
-        pos = config.scheme.position if config.scheme.name == "PAPC" else 0
-        return mpb.papc_bases(code, pos)
-    if name == "Maximin":
-        freq = (config.scheme.monitor_freq if config.scheme.name == "Maximin"
-                else mpb.DEFAULT_MAXIMIN_FREQ)
-        return mpb.maximin_bases(code, freq)
     try:
-        with np.load(config.scheme.basis_file) as data:
+        if name == "PAPC":
+            return mpb.papc_bases(code, scheme.position)
+        if name == "Maximin":
+            return mpb.maximin_bases(code, scheme.monitor_freq)
+        with np.load(scheme.basis_file) as data:
             h_s, h_i = data["h_s"], data["h_i"]
+        return mpb.ProjectionBases(np.asarray(h_s, dtype=np.complex128),
+                                   np.asarray(h_i, dtype=np.complex128), "Custom")
     except (OSError, KeyError) as exc:
         raise ConfigError(f"cannot read custom basis file "
-                          f"{config.scheme.basis_file!r}: {exc}") from exc
-    return mpb.ProjectionBases(np.asarray(h_s, dtype=np.complex128),
-                               np.asarray(h_i, dtype=np.complex128), "Custom")
+                          f"{scheme.basis_file!r}: {exc}") from exc
+    except ValueError as exc:
+        field, text = _SCHEME_FIELDS[name], str(exc)
+        raise ConfigError(f"scheme.{text}" if text.startswith(field + " ") else
+                          f"scheme.{field} must give valid bases: {text}") from exc
 
 
 def bases_for(config: ExperimentConfig) -> mpb.ProjectionBases:
-    try:
-        return _bases_named(config, config.scheme.name)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _bases_named(config, config.scheme.name)
 
 
 # -----------------------
@@ -432,8 +407,14 @@ def _fmt(x) -> str:
     return x if isinstance(x, str) else f"{float(x):.9g}"
 
 
+def _create(path, newline=None):
+    """path opened for writing, its directory made first if missing."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline=newline)
+
+
 def _write_lines(path, header: str, lines) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _create(path, newline="") as fh:
         fh.write(header + "\n")
         for line in lines:
             fh.write(line + "\n")
@@ -448,6 +429,18 @@ def write_sweep_csv(rows, path) -> None:
                   for r in rows))
 
 
+_NUMERIC_ERRORS = (la.LinAlgError, ValueError, ArithmeticError)
+_PROBE = "0 dB probe"
+
+
+def _stage(name: str, solve, *args):
+    """solve(*args), an error raised again as its type, prefixed by name."""
+    try:
+        return solve(*args)
+    except _NUMERIC_ERRORS as exc:
+        raise type(exc)(f"{name}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class _Probe:
     """A config's 0 dB probe: its scenario, bases, analytic model and gamma_1.
@@ -456,6 +449,7 @@ class _Probe:
     probe serves every SNR of a sweep, the eigencurves and the report. It
     keeps the L^3 work (the model's Q pair, gamma_1); whatever uses the
     scenario draws the interferer paths from its seed (sm.realize_paths).
+    Its solves, and the thresholds where called, fail as the _stage _PROBE.
     """
     scenario: sm.Scenario
     bases: mpb.ProjectionBases
@@ -481,19 +475,8 @@ def _gamma1(model: mpb.AnalyticModel) -> float:
 def _probe(config: ExperimentConfig) -> _Probe:
     scenario = scenario_at(config, 0.0, stream=0)
     bases = bases_for(config)
-    model = mpb.analytic_cov(scenario, bases)
-    return _Probe(scenario, bases, model, _gamma1(model))
-
-
-_NUMERIC_ERRORS = (la.LinAlgError, ValueError, ArithmeticError)
-
-
-def _stage(name: str, solve, *args):
-    """solve(*args), an error raised again as its type, prefixed by name."""
-    try:
-        return solve(*args)
-    except _NUMERIC_ERRORS as exc:
-        raise type(exc)(f"{name}: {exc}") from exc
+    model = _stage(_PROBE, mpb.analytic_cov, scenario, bases)
+    return _Probe(scenario, bases, model, _stage(_PROBE, _gamma1, model))
 
 
 def _by_point(solve, count: int) -> list:
@@ -553,7 +536,8 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
         raise ValueError(f"workers must be >= 1, got {workers}")
     probe = _probe(config)
     grid_lin = [_linear(s) for s in config.snr_grid_db]
-    curve = theory.operating_curve(probe.model, probe.thresholds(grid_lin), grid_lin)
+    curve = theory.operating_curve(probe.model, _stage(_PROBE, probe.thresholds, grid_lin),
+                                   grid_lin)
     grid = np.array(grid_lin)
     points = list(zip(probe.model.at_snr(grid).soi_power.tolist(), range(len(grid))))
     try:
@@ -694,7 +678,7 @@ def analyze(config: ExperimentConfig) -> dict:
     the waveforms instead, so the two flags stay independent checks.
     """
     probe = _probe(config)
-    th = probe.thresholds()
+    th = _stage(_PROBE, probe.thresholds)
     model = probe.model
     nf = theory.noise_free_pair(model)
 
@@ -741,6 +725,6 @@ def analyze(config: ExperimentConfig) -> dict:
 
 
 def write_analysis(report: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _create(path) as fh:
         json.dump(_json_safe(report), fh, indent=2)
         fh.write("\n")

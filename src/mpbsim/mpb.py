@@ -34,9 +34,9 @@ DEFAULT_MAXIMIN_FREQ = 16.0 / 31.0  # monitor frequency k/N: orthogonal to the c
 class ProjectionBases:
     """Signal-space vector h_s (= c0/sqrt(N)) and interference basis h_i (N x r_I).
 
-    h_i columns must be orthonormal and must not capture the whole signal
-    vector: a beamformer whose monitor space contains h_s cannot separate
-    the SOI from the interference estimate.
+    h_i must hold at least one column, its columns orthonormal, and must
+    not capture the whole signal vector: a beamformer whose monitor space
+    contains h_s cannot separate the SOI from the interference estimate.
     """
     h_s: np.ndarray
     h_i: np.ndarray
@@ -47,6 +47,8 @@ class ProjectionBases:
         h_i = np.asarray(self.h_i, dtype=np.complex128)
         if h_i.ndim != 2 or h_i.shape[0] != h_s.shape[0]:
             raise ValueError("h_i must be N x r_I")
+        if h_i.shape[1] == 0:
+            raise ValueError("h_i must have at least one column")
         # every check below is a comparison, and NaN fails none of them
         for name, h in (("h_s", h_s), ("h_i", h_i)):
             if not np.isfinite(h).all():

@@ -78,19 +78,24 @@ class ArrayGeometry:
 
     def __post_init__(self):
         if self.element_count < 2:
-            raise ValueError(f"need at least 2 elements, got {self.element_count}")
+            raise ValueError(f"element_count must be at least 2, got {self.element_count}")
         if not 0 < self.spacing < math.inf:
             raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
+
+
+def _check_doa(doa_deg, name: str) -> None:
+    """The one direction rule, of the specs and steering: off endfire, where
+    the array loses angular resolution and the model breaks down."""
+    if not abs(doa_deg) < 90.0:
+        raise ValueError(f"{name} must satisfy |doa| < 90 deg, got {doa_deg}")
 
 
 def steering(doa_deg: float, geometry: ArrayGeometry) -> np.ndarray:
     """ULA steering vector a(theta); unit-modulus entries so ||a||^2 = L.
 
-    a[l] = exp(j*2*pi*spacing*l*sin(theta)). Endfire (+-90 deg) is rejected:
-    the array loses angular resolution there and the model breaks down.
+    a[l] = exp(j*2*pi*spacing*l*sin(theta)), for |doa_deg| < 90 (_check_doa).
     """
-    if not abs(doa_deg) < 90.0:
-        raise ValueError(f"DOA must satisfy |doa| < 90 deg, got {doa_deg}")
+    _check_doa(doa_deg, "doa_deg")
     l_idx = np.arange(geometry.element_count)
     phase = 2.0 * math.pi * geometry.spacing * math.sin(math.radians(doa_deg))
     return np.exp(1j * phase * l_idx)
@@ -152,6 +157,7 @@ class SoiSpec:
 
     The code is gold31(gold_index), read through the code property and never
     stored. The synthesizer draws i.i.d. +-1 data from the scenario seed.
+    Each field is checked by its one rule when the spec is built.
     """
     gold_index: int
     doa_deg: float = 0.0
@@ -159,6 +165,7 @@ class SoiSpec:
 
     def __post_init__(self):
         _check_gold_index(self.gold_index, "gold_index")
+        _check_doa(self.doa_deg, "doa_deg")
         _check_soi_power(self.power)
 
     @property
@@ -182,7 +189,8 @@ class InterfererSpec:
     kind selects the family; power is linear *per steering direction* (each
     multipath ray carries power * gain^2). Tone frequency is in cycles/chip
     (offset_Hz / chip_rate). MAI rays share one random +-1 data stream
-    spread by another user's Gold code.
+    spread by another user's Gold code. Every field is checked when the
+    spec is built, and an error names it, a per-ray one with the ray's index.
     """
     kind: str
     doa_deg: float = 0.0
@@ -198,18 +206,28 @@ class InterfererSpec:
             raise ValueError(f"unknown interferer kind {self.kind!r}")
         if not 0 < self.power < math.inf:
             raise ValueError(f"power must be positive and finite, got {self.power}")
+        _check_doa(self.doa_deg, "doa_deg")
+        for j, doa in enumerate(self.path_doas):
+            _check_doa(doa, f"path_doas[{j}]")
+        for j, gain in enumerate(self.path_gains or ()):
+            if not 0 < gain < math.inf:
+                raise ValueError(f"path_gains[{j}] must be positive and finite, got {gain}")
         if self.kind == "tone" and not math.isfinite(self.normalized_offset):
             raise ValueError(f"normalized_offset must be finite, got {self.normalized_offset}")
         if self.kind == "mai_multipath":
+            rays = len(self.path_delays)
+            if not rays:
+                raise ValueError("path_delays must list at least one ray")
+            for name, per_ray in (("path_doas", self.path_doas), ("path_gains", self.path_gains)):
+                if per_ray is not None and len(per_ray) != rays:
+                    raise ValueError(f"{name} must hold one entry per path delay "
+                                     f"({rays}), got {len(per_ray)}")
             _check_gold_index(self.user_code, "user_code")
-            if len(self.path_delays) == 0 or len(self.path_delays) != len(self.path_doas):
-                raise ValueError("mai_multipath needs matching path_delays and path_doas")
-            gains = self.path_gains
-            if gains is None:
-                gains = tuple(1.0 for _ in self.path_delays)
-            if len(gains) != len(self.path_delays) or any(not 0 < g < math.inf for g in gains):
-                raise ValueError("path_gains must be positive and finite, one per ray")
-            object.__setattr__(self, "path_gains", tuple(float(g) for g in gains))
+            for j, d in enumerate(self.path_delays):
+                if not 0 <= d < GOLD_LENGTH:
+                    raise ValueError(f"path_delays[{j}] must lie in [0, {GOLD_LENGTH}), got {d}")
+            gains = self.path_gains or (1.0,) * rays
+            object.__setattr__(self, "path_gains", tuple(map(float, gains)))
 
 
 @dataclass(frozen=True)
@@ -228,10 +246,6 @@ class Scenario:
             raise ValueError("symbols must be >= 1")
         if not 0 < self.noise_var < math.inf:
             raise ValueError(f"noise_var must be positive and finite, got {self.noise_var}")
-        for sp in self.interferers:
-            if sp.kind == "mai_multipath" and any(not 0 <= d < GOLD_LENGTH
-                                                  for d in sp.path_delays):
-                raise ValueError(f"MAI path delays must lie in [0, {GOLD_LENGTH})")
 
 
 # -----------------------
@@ -323,15 +337,19 @@ def steering_matrix(paths, geometry: ArrayGeometry) -> np.ndarray:
 # Block synthesis
 # -----------------------
 
+def _philox(seed: int, tag: int, mc_stream: int, *index: int) -> np.random.Philox:
+    """The Philox bit generator keyed by (seed, tag, mc_stream, *index)."""
+    return np.random.Philox(np.random.SeedSequence([seed, tag, mc_stream, *index]))
+
+
 def _stream(seed: int, tag: int, mc_stream: int, *index: int) -> np.random.Generator:
     """The Philox stream keyed by (seed, tag, mc_stream, *index)."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(
-        [seed, tag, mc_stream, *index])))
+    return np.random.Generator(_philox(seed, tag, mc_stream, *index))
 
 
-def _bits(rng: np.random.Generator, count: int) -> np.ndarray:
-    """count bits of a fresh rng as booleans, equal to
-    rng.integers(0, 2, size=count); a set bit stands for the +-1 value -1.
+def _bits(raw: np.random.Philox, count: int) -> np.ndarray:
+    """count bits of a fresh Philox as booleans, equal to a Generator's
+    integers(0, 2, size=count) on it; a set bit stands for the +-1 value -1.
 
     This serves the SOI and MAI bit streams; white chips are packed by
     _white_bits. integers(0, 2) keeps the top bit of each 32-bit draw
@@ -339,17 +357,17 @@ def _bits(rng: np.random.Generator, count: int) -> np.ndarray:
     serves its 32-bit draws as the low, then the high half of each 64-bit
     word. The bits are read straight off the raw words instead, as the
     signs of their halves through a little-endian view, so that the order
-    does not depend on the machine's byte order. The rng must be fresh:
+    does not depend on the machine's byte order. The Philox must be fresh:
     integers would first spend a half word left over from an earlier 32-bit
     draw, and random_raw does not see it.
     """
-    words = rng.bit_generator.random_raw((count + 1) // 2).astype("<u8", copy=False)
+    words = raw.random_raw((count + 1) // 2).astype("<u8", copy=False)
     return words.view("<i4")[:count] < 0
 
 
 def _soi_negs(scenario: Scenario, mc_stream: int) -> np.ndarray:
     """Where mc_stream's SOI data stream is -1, K booleans."""
-    return _bits(_stream(scenario.seed, _TAG_SOI_BITS, mc_stream, 0), scenario.symbols)
+    return _bits(_philox(scenario.seed, _TAG_SOI_BITS, mc_stream, 0), scenario.symbols)
 
 
 def soi_bits(scenario: Scenario) -> np.ndarray:
@@ -365,7 +383,7 @@ def _mai_negs(scenario: Scenario, paths, mc_stream: int) -> dict:
     """Where each MAI user's stream of mc_stream is -1: K+1 booleans per
     interferer index (entry 0 = b(-1))."""
     users = dict.fromkeys(p.stream_index for p in paths if p.family == "mai")
-    return {i: _bits(_stream(scenario.seed, _TAG_MAI_BITS, mc_stream, i), scenario.symbols + 1)
+    return {i: _bits(_philox(scenario.seed, _TAG_MAI_BITS, mc_stream, i), scenario.symbols + 1)
             for i in users}
 
 
@@ -387,8 +405,8 @@ def _white_bits(seed: int, mc_stream: int, stream_index: int, batch_index: int,
     a power-of-two range. So one raw word carries two symbols, and the
     dropped low bit of each half reaches no chip.
     """
-    rng = _stream(seed, _TAG_WHITE, mc_stream, stream_index, batch_index)
-    words = rng.bit_generator.random_raw((count + 1) // 2).astype("<u8", copy=False)
+    raw = _philox(seed, _TAG_WHITE, mc_stream, stream_index, batch_index)
+    words = raw.random_raw((count + 1) // 2).astype("<u8", copy=False)
     return words.view("<u4")[:count] >> 1
 
 

@@ -151,11 +151,22 @@ def test_cli_interferer_power_out_of_range_names_rel_power_db(rel_db, tmp_path, 
 
 def _set(path, value):
     """A config edit: set the entry at path (keys and indices) to value."""
-    def edit(config):
+    def edit(config, tmp_path):
         target = config
         for key in path[:-1]:
             target = target[key]
         target[path[-1]] = value
+    return edit
+
+
+def _custom_basis(h_s_scale=1.0, h_i_columns=1):
+    """A config edit: a Custom scheme whose basis file holds Maximin's
+    bases, with h_s scaled by h_s_scale and h_i cut to h_i_columns columns."""
+    def edit(config, tmp_path):
+        bases = mpb.maximin_bases(sm.gold31(0))
+        npz = tmp_path / "basis.npz"
+        np.savez(npz, h_s=h_s_scale * bases.h_s, h_i=bases.h_i[:, :h_i_columns])
+        config["scheme"] = {"name": "Custom", "basis_file": str(npz)}
     return edit
 
 
@@ -183,22 +194,30 @@ def _set(path, value):
      "interferers[0].path_delays"),
     ("fig4d-mai3", _set(("interferers", 0, "path_gains"), [1.0, 1.0]),
      "interferers[0].path_gains"),
+    ("fig4b-pn2", _set(("scheme",), {"name": "PAPC", "position": 40}), "scheme.position"),
+    ("fig4b-pn2", _set(("scheme", "monitor_freq"), 1.5), "scheme.monitor_freq"),
+    ("fig4b-pn2", _set(("scheme", "monitor_freq"), math.nan), "scheme.monitor_freq"),
+    ("fig4b-pn2", _custom_basis(h_s_scale=2.0), "scheme.basis_file"),
+    ("fig4b-pn2", _custom_basis(h_i_columns=0), "scheme.basis_file"),
 ])
-@pytest.mark.parametrize("command", ["sweep", "analyze"])
+@pytest.mark.parametrize("command", ["sweep", "eigen", "analyze", "pattern"])
 def test_cli_bad_config_field_is_exit_1(command, preset, edit, field, tmp_path, capsys):
     """Endfire or non-finite DOAs, a non-finite tone offset, ray gain or
     element spacing, a SOI or MAI code index that names no Gold code, a
-    single-element array, an MAI path delay of a whole code length, and MAI
-    ray lists that are empty or differ in length are config errors that
-    name the field, not numeric failures deep in the run. JSON NaN and
-    Infinity parse as floats."""
+    single-element array, an MAI path delay of a whole code length, MAI
+    ray lists that are empty or differ in length, a PAPC position or a
+    Maximin frequency out of range, and a Custom basis file whose h_s is
+    not unit norm or whose h_i has no column are config errors that name
+    the field, not numeric failures deep in the run, under every command
+    that runs a config. JSON NaN and Infinity parse as floats."""
     config = harness.config_to_dict(harness.preset(preset))
-    edit(config)
+    edit(config, tmp_path)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
     out = tmp_path / "out"
+    grid = ["--snr-db", "10"] if command == "pattern" else []
     rc = cli.main([command, "--config", str(cfg_path), "--symbols", "500",
-                   "--out", str(out)])
+                   "--out", str(out)] + grid)
     assert rc == 1
     assert f"config error: {field} must" in capsys.readouterr().err
     assert not out.exists()
@@ -306,20 +325,22 @@ def test_bases_for_custom_npz(tmp_path):
 
 
 @pytest.mark.parametrize("name", ["h_s", "h_i"])
-@pytest.mark.parametrize("command", ["sweep", "analyze"])
+@pytest.mark.parametrize("command", ["sweep", "eigen", "analyze", "pattern"])
 def test_cli_non_finite_custom_basis_is_exit_1(command, name, tmp_path, capsys):
     bases = mpb.maximin_bases(sm.gold31(0))
     arrays = {"h_s": bases.h_s.copy(), "h_i": bases.h_i.copy()}
     arrays[name].flat[4] = math.nan
     npz = tmp_path / "basis.npz"
     np.savez(npz, **arrays)
-    cfg = replace(_tiny("fig4b-pn2"), out_dir=str(tmp_path / "out"),
+    cfg = replace(_tiny("fig4b-pn2", grid=(10.0,)), out_dir=str(tmp_path / "out"),
                   scheme=harness.SchemeConfig("Custom", basis_file=str(npz)))
     cfg_path = tmp_path / "cfg.json"
     harness.save_config(cfg, cfg_path)
     rc = cli.main([command, "--config", str(cfg_path)])
     assert rc == 1
-    assert f"config error: {name} contains non-finite entries" in capsys.readouterr().err
+    assert (f"config error: scheme.basis_file must give valid bases: {name} contains "
+            f"non-finite entries" in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 def test_bases_for_custom_missing_file():
@@ -621,7 +642,8 @@ def test_cli_lapack_failure_is_exit_2(monkeypatch, capsys):
     monkeypatch.setattr(np.linalg, "eigh", fail)
     rc = cli.main(["eigen", "--preset", "fig4b-pn2", "--snr-db", "10"])
     assert rc == 2
-    assert "numeric failure: eigh did not converge" in capsys.readouterr().err
+    assert ("numeric failure: 0 dB probe: eigh did not converge: synthetic LAPACK "
+            "failure\n") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("inr_db", ["35", "45", "65", "70", "80", "95", "100"])

@@ -78,7 +78,7 @@ def test_specs_reject_non_finite_and_non_positive_values(bad):
     the model as a silent NaN."""
     with pytest.raises(ValueError, match="spacing must be positive and finite"):
         sm.ArrayGeometry(8, bad)
-    with pytest.raises(ValueError, match="path_gains must be positive and finite"):
+    with pytest.raises(ValueError, match=r"^path_gains\[1\] must be positive and finite"):
         sm.InterfererSpec("mai_multipath", path_delays=(0, 3), path_doas=(0.0, 20.0),
                           path_gains=(1.0, bad))
     with pytest.raises(ValueError, match="power must be positive and finite"):
@@ -94,6 +94,29 @@ def test_specs_reject_non_finite_and_non_positive_values(bad):
 def test_soi_rejects_a_gold_index_out_of_range(bad):
     with pytest.raises(ValueError, match="gold_index"):
         sm.SoiSpec(bad)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: sm.SoiSpec(0, doa_deg=90.0), "doa_deg"),
+    (lambda: sm.SoiSpec(0, doa_deg=math.nan), "doa_deg"),
+    (lambda: sm.InterfererSpec("tone", doa_deg=-90.0), "doa_deg"),
+    (lambda: sm.InterfererSpec("mai_multipath", path_delays=(0, 3), path_doas=(0.0, 95.0)),
+     r"path_doas\[1\]"),
+    (lambda: sm.InterfererSpec("mai_multipath", path_delays=(0, 31), path_doas=(0.0, 20.0)),
+     r"path_delays\[1\]"),
+    (lambda: sm.InterfererSpec("mai_multipath", path_delays=(0, 3), path_doas=(0.0,)),
+     "path_doas"),
+    (lambda: sm.ArrayGeometry(1), "element_count"),
+    (lambda: sm.steering(90.0, GEO8), "doa_deg"),
+], ids=["soi-endfire", "soi-nan", "interferer-endfire", "mai-path-doa", "mai-delay",
+        "mai-ray-count", "one-element", "steering"])
+def test_specs_reject_a_bad_field_when_built(build, field):
+    """Each spec checks its fields when built and names the field, a ray's
+    with its index: the SOI and every source direction by the one DOA rule
+    that steering applies too, and an MAI ray's path delay within one code
+    length."""
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        build()
 
 
 def _mai(user_code):
