@@ -361,7 +361,8 @@ def scenario_at(config: ExperimentConfig, snr_db: float,
 
 def _bases_named(config: ExperimentConfig, name: str) -> mpb.ProjectionBases:
     """The bases of scheme name, from the config's fields if it is the config's
-    scheme and else the defaults; a failure is a ConfigError naming the field."""
+    scheme and else the defaults; a failure is a ConfigError naming the field.
+    A Custom file must hold the bases of the config's code (mpb.check_built_for)."""
     scheme = config.scheme if config.scheme.name == name else SchemeConfig(name)
     code = sm.gold31(config.gold_index)
     try:
@@ -369,10 +370,15 @@ def _bases_named(config: ExperimentConfig, name: str) -> mpb.ProjectionBases:
             return mpb.papc_bases(code, scheme.position)
         if name == "Maximin":
             return mpb.maximin_bases(code, scheme.monitor_freq)
-        with np.load(scheme.basis_file) as data:
+        data = np.load(scheme.basis_file)
+        if isinstance(data, np.ndarray):
+            raise OSError("an .npy file holds one array, not the .npz arrays h_s and h_i")
+        with data:
             h_s, h_i = data["h_s"], data["h_i"]
-        return mpb.ProjectionBases(np.asarray(h_s, dtype=np.complex128),
-                                   np.asarray(h_i, dtype=np.complex128), "Custom")
+        bases = mpb.ProjectionBases(np.asarray(h_s, dtype=np.complex128),
+                                    np.asarray(h_i, dtype=np.complex128), "Custom")
+        mpb.check_built_for(bases, code)
+        return bases
     except (OSError, KeyError) as exc:
         raise ConfigError(f"cannot read custom basis file "
                           f"{scheme.basis_file!r}: {exc}") from exc

@@ -1,10 +1,9 @@
 """Dense complex linear algebra for the covariance-pair theory.
 
 Thin domain code over numpy.linalg (LAPACK): Hermitian eigendecomposition,
-Cholesky with a relative pivot floor, definite and semi-definite generalized
-eigenproblems (including infinite eigenvalues of PSD pairs), SVD-based
-subspace geometry, and the perturbation-bound toolbox (Crawford number,
-the f(x) radius function).
+Cholesky with a relative pivot floor, the definite generalized eigenproblem,
+the eigenvalue counts of a PSD pair, SVD-based subspace geometry, and the
+perturbation-bound toolbox (Crawford number, the f(x) radius function).
 
 Inputs are validated here (finite, square, Hermitian where required), once
 per call, and a LAPACK failure surfaces as this module's
@@ -259,64 +258,30 @@ def subspace_contains(u, v, tol: float) -> bool:
 
 @dataclass(frozen=True)
 class GenEigHomogeneous:
-    pairs: list          # (nu, mu) with nu^2 + mu^2 = 1; mu = 0 marks infinite, listed first
     finite_count: int
-
-    @property
-    def infinite_count(self) -> int:
-        return len(self.pairs) - self.finite_count
+    infinite_count: int
 
 
-_DEFLATE_TOL = 1e-10  # PSD clipping scale: |lambda| <= 1e-10 * ||Y|| counts as zero
+_DEFLATE_TOL = 1e-10  # rank scale of a PSD pair: |lambda| <= 1e-10 * ||Y|| counts as zero
 
 
 def gen_eig_homogeneous(a, b) -> GenEigHomogeneous:
-    """Eigenpairs <nu, mu> of mu*A x = nu*B x for a PSD pair (A, B).
+    """Finite and infinite eigenvalue counts of mu*A x = nu*B x for a PSD pair.
 
-    The common null space N(A) & N(B) is deflated first (those directions
-    carry no eigenvalue information); directions annihilated by B but not A
-    come out as infinite eigenvalues (mu = 0, listed first), the rest reduce
-    to a definite problem through the Schur complement of A on N(B).
+    The common null space N(A) & N(B) carries no eigenvalue and is deflated.
+    On the rest, range(A + B), the pencil is regular: rank(B) eigenvalues are
+    finite and rank(A + B) - rank(B) infinite (Van Dooren 1979; Stewart & Sun
+    1990). rank(B) counts eigenvalues above 1e-10 * max(lambda_max(B), max|A|).
     """
     a = _as_hermitian(a, "A")
     b = _as_hermitian(b, "B")
     if a.shape != b.shape:
         raise LinAlgError(f"dimension mismatch {a.shape} vs {b.shape}")
-
-    e0 = orthonormal_range(np.hstack([a, b]), tol=_DEFLATE_TOL)
-    if e0.shape[1] == 0:
-        return GenEigHomogeneous([], 0)
-
-    ad = e0.conj().T @ a @ e0
-    bd = e0.conj().T @ b @ e0
-    ad = 0.5 * (ad + ad.conj().T)
-
-    bres = herm_eig(bd)
-    bvals = np.maximum(bres.eigenvalues, 0.0)  # PSD clip
-    bcut = _DEFLATE_TOL * max(bvals[0], np.abs(ad).max(), 1e-300)
-    keep = bvals > bcut
-    u1 = bres.eigenvectors[:, keep]
-    u0 = bres.eigenvectors[:, ~keep]
-
-    pairs = [(1.0, 0.0)] * u0.shape[1]
-    if u1.shape[1]:
-        a11 = u1.conj().T @ ad @ u1
-        b11 = np.diag(bvals[keep]).astype(np.complex128)
-        if u0.shape[1]:
-            a10 = u1.conj().T @ ad @ u0
-            a00 = u0.conj().T @ ad @ u0
-            # A is positive definite on N(B) once the common null is gone
-            corr = solve_hpd(0.5 * (a00 + a00.conj().T), a10.conj().T)
-            a11 = a11 - a10 @ corr
-        for lam in np.maximum(gen_eig_hpd(0.5 * (a11 + a11.conj().T), b11).eigenvalues, 0.0):
-            nu = float(lam) / math.hypot(lam, 1.0)
-            mu = 1.0 / math.hypot(lam, 1.0)
-            if mu <= 1e-8:  # chordal scale-free infinity threshold
-                pairs.append((1.0, 0.0))
-            else:
-                pairs.append((nu, mu))
-    finite_count = sum(1 for (_, mu) in pairs if mu > 0.0)
-    return GenEigHomogeneous(pairs, finite_count)
+    e0 = orthonormal_range(np.hstack([a, b]), tol=_DEFLATE_TOL)  # zero columns: counts (0, 0)
+    bvals = herm_eig(_h(e0) @ b @ e0).eigenvalues
+    scale = max(bvals.max(initial=0.0), np.abs(_h(e0) @ a @ e0).max(initial=0.0), 1e-300)
+    finite = int(np.sum(bvals > _DEFLATE_TOL * scale))
+    return GenEigHomogeneous(finite, e0.shape[1] - finite)
 
 
 # -----------------------

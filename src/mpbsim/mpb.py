@@ -69,6 +69,14 @@ class ProjectionBases:
         return self.h_i.shape[1]
 
 
+def check_built_for(bases: ProjectionBases, code: np.ndarray) -> None:
+    """Raise ValueError unless h_s is code/sqrt(N), the signal vector of code."""
+    if bases.h_s.shape != code.shape or \
+            np.abs(bases.h_s - code / math.sqrt(code.size)).max() > 1e-12:
+        raise ValueError("h_s must be the SOI code over sqrt(N): the bases were "
+                         "built for a different code")
+
+
 def papc_bases(code: np.ndarray, position: int = 0) -> ProjectionBases:
     """Single-component monitor: h_i = e_position, h_s = code/sqrt(N).
 
@@ -325,8 +333,7 @@ def analytic_cov(scenario: sm.Scenario, bases: ProjectionBases) -> AnalyticModel
     """
     code = scenario.soi.code
     n = sm.GOLD_LENGTH
-    if np.abs(bases.h_s - code / math.sqrt(n)).max() > 1e-12:
-        raise ValueError("bases were built for a different code than the scenario's")
+    check_built_for(bases, code)
     geo = scenario.geometry
     paths = sm.realize_paths(scenario)
     a_mat = sm.steering_matrix(paths, geo)

@@ -346,8 +346,9 @@ class NoiseFreeAnalysis:
 
     y_s / y_i are built at INR = 1; scaling to any INR is exact by
     homogeneity, so c_y0 is computed once and gamma1_lower scales it.
-    has_infinite comes from the semidefinite pencil (null-space route); the
-    waveform route is geometric_bounded, which reads no part of this.
+    infinite_count and has_infinite come from the pencil's ranks (the
+    null-space route); the waveform route is geometric_bounded, which reads
+    no part of this.
     """
     y_s: np.ndarray
     y_i: np.ndarray
@@ -379,18 +380,18 @@ def noise_free_pair(model: mpb.AnalyticModel) -> NoiseFreeAnalysis:
 
     Y_S = A_I Phi_S0 A_I^H and Y_I = A_I Phi_I0 A_I^H come from the model's
     INR-invariant Phi matrices, so one model serves every INR. The pair has
-    an infinite generalized eigenvalue, and gamma_1 then grows without bound
-    in INR, iff some direction is annihilated by Y_I but not by Y_S.
+    rank(Y_S + Y_I) - rank(Y_I) infinite generalized eigenvalues
+    (la.gen_eig_homogeneous), and gamma_1 grows without bound in INR iff
+    that count is positive. Without interferers both matrices are zero: no
+    eigenvalue, infinite or finite, and C_Y0 = 0.
     """
-    if model.a_i_mat.shape[1] == 0:
-        raise ValueError("scenario has no interferers")
     y_s = model.a_i_mat @ model.phi_s0 @ model.a_i_mat.conj().T
     y_i = model.a_i_mat @ model.phi_i0 @ model.a_i_mat.conj().T
     y_s = 0.5 * (y_s + y_s.conj().T)
     y_i = 0.5 * (y_i + y_i.conj().T)
 
     hom = la.gen_eig_homogeneous(y_s, y_i)
-    e0 = la.orthonormal_range(np.hstack([y_s, y_i]), tol=1e-10)
+    e0 = la.orthonormal_range(np.hstack([y_s, y_i]), tol=la._DEFLATE_TOL)
     c_y0 = la.crawford(y_s, y_i, e0=e0)
     return NoiseFreeAnalysis(y_s, y_i, float(c_y0), hom.infinite_count > 0,
                              hom.infinite_count)

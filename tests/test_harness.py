@@ -159,15 +159,30 @@ def _set(path, value):
     return edit
 
 
-def _custom_basis(h_s_scale=1.0, h_i_columns=1):
+def _custom_basis(h_s_scale=1.0, h_i_columns=1, gold_index=0):
     """A config edit: a Custom scheme whose basis file holds Maximin's
-    bases, with h_s scaled by h_s_scale and h_i cut to h_i_columns columns."""
+    bases for Gold code gold_index, with h_s scaled by h_s_scale and h_i
+    cut to h_i_columns columns."""
     def edit(config, tmp_path):
-        bases = mpb.maximin_bases(sm.gold31(0))
+        bases = mpb.maximin_bases(sm.gold31(gold_index))
         npz = tmp_path / "basis.npz"
         np.savez(npz, h_s=h_s_scale * bases.h_s, h_i=bases.h_i[:, :h_i_columns])
         config["scheme"] = {"name": "Custom", "basis_file": str(npz)}
     return edit
+
+
+def _short_basis(config, tmp_path):
+    """A config edit: a Custom scheme whose unit h_s has 4 entries, not N."""
+    npz = tmp_path / "basis.npz"
+    np.savez(npz, h_s=np.full(4, 0.5), h_i=np.eye(4)[:, 1:2])
+    config["scheme"] = {"name": "Custom", "basis_file": str(npz)}
+
+
+def _npy_basis(config, tmp_path):
+    """A config edit: a Custom scheme whose basis file is an .npy array."""
+    npy = tmp_path / "basis.npy"
+    np.save(npy, mpb.maximin_bases(sm.gold31(0)).h_i)
+    config["scheme"] = {"name": "Custom", "basis_file": str(npy)}
 
 
 @pytest.mark.parametrize("preset, edit, field", [
@@ -199,6 +214,9 @@ def _custom_basis(h_s_scale=1.0, h_i_columns=1):
     ("fig4b-pn2", _set(("scheme", "monitor_freq"), math.nan), "scheme.monitor_freq"),
     ("fig4b-pn2", _custom_basis(h_s_scale=2.0), "scheme.basis_file"),
     ("fig4b-pn2", _custom_basis(h_i_columns=0), "scheme.basis_file"),
+    ("fig4b-pn2", _custom_basis(gold_index=3), "scheme.basis_file"),
+    ("fig4b-pn2", _short_basis, "scheme.basis_file"),
+    ("fig4b-pn2", _npy_basis, "cannot read custom basis file"),
 ])
 @pytest.mark.parametrize("command", ["sweep", "eigen", "analyze", "pattern"])
 def test_cli_bad_config_field_is_exit_1(command, preset, edit, field, tmp_path, capsys):
@@ -207,9 +225,12 @@ def test_cli_bad_config_field_is_exit_1(command, preset, edit, field, tmp_path, 
     single-element array, an MAI path delay of a whole code length, MAI
     ray lists that are empty or differ in length, a PAPC position or a
     Maximin frequency out of range, and a Custom basis file whose h_s is
-    not unit norm or whose h_i has no column are config errors that name
-    the field, not numeric failures deep in the run, under every command
-    that runs a config. JSON NaN and Infinity parse as floats."""
+    not unit norm, not the config's code or not N long, or whose h_i has
+    no column,
+    are config errors that name the field, not numeric failures deep in
+    the run, under every command that runs a config. A basis file that is
+    an .npy array cannot be read, which is a config error too, not a
+    traceback. JSON NaN and Infinity parse as floats."""
     config = harness.config_to_dict(harness.preset(preset))
     edit(config, tmp_path)
     cfg_path = tmp_path / "cfg.json"
@@ -219,7 +240,8 @@ def test_cli_bad_config_field_is_exit_1(command, preset, edit, field, tmp_path, 
     rc = cli.main([command, "--config", str(cfg_path), "--symbols", "500",
                    "--out", str(out)] + grid)
     assert rc == 1
-    assert f"config error: {field} must" in capsys.readouterr().err
+    lead = field if field.startswith("cannot read") else f"{field} must"
+    assert f"config error: {lead}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1065,6 +1087,25 @@ def test_cli_pattern_rejects_grid(capsys):
     rc = cli.main(["pattern", "--preset", "fig4b-pn2"])
     assert rc == 1
     assert "exactly one SNR" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "eigen", "analyze", "pattern"])
+def test_cli_config_without_interferers_is_exit_0(command, tmp_path, capsys):
+    """With no interferer the noise-free pair is empty: analyze reports no
+    infinite eigenvalue and C_Y0 = 0 instead of a numeric failure."""
+    config = harness.config_to_dict(harness.preset("fig4b-pn2"))
+    config["interferers"] = []
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    grid = ["--snr-db", "10"] if command == "pattern" else []
+    rc = cli.main([command, "--config", str(cfg_path), "--symbols", "500",
+                   "--out", str(tmp_path)] + grid)
+    assert rc == 0
+    assert "failure" not in capsys.readouterr().err
+    if command == "analyze":
+        report = json.loads((tmp_path / "analysis.json").read_text())
+        assert report["has_infinite"] is False and report["infinite_count"] == 0
+        assert report["c_y0"] == 0.0 and report["geometric_bounded"] is None
 
 
 def test_cli_analyze_smoke(tmp_path, capsys):

@@ -537,6 +537,25 @@ def test_noise_free_coherent_pair_unbounded():
     assert theory.geometric_bounded(sc, bases) is False
 
 
+def _svd_rank(m, rtol=1e-8):
+    sig = np.linalg.svd(m, compute_uv=False)
+    return int(np.sum(sig > rtol * sig[0])) if sig.size and sig[0] > 0.0 else 0
+
+
+@pytest.mark.parametrize("scheme", ["PAPC", "Maximin"])
+@pytest.mark.parametrize("preset", sorted(harness.PRESETS))
+def test_noise_free_infinite_count_is_a_rank_difference(preset, scheme):
+    """A PSD pencil (Y_S, Y_I) has rank(Y_S + Y_I) - rank(Y_I) infinite
+    eigenvalues (Van Dooren 1979); the oracle counts both ranks by numpy's
+    SVD alone."""
+    config = harness.preset(preset)
+    model = mpb.analytic_cov(harness.scenario_at(config, 0.0),
+                             harness._bases_named(config, scheme))
+    nf = theory.noise_free_pair(model)
+    assert nf.infinite_count == _svd_rank(nf.y_s + nf.y_i) - _svd_rank(nf.y_i)
+    assert nf.has_infinite == (nf.infinite_count > 0)
+
+
 @pytest.mark.parametrize("make_bases", [mpb.papc_bases, mpb.maximin_bases])
 def test_noise_free_incoherent_tones_bounded(make_bases):
     # two tones whose block phases differ share no cross term in Phi, so
@@ -626,9 +645,11 @@ def test_noise_free_crawford_scale_invariant():
     assert abs(lo - hi) / hi < 1e-3
 
 
-def test_noise_free_requires_interferers():
-    with pytest.raises(ValueError):
-        theory.noise_free_pair(mpb.analytic_cov(_scenario(()), mpb.maximin_bases(CODE)))
+def test_noise_free_without_interferers_is_empty():
+    # no path: both noise-free matrices are zero, so there is no eigenvalue
+    nf = theory.noise_free_pair(mpb.analytic_cov(_scenario(()), mpb.maximin_bases(CODE)))
+    assert not nf.y_s.any() and not nf.y_i.any()
+    assert (nf.has_infinite, nf.infinite_count, nf.c_y0) == (False, 0, 0.0)
 
 
 @pytest.mark.parametrize("interferers", [
