@@ -370,7 +370,12 @@ def _bases_named(config: ExperimentConfig, name: str) -> mpb.ProjectionBases:
             return mpb.papc_bases(code, scheme.position)
         if name == "Maximin":
             return mpb.maximin_bases(code, scheme.monitor_freq)
-        data = np.load(scheme.basis_file)
+        try:
+            data = np.load(scheme.basis_file, allow_pickle=False)
+        except ValueError as exc:
+            # numpy takes a file in neither of its formats for a pickle, and
+            # its message advises loading it unsafely; bases hold no objects
+            raise OSError("not a numpy .npz file") from exc
         if isinstance(data, np.ndarray):
             raise OSError("an .npy file holds one array, not the .npz arrays h_s and h_i")
         with data:

@@ -22,7 +22,13 @@ are used, and a Scenario carries no drawing. Per-symbol randomness
 (data bits, white chips) and receiver noise derive from counter-based
 Philox streams keyed by (seed, tag, mc_stream, index...), making synthesis
 a pure function of the scenario and independent of how work is
-partitioned. The +-1 streams are read straight off the raw Philox words.
+partitioned. A stream's key is the one numpy's SeedSequence hashes from
+that entropy, and a Philox stream is fully defined by its key and counter.
+iter_blocks seeds each stream alone (_philox). projected_sum hashes the
+keys of every stream of its grid in one vectorized pass of the same hash
+(_philox_keys) and serves each stream from one reused Philox set to its
+key (_KeyedStreams); the words are the same. The +-1 streams are read
+straight off the raw Philox words.
 SOI and MAI bits go through _bits: bit i is the top bit of the i-th 32-bit
 half, low half first, which is the draw of Generator.integers(0, 2) on the
 same stream. _bits keeps them as booleans, true where the bit is -1.
@@ -48,6 +54,7 @@ projected_sum as one exact draw of the noise sums given the signal
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -177,6 +184,13 @@ def _check_soi_power(power) -> None:
     """The SOI power rule, of a SoiSpec and of each point of projected_sum."""
     if not 0 <= power < math.inf:
         raise ValueError(f"power must be >= 0 and finite, got {power}")
+
+
+def _check_mc_stream(mc_stream) -> None:
+    """The mc_stream rule of each point of projected_sum: an int in
+    [0, 2**32), one word of its streams' keys (_philox_keys)."""
+    if not isinstance(mc_stream, (int, np.integer)) or not 0 <= mc_stream < 2 ** 32:
+        raise ValueError(f"mc_stream must be an int in [0, 2**32), got {mc_stream!r}")
 
 
 KINDS = ("bpsk_white", "tone", "periodical_noise", "mai_multipath")
@@ -347,6 +361,120 @@ def _stream(seed: int, tag: int, mc_stream: int, *index: int) -> np.random.Gener
     return np.random.Generator(_philox(seed, tag, mc_stream, *index))
 
 
+# numpy.random.SeedSequence's hash: O'Neill's seed_seq mixing of 32-bit words
+# through a pool of four, with numpy's constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # entropy mixing
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # state generation
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+@functools.cache
+def _hash_constants(init: int, mult: int, first: int, count: int) -> tuple:
+    """The (xor, mult) constants of hashmix calls first .. first+count-1 of a
+    hash that starts from init: call j xors init * mult^j and multiplies by
+    init * mult^(j+1), mod 2^32. Two read-only uint32 arrays of count entries."""
+    c = np.array([init * pow(mult, j, 1 << 32) & _MASK32
+                  for j in range(first, first + count + 1)], dtype=np.uint32)
+    c.flags.writeable = False
+    return c[:-1], c[1:]
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mult
+    return value ^ (value >> 16)
+
+
+def _mix_into(pool: np.ndarray, hashed: np.ndarray, where) -> None:
+    """Mix hashed into the pool words where `where` holds, in place."""
+    mixed = pool * _MIX_L - hashed * _MIX_R
+    np.bitwise_xor(mixed, mixed >> 16, out=pool, where=where)
+
+
+def _mix_rounds() -> list:
+    """(src, xor, mult, others) of each round of SeedSequence's pool mixing:
+    pool word src, hashed once per other word, is mixed into every other
+    word. The constants sit in the destination's column, and others masks
+    out src's own."""
+    rounds = []
+    for src in range(_POOL):
+        xor, mult = np.zeros((2, _POOL), dtype=np.uint32)
+        others = np.arange(_POOL) != src
+        xor[others], mult[others] = _hash_constants(_INIT_A, _MULT_A, _POOL + 3 * src, 3)
+        rounds.append((src, xor, mult, others))
+    return rounds
+
+
+_HASH_IN = _hash_constants(_INIT_A, _MULT_A, 0, _POOL)
+_MIX_ROUNDS = _mix_rounds()
+_HASH_OUT = _hash_constants(_INIT_B, _MULT_B, 0, _POOL)
+
+
+def _philox_keys(seed: int, tails) -> np.ndarray:
+    """The key of _philox(seed, *tail) for every tail, in one pass: (n, 2)
+    little-endian uint64.
+
+    A Philox stream is fully defined by its 128-bit key and its counter
+    (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011),
+    and Philox takes the key from SeedSequence's first four 32-bit state
+    words, low word first. SeedSequence is a fixed, documented hash: each
+    int of the entropy becomes its 32-bit words, low word first (0 is one
+    word); the first four words are hashed into a pool of four and mixed
+    pairwise; any further word is mixed into every pool word in turn; and
+    the state words are hashed off the pool. Every step is the same for
+    every entropy of a given length, so it runs here on all tails at once.
+    A tail shorter than the pool is padded with zero words, which
+    SeedSequence hashes the same way, and a word past the pool is mixed in
+    only where a tail has it. Each tail entry must be an int in [0, 2**32),
+    one word; the seed may be any int >= 0.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    head = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        head.append(seed & _MASK32)
+    width = len(head) + max(map(len, tails), default=0)
+    pad = (0,) * max(_POOL, width)
+    words = np.array([(*head, *t, *pad[len(head) + len(t):]) for t in tails],
+                     dtype=np.uint32).reshape(len(tails), len(pad))
+    pool = _hashmix(words[:, :_POOL], *_HASH_IN)
+    for src, xor, mult, others in _MIX_ROUNDS:
+        _mix_into(pool, _hashmix(pool[:, src, None], xor, mult), others)
+    if width > _POOL:
+        count = len(head) + np.fromiter(map(len, tails), dtype=np.intp, count=len(tails))
+        for j in range(_POOL, width):
+            hashed = _hashmix(words[:, j, None], *_hash_constants(_INIT_A, _MULT_A, 4 * j, _POOL))
+            _mix_into(pool, hashed, (count > j)[:, None])
+    return _hashmix(pool, *_HASH_OUT).astype("<u4", copy=False).view("<u8")
+
+
+class _KeyedStreams:
+    """The Philox streams _philox(seed, *tail) of the given tails, keyed in
+    one pass by _philox_keys and served by one reused bit generator.
+
+    Calling it with a tail sets that generator to the tail's key and a fresh
+    counter and returns it, so each stream gives _philox's words, as long as
+    it is read before the next stream is served. Serving a tail that was
+    not given is a KeyError.
+    """
+
+    def __init__(self, seed: int, tails):
+        tails = list(tails)
+        self._keys = dict(zip(tails, _philox_keys(seed, tails).tolist()))
+        self._bitgen = np.random.Philox(0)
+        self._state = {"bit_generator": "Philox",
+                       "state": {"counter": (0, 0, 0, 0), "key": None},
+                       "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+                       "has_uint32": 0, "uinteger": 0}
+
+    def __call__(self, tag: int, mc_stream: int, *index: int) -> np.random.Philox:
+        self._state["state"]["key"] = self._keys[(tag, mc_stream, *index)]
+        self._bitgen.state = self._state
+        return self._bitgen
+
+
 def _bits(raw: np.random.Philox, count: int) -> np.ndarray:
     """count bits of a fresh Philox as booleans, equal to a Generator's
     integers(0, 2, size=count) on it; a set bit stands for the +-1 value -1.
@@ -365,9 +493,10 @@ def _bits(raw: np.random.Philox, count: int) -> np.ndarray:
     return words.view("<i4")[:count] < 0
 
 
-def _soi_negs(scenario: Scenario, mc_stream: int) -> np.ndarray:
-    """Where mc_stream's SOI data stream is -1, K booleans."""
-    return _bits(_philox(scenario.seed, _TAG_SOI_BITS, mc_stream, 0), scenario.symbols)
+def _soi_negs(philox, symbols: int, mc_stream: int) -> np.ndarray:
+    """Where mc_stream's SOI data stream is -1, K booleans. philox(tag,
+    mc_stream, *index) serves the stream: _philox's, or _KeyedStreams'."""
+    return _bits(philox(_TAG_SOI_BITS, mc_stream, 0), symbols)
 
 
 def soi_bits(scenario: Scenario) -> np.ndarray:
@@ -376,27 +505,32 @@ def soi_bits(scenario: Scenario) -> np.ndarray:
     iter_blocks multiplies the blocks by it; projected_sum reads the same
     stream as booleans (_soi_negs) and never forms this array.
     """
-    return 1.0 - 2.0 * _soi_negs(scenario, scenario.mc_stream)
+    return 1.0 - 2.0 * _soi_negs(functools.partial(_philox, scenario.seed),
+                                 scenario.symbols, scenario.mc_stream)
 
 
-def _mai_negs(scenario: Scenario, paths, mc_stream: int) -> dict:
+def _mai_users(paths) -> list:
+    """The interferer index of each MAI user among paths, once, in order."""
+    return list(dict.fromkeys(p.stream_index for p in paths if p.family == "mai"))
+
+
+def _mai_negs(philox, symbols: int, users, mc_stream: int) -> dict:
     """Where each MAI user's stream of mc_stream is -1: K+1 booleans per
-    interferer index (entry 0 = b(-1))."""
-    users = dict.fromkeys(p.stream_index for p in paths if p.family == "mai")
-    return {i: _bits(_philox(scenario.seed, _TAG_MAI_BITS, mc_stream, i), scenario.symbols + 1)
-            for i in users}
+    interferer index in users (entry 0 = b(-1)); philox as for _soi_negs."""
+    return {i: _bits(philox(_TAG_MAI_BITS, mc_stream, i), symbols + 1) for i in users}
 
 
 def _mai_bit_streams(scenario: Scenario, paths) -> dict:
     """One +-1 stream of length K+1 per MAI interferer index (entry 0 = b(-1))."""
-    return {i: 1.0 - 2.0 * neg
-            for i, neg in _mai_negs(scenario, paths, scenario.mc_stream).items()}
+    negs = _mai_negs(functools.partial(_philox, scenario.seed), scenario.symbols,
+                     _mai_users(paths), scenario.mc_stream)
+    return {i: 1.0 - 2.0 * neg for i, neg in negs.items()}
 
 
-def _white_bits(seed: int, mc_stream: int, stream_index: int, batch_index: int,
-                count: int) -> np.ndarray:
-    """The packed chips of a white path for one synthesis batch of mc_stream,
-    one uint32 per symbol: chip n of a symbol is 1 - 2 * (bit n of its word).
+def _white_bits(raw: np.random.Philox, count: int) -> np.ndarray:
+    """The packed chips of a white path for one synthesis batch, from the
+    fresh Philox of its (mc_stream, path, batch), one uint32 per symbol:
+    chip n of a symbol is 1 - 2 * (bit n of its word).
 
     Symbol k takes the k-th 32-bit half of the raw Philox words, low half
     first, shifted right by one. That is the draw of
@@ -405,7 +539,6 @@ def _white_bits(seed: int, mc_stream: int, stream_index: int, batch_index: int,
     a power-of-two range. So one raw word carries two symbols, and the
     dropped low bit of each half reaches no chip.
     """
-    raw = _philox(seed, _TAG_WHITE, mc_stream, stream_index, batch_index)
     words = raw.random_raw((count + 1) // 2).astype("<u8", copy=False)
     return words.view("<u4")[:count] >> 1
 
@@ -478,8 +611,8 @@ def iter_blocks(scenario: Scenario, include=("soi", "interference", "noise")):
             for pi, p in enumerate(paths):
                 amp = math.sqrt(p.power)
                 if p.family == "white":
-                    s = _unpack_chips(_white_bits(scenario.seed, scenario.mc_stream,
-                                                  p.stream_index, bi, nb), n)
+                    s = _unpack_chips(_white_bits(_philox(
+                        scenario.seed, _TAG_WHITE, scenario.mc_stream, p.stream_index, bi), nb), n)
                 elif p.family == "periodic":
                     rho_k = np.exp(1j * cmath.phase(p.block_phase) * np.arange(k0, k0 + nb))
                     s = rho_k[:, None] * p.waveform[None, :]
@@ -496,24 +629,31 @@ def iter_blocks(scenario: Scenario, include=("soi", "interference", "noise")):
         yield k0, x
 
 
-def _cn(rng: np.random.Generator, shape) -> np.ndarray:
-    """i.i.d. CN(0, 1) entries."""
-    g = rng.standard_normal((2, *shape))
-    return (g[0] + 1j * g[1]) * math.sqrt(0.5)
+def _cn(rng: np.random.Generator, out: np.ndarray, gauss: np.ndarray, where=True) -> None:
+    """Set out to i.i.d. CN(0, 1) entries, (g0 + i g1) sqrt(1/2) for g drawn
+    by rng.standard_normal into gauss, shape (2, *out.shape). Only the
+    entries where `where` holds are set; the rest keep their value."""
+    rng.standard_normal(out=gauss)
+    np.multiply(gauss[0], math.sqrt(0.5), out=out.real, where=where)
+    np.multiply(gauss[1], math.sqrt(0.5), out=out.imag, where=where)
 
 
-def _wishart_factor(rng: np.random.Generator, dim: int, dof: int) -> np.ndarray:
-    """A dim x min(dim, dof) matrix A with A A^H ~ CW_dim(dof, I).
+def _wishart_factor(rng: np.random.Generator, out: np.ndarray, gauss: np.ndarray,
+                    lower: np.ndarray, shapes: np.ndarray) -> None:
+    """Set out, a zero dim x min(dim, dof) matrix, to A with A A^H ~ CW_dim(dof, I).
 
     For dof >= dim this is Bartlett's lower-triangular factor, in its complex
     form: |A_ii|^2 ~ Gamma(dof - i, 1) for i = 0 .. dim-1 and i.i.d. CN(0, 1)
-    below the diagonal. Otherwise it is a dim x dof CN(0, 1) matrix.
+    below the diagonal, where the mask lower holds. Otherwise it is a
+    dim x dof CN(0, 1) matrix. gauss is _cn's buffer, shapes holds the
+    dof - i, and both serve every point of a grid.
     """
-    if dof < dim:
-        return _cn(rng, (dim, dof))
-    low = np.tril(_cn(rng, (dim, dim)), -1)
-    low[np.diag_indices(dim)] = np.sqrt(rng.standard_gamma(dof - np.arange(dim)))
-    return low
+    dim, cols = out.shape
+    if cols < dim:
+        _cn(rng, out, gauss)
+        return
+    _cn(rng, out, gauss, where=lower)
+    np.fill_diagonal(out, np.sqrt(rng.standard_gamma(shapes)))
 
 
 def _count_gram(keys, negs: dict, k_total: int) -> np.ndarray:
@@ -534,7 +674,8 @@ def _count_gram(keys, negs: dict, k_total: int) -> np.ndarray:
     return z_gram
 
 
-def _batch_gram(scenario: Scenario, streams, keys, negs, proj: np.ndarray) -> np.ndarray:
+def _batch_gram(scenario: Scenario, streams, keys, negs, proj: np.ndarray,
+                philox) -> np.ndarray:
     """Z = sum_k z z^H of projected_sum's sources at every point of a grid,
     summed batch by batch: shape (P, q', q') for the P mc_streams in streams.
 
@@ -542,7 +683,8 @@ def _batch_gram(scenario: Scenario, streams, keys, negs, proj: np.ndarray) -> np
     are read from a point's dict in negs (an iterable of one per point) and
     made +-1 one batch slice at a time, a "ramp" key holds its block phase,
     and a "white" key stands for the M projected chip rows of one white
-    path. The chip tables, the ramp steps and the buffers serve every point.
+    path, whose chips philox serves as for _soi_negs. The chip tables, the
+    ramp steps and the buffers serve every point.
     """
     k_total = scenario.symbols
     if any(key[0] == "white" for key in keys):
@@ -573,7 +715,7 @@ def _batch_gram(scenario: Scenario, streams, keys, negs, proj: np.ndarray) -> np
                     # the sum from 0 of the four byte lookups; mode "clip"
                     # writes out unbuffered, and a byte never leaves a
                     # 256-entry table
-                    octets = _chip_bytes(_white_bits(scenario.seed, stream, key[1], bi, nb))
+                    octets = _chip_bytes(_white_bits(philox(_TAG_WHITE, stream, key[1], bi), nb))
                     chips = z[row:row + m]
                     chips[...] = 0.0
                     for b in range(4):
@@ -591,12 +733,14 @@ def _batch_gram(scenario: Scenario, streams, keys, negs, proj: np.ndarray) -> np
     return z_gram
 
 
-def _point_negs(scenario: Scenario, paths, want_soi: bool, mc_stream: int) -> dict:
-    """Where each +-1 source of projected_sum is -1 at mc_stream's point, K per key."""
+def _point_negs(philox, k_total: int, want_soi: bool, users, mc_stream: int) -> dict:
+    """Where each +-1 source of projected_sum is -1 at mc_stream's point, K
+    per key, for the SOI when want_soi and the MAI users; philox as for
+    _soi_negs."""
     negs = {}
     if want_soi:
-        negs[("soi",)] = _soi_negs(scenario, mc_stream)
-    for i, neg in _mai_negs(scenario, paths, mc_stream).items():
+        negs[("soi",)] = _soi_negs(philox, k_total, mc_stream)
+    for i, neg in _mai_negs(philox, k_total, users, mc_stream).items():
         negs[("mai", i, 0)] = neg[1:]  # b(k); entry 0 of the stream is b(-1)
         negs[("mai", i, 1)] = neg[:-1]  # b(k-1)
     return negs
@@ -629,7 +773,10 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
     realize_paths), the steering, U (all but the SOI column's sqrt(P0)),
     chol(B^H B) and the chip tables are built once, so a whole grid shares them.
     Each point draws its own streams: the SOI and MAI bits, the white chips
-    when Z is summed per symbol, then W1 and W2 from its noise stream.
+    when Z is summed per symbol, then W1 and W2 from its noise stream. The
+    keys of all of them are hashed in one pass per call, and one reused
+    Philox serves them (_KeyedStreams), with the words of seeding each
+    alone. A point's mc_stream must be an int in [0, 2**32).
     Everything else (U Z U^H, eigh(G), T R^H + C W1, the Gram products and
     the Hermitian fold) is stacked over the grid.
 
@@ -698,8 +845,9 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
     if not grid:
         raise ValueError("points must hold at least one (soi_power, mc_stream)")
     powers, streams = zip(*grid)
-    for power in powers:
+    for power, stream in grid:
         _check_soi_power(power)
+        _check_mc_stream(stream)
     geo = scenario.geometry
     big_l, n, k_total = geo.element_count, GOLD_LENGTH, scenario.symbols
     basis = np.asarray(basis, dtype=np.complex128)
@@ -732,6 +880,15 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
         else:  # mai: b(k) on the head, b(k-1) on the tail
             load(("mai", path.stream_index, 0), p, amp * (path.head @ proj)[:, None])
             load(("mai", path.stream_index, 1), p, amp * (path.tail @ proj)[:, None])
+    users = _mai_users(paths)
+    whites = [key[1] for key in loads if key[0] == "white"]
+    batches = range(-(-k_total // BATCH))
+    # every stream the grid draws, keyed in one pass
+    philox = _KeyedStreams(scenario.seed, itertools.chain(
+        ((_TAG_SOI_BITS, s, 0) for s in streams if want_soi),
+        ((_TAG_MAI_BITS, s, i) for s in streams for i in users),
+        ((_TAG_WHITE, s, i, b) for s in streams for i in whites for b in batches),
+        ((_TAG_NOISE_SUMS, s) for s in streams if "noise" in include)))
     gram = np.zeros((len(streams), pm, pm), dtype=np.complex128)
     if loads:
         u = np.repeat(np.hstack(list(loads.values()))[None], len(streams), axis=0)
@@ -739,12 +896,12 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
             u[:, :m, 0] += np.sqrt(powers)[:, None] * (scenario.soi.code @ proj)
         keys = list(loads)
         # drawn point by point, so one point's K-length streams live at a time
-        negs = (_point_negs(scenario, paths, want_soi, stream) for stream in streams)
+        negs = (_point_negs(philox, k_total, want_soi, users, stream) for stream in streams)
         if all(key[0] in ("soi", "mai") or key[0] == "ramp" and coherent(key[1], 1.0)
                for key in keys):
             z_gram = np.stack([_count_gram(keys, point_negs, k_total) for point_negs in negs])
         else:
-            z_gram = _batch_gram(scenario, streams, keys, negs, proj)
+            z_gram = _batch_gram(scenario, streams, keys, negs, proj, philox)
         gram = u @ z_gram @ la._h(u)
     dim = big_l * m
     if "noise" not in include:
@@ -755,11 +912,15 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
         r_h = vec[..., pm - r:] * np.sqrt(np.maximum(lam[..., None, pm - r:], 0.0))  # R^H
         colour = math.sqrt(scenario.noise_var) * np.linalg.cholesky(basis.conj().T @ basis)
         w1 = np.empty((len(streams), dim, r), dtype=np.complex128)
-        w2 = np.empty((len(streams), dim, min(dim, k_total - r)), dtype=np.complex128)
+        w2 = np.zeros((len(streams), dim, min(dim, k_total - r)), dtype=np.complex128)
+        # buffers, mask and Gamma shapes of the noise draw, for every point
+        gauss1, gauss2 = (np.empty((2, *w.shape[1:])) for w in (w1, w2))
+        lower = np.tri(dim, k=-1, dtype=bool)
+        shapes = k_total - r - np.arange(dim)
         for stream, w1_point, w2_point in zip(streams, w1, w2):
-            rng = _stream(scenario.seed, _TAG_NOISE_SUMS, stream)
-            w1_point[...] = _cn(rng, (dim, r))
-            w2_point[...] = _wishart_factor(rng, dim, k_total - r)
+            rng = np.random.Generator(philox(_TAG_NOISE_SUMS, stream))
+            _cn(rng, w1_point, gauss1)
+            _wishart_factor(rng, w2_point, gauss2, lower, shapes)
         # (P, LM, LM) temporaries released as soon as they are used
         rest = _coloured(colour, w2, big_l)
         del w2

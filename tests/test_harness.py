@@ -185,6 +185,13 @@ def _npy_basis(config, tmp_path):
     config["scheme"] = {"name": "Custom", "basis_file": str(npy)}
 
 
+def _text_basis(config, tmp_path):
+    """A config edit: a Custom scheme whose basis file is 5 bytes of text."""
+    text = tmp_path / "basis.npz"
+    text.write_text("hello")
+    config["scheme"] = {"name": "Custom", "basis_file": str(text)}
+
+
 @pytest.mark.parametrize("preset, edit, field", [
     ("fig4b-pn2", _set(("interferers", 1, "doa_deg"), 95.0), "interferers[1].doa_deg"),
     ("fig4b-pn2", _set(("interferers", 0, "doa_deg"), math.nan), "interferers[0].doa_deg"),
@@ -217,6 +224,7 @@ def _npy_basis(config, tmp_path):
     ("fig4b-pn2", _custom_basis(gold_index=3), "scheme.basis_file"),
     ("fig4b-pn2", _short_basis, "scheme.basis_file"),
     ("fig4b-pn2", _npy_basis, "cannot read custom basis file"),
+    ("fig4b-pn2", _text_basis, "cannot read custom basis file"),
 ])
 @pytest.mark.parametrize("command", ["sweep", "eigen", "analyze", "pattern"])
 def test_cli_bad_config_field_is_exit_1(command, preset, edit, field, tmp_path, capsys):
@@ -229,8 +237,9 @@ def test_cli_bad_config_field_is_exit_1(command, preset, edit, field, tmp_path, 
     no column,
     are config errors that name the field, not numeric failures deep in
     the run, under every command that runs a config. A basis file that is
-    an .npy array cannot be read, which is a config error too, not a
-    traceback. JSON NaN and Infinity parse as floats."""
+    an .npy array or not a numpy file at all cannot be read, which is a
+    config error too, not a traceback, and no message advises unpickling.
+    JSON NaN and Infinity parse as floats."""
     config = harness.config_to_dict(harness.preset(preset))
     edit(config, tmp_path)
     cfg_path = tmp_path / "cfg.json"
@@ -241,7 +250,9 @@ def test_cli_bad_config_field_is_exit_1(command, preset, edit, field, tmp_path, 
                    "--out", str(out)] + grid)
     assert rc == 1
     lead = field if field.startswith("cannot read") else f"{field} must"
-    assert f"config error: {lead}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config error: {lead}" in err
+    assert "pickle" not in err
     assert not out.exists()
 
 

@@ -1,11 +1,12 @@
 import cmath
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mpbsim import linalg as la
 from mpbsim import sigmodel as sm
@@ -314,7 +315,7 @@ def test_white_bits_are_the_integers_stream(count):
     word unused. numpy is the reference, so a numpy that changes integers
     fails here."""
     sc = _scenario()
-    packed = sm._white_bits(sc.seed, sc.mc_stream, 2, 5, count)
+    packed = sm._white_bits(sm._philox(sc.seed, sm._TAG_WHITE, sc.mc_stream, 2, 5), count)
     rng = sm._stream(sc.seed, sm._TAG_WHITE, sc.mc_stream, 2, 5)
     ref = rng.integers(0, 2**31, size=count, dtype=np.uint32)
     assert np.array_equal(packed, ref)
@@ -477,7 +478,8 @@ def test_count_route_is_the_integer_gram(case, symbols, monkeypatch):
     ref = rows @ rows.T
     assert z_gram.dtype == np.complex128
     assert np.array_equal(z_gram.real, ref) and not np.any(z_gram.imag)
-    [loop] = sm._batch_gram(sc, [sc.mc_stream], keys, [negs], basis.conj())
+    [loop] = sm._batch_gram(sc, [sc.mc_stream], keys, [negs], basis.conj(),
+                            functools.partial(sm._philox, sc.seed))
     assert np.array_equal(loop.view(np.uint64), z_gram.view(np.uint64))
 
 
@@ -586,6 +588,143 @@ def test_grid_point_power_obeys_the_soi_rule(power):
     with pytest.raises(ValueError) as point:
         sm.projected_sum(sc, _complex_basis(45), points=[(2.0, 0), (power, 1)])
     assert str(point.value) == str(spec.value)
+
+
+@pytest.mark.parametrize("stream", [-1, 2 ** 32, 1.0, "1"])
+def test_grid_point_mc_stream_is_one_key_word(stream):
+    """A point's mc_stream is one 32-bit word of its streams' keys: an int
+    in [0, 2**32). Anything else is an error that names it, not a stream
+    drawn from a truncated or wrapped key."""
+    sc = _scenario(interferers=(_PN,), symbols=300)
+    with pytest.raises(ValueError, match=r"^mc_stream must be an int in \[0, 2\*\*32\)"):
+        sm.projected_sum(sc, _complex_basis(45), points=[(2.0, 0), (2.0, stream)])
+
+
+# ---------- keyed streams ----------
+
+_SEEDS = st.sampled_from([0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]) | st.integers(0, 2 ** 64 - 1)
+_WORD = st.integers(0, 2 ** 32 - 1)
+
+
+_EDGE_TAILS = [(107, 0), (102, 3, 0), (104, 2 ** 32 - 1, 7, 0), (103, 0, 2 ** 32 - 1)]
+
+
+@given(_SEEDS, st.lists(st.lists(_WORD, min_size=2, max_size=4).map(tuple),
+                        min_size=1, max_size=12))
+@example(0, _EDGE_TAILS)
+@example(2 ** 32 - 1, _EDGE_TAILS)
+@example(2 ** 32, _EDGE_TAILS)
+@example(2 ** 64 - 1, _EDGE_TAILS)
+def test_bulk_keys_are_the_seedsequence_keys(seed, tails):
+    """The keys that _philox_keys hashes in one pass are those of numpy's
+    Philox(SeedSequence([seed, *tail])), for entropies of 3 to 5 ints and
+    one- and two-word seeds. A stream that _KeyedStreams serves gives that
+    Philox's raw words, and its Generator draws: numpy is the reference."""
+    keys = sm._philox_keys(seed, tails)
+    streams = sm._KeyedStreams(seed, tails)
+    shapes = np.array([0.5, 3.0, 4093.0])
+    for tail, key in zip(tails, keys):
+        ref = np.random.Philox(np.random.SeedSequence([seed, *tail]))
+        assert np.array_equal(key, ref.state["state"]["key"]), tail
+        assert np.array_equal(streams(*tail).random_raw(5), ref.random_raw(5)), tail
+        rng = np.random.Generator(streams(*tail))
+        ref = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *tail])))
+        assert np.array_equal(rng.standard_normal(7), ref.standard_normal(7)), tail
+        assert np.array_equal(rng.standard_gamma(shapes), ref.standard_gamma(shapes)), tail
+
+
+@given(_WORD, _WORD, _WORD, _WORD)
+def test_seedsequence_pads_a_short_entropy_with_zeros(a, b, c, d):
+    """numpy hashes an entropy of fewer than four words as if padded with
+    zeros, so [a, b, c] and [a, b, c, 0] give one state; _philox_keys pads
+    the same way. Past four words a zero counts: [a, b, c, d] and
+    [a, b, c, d, 0] differ. So two streams whose entropies differ only by
+    trailing zeros can share a key, which the grid test below rules out."""
+    def state(entropy):
+        return np.random.SeedSequence(entropy).generate_state(4)
+    assert np.array_equal(state([a, b, c]), state([a, b, c, 0]))
+    assert not np.array_equal(state([a, b, c, d]), state([a, b, c, d, 0]))
+    short, padded = sm._philox_keys(a, [(b, c), (b, c, 0)])
+    assert np.array_equal(short, padded)
+
+
+# one path of every source family: a white path, an off-grid tone, on-grid
+# tones (the constant source), periodical noise and two MAI users
+_EVERY_FAMILY = (sm.InterfererSpec("bpsk_white", doa_deg=30.0, power=10.0),
+                 sm.InterfererSpec("tone", doa_deg=60.0, power=8.0, normalized_offset=-0.13),
+                 *_ON_GRID, _PN, _MAI_A, _MAI_B)
+
+
+def _record_served(monkeypatch):
+    """Make projected_sum record every stream its _KeyedStreams serves, as
+    (tail, key), and the tails each one keyed."""
+    served, keyed = [], []
+
+    class Recording(sm._KeyedStreams):
+        def __init__(self, seed, tails):
+            super().__init__(seed, tails)
+            keyed.append(set(self._keys))
+
+        def __call__(self, *tail):
+            served.append((tail, tuple(self._keys[tail])))
+            return super().__call__(*tail)
+    monkeypatch.setattr(sm, "_KeyedStreams", Recording)
+    return served, keyed
+
+
+@pytest.mark.parametrize("name", ["fig4a-bpsk3", "fig4b-pn2", "fig4c-tones5", "fig4d-mai3",
+                                  "fig6-pn2", "every-family"])
+def test_every_stream_of_a_grid_has_its_own_key(name, monkeypatch):
+    """Each stream one projected_sum grid draws is served once, from a key
+    no other stream of the grid has, and the grid keys exactly the streams
+    it draws. This covers the five presets' sweeps and a scenario with
+    every source family, at 3 points and a K of two full batches and a
+    partial one, so the white streams of every batch are keyed too."""
+    from dataclasses import replace
+
+    from mpbsim import harness
+
+    served, keyed = _record_served(monkeypatch)
+    symbols = 2 * sm.BATCH + 17
+    points = [(2.0, s) for s in range(3)]
+    if name == "every-family":
+        sc = _scenario(symbols=symbols, interferers=_EVERY_FAMILY)
+        sm.projected_sum(sc, _complex_basis(47), points=points)
+        users, whites = (6, 7), (0,)
+        expected = {tail for s in range(3) for tail in (
+            (sm._TAG_SOI_BITS, s, 0), (sm._TAG_NOISE_SUMS, s),
+            *((sm._TAG_MAI_BITS, s, i) for i in users),
+            *((sm._TAG_WHITE, s, i, b) for i in whites for b in range(3)))}
+        assert {tail for tail, _ in served} == expected
+    else:
+        config = replace(harness.preset(name), symbols=symbols, snr_grid_db=(0.0, 10.0, 20.0))
+        assert len(harness.run_sweep(config)) == 3
+    tails = [tail for tail, _ in served]
+    assert len(set(tails)) == len(tails)
+    assert keyed == [set(tails)]
+    assert len({key for _, key in served}) == len(served)
+
+
+_ONE_PASS_CASES = {"counted": (_PN, *_ON_GRID, _MAI_A, _MAI_B), "batch": _EVERY_FAMILY}
+
+
+@pytest.mark.parametrize("include", [c for r in (1, 2, 3) for c in
+                                     itertools.combinations(("soi", "interference", "noise"), r)])
+@pytest.mark.parametrize("case", sorted(_ONE_PASS_CASES))
+def test_keyed_grid_equals_per_stream_philox(case, include, monkeypatch):
+    """projected_sum, with every stream keyed in one pass and served from one
+    reused Philox, equals bit for bit the same call with each stream seeded
+    alone by _philox. The cases cover every source family on the counted
+    and the batch route, under each include set, over a 3-point grid whose
+    K spans two full batches and a partial one."""
+    sc = _scenario(symbols=2 * sm.BATCH + 17, interferers=_ONE_PASS_CASES[case])
+    basis = _complex_basis(48)
+    points = [(2.0, 0), (0.5, 1), (8.0, 5)]
+    keyed = sm.projected_sum(sc, basis, include=include, points=points)
+    monkeypatch.setattr(sm, "_KeyedStreams",
+                        lambda seed, tails: functools.partial(sm._philox, seed))
+    alone = sm.projected_sum(sc, basis, include=include, points=points)
+    assert keyed.tobytes() == alone.tobytes()
 
 
 def _check_conditional_law(interferers, symbols, draws, basis):
