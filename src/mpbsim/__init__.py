@@ -19,7 +19,7 @@ The package splits along the natural seams of the problem:
 
 from . import cli, harness, linalg, mpb, sigmodel, theory
 from .harness import ExperimentConfig, load_config, preset, preset_names, run_sweep
-from .mpb import measure_g, solve_weights
+from .mpb import solve_weights
 from .sigmodel import Scenario
 from .theory import operating_curve, thresholds
 
@@ -38,7 +38,6 @@ __all__ = [
     "preset",
     "preset_names",
     "run_sweep",
-    "measure_g",
     "solve_weights",
     "thresholds",
     "operating_curve",

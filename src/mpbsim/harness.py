@@ -4,7 +4,7 @@ File-facing conventions are fixed here: angles in degrees, powers in dB,
 CSV numbers with 9 significant digits, infinities spelled ``inf``. Configs
 keep dB, so they round-trip through JSON exactly. dB become linear units in
 ``_linear`` only and go back in ``_db`` only, and a linear SNR becomes the
-SOI power P0 = SNR sigma^2 / N in ``mpb._soi_power`` only: a sweep point's
+SOI power P0 = SNR / N in ``mpb._soi_power`` only: a sweep point's
 :class:`sigmodel.Scenario` (``scenario_at``) and the model moved to its SNR
 (``AnalyticModel.at_snr``) both take P0 from there.
 """
@@ -23,7 +23,6 @@ from . import mpb
 from . import sigmodel as sm
 from . import theory
 
-NOISE_VAR = 1.0  # sigma^2 reference; SNR and INR in configs are relative to it
 PATTERN_STEP_DEG = 0.5
 
 SWEEP_HEADER = ("snr_db,g_sim_db,g_theory_db,gamma0,gamma1,"
@@ -103,6 +102,11 @@ class InterfererConfig:
 class ExperimentConfig:
     """A full experiment in file units (degrees, dB).
 
+    SNR and INR are relative to the noise power, the unit of every linear
+    power. processing_gain is a file key accepted only as N =
+    sm.GOLD_LENGTH, which is what every formula reads; nothing reads the
+    field.
+
     The config checks only what no spec sees: the SNR grid, inr_db, seed,
     symbols, processing_gain, and whether a bad interferer power is named
     inr_db or rel_power_db (in _specs). Every other field is checked by
@@ -142,7 +146,7 @@ class ExperimentConfig:
             raise ConfigError(f"processing_gain must be {sm.GOLD_LENGTH} (the Gold "
                               f"code length), got {self.processing_gain!r}")
         for s in self.snr_grid_db:
-            if not 0.0 < mpb._soi_power(_linear(s), NOISE_VAR, self.processing_gain) < math.inf:
+            if not 0.0 < mpb._soi_power(_linear(s)) < math.inf:
                 raise ConfigError(f"snr_grid_db must give a finite, positive "
                                   f"linear power, got {s} dB")
         _specs(self, 1.0)  # the SOI power of a grid point obeys the SNR rule above
@@ -167,9 +171,9 @@ def _specs(config: ExperimentConfig, soi_power: float) -> tuple:
                  doa_deg=config.soi_doa_deg, power=soi_power)
     ints = []
     for i, ic in enumerate(config.interferers):
-        power = _linear(config.inr_db + ic.rel_power_db) * NOISE_VAR
+        power = _linear(config.inr_db + ic.rel_power_db)
         if not 0.0 < power < math.inf:
-            field = ("inr_db" if not 0.0 < _linear(config.inr_db) * NOISE_VAR < math.inf
+            field = ("inr_db" if not 0.0 < _linear(config.inr_db) < math.inf
                      else f"interferers[{i}].rel_power_db")
             raise ConfigError(f"{field} must give a finite, positive linear power, got "
                               f"inr_db + interferers[{i}].rel_power_db = "
@@ -355,8 +359,8 @@ def preset_names() -> list:
 def scenario_at(config: ExperimentConfig, snr_db: float,
                 stream: int = 0) -> sm.Scenario:
     """Linear-unit Scenario for one sweep point; stream keys the per-point RNG."""
-    p0 = mpb._soi_power(_linear(snr_db), NOISE_VAR, config.processing_gain)
-    return sm.Scenario(*_specs(config, p0), NOISE_VAR, config.symbols, config.seed, stream)
+    p0 = mpb._soi_power(_linear(snr_db))
+    return sm.Scenario(*_specs(config, p0), config.symbols, config.seed, stream)
 
 
 def _bases_named(config: ExperimentConfig, name: str) -> mpb.ProjectionBases:
@@ -471,23 +475,18 @@ class _Probe:
         """Thresholds from G_U, with G_L filled in when gamma_1 > 0 and some
         SNR of snr_lin (any SNR when None) lies at or below SNR_T2."""
         m = self.model
-        th = theory.thresholds(self.gamma1, m.beta, m.processing_gain, m.a0.shape[0],
+        th = theory.thresholds(self.gamma1, m.beta, sm.GOLD_LENGTH, m.a0.shape[0],
                                theory.g_upper(m.q_s, m.q_i, m.a0, qs_quad=m.qs_quad))
         if th.snr_t0 > 0.0 and (snr_lin is None or any(s <= th.snr_t2 for s in snr_lin)):
             th = replace(th, g_l=theory.g_lower_oracle(m, gamma1=self.gamma1))
         return th
 
 
-def _gamma1(model: mpb.AnalyticModel) -> float:
-    return float(theory.gamma_spectrum(model.q_s, model.q_i,
-                                       max(model.a_i_mat.shape[1], 1))[0])
-
-
 def _probe(config: ExperimentConfig) -> _Probe:
     scenario = scenario_at(config, 0.0, stream=0)
     bases = bases_for(config)
     model = _stage(_PROBE, mpb.analytic_cov, scenario, bases)
-    return _Probe(scenario, bases, model, _stage(_PROBE, _gamma1, model))
+    return _Probe(scenario, bases, model, _stage(_PROBE, theory.gamma1, model))
 
 
 def _by_point(solve, count: int) -> list:
@@ -567,8 +566,7 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
         if isinstance(values, Exception):
             values, err = (math.nan,) * 3, f"{type(values).__name__}: {values}"
         g_sim_db, lam_exact, lam_pred = values
-        g0 = theory.gamma0(snr_lin, config.element_count,
-                           config.processing_gain, probe.model.beta)
+        g0 = theory.gamma0(snr_lin, config.element_count, sm.GOLD_LENGTH, probe.model.beta)
         rows.append(SweepRow(
             snr_db=snr_db,
             g_sim_db=g_sim_db,
@@ -639,8 +637,7 @@ def run_eigencurves(config: ExperimentConfig, out_path=None) -> EigencurveResult
     for snr_db, snr, lam in zip(config.snr_grid_db, grid.tolist(), lams):
         if isinstance(lam, Exception):
             raise type(lam)(f"{snr_db:g} dB: {lam}") from lam
-        g0 = theory.gamma0(snr, config.element_count,
-                           config.processing_gain, probe.model.beta)
+        g0 = theory.gamma0(snr, config.element_count, sm.GOLD_LENGTH, probe.model.beta)
         rows.append((snr_db, g0 + 1.0, probe.gamma1 + 1.0, float(lam)))
 
     cross = math.nan
@@ -698,7 +695,7 @@ def analyze(config: ExperimentConfig) -> dict:
     for inr_db in _GAMMA1_INR_TABLE_DB:
         inr = model.inr * _linear(inr_db) / _linear(config.inr_db)
         # the probe's own INR (bit for bit) has the probe's gamma_1
-        g1_i = probe.gamma1 if inr == model.inr else _gamma1(model.at_inr(inr))
+        g1_i = probe.gamma1 if inr == model.inr else theory.gamma1(model.at_inr(inr))
         # the Crawford-number bound at the row's INR (the strongest path's, as
         # in noise_free_pair) presumes an infinite noise-free eigenvalue
         lb = theory.gamma1_lower_bound(nf.c_y0, inr) if nf.has_infinite else None

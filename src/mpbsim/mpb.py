@@ -189,10 +189,11 @@ def accumulate_cov_pair(scenario: sm.Scenario, bases: ProjectionBases,
 # Analytic covariance structure
 # -----------------------
 
-def _soi_power(snr, noise_var: float, processing_gain: int):
-    """P0 = SNR sigma^2 / N from a linear SNR (or an array of them): the one
-    home of the conversion, for harness.scenario_at and AnalyticModel.at_snr."""
-    return snr * noise_var / processing_gain
+def _soi_power(snr):
+    """P0 = SNR / N, N = sm.GOLD_LENGTH, from a linear SNR (or an array of
+    them), with powers in units of the noise power: the one home of the
+    conversion, for harness.scenario_at and AnalyticModel.at_snr."""
+    return snr / sm.GOLD_LENGTH
 
 
 @dataclass(frozen=True)
@@ -200,8 +201,9 @@ class AnalyticModel:
     """Closed-form second-order model of the projected snapshots.
 
     R_S = sigma_s0_sq * a0 a0^H + q_s and R_I = sigma_i0_sq * a0 a0^H + q_i,
-    with q_s = a_i_mat Phi_S a_i_mat^H + sigma^2 I (Phi_S = noise_var * inr *
-    phi_s0) and likewise for q_i.
+    with q_s = a_i_mat Phi_S a_i_mat^H + I (Phi_S = inr * phi_s0) and
+    likewise for q_i. Powers are in units of the noise power sigma^2, so
+    the noise adds I, and N is sm.GOLD_LENGTH.
 
     The init fields are what the model is: the INR-invariant phi_s0 and
     phi_i0, the geometry, and the two scalars that move, the SOI power P0
@@ -224,33 +226,29 @@ class AnalyticModel:
     beta: float
     a0: np.ndarray
     a_i_mat: np.ndarray
-    noise_var: float
     inr: float
-    processing_gain: int
     q_s: np.ndarray = field(init=False)
     q_i: np.ndarray = field(init=False)
 
     def __post_init__(self):
         eye = np.eye(self.a0.shape[0], dtype=np.complex128)
-        scale = self.noise_var * self.inr
         for name, phi0 in (("q_s", self.phi_s0), ("q_i", self.phi_i0)):
-            q = self.a_i_mat @ (phi0 * scale) @ self.a_i_mat.conj().T + self.noise_var * eye
+            q = self.a_i_mat @ (phi0 * self.inr) @ self.a_i_mat.conj().T + eye
             object.__setattr__(self, name, 0.5 * (q + q.conj().T))
 
     @property
     def sigma_s0_sq(self) -> float:
-        return self.processing_gain * self.soi_power
+        return sm.GOLD_LENGTH * self.soi_power
 
     @property
     def sigma_i0_sq(self) -> float:
         return self.soi_power * self.beta
 
     def at_snr(self, snr) -> AnalyticModel:
-        """The same model with P0 set from a linear SNR = N P0 / sigma^2, or
-        the grid model of an array of SNRs. Nothing else is recomputed."""
+        """The same model with P0 set from a linear SNR = N P0, or the grid
+        model of an array of SNRs. Nothing else is recomputed."""
         moved = copy.copy(self)  # no __post_init__: q_s and q_i are shared
-        object.__setattr__(moved, "soi_power",
-                           _soi_power(snr, self.noise_var, self.processing_gain))
+        object.__setattr__(moved, "soi_power", _soi_power(snr))
         return moved
 
     def at_inr(self, inr: float) -> AnalyticModel:
@@ -332,29 +330,25 @@ def analytic_cov(scenario: sm.Scenario, bases: ProjectionBases) -> AnalyticModel
     are exact large-sample limits, not fits.
     """
     code = scenario.soi.code
-    n = sm.GOLD_LENGTH
     check_built_for(bases, code)
     geo = scenario.geometry
     paths = sm.realize_paths(scenario)
     a_mat = sm.steering_matrix(paths, geo)
     powers = np.array([p.power for p in paths], dtype=np.float64)
-    sigma2 = scenario.noise_var
-    inr = float(powers.max() / sigma2) if len(paths) else 1.0
+    inr = float(powers.max()) if len(paths) else 1.0
 
     phi_s0_raw, phi_i0_raw = _phi_entries(paths, bases.h_s, bases.h_i, bases.r_i)
     w = np.sqrt(powers)
     phi_s = w[:, None] * phi_s0_raw * w[None, :]
     phi_i = w[:, None] * phi_i0_raw * w[None, :]
     return AnalyticModel(
-        phi_s0=phi_s / (sigma2 * inr),
-        phi_i0=phi_i / (sigma2 * inr),
+        phi_s0=phi_s / inr,
+        phi_i0=phi_i / inr,
         soi_power=scenario.soi.power,
         beta=leakage_ratio(bases, code),
         a0=sm.steering(scenario.soi.doa_deg, geo),
         a_i_mat=a_mat,
-        noise_var=sigma2,
         inr=inr,
-        processing_gain=n,
     )
 
 
@@ -374,27 +368,26 @@ def top_cluster(eigenvalues: np.ndarray) -> np.ndarray:
     return np.nonzero(eigenvalues >= top - 1e-8 * max(1.0, abs(top)))[0]
 
 
-def solve_weights(pair: CovariancePair, a0: np.ndarray | None = None) -> BeamWeights:
+def solve_weights(pair: CovariancePair, a0: np.ndarray) -> BeamWeights:
     """Dominant generalized eigenvector of (R_S, R_I), unit-normalized.
 
     When the top eigenvalue is a cluster (within 1e-8 relative) the member
     with the largest |w^H a0| wins, which keeps the weight deterministic at
-    competition boundaries; without a0 the first member is returned.
+    competition boundaries.
 
     R_S and R_I may be stacks (..., L, L), one pair per point of a grid:
     the pencils are solved in one call, w then has shape (..., L) and
     lambda_max the stack's leading shape.
     """
     res = la.gen_eig_hpd(pair.r_s, pair.r_i)
-    if a0 is not None:
-        a0 = np.asarray(a0, dtype=np.complex128)
+    a0 = np.asarray(a0, dtype=np.complex128)
     batch = res.eigenvalues.shape[:-1]
     w = np.empty(res.eigenvalues.shape, dtype=np.complex128)
     for i in np.ndindex(batch):
         lam, vecs = res.eigenvalues[i], res.eigenvectors[i]
         cluster = top_cluster(lam)
         pick = int(cluster[0])
-        if a0 is not None and len(cluster) > 1:
+        if len(cluster) > 1:
             scores = [abs(np.vdot(vecs[:, int(j)], a0)) for j in cluster]
             pick = int(cluster[int(np.argmax(scores))])
         v = vecs[:, pick]

@@ -160,7 +160,7 @@ def gold31(pair_index: int) -> np.ndarray:
 @dataclass(frozen=True)
 class SoiSpec:
     """The spread-spectrum signal of interest: Gold code number gold_index at
-    doa_deg, with linear power, normally set through SNR = N * P0 / sigma^2.
+    doa_deg, with linear power, normally set through SNR = N * P0.
 
     The code is gold31(gold_index), read through the code property and never
     stored. The synthesizer draws i.i.d. +-1 data from the scenario seed.
@@ -246,10 +246,15 @@ class InterfererSpec:
 
 @dataclass(frozen=True)
 class Scenario:
+    """One array, SOI and interferer set, and the Monte Carlo key of its data.
+
+    Powers are in units of the receiver noise power: every element's noise
+    is CN(0, 1), so an SOI power P0 has SNR N * P0 and an interferer power
+    is its INR.
+    """
     geometry: ArrayGeometry
     soi: SoiSpec
     interferers: tuple
-    noise_var: float = 1.0
     symbols: int = 1000
     seed: int = 0
     mc_stream: int = 0  # distinguishes Monte Carlo streams across sweep points
@@ -258,8 +263,6 @@ class Scenario:
         object.__setattr__(self, "interferers", tuple(self.interferers))
         if self.symbols < 1:
             raise ValueError("symbols must be >= 1")
-        if not 0 < self.noise_var < math.inf:
-            raise ValueError(f"noise_var must be positive and finite, got {self.noise_var}")
 
 
 # -----------------------
@@ -624,7 +627,7 @@ def iter_blocks(scenario: Scenario, include=("soi", "interference", "noise")):
                 x += amp * steer[None, :, pi, None] * s[:, None, :]
         if want_noise:
             rng = _stream(scenario.seed, _TAG_NOISE, scenario.mc_stream, bi)
-            sd = math.sqrt(scenario.noise_var / 2.0)
+            sd = math.sqrt(0.5)
             x += sd * (rng.normal(size=(nb, big_l, n)) + 1j * rng.normal(size=(nb, big_l, n)))
         yield k0, x
 
@@ -819,10 +822,10 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
     its rounding, and eigh(G) below turns rounding into visible moves of
     the draw.
 
-    Receiver noise is never drawn symbol by symbol. Per symbol it is
-    sigma * C z(k), with C = chol(B^H B) kron I_L and z(k) ~ CN(0, I_LM): white
-    noise seen through the basis, correlated between non-orthogonal
-    columns. Write G = R^H R with R of r = min(PM, K) rows. Given the signal
+    Receiver noise, of unit power, is never drawn symbol by symbol. Per
+    symbol it is C z(k), with C = chol(B^H B) kron I_L and z(k) ~
+    CN(0, I_LM): white noise seen through the basis, correlated between
+    non-orthogonal columns. Write G = R^H R with R of r = min(PM, K) rows. Given the signal
     rows, the noise sums then have the exact law
         sum_k z f^H = W1 R,   sum_k z z^H = W1 W1^H + W2,
     with W1 an LM x r matrix of i.i.d. CN(0, 1) entries and, independent of
@@ -831,7 +834,7 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
     rows' span and its complement split the K symbols into r and K - r
     independent dimensions. W2 is drawn by Bartlett's decomposition
     (Bartlett, 1933), so the noise costs O((LM)^2) draws whatever K is.
-    Assembled, S = V V^H + sigma^2 C W2 C^H with V = T R^H + sigma C W1.
+    Assembled, S = V V^H + C W2 C^H with V = T R^H + C W1.
     C and T are applied by their structure (_coloured, _steered), never formed.
     Any R with R^H R = G gives the same law; it is taken from an
     eigendecomposition of G with rounding-negative eigenvalues set to 0.
@@ -910,7 +913,7 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
         r = min(pm, k_total)
         lam, vec = np.linalg.eigh(gram)
         r_h = vec[..., pm - r:] * np.sqrt(np.maximum(lam[..., None, pm - r:], 0.0))  # R^H
-        colour = math.sqrt(scenario.noise_var) * np.linalg.cholesky(basis.conj().T @ basis)
+        colour = np.linalg.cholesky(basis.conj().T @ basis)
         w1 = np.empty((len(streams), dim, r), dtype=np.complex128)
         w2 = np.zeros((len(streams), dim, min(dim, k_total - r)), dtype=np.complex128)
         # buffers, mask and Gamma shapes of the noise draw, for every point

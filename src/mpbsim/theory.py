@@ -54,6 +54,12 @@ def gamma_spectrum(q_s: np.ndarray, q_i: np.ndarray, d: int) -> np.ndarray:
     return np.sort(out)[::-1]
 
 
+def gamma1(model: mpb.AnalyticModel) -> float:
+    """The model's top mismatch eigenvalue gamma_1 of (Q_S - Q_I, Q_I), 0
+    without interferers. No SOI power moves it."""
+    return float(gamma_spectrum(model.q_s, model.q_i, max(model.a_i_mat.shape[1], 1))[0])
+
+
 def exact_gamma0(model: mpb.AnalyticModel) -> float:
     """gamma_0 evaluated from matrices: (sigma_S0^2 - sigma_I0^2) a0^H R_I^-1 a0."""
     return float(_gamma0_from_quad(model, mpb.inv_quad(model.r_i, model.a0)))
@@ -87,7 +93,6 @@ class MismatchSpectrum:
     lambda_max_pred: float
     bound_radius: float
     feasible: bool
-    noise_var: float
 
 
 def lambda_max_bound(gamma0_val: float, gamma1_val: float, delta: float):
@@ -118,15 +123,16 @@ def mismatch_spectrum(model: mpb.AnalyticModel):
     Diagonalizes (Phi_S - Phi_I, (A_I^H R_I^-1 A_I)^-1) simultaneously to
     get the mismatch eigenvalues and the coupling vector psi_T, then forms
     delta and the lambda_max enclosure. Requires the interference steering
-    matrix to have full column rank (separated DOAs, D <= L).
+    matrix to have full column rank (separated DOAs, D <= L). Powers are in
+    units of the noise power, so the SNR is sigma_S0^2 = N P0 itself, and
+    N is sm.GOLD_LENGTH.
 
     On a grid model every solve runs once, stacked over the grid, and the
     result is a list with one MismatchSpectrum per SNR, each equal to the
     spectrum of the model moved to that SNR alone.
     """
     big_l = model.a0.shape[0]
-    s2 = model.noise_var
-    snr = model.sigma_s0_sq / s2
+    snr = model.sigma_s0_sq
     a_mat = model.a_i_mat
     d = a_mat.shape[1]
     # one Cholesky of R_I serves gamma0, delta and the Gram matrix
@@ -142,12 +148,12 @@ def mismatch_spectrum(model: mpb.AnalyticModel):
         gram = 0.5 * (gram + gram.conj().swapaxes(-1, -2))
         w_mat = la.solve_hpd(gram, np.eye(d, dtype=np.complex128))
         w_mat = 0.5 * (w_mat + w_mat.conj().swapaxes(-1, -2))
-        phi_delta = (model.phi_s0 - model.phi_i0) * (s2 * model.inr)
+        phi_delta = (model.phi_s0 - model.phi_i0) * model.inr
         # T^H Phi_Delta T = diag(gammas), T^H W T = I
         res = la.gen_eig_hpd(0.5 * (phi_delta + phi_delta.conj().T), w_mat)
         # T^H W T = I gives T^-H = W T: no explicit inversion needed
         a_eps = a_mat @ (w_mat @ res.eigenvectors)
-        coef = np.asarray((big_l * model.beta / model.processing_gain) * snr + 1.0)
+        coef = np.asarray((big_l * model.beta / sm.GOLD_LENGTH) * snr + 1.0)
 
     spectra = []
     for i in np.ndindex(quad.shape):
@@ -155,7 +161,7 @@ def mismatch_spectrum(model: mpb.AnalyticModel):
         if d == 0:
             spectra.append(MismatchSpectrum(g0_i, np.zeros(0), model.beta, 0.0,
                                             np.zeros(0, dtype=np.complex128),
-                                            *lambda_max_bound(g0_i, 0.0, 0.0), s2))
+                                            *lambda_max_bound(g0_i, 0.0, 0.0)))
             continue
         gammas = res.eigenvalues[i]
         coupling = a_eps[i].conj().T @ ri_inv_a0[i]
@@ -167,8 +173,7 @@ def mismatch_spectrum(model: mpb.AnalyticModel):
         # summed over the whole top cluster, which no such choice moves.
         delta = float(np.sum(np.abs(coupling[mpb.top_cluster(gammas)]) ** 2)) / quad_i
         spectra.append(MismatchSpectrum(g0_i, gammas, model.beta, delta, psi_t,
-                                        *lambda_max_bound(g0_i, float(gammas[0]), delta),
-                                        s2))
+                                        *lambda_max_bound(g0_i, float(gammas[0]), delta)))
     return spectra if quad.shape else spectra[0]
 
 
@@ -270,7 +275,7 @@ def operating_curve(model: mpb.AnalyticModel, th: Thresholds, snr_grid) -> Opera
     grid = [float(s) for s in snr_grid]
     if not grid:
         raise ValueError("empty SNR grid")
-    beta, big_l, n = model.beta, model.a0.shape[0], model.processing_gain
+    beta, big_l, n = model.beta, model.a0.shape[0], sm.GOLD_LENGTH
     needs_gl = any(s <= th.snr_t2 for s in grid) and th.snr_t0 > 0.0
     if needs_gl and not th.g_l > 0.0:
         raise ValueError("failure/threshold region requested but g_l is not set")
@@ -303,11 +308,11 @@ def g_lower_oracle(model: mpb.AnalyticModel, snr_probe: float = 1e-6,
     recomputed), solves the weights exactly and evaluates analytic G.
     Refuses when there is no mismatch (the floor is then just G_U and the
     failure branch never exists). gamma1 is the model's gamma_1 when the
-    caller has it; no SOI power moves it.
+    caller has it (no SOI power moves it); else gamma1() solves it.
     """
     model_probe = model.at_snr(snr_probe)
-    g1 = gamma1 if gamma1 is not None else gamma_spectrum(
-        model.q_s, model.q_i, max(1, model.a_i_mat.shape[1]))[0]
+    # the argument gamma1 shadows this module's gamma1()
+    g1 = gamma1 if gamma1 is not None else globals()["gamma1"](model)
     if g1 <= 0.0:
         raise ValueError("no covariance mismatch: G_L is undefined (gamma_1 = 0)")
     bw = mpb.solve_weights(model_probe.cov_pair(), model_probe.a0)
@@ -321,15 +326,14 @@ def g_of_lambda(lambda_max: float, spectrum: MismatchSpectrum, snr: float,
     psi_S and psi_I are partial-fraction sums over the mismatch eigenvalues;
     lambda_max sitting on a pole (gamma_i + 1) is rejected.
     """
-    s2 = spectrum.noise_var
     gam = np.asarray(spectrum.gammas, dtype=np.float64)
     psi_t2 = np.abs(np.asarray(spectrum.psi_t)) ** 2
     poles = gam + 1.0
     if np.any(np.abs(lambda_max - poles) < 1e-12 * np.abs(poles)):
         raise ValueError("lambda_max coincides with a mismatch pole")
     ratio = (lambda_max - 1.0) / (lambda_max - poles)
-    psi_s = (s2 / l_antennas) * float(np.sum(ratio * psi_t2))
-    psi_i = (s2 / l_antennas) * float(np.sum(poles * ratio ** 2 * psi_t2))
+    psi_s = (1.0 / l_antennas) * float(np.sum(ratio * psi_t2))
+    psi_i = (1.0 / l_antennas) * float(np.sum(poles * ratio ** 2 * psi_t2))
     mix = l_antennas * spectrum.beta * snr
     a = 1.0 + (n_gain / (mix + n_gain)) * psi_s
     b = psi_i - (mix / (mix + n_gain)) * psi_s ** 2
@@ -438,17 +442,18 @@ def verify_supplementary_identities(scenario: sm.Scenario, bases: mpb.Projection
                                     snr: float) -> dict:
     """Check the closed form of a0^H R_I^-1 a0 against direct inversion.
 
-    The exact form is (L/s2)(1-xi) / ((L b / N)(1-xi) SNR + 1) with
+    In units of the noise power, the exact form is
+    L (1-xi) / ((L b / N)(1-xi) SNR + 1) with
     xi = rho0 - kappa0 built from the interference Gram structure: with
     psi = A_I^H a0 / L and Psi = A_I^H A_I / L, rho0 = psi^H Psi^-1 psi and
-    kappa0 = (Psi^-1 psi)^H ((L/s2) Phi_I + Psi^-1)^-1 (Psi^-1 psi). The
+    kappa0 = (Psi^-1 psi)^H (L Phi_I + Psi^-1)^-1 (Psi^-1 psi). The
     simplified form used in the derivations drops xi entirely. Returns both
     deviations plus the (rho0, kappa0, xi) triple.
     """
     model = mpb.analytic_cov(scenario, bases).at_snr(snr)
     # the reference: a direct solve, independent of the closed form
     exact = float(np.vdot(model.a0, la.solve_hpd(model.r_i, model.a0)).real)
-    big_l, s2 = model.a0.shape[0], model.noise_var
+    big_l = model.a0.shape[0]
     a_mat = model.a_i_mat
     d = a_mat.shape[1]
     rho0 = kappa0 = 0.0
@@ -459,15 +464,15 @@ def verify_supplementary_identities(scenario: sm.Scenario, bases: mpb.Projection
         psi_sol = la.solve_hpd(psi_mat, np.column_stack([psi, np.eye(d, dtype=np.complex128)]))
         psi_inv_psi, psi_mat_inv = psi_sol[:, 0], psi_sol[:, 1:]
         rho0 = float(np.vdot(psi, psi_inv_psi).real)
-        phi_i = model.phi_i0 * (s2 * model.inr)
-        xi_core = (big_l / s2) * phi_i + psi_mat_inv
+        phi_i = model.phi_i0 * model.inr
+        xi_core = big_l * phi_i + psi_mat_inv
         xi_mat = la.solve_hpd(0.5 * (xi_core + xi_core.conj().T),
                               np.eye(d, dtype=np.complex128))
         kappa0 = float(np.vdot(psi_inv_psi, xi_mat @ psi_inv_psi).real)
     xi = rho0 - kappa0
-    mix = (big_l * model.beta / model.processing_gain) * snr
-    closed = (big_l / s2) * (1.0 - xi) / (mix * (1.0 - xi) + 1.0)
-    simplified = (big_l / s2) / (mix + 1.0)
+    mix = (big_l * model.beta / sm.GOLD_LENGTH) * snr
+    closed = big_l * (1.0 - xi) / (mix * (1.0 - xi) + 1.0)
+    simplified = big_l / (mix + 1.0)
     return {
         "exact": exact,
         "closed_form": closed,

@@ -327,7 +327,6 @@ def test_scenario_at_unit_conversion():
     assert sc.soi.power == pytest.approx(100.0 / 31.0)
     assert sc.interferers[0].power == pytest.approx(10.0 ** 2.7)
     assert sc.interferers[1].power == pytest.approx(1000.0)
-    assert sc.noise_var == 1.0
     assert sc.seed == cfg.seed and sc.mc_stream == 3
     assert sc.geometry.element_count == 8
 
@@ -942,15 +941,15 @@ def test_sweep_spectrum_once_per_sweep(monkeypatch):
 
 def test_soi_power_has_one_home(monkeypatch):
     """A sweep point's Scenario and the model moved to its SNR both take
-    P0 = SNR sigma^2 / N from mpb._soi_power, so they agree by construction."""
+    P0 = SNR / N from mpb._soi_power, so they agree by construction."""
     cfg = _tiny("fig4b-pn2")
     model = harness._probe(cfg).model
     calls = []
     soi_power = mpb._soi_power
 
-    def counted(snr, noise_var, processing_gain):
+    def counted(snr):
         calls.append(snr)
-        return soi_power(snr, noise_var, processing_gain)
+        return soi_power(snr)
     monkeypatch.setattr(mpb, "_soi_power", counted)
     point = harness.scenario_at(cfg, 20.0).soi.power
     assert model.at_snr(np.array([100.0])).soi_power[0] == point

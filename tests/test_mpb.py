@@ -13,11 +13,9 @@ GEO8 = sm.ArrayGeometry(8)
 CODE = sm.gold31(0)
 
 
-def _scenario(interferers=(), power=1.0, noise_var=1.0, symbols=200, seed=3,
-              soi_doa=0.0):
+def _scenario(interferers=(), power=1.0, symbols=200, seed=3, soi_doa=0.0):
     return sm.Scenario(GEO8, sm.SoiSpec(0, doa_deg=soi_doa, power=power),
-                       tuple(interferers), noise_var=noise_var,
-                       symbols=symbols, seed=seed)
+                       tuple(interferers), symbols=symbols, seed=seed)
 
 
 # ---------- projection bases ----------
@@ -110,8 +108,10 @@ def test_estimate_cov_constant_snapshot():
 
 def test_estimate_cov_pure_noise_converges_to_identity():
     sc = _scenario(power=0.0, symbols=100_000)
-    blocks = sm.synth_blocks(sc, include=("noise",))
-    x_s, x_i = mpb.snapshots(blocks, mpb.maximin_bases(CODE))
+    bases = mpb.maximin_bases(CODE)
+    # projected batch by batch: the (K, L, N) cube is never held whole
+    x_s, x_i = (np.concatenate(parts) for parts in zip(*(
+        mpb.snapshots(x, bases) for _, x in sm.iter_blocks(sc, include=("noise",)))))
     pair = mpb.estimate_cov_pair(x_s, x_i)
     assert np.abs(pair.r_s - np.eye(8)).max() < 0.03
     assert np.abs(pair.r_i - np.eye(8)).max() < 0.03
@@ -148,30 +148,29 @@ def test_accumulate_matches_estimate():
 def test_projected_noise_second_moments():
     """Projected receiver noise has the law of white noise seen through the basis.
 
-    Per element and symbol, E[y y^H] = sigma^2 * B^H B for the N x M basis
-    B, so block (j, j') of the noise-only sum over K symbols is close to
-    K sigma^2 (B^H B)[j, j'] I_L; its trace over K L is the moment checked.
+    Per element and symbol, E[y y^H] = B^H B for the N x M basis B at unit
+    noise power, so block (j, j') of the noise-only sum over K symbols is
+    close to K (B^H B)[j, j'] I_L; its trace over K L is the moment checked.
     Under PAPC h_i^H h_s = c0[0]/sqrt(N) != 0, so x_s and x_i noise must be
     correlated; the complex basis pins the conjugation convention.
     """
     rng = np.random.default_rng(35)
     cplx = rng.standard_normal((31, 3)) + 1j * rng.standard_normal((31, 3))
     papc = mpb.papc_bases(CODE)
-    noise_var = 2.5
-    sc = _scenario(power=0.0, noise_var=noise_var, symbols=20_000)
+    sc = _scenario(power=0.0, symbols=20_000)
     for basis in (np.column_stack([papc.h_s, papc.h_i]),
                   cplx / np.linalg.norm(cplx, axis=0)):
         m = basis.shape[1]
         total = sm.projected_sum(sc, basis, include=("noise",))
         blocks = total.reshape(m, 8, m, 8) / sc.symbols
         moments = np.einsum("jaka->jk", blocks) / 8
-        expect = noise_var * (basis.conj().T @ basis)
-        assert np.abs(moments - expect).max() < 0.02 * noise_var, moments
+        expect = basis.conj().T @ basis
+        assert np.abs(moments - expect).max() < 0.02, moments
         # and each block is a multiple of I_L
         off = blocks - moments[:, None, :, None] * np.eye(8)[None, :, None, :]
-        assert np.abs(off).max() < 0.05 * noise_var
-    cross = noise_var * np.vdot(papc.h_s, papc.h_i[:, 0])
-    assert abs(cross) > 0.4   # the cross term checked above is far from 0
+        assert np.abs(off).max() < 0.05
+    cross = np.vdot(papc.h_s, papc.h_i[:, 0])
+    assert abs(cross) > 0.16   # the cross term checked above is far from 0
 
 
 def test_sample_covariance_error_halves_per_decade():
@@ -205,9 +204,9 @@ def test_analytic_white_noise_has_no_mismatch():
 
 
 def test_analytic_no_interferers_is_noise_floor():
-    model = mpb.analytic_cov(_scenario(noise_var=2.0), mpb.maximin_bases(CODE))
-    assert np.abs(model.q_s - 2.0 * np.eye(8)).max() < 1e-14
-    assert np.abs(model.q_i - 2.0 * np.eye(8)).max() < 1e-14
+    model = mpb.analytic_cov(_scenario(), mpb.maximin_bases(CODE))
+    assert np.abs(model.q_s - np.eye(8)).max() < 1e-14
+    assert np.abs(model.q_i - np.eye(8)).max() < 1e-14
 
 
 def test_analytic_single_tone_papc_rank_one_mismatch():
@@ -233,12 +232,12 @@ def test_soi_leaks_less_power_into_interference_channel():
 def test_at_snr_equals_rebuilt_model_bitwise(interferers, make_bases):
     """Moving a model to an SNR rebuilds nothing: it equals, bit for bit,
     the model built from the scenario with the SOI power of that SNR."""
-    sc = _scenario(interferers=interferers, power=0.7, noise_var=1.3)
+    sc = _scenario(interferers=interferers, power=0.7)
     bases = make_bases(CODE)
     model = mpb.analytic_cov(sc, bases)
     for snr in (1e-6, 0.05, 1.0, 31.0, 2.5e4):
         moved = model.at_snr(snr)
-        p0 = snr * sc.noise_var / sm.GOLD_LENGTH
+        p0 = snr / sm.GOLD_LENGTH
         built = mpb.analytic_cov(replace(sc, soi=replace(sc.soi, power=p0)), bases)
         for f in fields(mpb.AnalyticModel):
             a, b = getattr(moved, f.name), getattr(built, f.name)
@@ -282,7 +281,7 @@ def test_at_snr_rebuilds_nothing(monkeypatch):
 def test_grid_model_slices_equal_points_bitwise(interferers):
     """A model moved to an array of SNRs gives R_S and R_I as stacks whose
     slices are the matrices of the model moved to each SNR alone."""
-    model = mpb.analytic_cov(_scenario(interferers=interferers, noise_var=1.3),
+    model = mpb.analytic_cov(_scenario(interferers=interferers),
                              mpb.maximin_bases(CODE))
     snrs = [1e-6, 0.05, 1.0, 31.0, 2.5e4]
     grid = model.at_snr(np.array(snrs))
@@ -328,7 +327,7 @@ _MAI_GAINS = replace(ALL_FAMILIES[3], path_gains=(1.0, 0.6, 0.3))
 def test_at_inr_matches_rebuilt_model(interferers, make_bases):
     """Moving a model to another INR agrees with the model built from the
     scenario whose interferer powers are all scaled by the same factor."""
-    sc = _scenario(interferers=interferers, power=0.7, noise_var=1.3)
+    sc = _scenario(interferers=interferers, power=0.7)
     bases = make_bases(CODE)
     model = mpb.analytic_cov(sc, bases)
     for scale in (1e-3, 0.02, 1.0, 37.0, 1e4):
@@ -346,7 +345,8 @@ def test_at_inr_matches_rebuilt_model(interferers, make_bases):
 def test_solve_weights_equal_pair_is_unit_eigenvalue():
     rng = np.random.default_rng(31)
     r = np.eye(4) + 0.1 * np.diag([1.0, 2.0, 3.0, 4.0])
-    bw = mpb.solve_weights(mpb.CovariancePair(r.astype(complex), r.astype(complex)))
+    a0 = sm.steering(10.0, sm.ArrayGeometry(4))
+    bw = mpb.solve_weights(mpb.CovariancePair(r.astype(complex), r.astype(complex)), a0)
     assert abs(bw.lambda_max - 1.0) < 1e-10
     assert abs(np.linalg.norm(bw.w) - 1.0) < 1e-12
 

@@ -75,8 +75,8 @@ def test_gold_codes_distinct_and_range_checked():
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
 def test_specs_reject_non_finite_and_non_positive_values(bad):
     """Each spec rejects what the config layer rejects: a NaN or infinite
-    spacing, ray gain, power or noise variance would reach steering or
-    the model as a silent NaN."""
+    spacing, ray gain or power would reach steering or the model as a
+    silent NaN."""
     with pytest.raises(ValueError, match="spacing must be positive and finite"):
         sm.ArrayGeometry(8, bad)
     with pytest.raises(ValueError, match=r"^path_gains\[1\] must be positive and finite"):
@@ -84,8 +84,6 @@ def test_specs_reject_non_finite_and_non_positive_values(bad):
                           path_gains=(1.0, bad))
     with pytest.raises(ValueError, match="power must be positive and finite"):
         sm.InterfererSpec("tone", power=bad)
-    with pytest.raises(ValueError, match="noise_var must be positive and finite"):
-        sm.Scenario(GEO8, sm.SoiSpec(0), (), noise_var=bad)
     if bad != 0.0:  # a silent SOI is allowed
         with pytest.raises(ValueError, match="power must be >= 0 and finite"):
             sm.SoiSpec(0, power=bad)
@@ -235,7 +233,6 @@ def _scenario(**over):
         geometry=GEO8,
         soi=sm.SoiSpec(0, power=2.0),
         interferers=(),
-        noise_var=1.0,
         symbols=50,
         seed=3,
     )
@@ -256,11 +253,10 @@ def test_synth_blocks_soi_only_is_exact():
 
 
 def test_synth_blocks_noise_moments():
-    sc = _scenario(symbols=500, soi=sm.SoiSpec(0, power=0.0),
-                   noise_var=2.5)
+    sc = _scenario(symbols=500, soi=sm.SoiSpec(0, power=0.0))
     blocks = sm.synth_blocks(sc, include=("noise",))
     var = np.mean(np.abs(blocks) ** 2)
-    assert abs(var - 2.5) / 2.5 < 0.02
+    assert abs(var - 1.0) / 1.0 < 0.02
 
 
 def test_synth_blocks_deterministic():
@@ -496,7 +492,7 @@ def test_count_route_exactly_when_every_source_is_pm1_or_constant(monkeypatch):
                         ("fig6-pn2", counted)):
         config = harness.preset(name)
         sc = harness.scenario_at(config, 10.0, stream=1)
-        sc = sm.Scenario(sc.geometry, sc.soi, sc.interferers, sc.noise_var,
+        sc = sm.Scenario(sc.geometry, sc.soi, sc.interferers,
                          symbols=300, seed=sc.seed, mc_stream=1)
         counted.clear()
         looped.clear()

@@ -16,10 +16,10 @@ GEO8 = sm.ArrayGeometry(8)
 CODE = sm.gold31(0)
 
 
-def _scenario(interferers, snr=1.0, noise_var=1.0, seed=3):
-    p0 = snr * noise_var / 31.0
+def _scenario(interferers, snr=1.0, seed=3):
+    p0 = snr / 31.0
     return sm.Scenario(GEO8, sm.SoiSpec(0, power=p0), tuple(interferers),
-                       noise_var=noise_var, symbols=1000, seed=seed)
+                       symbols=1000, seed=seed)
 
 
 def _pn2(inr_db=30.0, snr=1.0, seed=3):
@@ -450,7 +450,7 @@ def test_g_of_lambda_unity_without_mismatch():
     spec = theory.MismatchSpectrum(
         gamma0=0.0, gammas=np.zeros(2), beta=0.0, delta=0.0,
         psi_t=np.zeros(2, dtype=complex),
-        lambda_max_pred=1.0, bound_radius=0.0, feasible=True, noise_var=1.0)
+        lambda_max_pred=1.0, bound_radius=0.0, feasible=True)
     assert abs(theory.g_of_lambda(2.0, spec, 1.0, 8, 31) - 1.0) < 1e-12
 
 
@@ -489,7 +489,7 @@ def test_g_of_lambda_rejects_pole():
     spec = theory.MismatchSpectrum(
         gamma0=3.0, gammas=np.array([1.0, 0.0]), beta=0.0, delta=0.0,
         psi_t=np.zeros(2, dtype=complex),
-        lambda_max_pred=4.0, bound_radius=0.0, feasible=True, noise_var=1.0)
+        lambda_max_pred=4.0, bound_radius=0.0, feasible=True)
     with pytest.raises(ValueError):
         theory.g_of_lambda(2.0, spec, 1.0, 8, 31)   # gamma_1 + 1 exactly
 
