@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -78,7 +78,10 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class InterfererConfig:
-    """One interferer in file units; power is inr_db + rel_power_db."""
+    """One interferer in file units; power is inr_db + rel_power_db.
+
+    sigmodel.InterfererSpec owns the kinds and the fields each reads: it
+    checks kind and every other field (ExperimentConfig's _specs)."""
     kind: str
     doa_deg: float = 0.0
     rel_power_db: float = 0.0
@@ -89,9 +92,6 @@ class InterfererConfig:
     path_gains: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in sm.KINDS:
-            raise ConfigError(f"interferer kind must be one of {sm.KINDS}, "
-                              f"got {self.kind!r}")
         object.__setattr__(self, "path_delays", tuple(self.path_delays))
         object.__setattr__(self, "path_doas", tuple(self.path_doas))
         if self.path_gains is not None:
@@ -248,29 +248,13 @@ def config_from_dict(d: dict) -> ExperimentConfig:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    field = _SCHEME_FIELDS[config.scheme.name]
-    sch = {"name": config.scheme.name, field: getattr(config.scheme, field)}
-    ints = []
-    for it in config.interferers:
-        entry = {"kind": it.kind, "doa_deg": it.doa_deg,
-                 "rel_power_db": it.rel_power_db}
-        if it.kind == "tone":
-            entry["normalized_offset"] = it.normalized_offset
-        if it.kind == "mai_multipath":
-            entry["user_code"] = it.user_code
-            entry["path_delays"] = list(it.path_delays)
-            entry["path_doas"] = list(it.path_doas)
-            if it.path_gains is not None:
-                entry["path_gains"] = list(it.path_gains)
-        ints.append(entry)
-    return {"scheme": sch, "interferers": ints,
-            "snr_grid_db": list(config.snr_grid_db), "inr_db": config.inr_db,
-            "symbols": config.symbols, "seed": config.seed,
-            "element_count": config.element_count,
-            "element_spacing": config.element_spacing,
-            "processing_gain": config.processing_gain,
-            "gold_index": config.gold_index,
-            "soi_doa_deg": config.soi_doa_deg, "out_dir": config.out_dir}
+    """Every field of the config as JSON values: the dict json.load reads
+    from the file save_config writes, so tuples become lists.
+
+    config_from_dict reads it back to an equal config, and it takes a dict
+    or file that omits any field with a default.
+    """
+    return json.loads(json.dumps(asdict(config)))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -423,9 +407,14 @@ def _fmt(x) -> str:
 
 
 def _create(path, newline=None):
-    """path opened for writing, its directory made first if missing."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    return open(path, "w", encoding="utf-8", newline=newline)
+    """path opened for writing, its directory made first if missing; an
+    out_dir that cannot hold it is a ConfigError."""
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        return open(path, "w", encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise ConfigError(f"out_dir must be a writable directory, "
+                          f"cannot write {str(path)!r}: {exc}") from exc
 
 
 def _write_lines(path, header: str, lines) -> None:

@@ -258,8 +258,11 @@ def subspace_contains(u, v, tol: float) -> bool:
 
 @dataclass(frozen=True)
 class GenEigHomogeneous:
+    """Eigenvalue counts of a PSD pencil, and the basis it was deflated onto:
+    orthonormal columns spanning range(A + B), zero of them for a zero pair."""
     finite_count: int
     infinite_count: int
+    basis: np.ndarray
 
 
 _DEFLATE_TOL = 1e-10  # rank scale of a PSD pair: |lambda| <= 1e-10 * ||Y|| counts as zero
@@ -272,6 +275,8 @@ def gen_eig_homogeneous(a, b) -> GenEigHomogeneous:
     On the rest, range(A + B), the pencil is regular: rank(B) eigenvalues are
     finite and rank(A + B) - rank(B) infinite (Van Dooren 1979; Stewart & Sun
     1990). rank(B) counts eigenvalues above 1e-10 * max(lambda_max(B), max|A|).
+    The result carries the basis of range(A + B), for solves on the same
+    deflated space (theory.noise_free_pair's Crawford number).
     """
     a = _as_hermitian(a, "A")
     b = _as_hermitian(b, "B")
@@ -281,7 +286,7 @@ def gen_eig_homogeneous(a, b) -> GenEigHomogeneous:
     bvals = herm_eig(_h(e0) @ b @ e0).eigenvalues
     scale = max(bvals.max(initial=0.0), np.abs(_h(e0) @ a @ e0).max(initial=0.0), 1e-300)
     finite = int(np.sum(bvals > _DEFLATE_TOL * scale))
-    return GenEigHomogeneous(finite, e0.shape[1] - finite)
+    return GenEigHomogeneous(finite, e0.shape[1] - finite, e0)
 
 
 # -----------------------

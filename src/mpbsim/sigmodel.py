@@ -217,7 +217,7 @@ class InterfererSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown interferer kind {self.kind!r}")
+            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if not 0 < self.power < math.inf:
             raise ValueError(f"power must be positive and finite, got {self.power}")
         _check_doa(self.doa_deg, "doa_deg")

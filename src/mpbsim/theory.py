@@ -298,19 +298,22 @@ def operating_curve(model: mpb.AnalyticModel, th: Thresholds, snr_grid) -> Opera
     return OperatingCurve(points)
 
 
-def g_lower_oracle(model: mpb.AnalyticModel, snr_probe: float = 1e-6,
-                   gamma1: float | None = None) -> float:
+G_LOWER_PROBE_SNR = 1e-6  # linear; G is flat to 1e-4 relative below it
+
+
+def g_lower_oracle(model: mpb.AnalyticModel, *, gamma1: float | None = None) -> float:
     """Failure-region floor G_L: the normalized output SINR as SNR -> 0.
 
     There is no cheaper exact route than the definition itself, so this
-    moves the analytic model to a vanishing probe SNR (model.at_snr sets
-    the SOI power alone; Q_S, Q_I and a0^H Q_S^-1 a0 are carried over, not
-    recomputed), solves the weights exactly and evaluates analytic G.
+    moves the analytic model to G_LOWER_PROBE_SNR, where G has reached its
+    floor (model.at_snr sets the SOI power alone; Q_S, Q_I and
+    a0^H Q_S^-1 a0 are carried over, not recomputed), solves the weights
+    exactly and evaluates analytic G.
     Refuses when there is no mismatch (the floor is then just G_U and the
     failure branch never exists). gamma1 is the model's gamma_1 when the
     caller has it (no SOI power moves it); else gamma1() solves it.
     """
-    model_probe = model.at_snr(snr_probe)
+    model_probe = model.at_snr(G_LOWER_PROBE_SNR)
     # the argument gamma1 shadows this module's gamma1()
     g1 = gamma1 if gamma1 is not None else globals()["gamma1"](model)
     if g1 <= 0.0:
@@ -386,8 +389,10 @@ def noise_free_pair(model: mpb.AnalyticModel) -> NoiseFreeAnalysis:
     INR-invariant Phi matrices, so one model serves every INR. The pair has
     rank(Y_S + Y_I) - rank(Y_I) infinite generalized eigenvalues
     (la.gen_eig_homogeneous), and gamma_1 grows without bound in INR iff
-    that count is positive. Without interferers both matrices are zero: no
-    eigenvalue, infinite or finite, and C_Y0 = 0.
+    that count is positive. C_Y0 is the Crawford number on range(Y_S + Y_I),
+    the basis that solve deflates onto, so one SVD serves both. Without
+    interferers both matrices are zero: no eigenvalue, infinite or finite,
+    and C_Y0 = 0.
     """
     y_s = model.a_i_mat @ model.phi_s0 @ model.a_i_mat.conj().T
     y_i = model.a_i_mat @ model.phi_i0 @ model.a_i_mat.conj().T
@@ -395,8 +400,7 @@ def noise_free_pair(model: mpb.AnalyticModel) -> NoiseFreeAnalysis:
     y_i = 0.5 * (y_i + y_i.conj().T)
 
     hom = la.gen_eig_homogeneous(y_s, y_i)
-    e0 = la.orthonormal_range(np.hstack([y_s, y_i]), tol=la._DEFLATE_TOL)
-    c_y0 = la.crawford(y_s, y_i, e0=e0)
+    c_y0 = la.crawford(y_s, y_i, e0=hom.basis)
     return NoiseFreeAnalysis(y_s, y_i, float(c_y0), hom.infinite_count > 0,
                              hom.infinite_count)
 
@@ -404,19 +408,20 @@ def noise_free_pair(model: mpb.AnalyticModel) -> NoiseFreeAnalysis:
 def geometric_bounded(scenario: sm.Scenario, bases: mpb.ProjectionBases) -> bool | None:
     """The waveform route to boundedness, independent of noise_free_pair.
 
-    Defined only when every interferer is periodic (None otherwise, and for
-    a scenario without interferers). Phi has cross terms only between
-    coherent paths (sm.coherent, the rule the simulation shares), so with
-    A_I of full column rank the pencil splits by coherence class, and the
-    pair is bounded iff every class passes boundedness_criterion on its own
+    Defined only when every path sm.realize_paths draws is of the
+    "periodic" family (None otherwise, and for a scenario without
+    interferers). Phi has cross terms only between coherent paths
+    (sm.coherent, the rule the simulation shares), so with A_I of full
+    column rank the pencil splits by coherence class, and the pair is
+    bounded iff every class passes boundedness_criterion on its own
     waveform space. One space for all paths is right only when they form
     one class.
     """
-    kinds = [sp.kind for sp in scenario.interferers]
-    if not kinds or not all(k in ("tone", "periodical_noise") for k in kinds):
+    paths = sm.realize_paths(scenario)
+    if not paths or any(p.family != "periodic" for p in paths):
         return None
     classes = {}  # block phase of a class's first path -> the class's waveforms
-    for p in sm.realize_paths(scenario):
+    for p in paths:
         key = next((k for k in classes if sm.coherent(k, p.block_phase)),
                    p.block_phase)
         classes.setdefault(key, []).append(p.waveform)

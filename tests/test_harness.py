@@ -31,12 +31,42 @@ def _tiny(name="fig4a-bpsk3", symbols=500, grid=(0.0, 10.0)):
 # Config model
 # -----------------------
 
+_SCHEMES = (harness.SchemeConfig("PAPC", position=3),
+            harness.SchemeConfig("Maximin", monitor_freq=0.25),
+            harness.SchemeConfig("Custom", basis_file="bases.npz"))
+
+
+def _pruned_form(config) -> dict:
+    """config as files were written before save_config wrote every field:
+    the scheme's name and its one field, and of each interferer its kind,
+    doa_deg, rel_power_db and only the fields its kind reads."""
+    d = harness.config_to_dict(config)
+    scheme_field = {"PAPC": "position", "Maximin": "monitor_freq",
+                    "Custom": "basis_file"}[config.scheme.name]
+    d["scheme"] = {k: d["scheme"][k] for k in ("name", scheme_field)}
+    reads = {"tone": ("normalized_offset",),
+             "mai_multipath": ("user_code", "path_delays", "path_doas", "path_gains")}
+    d["interferers"] = [
+        {k: v for k, v in it.items()
+         if k in ("kind", "doa_deg", "rel_power_db") + reads.get(it["kind"], ())
+         and v is not None}
+        for it in d["interferers"]]
+    return d
+
+
 @pytest.mark.parametrize("name", ALL_PRESETS)
 def test_config_roundtrip(name, tmp_path):
-    cfg = harness.preset(name)
+    """The preset as it is and under each scheme survives the dict, the
+    file save_config writes and a file in the pruned form; no basis file
+    is read before the bases are built."""
     path = tmp_path / "cfg.json"
-    harness.save_config(cfg, path)
-    assert harness.load_config(path) == cfg
+    for cfg in (harness.preset(name),
+                *(replace(harness.preset(name), scheme=s) for s in _SCHEMES)):
+        assert harness.config_from_dict(harness.config_to_dict(cfg)) == cfg
+        harness.save_config(cfg, path)
+        assert harness.load_config(path) == cfg
+        path.write_text(json.dumps(_pruned_form(cfg)))
+        assert harness.load_config(path) == cfg
 
 
 def test_scheme_string_shorthand():
@@ -193,6 +223,7 @@ def _text_basis(config, tmp_path):
 
 
 @pytest.mark.parametrize("preset, edit, field", [
+    ("fig4b-pn2", _set(("interferers", 0, "kind"), "flute"), "interferers[0].kind"),
     ("fig4b-pn2", _set(("interferers", 1, "doa_deg"), 95.0), "interferers[1].doa_deg"),
     ("fig4b-pn2", _set(("interferers", 0, "doa_deg"), math.nan), "interferers[0].doa_deg"),
     ("fig4d-mai3", _set(("interferers", 0, "path_doas", 2), -90.0),
@@ -228,8 +259,9 @@ def _text_basis(config, tmp_path):
 ])
 @pytest.mark.parametrize("command", ["sweep", "eigen", "analyze", "pattern"])
 def test_cli_bad_config_field_is_exit_1(command, preset, edit, field, tmp_path, capsys):
-    """Endfire or non-finite DOAs, a non-finite tone offset, ray gain or
-    element spacing, a SOI or MAI code index that names no Gold code, a
+    """An interferer kind that sigmodel does not know, endfire or
+    non-finite DOAs, a non-finite tone offset, ray gain or element
+    spacing, a SOI or MAI code index that names no Gold code, a
     single-element array, an MAI path delay of a whole code length, MAI
     ray lists that are empty or differ in length, a PAPC position or a
     Maximin frequency out of range, and a Custom basis file whose h_s is
@@ -256,6 +288,24 @@ def test_cli_bad_config_field_is_exit_1(command, preset, edit, field, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("below", ["", "sub"])
+@pytest.mark.parametrize("command", ["sweep", "eigen", "analyze", "pattern"])
+def test_cli_unwritable_out_is_exit_1(command, below, tmp_path, capsys):
+    """An --out that is an existing file, or lies below one, is a config
+    error that names out_dir and the path, not a traceback."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / below if below else taken
+    grid = ["--snr-db", "10"] if command == "pattern" else ["--snr-db", "0,10"]
+    rc = cli.main([command, "--preset", "fig4b-pn2", "--symbols", "500",
+                   "--out", str(out)] + grid)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: out_dir ")
+    assert str(out) in err
+    assert taken.read_text() == ""
+
+
 def test_symbols_floor():
     with pytest.raises(harness.ConfigError, match="symbols"):
         harness.config_from_dict({"symbols": 50})
@@ -272,7 +322,7 @@ def test_custom_scheme_needs_basis_file():
 
 
 def test_bad_interferer_kind():
-    with pytest.raises(harness.ConfigError, match="kind"):
+    with pytest.raises(harness.ConfigError, match=r"^interferers\[0\]\.kind must be one of"):
         harness.config_from_dict({"interferers": [{"kind": "flute"}]})
 
 

@@ -486,10 +486,11 @@ def test_crawford_restricted_basis():
 
 
 def _crawford_oracle(a, b, points):
-    """max(0, max_theta lambda_min(A cos t + B sin t)), one eigvalsh per angle."""
-    best = max(np.linalg.eigvalsh(np.cos(t) * a + np.sin(t) * b)[0]
-               for t in np.linspace(0.0, 2.0 * np.pi, points, endpoint=False))
-    return max(0.0, best)
+    """max(0, max_theta lambda_min(A cos t + B sin t)) over points angles,
+    one numpy eigvalsh on the (points, n, n) stack."""
+    t = np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)[:, None, None]
+    best = np.linalg.eigvalsh(np.cos(t) * a + np.sin(t) * b)[:, 0].max()
+    return max(0.0, float(best))
 
 
 def test_crawford_stacked_scan_matches_pointwise_oracle():

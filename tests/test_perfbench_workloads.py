@@ -4,8 +4,9 @@ perfbench/workloads.py drives the program through the names and options
 it uses (run_sweep, scenario_at, cli.main's sweep/eigen/analyze/pattern),
 and checks every result against independent numpy solves. One pass of
 each workload and its check() run here, in a temporary directory, so a
-change that breaks the benchmark fails the suite. The workloads are read
-from perfbench as they are and not changed here.
+change that breaks the benchmark fails the suite: quick-look at seed 1,
+and mc-sweep at seeds 0-19. The workloads are read from perfbench as
+they are and not changed here.
 """
 
 import importlib.util
@@ -33,9 +34,12 @@ def workloads(monkeypatch):
     return _load(monkeypatch, "perfbench_workloads", "workloads.py")
 
 
-@pytest.mark.parametrize("name", ["mc-sweep", "quick-look"])
-def test_workload_pass_runs_and_checks(workloads, name, tmp_path):
-    workload = workloads.WORKLOADS[name](1, str(tmp_path))
+# mc-sweep is cheap per seed, and a fault on the sample path may show at
+# one seed only
+@pytest.mark.parametrize("name, seed", [("quick-look", 1)]
+                         + [("mc-sweep", seed) for seed in range(20)])
+def test_workload_pass_runs_and_checks(workloads, name, seed, tmp_path):
+    workload = workloads.WORKLOADS[name](seed, str(tmp_path))
     workers = workload.workers(traced=False)
     result = workload.run_pass(workers, None)
     assert result.attempted > 0
