@@ -497,24 +497,40 @@ def _by_point(solve, count: int) -> list:
         return solved
 
 
-def _solve_points(pair: mpb.CovariancePair, at: mpb.AnalyticModel) -> list:
-    """(g_sim_db, lambda_max_exact, lambda_max_pred) per point of a grid.
+def _solve_points(pair, model: mpb.AnalyticModel, grid: np.ndarray) -> list:
+    """(g_sim_db, lambda_max_exact, lambda_max_pred) per point of a grid of
+    linear SNRs, each the value its stage gives there or the exception the
+    stage raises at that point alone.
 
-    pair is the points' stacked sample pairs (R_S, R_I), and at the probe's
-    model moved to their linear SNRs, an array. The weights and their G,
-    the exact pencil and the mismatch spectrum are each one stacked solve,
-    after a check that names a sample matrix that is not finite. A solve's
-    error is prefixed by its _stage: "sample pencil", "exact pencil" or
-    "mismatch spectrum".
+    pair is the points' stacked sample pairs (R_S, R_I), or the exception
+    their synthesis raised, which every g_sim_db then holds. Each stage
+    moves the probe's model to the SNRs of the slice it solves. The
+    weights and their G, the exact pencil and the mismatch spectrum are
+    each one stacked solve through its own _by_point, so a point that one
+    stage fails keeps the values of the others. A stage's error is
+    prefixed by its _stage: "sample pencil", "exact pencil" or "mismatch
+    spectrum". The sample pencil first checks its sample matrices and
+    names one that is not finite.
     """
-    la._check_finite(pair.r_s, "sample R_S")
-    la._check_finite(pair.r_i, "sample R_I")
-    g_sim = _stage("sample pencil",
-                   lambda: mpb.analytic_g(mpb.solve_weights(pair, at.a0).w, at))
-    lam = _stage("exact pencil", theory.exact_lambda_max, at)
-    spec = _stage("mismatch spectrum", theory.mismatch_spectrum, at)
-    return [(_db(g), float(lm), float(sp.lambda_max_pred))
-            for g, lm, sp in zip(g_sim, lam, spec)]
+    def sample(s):
+        one = mpb.CovariancePair(pair.r_s[s], pair.r_i[s])
+        la._check_finite(one.r_s, "sample R_S")
+        la._check_finite(one.r_i, "sample R_I")
+        at = model.at_snr(grid[s])
+        return [_db(g) for g in _stage("sample pencil", lambda: mpb.analytic_g(
+            mpb.solve_weights(one, at.a0).w, at))]
+
+    def exact(s):
+        return [float(lm) for lm in _stage("exact pencil", theory.exact_lambda_max,
+                                           model.at_snr(grid[s]))]
+
+    def predicted(s):
+        return [float(sp.lambda_max_pred) for sp in _stage(
+            "mismatch spectrum", theory.mismatch_spectrum, model.at_snr(grid[s]))]
+
+    count = len(grid)
+    g_sim = [pair] * count if isinstance(pair, Exception) else _by_point(sample, count)
+    return list(zip(g_sim, _by_point(exact, count), _by_point(predicted, count)))
 
 
 def run_sweep(config: ExperimentConfig, workers: int = 1,
@@ -524,12 +540,14 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
     Deterministic for a fixed (config, seed): every point derives its own
     RNG streams from (seed, point index), in the calling process. One
     mpb.accumulate_cov_pair call synthesizes every point's sample pair, and
-    _solve_points solves them through _by_point: as one stack, and if that
-    raises, point by point, so a failed point keeps the error it raises
-    alone and every other point its value. If synthesis raises, every point
-    carries its error. Failed points get region "Error", keep their error
-    on the row, and the sweep continues. workers (at least 1) bounds the
-    processes a sweep may use; one always meets it.
+    _solve_points solves each of its stages through _by_point: as one
+    stack, and if that raises, point by point, so a point keeps the error
+    its stage raises alone and every other value. If synthesis raises,
+    every point's g_sim_db carries its error. A point with an error gets
+    region "Error", keeps the first one on the row (in the order of the
+    columns), shows nan in the failed columns, and the sweep continues.
+    workers (at least 1) bounds the processes a sweep may use; one always
+    meets it.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -542,19 +560,15 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
     try:
         pair = mpb.accumulate_cov_pair(probe.scenario, probe.bases, points=points)
     except _NUMERIC_ERRORS as exc:
-        solved = [exc] * len(points)
-    else:
-        solved = _by_point(lambda s: _solve_points(
-            mpb.CovariancePair(pair.r_s[s], pair.r_i[s]), probe.model.at_snr(grid[s])),
-            len(grid))
+        pair = exc
 
     rows = []
-    for snr_db, values, (snr_lin, g_theory, region) in zip(config.snr_grid_db, solved,
-                                                           curve.points):
-        err = None
-        if isinstance(values, Exception):
-            values, err = (math.nan,) * 3, f"{type(values).__name__}: {values}"
-        g_sim_db, lam_exact, lam_pred = values
+    for snr_db, values, (snr_lin, g_theory, region) in zip(
+            config.snr_grid_db, _solve_points(pair, probe.model, grid), curve.points):
+        failed = [v for v in values if isinstance(v, Exception)]
+        err = f"{type(failed[0]).__name__}: {failed[0]}" if failed else None
+        g_sim_db, lam_exact, lam_pred = (math.nan if isinstance(v, Exception) else v
+                                         for v in values)
         g0 = theory.gamma0(snr_lin, config.element_count, sm.GOLD_LENGTH, probe.model.beta)
         rows.append(SweepRow(
             snr_db=snr_db,

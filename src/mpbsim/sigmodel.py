@@ -24,11 +24,10 @@ Philox streams keyed by (seed, tag, mc_stream, index...), making synthesis
 a pure function of the scenario and independent of how work is
 partitioned. A stream's key is the one numpy's SeedSequence hashes from
 that entropy, and a Philox stream is fully defined by its key and counter.
-iter_blocks seeds each stream alone (_philox). projected_sum hashes the
-keys of every stream of its grid in one vectorized pass of the same hash
-(_philox_keys) and serves each stream from one reused Philox set to its
-key (_KeyedStreams); the words are the same. The +-1 streams are read
-straight off the raw Philox words.
+iter_blocks seeds each stream alone (_philox). projected_sum keys each
+stream when it draws it, with the same SeedSequence, and serves it from one
+Philox that the grid reuses (_KeyedStreams); the words are the same. The
++-1 streams are read straight off the raw Philox words.
 SOI and MAI bits go through _bits: bit i is the top bit of the i-th 32-bit
 half, low half first, which is the draw of Generator.integers(0, 2) on the
 same stream. _bits keeps them as booleans, true where the bit is -1.
@@ -188,7 +187,9 @@ def _check_soi_power(power) -> None:
 
 def _check_mc_stream(mc_stream) -> None:
     """The mc_stream rule of each point of projected_sum: an int in
-    [0, 2**32), one word of its streams' keys (_philox_keys)."""
+    [0, 2**32), one 32-bit word of its streams' entropy. SeedSequence
+    splits a larger int into several words, and the words of one stream
+    could then be those of another."""
     if not isinstance(mc_stream, (int, np.integer)) or not 0 <= mc_stream < 2 ** 32:
         raise ValueError(f"mc_stream must be an int in [0, 2**32), got {mc_stream!r}")
 
@@ -301,9 +302,14 @@ def coherent(rho_a: complex, rho_b: complex) -> bool:
     return rho_a == rho_b
 
 
-def _realization_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(
-        np.random.SeedSequence([seed, _TAG_REALIZATION, index])))
+def _philox(seed: int, tag: int, mc_stream: int, *index: int) -> np.random.Philox:
+    """The Philox bit generator keyed by (seed, tag, mc_stream, *index)."""
+    return np.random.Philox(np.random.SeedSequence([seed, tag, mc_stream, *index]))
+
+
+def _stream(seed: int, tag: int, mc_stream: int, *index: int) -> np.random.Generator:
+    """The Philox stream keyed by (seed, tag, mc_stream, *index)."""
+    return np.random.Generator(_philox(seed, tag, mc_stream, *index))
 
 
 def realize_paths(scenario: Scenario) -> list:
@@ -317,7 +323,7 @@ def realize_paths(scenario: Scenario) -> list:
     n = GOLD_LENGTH
     paths = []
     for idx, sp in enumerate(scenario.interferers):
-        rng = _realization_rng(scenario.seed, idx)
+        rng = _stream(scenario.seed, _TAG_REALIZATION, idx)
         if sp.kind == "bpsk_white":
             paths.append(RealizedPath("white", sp.doa_deg, sp.power, idx))
         elif sp.kind == "tone":
@@ -354,118 +360,20 @@ def steering_matrix(paths, geometry: ArrayGeometry) -> np.ndarray:
 # Block synthesis
 # -----------------------
 
-def _philox(seed: int, tag: int, mc_stream: int, *index: int) -> np.random.Philox:
-    """The Philox bit generator keyed by (seed, tag, mc_stream, *index)."""
-    return np.random.Philox(np.random.SeedSequence([seed, tag, mc_stream, *index]))
-
-
-def _stream(seed: int, tag: int, mc_stream: int, *index: int) -> np.random.Generator:
-    """The Philox stream keyed by (seed, tag, mc_stream, *index)."""
-    return np.random.Generator(_philox(seed, tag, mc_stream, *index))
-
-
-# numpy.random.SeedSequence's hash: O'Neill's seed_seq mixing of 32-bit words
-# through a pool of four, with numpy's constants (numpy/random/bit_generator.pyx)
-_MASK32 = 0xFFFFFFFF
-_POOL = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # entropy mixing
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # state generation
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-
-
-@functools.cache
-def _hash_constants(init: int, mult: int, first: int, count: int) -> tuple:
-    """The (xor, mult) constants of hashmix calls first .. first+count-1 of a
-    hash that starts from init: call j xors init * mult^j and multiplies by
-    init * mult^(j+1), mod 2^32. Two read-only uint32 arrays of count entries."""
-    c = np.array([init * pow(mult, j, 1 << 32) & _MASK32
-                  for j in range(first, first + count + 1)], dtype=np.uint32)
-    c.flags.writeable = False
-    return c[:-1], c[1:]
-
-
-def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    value = (value ^ xor) * mult
-    return value ^ (value >> 16)
-
-
-def _mix_into(pool: np.ndarray, hashed: np.ndarray, where) -> None:
-    """Mix hashed into the pool words where `where` holds, in place."""
-    mixed = pool * _MIX_L - hashed * _MIX_R
-    np.bitwise_xor(mixed, mixed >> 16, out=pool, where=where)
-
-
-def _mix_rounds() -> list:
-    """(src, xor, mult, others) of each round of SeedSequence's pool mixing:
-    pool word src, hashed once per other word, is mixed into every other
-    word. The constants sit in the destination's column, and others masks
-    out src's own."""
-    rounds = []
-    for src in range(_POOL):
-        xor, mult = np.zeros((2, _POOL), dtype=np.uint32)
-        others = np.arange(_POOL) != src
-        xor[others], mult[others] = _hash_constants(_INIT_A, _MULT_A, _POOL + 3 * src, 3)
-        rounds.append((src, xor, mult, others))
-    return rounds
-
-
-_HASH_IN = _hash_constants(_INIT_A, _MULT_A, 0, _POOL)
-_MIX_ROUNDS = _mix_rounds()
-_HASH_OUT = _hash_constants(_INIT_B, _MULT_B, 0, _POOL)
-
-
-def _philox_keys(seed: int, tails) -> np.ndarray:
-    """The key of _philox(seed, *tail) for every tail, in one pass: (n, 2)
-    little-endian uint64.
-
-    A Philox stream is fully defined by its 128-bit key and its counter
-    (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011),
-    and Philox takes the key from SeedSequence's first four 32-bit state
-    words, low word first. SeedSequence is a fixed, documented hash: each
-    int of the entropy becomes its 32-bit words, low word first (0 is one
-    word); the first four words are hashed into a pool of four and mixed
-    pairwise; any further word is mixed into every pool word in turn; and
-    the state words are hashed off the pool. Every step is the same for
-    every entropy of a given length, so it runs here on all tails at once.
-    A tail shorter than the pool is padded with zero words, which
-    SeedSequence hashes the same way, and a word past the pool is mixed in
-    only where a tail has it. Each tail entry must be an int in [0, 2**32),
-    one word; the seed may be any int >= 0.
-    """
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    head = [seed & _MASK32]
-    while seed >> 32:
-        seed >>= 32
-        head.append(seed & _MASK32)
-    width = len(head) + max(map(len, tails), default=0)
-    pad = (0,) * max(_POOL, width)
-    words = np.array([(*head, *t, *pad[len(head) + len(t):]) for t in tails],
-                     dtype=np.uint32).reshape(len(tails), len(pad))
-    pool = _hashmix(words[:, :_POOL], *_HASH_IN)
-    for src, xor, mult, others in _MIX_ROUNDS:
-        _mix_into(pool, _hashmix(pool[:, src, None], xor, mult), others)
-    if width > _POOL:
-        count = len(head) + np.fromiter(map(len, tails), dtype=np.intp, count=len(tails))
-        for j in range(_POOL, width):
-            hashed = _hashmix(words[:, j, None], *_hash_constants(_INIT_A, _MULT_A, 4 * j, _POOL))
-            _mix_into(pool, hashed, (count > j)[:, None])
-    return _hashmix(pool, *_HASH_OUT).astype("<u4", copy=False).view("<u8")
-
-
 class _KeyedStreams:
-    """The Philox streams _philox(seed, *tail) of the given tails, keyed in
-    one pass by _philox_keys and served by one reused bit generator.
+    """The Philox streams _philox(seed, *tail), served by one reused bit
+    generator.
 
-    Calling it with a tail sets that generator to the tail's key and a fresh
-    counter and returns it, so each stream gives _philox's words, as long as
-    it is read before the next stream is served. Serving a tail that was
-    not given is a KeyError.
+    Calling it with a tail keys that generator as _philox does, with the
+    key numpy's SeedSequence hashes from [seed, *tail], sets a fresh counter
+    and returns it. A Philox stream is fully defined by its key and counter
+    (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011),
+    so each stream gives _philox's words, as long as it is read before the
+    next stream is served, and no Philox is built per stream.
     """
 
-    def __init__(self, seed: int, tails):
-        tails = list(tails)
-        self._keys = dict(zip(tails, _philox_keys(seed, tails).tolist()))
+    def __init__(self, seed: int):
+        self._seed = seed
         self._bitgen = np.random.Philox(0)
         self._state = {"bit_generator": "Philox",
                        "state": {"counter": (0, 0, 0, 0), "key": None},
@@ -473,7 +381,8 @@ class _KeyedStreams:
                        "has_uint32": 0, "uinteger": 0}
 
     def __call__(self, tag: int, mc_stream: int, *index: int) -> np.random.Philox:
-        self._state["state"]["key"] = self._keys[(tag, mc_stream, *index)]
+        entropy = np.random.SeedSequence([self._seed, tag, mc_stream, *index])
+        self._state["state"]["key"] = entropy.generate_state(2, np.uint64)
         self._bitgen.state = self._state
         return self._bitgen
 
@@ -498,7 +407,8 @@ def _bits(raw: np.random.Philox, count: int) -> np.ndarray:
 
 def _soi_negs(philox, symbols: int, mc_stream: int) -> np.ndarray:
     """Where mc_stream's SOI data stream is -1, K booleans. philox(tag,
-    mc_stream, *index) serves the stream: _philox's, or _KeyedStreams'."""
+    mc_stream, *index) serves the stream: a fresh _philox, or the one
+    Philox of a _KeyedStreams keyed for it."""
     return _bits(philox(_TAG_SOI_BITS, mc_stream, 0), symbols)
 
 
@@ -776,10 +686,10 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
     realize_paths), the steering, U (all but the SOI column's sqrt(P0)),
     chol(B^H B) and the chip tables are built once, so a whole grid shares them.
     Each point draws its own streams: the SOI and MAI bits, the white chips
-    when Z is summed per symbol, then W1 and W2 from its noise stream. The
-    keys of all of them are hashed in one pass per call, and one reused
-    Philox serves them (_KeyedStreams), with the words of seeding each
-    alone. A point's mc_stream must be an int in [0, 2**32).
+    when Z is summed per symbol, then W1 and W2 from its noise stream. Each
+    is keyed by SeedSequence where it is drawn and served by one Philox per
+    call (_KeyedStreams), with the words of seeding it alone. A point's
+    mc_stream must be an int in [0, 2**32).
     Everything else (U Z U^H, eigh(G), T R^H + C W1, the Gram products and
     the Hermitian fold) is stacked over the grid.
 
@@ -884,14 +794,7 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
             load(("mai", path.stream_index, 0), p, amp * (path.head @ proj)[:, None])
             load(("mai", path.stream_index, 1), p, amp * (path.tail @ proj)[:, None])
     users = _mai_users(paths)
-    whites = [key[1] for key in loads if key[0] == "white"]
-    batches = range(-(-k_total // BATCH))
-    # every stream the grid draws, keyed in one pass
-    philox = _KeyedStreams(scenario.seed, itertools.chain(
-        ((_TAG_SOI_BITS, s, 0) for s in streams if want_soi),
-        ((_TAG_MAI_BITS, s, i) for s in streams for i in users),
-        ((_TAG_WHITE, s, i, b) for s in streams for i in whites for b in batches),
-        ((_TAG_NOISE_SUMS, s) for s in streams if "noise" in include)))
+    philox = _KeyedStreams(scenario.seed)
     gram = np.zeros((len(streams), pm, pm), dtype=np.complex128)
     if loads:
         u = np.repeat(np.hstack(list(loads.values()))[None], len(streams), axis=0)

@@ -767,8 +767,10 @@ def test_sweep_point_linalg_failure_is_named_error(monkeypatch):
     """A pencil that cannot be solved fails each point with the message
     that solving its weights alone raises, prefixed by its stage: the
     stacked solve fails, and each point is solved again from its one-point
-    slice of the stack."""
+    slice of the stack. Only g_sim_db is nan: the theory columns keep the
+    values of a sweep whose sample pencil solves."""
     cfg = _tiny("fig4b-pn2")
+    clean = harness.run_sweep(cfg)
     bad = _indefinite_pair(cfg.element_count)
     monkeypatch.setattr(mpb, "accumulate_cov_pair",
                         lambda scenario, bases, points: mpb.CovariancePair(
@@ -779,14 +781,40 @@ def test_sweep_point_linalg_failure_is_named_error(monkeypatch):
         mpb.solve_weights(bad, probe.model.a0)
     expected = f"NotPositiveDefiniteError: sample pencil: {alone.value}"
     one = mpb.CovariancePair(bad.r_s[None], bad.r_i[None])
-    with pytest.raises(la.NotPositiveDefiniteError) as point:
-        harness._solve_points(one, probe.model.at_snr(np.array([10.0])))
-    assert str(point.value) == f"sample pencil: {alone.value}"
+    [(g_sim, lam, pred)] = harness._solve_points(one, probe.model, np.array([10.0]))
+    assert isinstance(g_sim, la.NotPositiveDefiniteError)
+    assert str(g_sim) == f"sample pencil: {alone.value}"
+    assert math.isfinite(lam) and math.isfinite(pred)
     rows = harness.run_sweep(cfg)
     assert [r.region for r in rows] == ["Error", "Error"]
     assert [r.error for r in rows] == [expected, expected]
-    assert all(math.isnan(v) for r in rows
-               for v in (r.g_sim_db, r.lambda_max_exact, r.lambda_max_pred))
+    assert all(math.isnan(r.g_sim_db) for r in rows)
+    assert [(r.lambda_max_exact, r.lambda_max_pred) for r in rows] == \
+        [(r.lambda_max_exact, r.lambda_max_pred) for r in clean]
+
+
+def test_theory_stage_failure_keeps_the_simulated_g():
+    """Three MAI users of three rays each put D = 9 paths on L = 8
+    elements, and the mismatch spectrum fails at every point. Each row is
+    an Error with that stage's message, and only its column is nan: the
+    simulated G is a G, at or below 0 dB, and lambda_max_exact is the
+    eigencurves' column."""
+    ints = tuple(harness.InterfererConfig("mai_multipath", doa_deg=30.0, user_code=code,
+                                          path_delays=(3, 5, 4), path_doas=doas)
+                 for code, doas in ((1, (30.0, -20.0, -50.0)), (2, (10.0, 45.0, -35.0)),
+                                    (3, (-5.0, 60.0, 20.0))))
+    cfg = replace(harness.preset("fig4d-mai3"), interferers=ints, symbols=4096,
+                  snr_grid_db=(0.0, 10.0, 20.0))
+    with pytest.raises(la.NotPositiveDefiniteError) as alone:
+        theory.mismatch_spectrum(harness._probe(cfg).model)
+    rows = harness.run_sweep(cfg)
+    assert [r.region for r in rows] == ["Error"] * 3
+    assert [r.error for r in rows] == [
+        f"NotPositiveDefiniteError: mismatch spectrum: {alone.value}"] * 3
+    assert all(math.isnan(r.lambda_max_pred) for r in rows)
+    assert all(-math.inf < r.g_sim_db <= 1e-6 for r in rows)
+    eigen = harness.run_eigencurves(cfg)
+    assert [r.lambda_max_exact for r in rows] == [row[3] for row in eigen.rows]
 
 
 def test_sweep_only_the_indefinite_point_fails(monkeypatch, tmp_path):
@@ -839,7 +867,8 @@ def test_cli_sweep_fails_only_the_non_finite_point(tmp_path, capsys):
 
 
 def test_cli_sweep_reports_each_failed_point(monkeypatch, tmp_path, capsys):
-    """Synthesis that raises is not retried: every point carries its error."""
+    """Synthesis that raises is not retried: every point carries its error,
+    in place of g_sim_db alone, and keeps its theory columns."""
     calls = []
 
     def fail(scenario, bases, points):
@@ -853,6 +882,9 @@ def test_cli_sweep_reports_each_failed_point(monkeypatch, tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert lines == [f"sweep point {s} dB failed: ArithmeticError: synthetic blow-up"
                      for s in ("-5", "5", "15")]
+    rows = [line.split(",") for line in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+    assert [(r[1], r[-1]) for r in rows] == [("nan", "Error")] * 3
+    assert all("nan" not in r[2:-1] for r in rows)
 
 
 _INCLUDES = [c for k in (1, 2, 3)

@@ -611,37 +611,20 @@ _EDGE_TAILS = [(107, 0), (102, 3, 0), (104, 2 ** 32 - 1, 7, 0), (103, 0, 2 ** 32
 @example(2 ** 32 - 1, _EDGE_TAILS)
 @example(2 ** 32, _EDGE_TAILS)
 @example(2 ** 64 - 1, _EDGE_TAILS)
-def test_bulk_keys_are_the_seedsequence_keys(seed, tails):
-    """The keys that _philox_keys hashes in one pass are those of numpy's
+def test_served_streams_are_the_seedsequence_streams(seed, tails):
+    """A stream that _KeyedStreams serves, one after another from its one
+    reused Philox, gives the raw words and the Generator draws of numpy's
     Philox(SeedSequence([seed, *tail])), for entropies of 3 to 5 ints and
-    one- and two-word seeds. A stream that _KeyedStreams serves gives that
-    Philox's raw words, and its Generator draws: numpy is the reference."""
-    keys = sm._philox_keys(seed, tails)
-    streams = sm._KeyedStreams(seed, tails)
+    one- and two-word seeds: numpy is the reference."""
+    streams = sm._KeyedStreams(seed)
     shapes = np.array([0.5, 3.0, 4093.0])
-    for tail, key in zip(tails, keys):
+    for tail in tails:
         ref = np.random.Philox(np.random.SeedSequence([seed, *tail]))
-        assert np.array_equal(key, ref.state["state"]["key"]), tail
         assert np.array_equal(streams(*tail).random_raw(5), ref.random_raw(5)), tail
         rng = np.random.Generator(streams(*tail))
         ref = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *tail])))
         assert np.array_equal(rng.standard_normal(7), ref.standard_normal(7)), tail
         assert np.array_equal(rng.standard_gamma(shapes), ref.standard_gamma(shapes)), tail
-
-
-@given(_WORD, _WORD, _WORD, _WORD)
-def test_seedsequence_pads_a_short_entropy_with_zeros(a, b, c, d):
-    """numpy hashes an entropy of fewer than four words as if padded with
-    zeros, so [a, b, c] and [a, b, c, 0] give one state; _philox_keys pads
-    the same way. Past four words a zero counts: [a, b, c, d] and
-    [a, b, c, d, 0] differ. So two streams whose entropies differ only by
-    trailing zeros can share a key, which the grid test below rules out."""
-    def state(entropy):
-        return np.random.SeedSequence(entropy).generate_state(4)
-    assert np.array_equal(state([a, b, c]), state([a, b, c, 0]))
-    assert not np.array_equal(state([a, b, c, d]), state([a, b, c, d, 0]))
-    short, padded = sm._philox_keys(a, [(b, c), (b, c, 0)])
-    assert np.array_equal(short, padded)
 
 
 # one path of every source family: a white path, an off-grid tone, on-grid
@@ -653,34 +636,31 @@ _EVERY_FAMILY = (sm.InterfererSpec("bpsk_white", doa_deg=30.0, power=10.0),
 
 def _record_served(monkeypatch):
     """Make projected_sum record every stream its _KeyedStreams serves, as
-    (tail, key), and the tails each one keyed."""
-    served, keyed = [], []
+    (tail, key)."""
+    served = []
 
     class Recording(sm._KeyedStreams):
-        def __init__(self, seed, tails):
-            super().__init__(seed, tails)
-            keyed.append(set(self._keys))
-
         def __call__(self, *tail):
-            served.append((tail, tuple(self._keys[tail])))
-            return super().__call__(*tail)
+            bitgen = super().__call__(*tail)
+            served.append((tail, tuple(bitgen.state["state"]["key"].tolist())))
+            return bitgen
     monkeypatch.setattr(sm, "_KeyedStreams", Recording)
-    return served, keyed
+    return served
 
 
 @pytest.mark.parametrize("name", ["fig4a-bpsk3", "fig4b-pn2", "fig4c-tones5", "fig4d-mai3",
                                   "fig6-pn2", "every-family"])
 def test_every_stream_of_a_grid_has_its_own_key(name, monkeypatch):
     """Each stream one projected_sum grid draws is served once, from a key
-    no other stream of the grid has, and the grid keys exactly the streams
-    it draws. This covers the five presets' sweeps and a scenario with
-    every source family, at 3 points and a K of two full batches and a
-    partial one, so the white streams of every batch are keyed too."""
+    no other stream of the grid has. This covers the five presets' sweeps
+    and a scenario with every source family, at 3 points and a K of two
+    full batches and a partial one, so the white streams of every batch
+    are served too; that scenario serves exactly the streams it draws."""
     from dataclasses import replace
 
     from mpbsim import harness
 
-    served, keyed = _record_served(monkeypatch)
+    served = _record_served(monkeypatch)
     symbols = 2 * sm.BATCH + 17
     points = [(2.0, s) for s in range(3)]
     if name == "every-family":
@@ -697,28 +677,55 @@ def test_every_stream_of_a_grid_has_its_own_key(name, monkeypatch):
         assert len(harness.run_sweep(config)) == 3
     tails = [tail for tail, _ in served]
     assert len(set(tails)) == len(tails)
-    assert keyed == [set(tails)]
     assert len({key for _, key in served}) == len(served)
 
 
-_ONE_PASS_CASES = {"counted": (_PN, *_ON_GRID, _MAI_A, _MAI_B), "batch": _EVERY_FAMILY}
+def test_a_grid_builds_one_philox(monkeypatch):
+    """One projected_sum grid builds one Philox, however many streams it
+    serves: setting a Philox's state costs about a tenth of building one.
+    On fig4a's 41-point sweep grid at two batches, each point serves its
+    SOI bits, the chips of three white paths per batch and its noise. The
+    paths, whose realization streams are seeded alone, are drawn first."""
+    from dataclasses import replace
+
+    from mpbsim import harness
+
+    config = replace(harness.preset("fig4a-bpsk3"), symbols=2 * sm.BATCH)
+    sc = harness.scenario_at(config, 0.0)
+    paths = sm.realize_paths(sc)
+    monkeypatch.setattr(sm, "realize_paths", lambda scenario: paths)
+    built = []
+    philox = np.random.Philox
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return philox(*args, **kwargs)
+    monkeypatch.setattr(np.random, "Philox", counted)
+    served = _record_served(monkeypatch)
+    points = [(2.0, s) for s in range(len(config.snr_grid_db))]
+    sm.projected_sum(sc, harness.bases_for(config).h_i, points=points)
+    assert len(points) == 41
+    assert len(served) == 41 * (1 + 3 * 2 + 1)
+    assert len(built) == 1
+
+
+_SERVED_CASES = {"counted": (_PN, *_ON_GRID, _MAI_A, _MAI_B), "batch": _EVERY_FAMILY}
 
 
 @pytest.mark.parametrize("include", [c for r in (1, 2, 3) for c in
                                      itertools.combinations(("soi", "interference", "noise"), r)])
-@pytest.mark.parametrize("case", sorted(_ONE_PASS_CASES))
+@pytest.mark.parametrize("case", sorted(_SERVED_CASES))
 def test_keyed_grid_equals_per_stream_philox(case, include, monkeypatch):
-    """projected_sum, with every stream keyed in one pass and served from one
-    reused Philox, equals bit for bit the same call with each stream seeded
-    alone by _philox. The cases cover every source family on the counted
-    and the batch route, under each include set, over a 3-point grid whose
-    K spans two full batches and a partial one."""
-    sc = _scenario(symbols=2 * sm.BATCH + 17, interferers=_ONE_PASS_CASES[case])
+    """projected_sum, with every stream served from one reused Philox,
+    equals bit for bit the same call with each stream seeded alone by
+    _philox. The cases cover every source family on the counted and the
+    batch route, under each include set, over a 3-point grid whose K spans
+    two full batches and a partial one."""
+    sc = _scenario(symbols=2 * sm.BATCH + 17, interferers=_SERVED_CASES[case])
     basis = _complex_basis(48)
     points = [(2.0, 0), (0.5, 1), (8.0, 5)]
     keyed = sm.projected_sum(sc, basis, include=include, points=points)
-    monkeypatch.setattr(sm, "_KeyedStreams",
-                        lambda seed, tails: functools.partial(sm._philox, seed))
+    monkeypatch.setattr(sm, "_KeyedStreams", lambda seed: functools.partial(sm._philox, seed))
     alone = sm.projected_sum(sc, basis, include=include, points=points)
     assert keyed.tobytes() == alone.tobytes()
 
