@@ -24,10 +24,10 @@ Philox streams keyed by (seed, tag, mc_stream, index...), making synthesis
 a pure function of the scenario and independent of how work is
 partitioned. A stream's key is the one numpy's SeedSequence hashes from
 that entropy, and a Philox stream is fully defined by its key and counter.
-iter_blocks seeds each stream alone (_philox). projected_sum keys each
-stream when it draws it, with the same SeedSequence, and serves it from one
-Philox that the grid reuses (_KeyedStreams); the words are the same. The
-+-1 streams are read straight off the raw Philox words.
+Every stream is its own Philox, built by _philox where it is drawn, in
+both synthesizers. The +-1 streams are read straight off the raw Philox
+words, and projected_sum reads them CHUNK symbols at a time, so a point's
+memory does not grow with K.
 SOI and MAI bits go through _bits: bit i is the top bit of the i-th 32-bit
 half, low half first, which is the draw of Generator.integers(0, 2) on the
 same stream. _bits keeps them as booleans, true where the bit is -1.
@@ -53,7 +53,6 @@ projected_sum as one exact draw of the noise sums given the signal
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -63,6 +62,7 @@ import numpy as np
 from . import linalg as la
 
 BATCH = 4096  # symbols per synthesis batch; fixed so streams never depend on partitioning
+CHUNK = 256 * BATCH  # symbols per read of a +-1 stream in projected_sum; a multiple of BATCH
 
 # stream tags (entropy-pool components, must stay distinct)
 _TAG_REALIZATION = 101
@@ -187,9 +187,9 @@ def _check_soi_power(power) -> None:
 
 def _check_mc_stream(mc_stream) -> None:
     """The mc_stream rule of each point of projected_sum: an int in
-    [0, 2**32), one 32-bit word of its streams' entropy. SeedSequence
-    splits a larger int into several words, and the words of one stream
-    could then be those of another."""
+    [0, 2**32), one 32-bit word of its streams' entropy, as _philox takes
+    it. A larger int does not fit that word, and split into several words
+    it could make the entropy of one stream that of another."""
     if not isinstance(mc_stream, (int, np.integer)) or not 0 <= mc_stream < 2 ** 32:
         raise ValueError(f"mc_stream must be an int in [0, 2**32), got {mc_stream!r}")
 
@@ -303,8 +303,17 @@ def coherent(rho_a: complex, rho_b: complex) -> bool:
 
 
 def _philox(seed: int, tag: int, mc_stream: int, *index: int) -> np.random.Philox:
-    """The Philox bit generator keyed by (seed, tag, mc_stream, *index)."""
-    return np.random.Philox(np.random.SeedSequence([seed, tag, mc_stream, *index]))
+    """The Philox bit generator keyed by (seed, tag, mc_stream, *index), the
+    one way a stream is built.
+
+    Its key is the one numpy's SeedSequence hashes from the words of
+    [seed, tag, mc_stream, *index]: the seed's by numpy's integer rule, and
+    one word per tail entry, each below 2**32. The tail is passed as one
+    uint32 array, which has exactly those words and which numpy coerces
+    once, instead of int by int.
+    """
+    tail = np.array([tag, mc_stream, *index], dtype=np.uint32)
+    return np.random.Philox(np.random.SeedSequence([seed, tail]))
 
 
 def _stream(seed: int, tag: int, mc_stream: int, *index: int) -> np.random.Generator:
@@ -360,35 +369,8 @@ def steering_matrix(paths, geometry: ArrayGeometry) -> np.ndarray:
 # Block synthesis
 # -----------------------
 
-class _KeyedStreams:
-    """The Philox streams _philox(seed, *tail), served by one reused bit
-    generator.
-
-    Calling it with a tail keys that generator as _philox does, with the
-    key numpy's SeedSequence hashes from [seed, *tail], sets a fresh counter
-    and returns it. A Philox stream is fully defined by its key and counter
-    (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011),
-    so each stream gives _philox's words, as long as it is read before the
-    next stream is served, and no Philox is built per stream.
-    """
-
-    def __init__(self, seed: int):
-        self._seed = seed
-        self._bitgen = np.random.Philox(0)
-        self._state = {"bit_generator": "Philox",
-                       "state": {"counter": (0, 0, 0, 0), "key": None},
-                       "buffer": (0, 0, 0, 0), "buffer_pos": 4,
-                       "has_uint32": 0, "uinteger": 0}
-
-    def __call__(self, tag: int, mc_stream: int, *index: int) -> np.random.Philox:
-        entropy = np.random.SeedSequence([self._seed, tag, mc_stream, *index])
-        self._state["state"]["key"] = entropy.generate_state(2, np.uint64)
-        self._bitgen.state = self._state
-        return self._bitgen
-
-
 def _bits(raw: np.random.Philox, count: int) -> np.ndarray:
-    """count bits of a fresh Philox as booleans, equal to a Generator's
+    """The next count bits of a Philox as booleans, equal to a Generator's
     integers(0, 2, size=count) on it; a set bit stands for the +-1 value -1.
 
     This serves the SOI and MAI bit streams; white chips are packed by
@@ -397,19 +379,41 @@ def _bits(raw: np.random.Philox, count: int) -> np.ndarray:
     serves its 32-bit draws as the low, then the high half of each 64-bit
     word. The bits are read straight off the raw words instead, as the
     signs of their halves through a little-endian view, so that the order
-    does not depend on the machine's byte order. The Philox must be fresh:
-    integers would first spend a half word left over from an earlier 32-bit
-    draw, and random_raw does not see it.
+    does not depend on the machine's byte order. A read spends whole words
+    and drops the unused half of the last one, so successive reads give the
+    bits of one read of their total when every read but the last has an
+    even count. The Philox must not have served a 32-bit draw: integers
+    would first spend a half word left over from it, and random_raw does
+    not see it.
     """
     words = raw.random_raw((count + 1) // 2).astype("<u8", copy=False)
     return words.view("<i4")[:count] < 0
 
 
-def _soi_negs(philox, symbols: int, mc_stream: int) -> np.ndarray:
-    """Where mc_stream's SOI data stream is -1, K booleans. philox(tag,
-    mc_stream, *index) serves the stream: a fresh _philox, or the one
-    Philox of a _KeyedStreams keyed for it."""
-    return _bits(philox(_TAG_SOI_BITS, mc_stream, 0), symbols)
+def _bit_chunks(raw: np.random.Philox, count: int, overlap: int = 0):
+    """Yield bits 0 .. count-1 of a fresh Philox, as _bits reads them, in
+    chunks that start CHUNK bits apart and hold CHUNK + overlap bits (the
+    last one cut at count), so each chunk shares its last overlap bits with
+    the next one.
+
+    Every read but the last ends on a whole word, and the shared bits are
+    kept rather than read again. A stream of at most CHUNK + overlap bits is
+    one chunk and one read.
+    """
+    held = np.zeros(0, dtype=bool)  # the bits read so far from this chunk's start on
+    for start in range(0, count - overlap, CHUNK):
+        end = min(start + CHUNK + overlap, count)
+        fresh = _bits(raw, min(end + end % 2, count) - start - len(held))
+        held = np.concatenate([held, fresh]) if len(held) else fresh
+        del fresh
+        yield held[:end - start]
+        held = held[CHUNK:].copy()  # the chunk is freed once its reader lets go
+
+
+def _soi_negs(seed: int, symbols: int, mc_stream: int):
+    """Where mc_stream's SOI data stream is -1: K booleans, yielded
+    CHUNK at a time (_bit_chunks)."""
+    return _bit_chunks(_philox(seed, _TAG_SOI_BITS, mc_stream, 0), symbols)
 
 
 def soi_bits(scenario: Scenario) -> np.ndarray:
@@ -418,8 +422,8 @@ def soi_bits(scenario: Scenario) -> np.ndarray:
     iter_blocks multiplies the blocks by it; projected_sum reads the same
     stream as booleans (_soi_negs) and never forms this array.
     """
-    return 1.0 - 2.0 * _soi_negs(functools.partial(_philox, scenario.seed),
-                                 scenario.symbols, scenario.mc_stream)
+    negs = _soi_negs(scenario.seed, scenario.symbols, scenario.mc_stream)
+    return 1.0 - 2.0 * np.concatenate([*negs])
 
 
 def _mai_users(paths) -> list:
@@ -427,17 +431,22 @@ def _mai_users(paths) -> list:
     return list(dict.fromkeys(p.stream_index for p in paths if p.family == "mai"))
 
 
-def _mai_negs(philox, symbols: int, users, mc_stream: int) -> dict:
-    """Where each MAI user's stream of mc_stream is -1: K+1 booleans per
-    interferer index in users (entry 0 = b(-1)); philox as for _soi_negs."""
-    return {i: _bits(philox(_TAG_MAI_BITS, mc_stream, i), symbols + 1) for i in users}
+def _mai_negs(seed: int, symbols: int, users, mc_stream: int) -> dict:
+    """Where each MAI user's stream of mc_stream is -1, per interferer index
+    in users: K+1 booleans (entry 0 = b(-1)), yielded one chunk of CHUNK
+    symbols at a time. The chunk of symbols k0 .. k0+n-1 holds
+    b(k0-1) .. b(k0+n-1), n + 1 entries, so it shares its last entry with
+    the next chunk: b(k) of its last symbol is b(k-1) of the next one's
+    first."""
+    return {i: _bit_chunks(_philox(seed, _TAG_MAI_BITS, mc_stream, i), symbols + 1, overlap=1)
+            for i in users}
 
 
 def _mai_bit_streams(scenario: Scenario, paths) -> dict:
     """One +-1 stream of length K+1 per MAI interferer index (entry 0 = b(-1))."""
-    negs = _mai_negs(functools.partial(_philox, scenario.seed), scenario.symbols,
-                     _mai_users(paths), scenario.mc_stream)
-    return {i: 1.0 - 2.0 * neg for i, neg in negs.items()}
+    negs = _mai_negs(scenario.seed, scenario.symbols, _mai_users(paths), scenario.mc_stream)
+    return {i: 1.0 - 2.0 * np.concatenate([first, *(neg[1:] for neg in rest)])
+            for i, (first, *rest) in negs.items()}
 
 
 def _white_bits(raw: np.random.Philox, count: int) -> np.ndarray:
@@ -569,37 +578,41 @@ def _wishart_factor(rng: np.random.Generator, out: np.ndarray, gauss: np.ndarray
     np.fill_diagonal(out, np.sqrt(rng.standard_gamma(shapes)))
 
 
-def _count_gram(keys, negs: dict, k_total: int) -> np.ndarray:
+def _count_gram(keys, negs, k_total: int) -> np.ndarray:
     """Z = sum_k z z^H of projected_sum's sources when each is +-1 or the
-    constant 1: the keys in negs are +-1 and read from where they are -1,
-    and the one other key is the constant ramp.
+    constant 1: the keys in negs' chunks (_point_negs) are +-1 and read
+    from where they are -1, and the one other key is the constant ramp.
 
     A product of two such sources is -1 exactly where one of them is, so
-    Z_ab = K - 2 count(neg_a xor neg_b), and the diagonal is K. These are
-    the integers _batch_gram reaches by summing the products in float64, so
-    the two give the same complex128 matrix, bit for bit.
+    Z_ab = K - 2 count(neg_a xor neg_b), and the diagonal is K. Each
+    chunk's counts are taken off K as they come, and every partial result
+    is an exact integer. These are the integers _batch_gram reaches by
+    summing the products in float64, so the two give the same complex128
+    matrix, bit for bit.
     """
-    never = np.zeros(k_total, dtype=bool)  # the constant 1 is never -1
-    flips = [negs.get(key, never) for key in keys]
     z_gram = np.full((len(keys), len(keys)), k_total, dtype=np.complex128)
-    for a, b in itertools.combinations(range(len(keys)), 2):
-        z_gram[a, b] = z_gram[b, a] = k_total - 2 * np.count_nonzero(flips[a] ^ flips[b])
+    for chunk in negs:
+        flips = [chunk.get(key, False) for key in keys]  # the constant 1 is never -1
+        for a, b in itertools.combinations(range(len(keys)), 2):
+            flipped = 2 * np.count_nonzero(flips[a] ^ flips[b])
+            z_gram[a, b] -= flipped
+            z_gram[b, a] -= flipped
+        del chunk, flips  # the next chunk is read with this one freed
     return z_gram
 
 
-def _batch_gram(scenario: Scenario, streams, keys, negs, proj: np.ndarray,
-                philox) -> np.ndarray:
+def _batch_gram(seed: int, k_total: int, streams, keys, negs, proj: np.ndarray) -> np.ndarray:
     """Z = sum_k z z^H of projected_sum's sources at every point of a grid,
     summed batch by batch: shape (P, q', q') for the P mc_streams in streams.
 
     keys name the sources in the order of U's columns: "soi" and "mai" keys
-    are read from a point's dict in negs (an iterable of one per point) and
-    made +-1 one batch slice at a time, a "ramp" key holds its block phase,
-    and a "white" key stands for the M projected chip rows of one white
-    path, whose chips philox serves as for _soi_negs. The chip tables, the
-    ramp steps and the buffers serve every point.
+    are read from a point's chunks in negs (an iterable of one _point_negs
+    per point) and made +-1 one batch slice at a time, a "ramp" key holds
+    its block phase, and a "white" key stands for the M projected chip rows
+    of one white path, whose chips are drawn per batch from the seed's
+    _philox. The chip tables, the ramp steps and the buffers serve every
+    point.
     """
-    k_total = scenario.symbols
     if any(key[0] == "white" for key in keys):
         tables = _chip_tables(proj)
     # e^{i phi (k0 + j)} = e^{i phi k0} e^{i phi j}: the exps of one batch
@@ -621,6 +634,10 @@ def _batch_gram(scenario: Scenario, streams, keys, negs, proj: np.ndarray,
     for stream, point_negs, point_gram in zip(streams, negs, z_gram):
         for bi, k0 in enumerate(range(0, k_total, BATCH)):
             nb = min(BATCH, k_total - k0)
+            at = k0 % CHUNK  # where the batch starts in its chunk of the +-1 streams
+            if not at:
+                chunk = None  # the last chunk goes before the next one is read
+                chunk = next(point_negs)
             z, z_conj, lookup = (buf[:r * nb].reshape(r, nb) for buf, r in zip(flat, rows))
             row = 0
             for key in keys:
@@ -628,15 +645,16 @@ def _batch_gram(scenario: Scenario, streams, keys, negs, proj: np.ndarray,
                     # the sum from 0 of the four byte lookups; mode "clip"
                     # writes out unbuffered, and a byte never leaves a
                     # 256-entry table
-                    octets = _chip_bytes(_white_bits(philox(_TAG_WHITE, stream, key[1], bi), nb))
+                    raw = _philox(seed, _TAG_WHITE, stream, key[1], bi)
+                    octets = _chip_bytes(_white_bits(raw, nb))
                     chips = z[row:row + m]
                     chips[...] = 0.0
                     for b in range(4):
                         np.take(tables[b], octets[:, b], axis=1, out=lookup, mode="clip")
                         chips += lookup
                     row += m
-                elif key in point_negs:
-                    z[row] = 1.0 - 2.0 * point_negs[key][k0:k0 + nb]
+                elif key in chunk:
+                    z[row] = 1.0 - 2.0 * chunk[key][at:at + nb]
                     row += 1
                 else:  # ramp
                     z[row] = cmath.exp(1j * cmath.phase(key[1]) * k0) * steps[key[1]][:nb]
@@ -646,17 +664,26 @@ def _batch_gram(scenario: Scenario, streams, keys, negs, proj: np.ndarray,
     return z_gram
 
 
-def _point_negs(philox, k_total: int, want_soi: bool, users, mc_stream: int) -> dict:
-    """Where each +-1 source of projected_sum is -1 at mc_stream's point, K
-    per key, for the SOI when want_soi and the MAI users; philox as for
-    _soi_negs."""
-    negs = {}
-    if want_soi:
-        negs[("soi",)] = _soi_negs(philox, k_total, mc_stream)
-    for i, neg in _mai_negs(philox, k_total, users, mc_stream).items():
-        negs[("mai", i, 0)] = neg[1:]  # b(k); entry 0 of the stream is b(-1)
-        negs[("mai", i, 1)] = neg[:-1]  # b(k-1)
-    return negs
+def _point_negs(seed: int, k_total: int, want_soi: bool, users, mc_stream: int):
+    """Yield where each +-1 source of projected_sum is -1 at mc_stream's
+    point, one dict per chunk of CHUNK symbols with the chunk's booleans per
+    key, for the SOI when want_soi and the MAI users.
+
+    Every source reads its own _philox stream. No chunk is held here while
+    the next is read, so a point holds one chunk of its streams at a time.
+    """
+    soi = _soi_negs(seed, k_total, mc_stream) if want_soi else None
+    mai = _mai_negs(seed, k_total, users, mc_stream)
+    for _ in range(0, k_total, CHUNK):
+        negs = {}
+        if want_soi:
+            negs[("soi",)] = next(soi)
+        for i, chunks in mai.items():
+            neg = next(chunks)  # b(k0 - 1) .. b(k0 + n - 1)
+            negs[("mai", i, 0)] = neg[1:]  # b(k)
+            negs[("mai", i, 1)] = neg[:-1]  # b(k-1)
+            del neg
+        yield negs
 
 
 def _coloured(colour: np.ndarray, w: np.ndarray, big_l: int) -> np.ndarray:
@@ -687,9 +714,10 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
     chol(B^H B) and the chip tables are built once, so a whole grid shares them.
     Each point draws its own streams: the SOI and MAI bits, the white chips
     when Z is summed per symbol, then W1 and W2 from its noise stream. Each
-    is keyed by SeedSequence where it is drawn and served by one Philox per
-    call (_KeyedStreams), with the words of seeding it alone. A point's
-    mc_stream must be an int in [0, 2**32).
+    stream is its own Philox, built by _philox where it is drawn, and a
+    point's mc_stream must be an int in [0, 2**32). The +-1 streams are read
+    CHUNK symbols at a time (_point_negs), so a point holds one chunk of
+    them, whatever K is; a K of at most CHUNK is one read per stream.
     Everything else (U Z U^H, eigh(G), T R^H + C W1, the Gram products and
     the Hermitian fold) is stacked over the grid.
 
@@ -716,7 +744,8 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
         b(k-1)) or the constant 1, as on periodical noise, on-grid tones
         and MAI. Each entry is K minus twice the number of symbols where
         exactly one of its two sources is -1, read off the boolean streams
-        (_soi_negs, _mai_negs). No source is formed as floats.
+        (_soi_negs, _mai_negs) and summed chunk by chunk. No source is
+        formed as floats.
       - Per symbol (_batch_gram), when any source is a white path or a
         ramp that is not constant. It sums z z^H over batches of BATCH
         symbols, so a symbol costs q^2 work instead of (P M)^2. A white
@@ -794,20 +823,20 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
             load(("mai", path.stream_index, 0), p, amp * (path.head @ proj)[:, None])
             load(("mai", path.stream_index, 1), p, amp * (path.tail @ proj)[:, None])
     users = _mai_users(paths)
-    philox = _KeyedStreams(scenario.seed)
     gram = np.zeros((len(streams), pm, pm), dtype=np.complex128)
     if loads:
         u = np.repeat(np.hstack(list(loads.values()))[None], len(streams), axis=0)
         if want_soi:
             u[:, :m, 0] += np.sqrt(powers)[:, None] * (scenario.soi.code @ proj)
         keys = list(loads)
-        # drawn point by point, so one point's K-length streams live at a time
-        negs = (_point_negs(philox, k_total, want_soi, users, stream) for stream in streams)
+        # drawn point by point, one chunk of one point's streams at a time
+        negs = (_point_negs(scenario.seed, k_total, want_soi, users, stream)
+                for stream in streams)
         if all(key[0] in ("soi", "mai") or key[0] == "ramp" and coherent(key[1], 1.0)
                for key in keys):
             z_gram = np.stack([_count_gram(keys, point_negs, k_total) for point_negs in negs])
         else:
-            z_gram = _batch_gram(scenario, streams, keys, negs, proj, philox)
+            z_gram = _batch_gram(scenario.seed, k_total, streams, keys, negs, proj)
         gram = u @ z_gram @ la._h(u)
     dim = big_l * m
     if "noise" not in include:
@@ -824,7 +853,7 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
         lower = np.tri(dim, k=-1, dtype=bool)
         shapes = k_total - r - np.arange(dim)
         for stream, w1_point, w2_point in zip(streams, w1, w2):
-            rng = np.random.Generator(philox(_TAG_NOISE_SUMS, stream))
+            rng = _stream(scenario.seed, _TAG_NOISE_SUMS, stream)
             _cn(rng, w1_point, gauss1)
             _wishart_factor(rng, w2_point, gauss2, lower, shapes)
         # (P, LM, LM) temporaries released as soon as they are used

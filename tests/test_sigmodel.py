@@ -1,5 +1,4 @@
 import cmath
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -441,13 +440,17 @@ def _spy(monkeypatch, name) -> list:
     return calls
 
 
+@pytest.mark.parametrize("chunk", [sm.CHUNK, sm.BATCH])
 @pytest.mark.parametrize("symbols", [1, 2, 17, sm.BATCH, 2 * sm.BATCH + 17])
 @pytest.mark.parametrize("case", sorted(_COUNTED))
-def test_count_route_is_the_integer_gram(case, symbols, monkeypatch):
+def test_count_route_is_the_integer_gram(case, symbols, chunk, monkeypatch):
     """On a source set of +-1 and constant sources, projected_sum counts Z
     instead of running the batch loop. Z equals, exactly, the Gram of the
     sources computed in integers from soi_bits and _mai_bit_streams, and
-    its bytes equal those of the batch loop on the same sources."""
+    its bytes equal those of the batch loop on the same sources. A chunk
+    of BATCH symbols reads every K past one batch in several chunks, and a
+    K of exactly one chunk needs one more entry of each MAI stream."""
+    monkeypatch.setattr(sm, "CHUNK", chunk)
     interferers, include = _COUNTED[case]
     sc = _scenario(symbols=symbols, interferers=interferers)
     basis = _complex_basis(43)
@@ -455,7 +458,7 @@ def test_count_route_is_the_integer_gram(case, symbols, monkeypatch):
     looped = _spy(monkeypatch, "_batch_gram")
     sm.projected_sum(sc, basis, include=include)
     assert len(counted) == 1 and not looped
-    (keys, negs, k_total), z_gram = counted[0]
+    (keys, _, k_total), z_gram = counted[0]
     assert k_total == symbols
 
     soi_bits = sm.soi_bits(sc).astype(np.int64)
@@ -474,8 +477,9 @@ def test_count_route_is_the_integer_gram(case, symbols, monkeypatch):
     ref = rows @ rows.T
     assert z_gram.dtype == np.complex128
     assert np.array_equal(z_gram.real, ref) and not np.any(z_gram.imag)
-    [loop] = sm._batch_gram(sc, [sc.mc_stream], keys, [negs], basis.conj(),
-                            functools.partial(sm._philox, sc.seed))
+    users = dict.fromkeys(key[1] for key in keys if key[0] == "mai")
+    negs = sm._point_negs(sc.seed, symbols, ("soi",) in keys, users, sc.mc_stream)
+    [loop] = sm._batch_gram(sc.seed, symbols, [sc.mc_stream], keys, [negs], basis.conj())
     assert np.array_equal(loop.view(np.uint64), z_gram.view(np.uint64))
 
 
@@ -612,16 +616,15 @@ _EDGE_TAILS = [(107, 0), (102, 3, 0), (104, 2 ** 32 - 1, 7, 0), (103, 0, 2 ** 32
 @example(2 ** 32, _EDGE_TAILS)
 @example(2 ** 64 - 1, _EDGE_TAILS)
 def test_served_streams_are_the_seedsequence_streams(seed, tails):
-    """A stream that _KeyedStreams serves, one after another from its one
-    reused Philox, gives the raw words and the Generator draws of numpy's
-    Philox(SeedSequence([seed, *tail])), for entropies of 3 to 5 ints and
-    one- and two-word seeds: numpy is the reference."""
-    streams = sm._KeyedStreams(seed)
+    """The stream _philox builds from a uint32 tail gives the raw words and
+    the Generator draws of numpy's Philox(SeedSequence([seed, *tail])), for
+    entropies of 3 to 5 ints and one- and two-word seeds: numpy is the
+    reference."""
     shapes = np.array([0.5, 3.0, 4093.0])
     for tail in tails:
         ref = np.random.Philox(np.random.SeedSequence([seed, *tail]))
-        assert np.array_equal(streams(*tail).random_raw(5), ref.random_raw(5)), tail
-        rng = np.random.Generator(streams(*tail))
+        assert np.array_equal(sm._philox(seed, *tail).random_raw(5), ref.random_raw(5)), tail
+        rng = np.random.Generator(sm._philox(seed, *tail))
         ref = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *tail])))
         assert np.array_equal(rng.standard_normal(7), ref.standard_normal(7)), tail
         assert np.array_equal(rng.standard_gamma(shapes), ref.standard_gamma(shapes)), tail
@@ -635,16 +638,17 @@ _EVERY_FAMILY = (sm.InterfererSpec("bpsk_white", doa_deg=30.0, power=10.0),
 
 
 def _record_served(monkeypatch):
-    """Make projected_sum record every stream its _KeyedStreams serves, as
-    (tail, key)."""
-    served = []
+    """Make projected_sum record every stream it draws, as (tail, key): each
+    Philox that _philox builds, but for the realization streams, which
+    realize_paths draws wherever the paths are used."""
+    served, philox = [], sm._philox
 
-    class Recording(sm._KeyedStreams):
-        def __call__(self, *tail):
-            bitgen = super().__call__(*tail)
+    def recording(seed, *tail):
+        bitgen = philox(seed, *tail)
+        if tail[0] != sm._TAG_REALIZATION:
             served.append((tail, tuple(bitgen.state["state"]["key"].tolist())))
-            return bitgen
-    monkeypatch.setattr(sm, "_KeyedStreams", Recording)
+        return bitgen
+    monkeypatch.setattr(sm, "_philox", recording)
     return served
 
 
@@ -680,54 +684,50 @@ def test_every_stream_of_a_grid_has_its_own_key(name, monkeypatch):
     assert len({key for _, key in served}) == len(served)
 
 
-def test_a_grid_builds_one_philox(monkeypatch):
-    """One projected_sum grid builds one Philox, however many streams it
-    serves: setting a Philox's state costs about a tenth of building one.
-    On fig4a's 41-point sweep grid at two batches, each point serves its
-    SOI bits, the chips of three white paths per batch and its noise. The
-    paths, whose realization streams are seeded alone, are drawn first."""
-    from dataclasses import replace
-
-    from mpbsim import harness
-
-    config = replace(harness.preset("fig4a-bpsk3"), symbols=2 * sm.BATCH)
-    sc = harness.scenario_at(config, 0.0)
-    paths = sm.realize_paths(sc)
-    monkeypatch.setattr(sm, "realize_paths", lambda scenario: paths)
-    built = []
-    philox = np.random.Philox
-
-    def counted(*args, **kwargs):
-        built.append(args)
-        return philox(*args, **kwargs)
-    monkeypatch.setattr(np.random, "Philox", counted)
-    served = _record_served(monkeypatch)
-    points = [(2.0, s) for s in range(len(config.snr_grid_db))]
-    sm.projected_sum(sc, harness.bases_for(config).h_i, points=points)
-    assert len(points) == 41
-    assert len(served) == 41 * (1 + 3 * 2 + 1)
-    assert len(built) == 1
-
-
-_SERVED_CASES = {"counted": (_PN, *_ON_GRID, _MAI_A, _MAI_B), "batch": _EVERY_FAMILY}
+_ROUTE_CASES = {"counted": (_PN, *_ON_GRID, _MAI_A, _MAI_B), "batch": _EVERY_FAMILY}
 
 
 @pytest.mark.parametrize("include", [c for r in (1, 2, 3) for c in
                                      itertools.combinations(("soi", "interference", "noise"), r)])
-@pytest.mark.parametrize("case", sorted(_SERVED_CASES))
-def test_keyed_grid_equals_per_stream_philox(case, include, monkeypatch):
-    """projected_sum, with every stream served from one reused Philox,
-    equals bit for bit the same call with each stream seeded alone by
-    _philox. The cases cover every source family on the counted and the
-    batch route, under each include set, over a 3-point grid whose K spans
-    two full batches and a partial one."""
-    sc = _scenario(symbols=2 * sm.BATCH + 17, interferers=_SERVED_CASES[case])
+@pytest.mark.parametrize("case", sorted(_ROUTE_CASES))
+def test_chunked_streams_give_the_same_sums(case, include, monkeypatch):
+    """projected_sum with the +-1 streams read in chunks of one batch
+    equals bit for bit the same call with the default chunk, where every
+    stream is one read. The cases cover every source family on the counted
+    and the batch route, under each include set, over a 3-point grid whose
+    K spans three full batches and a partial one, so a chunk boundary
+    falls inside every MAI stream."""
+    sc = _scenario(symbols=3 * sm.BATCH + 17, interferers=_ROUTE_CASES[case])
     basis = _complex_basis(48)
     points = [(2.0, 0), (0.5, 1), (8.0, 5)]
-    keyed = sm.projected_sum(sc, basis, include=include, points=points)
-    monkeypatch.setattr(sm, "_KeyedStreams", lambda seed: functools.partial(sm._philox, seed))
-    alone = sm.projected_sum(sc, basis, include=include, points=points)
-    assert keyed.tobytes() == alone.tobytes()
+    whole = sm.projected_sum(sc, basis, include=include, points=points)
+    monkeypatch.setattr(sm, "CHUNK", sm.BATCH)
+    chunked = sm.projected_sum(sc, basis, include=include, points=points)
+    assert chunked.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("name", ["fig4b-pn2", "fig4d-mai3"])
+def test_a_points_memory_does_not_grow_with_k(name):
+    """One sweep point reads its +-1 streams one chunk at a time, so its
+    traced peak at K = 8 * 2**20 stays within 1 MiB of its peak at
+    K = 2**20. Read whole, each stream held about 5 bytes per symbol."""
+    import tracemalloc
+    from dataclasses import replace
+
+    from mpbsim import harness, mpb
+
+    config = harness.preset(name)
+    bases = harness.bases_for(config)
+    peaks = []
+    for symbols in (2 ** 20, 8 * 2 ** 20):
+        sc = replace(harness.scenario_at(config, 10.0, stream=1), symbols=symbols)
+        tracemalloc.start()
+        try:
+            mpb.accumulate_cov_pair(sc, bases)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2 ** 20, peaks
 
 
 def _check_conditional_law(interferers, symbols, draws, basis):
