@@ -569,7 +569,7 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
         err = f"{type(failed[0]).__name__}: {failed[0]}" if failed else None
         g_sim_db, lam_exact, lam_pred = (math.nan if isinstance(v, Exception) else v
                                          for v in values)
-        g0 = theory.gamma0(snr_lin, config.element_count, sm.GOLD_LENGTH, probe.model.beta)
+        g0 = theory.gamma0(snr_lin, config.element_count, probe.model.beta)
         rows.append(SweepRow(
             snr_db=snr_db,
             g_sim_db=g_sim_db,
@@ -640,7 +640,7 @@ def run_eigencurves(config: ExperimentConfig, out_path=None) -> EigencurveResult
     for snr_db, snr, lam in zip(config.snr_grid_db, grid.tolist(), lams):
         if isinstance(lam, Exception):
             raise type(lam)(f"{snr_db:g} dB: {lam}") from lam
-        g0 = theory.gamma0(snr, config.element_count, sm.GOLD_LENGTH, probe.model.beta)
+        g0 = theory.gamma0(snr, config.element_count, probe.model.beta)
         rows.append((snr_db, g0 + 1.0, probe.gamma1 + 1.0, float(lam)))
 
     cross = math.nan

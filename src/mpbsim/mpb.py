@@ -112,10 +112,19 @@ def maximin_bases(code: np.ndarray, monitor_freq: float = DEFAULT_MAXIMIN_FREQ) 
     return ProjectionBases(code / math.sqrt(n), h_i, "Maximin")
 
 
+# An orthogonal monitor column's N-term inner product with c0 (||h|| = 1,
+# ||c0|| = sqrt(N)) rounds to at most N eps sqrt(N), so its square, the
+# column's leakage, to at most N (N eps)^2, about 1.5e-27. beta, the mean
+# leakage of the columns, at or below that is rounding residue.
+LEAKAGE_ROUNDING = sm.GOLD_LENGTH * (sm.GOLD_LENGTH * np.finfo(np.float64).eps) ** 2
+
+
 def leakage_ratio(bases: ProjectionBases, code: np.ndarray) -> float:
-    """Power leakage ratio beta = ||h_i^H c0||^2 / r_I."""
+    """Power leakage ratio beta = ||h_i^H c0||^2 / r_I, exactly 0 at or below
+    LEAKAGE_ROUNDING (so the Maximin monitor at f = k/N gives 0)."""
     code = np.asarray(code, dtype=np.complex128)
-    return float(np.sum(np.abs(bases.h_i.conj().T @ code) ** 2)) / bases.r_i
+    beta = float(np.sum(np.abs(bases.h_i.conj().T @ code) ** 2)) / bases.r_i
+    return 0.0 if beta <= LEAKAGE_ROUNDING else beta
 
 
 # -----------------------
@@ -363,37 +372,39 @@ class BeamWeights:
 
 
 def top_cluster(eigenvalues: np.ndarray) -> np.ndarray:
-    """Indices of the descending eigenvalues within 1e-8 relative of the first."""
-    top = float(eigenvalues[0])
-    return np.nonzero(eigenvalues >= top - 1e-8 * max(1.0, abs(top)))[0]
+    """Mask of the descending eigenvalues within 1e-8 relative of the first,
+    along the last axis of any stack of them."""
+    top = eigenvalues[..., :1]
+    return eigenvalues >= top - 1e-8 * np.maximum(1.0, np.abs(top))
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u^H v of two stacks of vectors (..., n), as one (1 x n)(n x 1)
+    product per slice, so that a slice equals its point alone bit for bit."""
+    return (u.conj()[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 def solve_weights(pair: CovariancePair, a0: np.ndarray) -> BeamWeights:
     """Dominant generalized eigenvector of (R_S, R_I), unit-normalized.
 
     When the top eigenvalue is a cluster (within 1e-8 relative) the member
-    with the largest |w^H a0| wins, which keeps the weight deterministic at
-    competition boundaries.
+    with the largest |w^H a0| wins (the first of equal ones), which keeps
+    the weight deterministic at competition boundaries.
 
     R_S and R_I may be stacks (..., L, L), one pair per point of a grid:
-    the pencils are solved in one call, w then has shape (..., L) and
-    lambda_max the stack's leading shape.
+    the pencils are solved in one call and every point's pick is one masked
+    argmax over the stack; w then has shape (..., L) and lambda_max the
+    stack's leading shape.
     """
     res = la.gen_eig_hpd(pair.r_s, pair.r_i)
     a0 = np.asarray(a0, dtype=np.complex128)
-    batch = res.eigenvalues.shape[:-1]
-    w = np.empty(res.eigenvalues.shape, dtype=np.complex128)
-    for i in np.ndindex(batch):
-        lam, vecs = res.eigenvalues[i], res.eigenvectors[i]
-        cluster = top_cluster(lam)
-        pick = int(cluster[0])
-        if len(cluster) > 1:
-            scores = [abs(np.vdot(vecs[:, int(j)], a0)) for j in cluster]
-            pick = int(cluster[int(np.argmax(scores))])
-        v = vecs[:, pick]
-        w[i] = v / math.sqrt(np.vdot(v, v).real)
+    vecs = res.eigenvectors
+    scores = np.where(top_cluster(res.eigenvalues), np.abs(a0.conj() @ vecs), -1.0)
+    pick = np.argmax(scores, axis=-1)[..., None, None]
+    v = np.take_along_axis(vecs, pick, axis=-1)[..., 0]
+    w = v / np.sqrt(_dot(v, v).real)[..., None]
     lam_max = res.eigenvalues[..., 0]
-    return BeamWeights(w, float(lam_max) if not batch else lam_max)
+    return BeamWeights(w, float(lam_max) if not lam_max.shape else lam_max)
 
 
 def inv_quad(m: np.ndarray, a0: np.ndarray) -> float:
@@ -407,29 +418,21 @@ def sinr_opt(q_s: np.ndarray, a0: np.ndarray, sigma_s0_sq: float) -> float:
     return float(sigma_s0_sq * inv_quad(q_s, a0))
 
 
-def output_sinr(w: np.ndarray, q_s: np.ndarray, a0: np.ndarray, sigma_s0_sq: float) -> float:
-    """Analytic output SINR of a fixed weight: sigma_S0^2 |w^H a0|^2 / (w^H Q_S w)."""
-    w = np.asarray(w, dtype=np.complex128)
-    num = sigma_s0_sq * abs(np.vdot(w, a0)) ** 2
-    den = np.vdot(w, q_s @ w).real
-    if den <= 0.0:
-        raise ValueError("non-positive interference-plus-noise power")
-    return float(num / den)
-
-
 def analytic_g(w: np.ndarray, model: AnalyticModel):
-    """G = SINR(w) / SINR_opt of a fixed weight under a closed-form model.
+    """G = SINR(w) / SINR_opt of a fixed weight under a closed-form model:
+    sigma_S0^2 |w^H a0|^2 / (w^H Q_S w) over sigma_S0^2 a0^H Q_S^-1 a0.
 
     On a grid model, w is a stack (..., L) of one weight per SNR and G an
-    array of that leading shape. SINR_opt reads the model's qs_quad, so
-    Q_S is factored once however many SNRs are evaluated.
+    array of that leading shape, from the same expression. SINR_opt reads
+    the model's qs_quad, so Q_S is factored once however many SNRs are
+    evaluated. A weight with w^H Q_S w <= 0 (w = 0) raises ValueError.
     """
     w = np.asarray(w, dtype=np.complex128)
-    sigma = np.broadcast_to(model.sigma_s0_sq, w.shape[:-1])
-    g = np.empty(w.shape[:-1])
-    for i in np.ndindex(g.shape):
-        s0 = float(sigma[i])
-        g[i] = output_sinr(w[i], model.q_s, model.a0, s0) / float(s0 * model.qs_quad)
+    sigma = model.sigma_s0_sq
+    den = _dot(w, (model.q_s @ w[..., None])[..., 0]).real
+    if np.any(den <= 0.0):
+        raise ValueError("non-positive interference-plus-noise power")
+    g = sigma * np.abs(_dot(w, model.a0)) ** 2 / den / (sigma * model.qs_quad)
     return float(g) if not g.shape else g
 
 

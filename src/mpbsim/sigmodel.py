@@ -325,24 +325,25 @@ def realize_paths(scenario: Scenario) -> list:
     """Expand interferers into directional paths with realizations drawn.
 
     Depends on the scenario seed only (not mc_stream), so every point of an
-    SNR sweep sees the same tone phases and noise segments. A tone's block
-    phase e^{i 2 pi f N} is taken from the fractional part of f N, so an
-    integer f N gives exactly 1.
+    SNR sweep sees the same tone phases and noise segments. Only tones and
+    periodical noise draw, each from its own realization stream, which is
+    built only for them. A tone's block phase e^{i 2 pi f N} is taken from
+    the fractional part of f N, so an integer f N gives exactly 1.
     """
     n = GOLD_LENGTH
     paths = []
     for idx, sp in enumerate(scenario.interferers):
-        rng = _stream(scenario.seed, _TAG_REALIZATION, idx)
         if sp.kind == "bpsk_white":
             paths.append(RealizedPath("white", sp.doa_deg, sp.power, idx))
         elif sp.kind == "tone":
-            phi0 = rng.uniform(0.0, 2.0 * math.pi)
+            phi0 = _stream(scenario.seed, _TAG_REALIZATION, idx).uniform(0.0, 2.0 * math.pi)
             wave = np.exp(1j * (phi0 + 2.0 * math.pi * sp.normalized_offset * np.arange(n)))
             cycles = sp.normalized_offset * n
             rho = cmath.exp(2j * math.pi * (cycles - round(cycles)))
             paths.append(RealizedPath("periodic", sp.doa_deg, sp.power, idx,
                                       waveform=wave, block_phase=rho))
         elif sp.kind == "periodical_noise":
+            rng = _stream(scenario.seed, _TAG_REALIZATION, idx)
             seg = rng.normal(size=n) + 1j * rng.normal(size=n)
             seg *= math.sqrt(n) / math.sqrt(float(np.sum(np.abs(seg) ** 2)))  # exact unit power
             paths.append(RealizedPath("periodic", sp.doa_deg, sp.power, idx, waveform=seg))

@@ -27,13 +27,15 @@ INF = float("inf")
 # gamma0 and the mismatch spectrum
 # -----------------------
 
-def gamma0(snr: float, l_antennas: int, n_gain: int, beta: float) -> float:
-    """Closed-form signal-branch eigenvalue gamma_0 = (N-b)*L*snr / (L*b*snr + N)."""
+def gamma0(snr: float, l_antennas: int, beta: float) -> float:
+    """Closed-form signal-branch eigenvalue gamma_0 = (N-b)*L*snr / (L*b*snr + N),
+    N = sm.GOLD_LENGTH."""
+    n = sm.GOLD_LENGTH
     if snr < 0:
         raise ValueError("snr must be >= 0")
-    if not 0 <= beta < n_gain:
+    if not 0 <= beta < n:
         raise ValueError(f"beta must lie in [0, N), got {beta}")
-    return (n_gain - beta) * l_antennas * snr / (l_antennas * beta * snr + n_gain)
+    return (n - beta) * l_antennas * snr / (l_antennas * beta * snr + n)
 
 
 def gamma_spectrum(q_s: np.ndarray, q_i: np.ndarray, d: int) -> np.ndarray:
@@ -127,9 +129,10 @@ def mismatch_spectrum(model: mpb.AnalyticModel):
     units of the noise power, so the SNR is sigma_S0^2 = N P0 itself, and
     N is sm.GOLD_LENGTH.
 
-    On a grid model every solve runs once, stacked over the grid, and the
-    result is a list with one MismatchSpectrum per SNR, each equal to the
-    spectrum of the model moved to that SNR alone.
+    On a grid model every solve runs once, stacked over the grid, and so do
+    a0^H R_I^-1 a0, the couplings and delta; the result is a list with one
+    MismatchSpectrum per SNR, each equal to the spectrum of the model moved
+    to that SNR alone.
     """
     big_l = model.a0.shape[0]
     snr = model.sigma_s0_sq
@@ -138,10 +141,8 @@ def mismatch_spectrum(model: mpb.AnalyticModel):
     # one Cholesky of R_I serves gamma0, delta and the Gram matrix
     ri_inv = la.solve_hpd(model.r_i, np.column_stack([model.a0, a_mat]))
     ri_inv_a0, ri_inv_amat = ri_inv[..., 0], ri_inv[..., 1:]
-    quad = np.empty(np.shape(snr))
-    for i in np.ndindex(quad.shape):
-        quad[i] = np.vdot(model.a0, ri_inv_a0[i]).real
-    g0 = np.asarray(_gamma0_from_quad(model, quad))
+    quad = mpb._dot(model.a0, ri_inv_a0).real
+    g0 = _gamma0_from_quad(model, quad)
 
     if d:
         gram = a_mat.conj().T @ ri_inv_amat
@@ -151,29 +152,30 @@ def mismatch_spectrum(model: mpb.AnalyticModel):
         phi_delta = (model.phi_s0 - model.phi_i0) * model.inr
         # T^H Phi_Delta T = diag(gammas), T^H W T = I
         res = la.gen_eig_hpd(0.5 * (phi_delta + phi_delta.conj().T), w_mat)
+        gammas = res.eigenvalues
         # T^H W T = I gives T^-H = W T: no explicit inversion needed
         a_eps = a_mat @ (w_mat @ res.eigenvectors)
-        coef = np.asarray((big_l * model.beta / sm.GOLD_LENGTH) * snr + 1.0)
-
-    spectra = []
-    for i in np.ndindex(quad.shape):
-        g0_i, quad_i = float(g0[i]), float(quad[i])
-        if d == 0:
-            spectra.append(MismatchSpectrum(g0_i, np.zeros(0), model.beta, 0.0,
-                                            np.zeros(0, dtype=np.complex128),
-                                            *lambda_max_bound(g0_i, 0.0, 0.0)))
-            continue
-        gammas = res.eigenvalues[i]
-        coupling = a_eps[i].conj().T @ ri_inv_a0[i]
-        psi_t = coef[i] * coupling
+        coupling = (a_eps.conj().swapaxes(-1, -2) @ ri_inv_a0[..., None])[..., 0]
+        coef = (big_l * model.beta / sm.GOLD_LENGTH) * snr + 1.0
+        psi_t = np.expand_dims(coef, -1) * coupling
         # delta scales the top coupling against a0^H R_I^-1 a0 exactly; the
         # (L beta / N) snr + 1 normalization is only its wide-separation limit
         # and under-covers the enclosure by 1/(1 - xi). A repeated gamma_1 has
         # any basis of its eigenspace as eigenvectors, so the coupling is
         # summed over the whole top cluster, which no such choice moves.
-        delta = float(np.sum(np.abs(coupling[mpb.top_cluster(gammas)]) ** 2)) / quad_i
-        spectra.append(MismatchSpectrum(g0_i, gammas, model.beta, delta, psi_t,
-                                        *lambda_max_bound(g0_i, float(gammas[0]), delta)))
+        top = np.where(mpb.top_cluster(gammas), np.abs(coupling) ** 2, 0.0)
+        delta = np.sum(top, axis=-1) / quad
+    else:
+        gammas = np.zeros(quad.shape + (0,))
+        psi_t = np.zeros(quad.shape + (0,), dtype=np.complex128)
+        delta = np.zeros(quad.shape)
+
+    spectra = []
+    for i in np.ndindex(quad.shape):
+        g0_i, delta_i = float(g0[i]), float(delta[i])
+        gamma1_i = float(gammas[i][0]) if d else 0.0
+        spectra.append(MismatchSpectrum(g0_i, gammas[i], model.beta, delta_i, psi_t[i],
+                                        *lambda_max_bound(g0_i, gamma1_i, delta_i)))
     return spectra if quad.shape else spectra[0]
 
 
@@ -257,9 +259,9 @@ def _g_operating(snr: float, th: Thresholds) -> float:
     return (th.p_i + 1.0) / (th.p_i / (1.0 - frac) ** 2 + 1.0) * th.g_u
 
 
-def _g_failure(snr: float, th: Thresholds, beta: float, l_antennas: int, n_gain: int) -> float:
+def _g_failure(snr: float, th: Thresholds, beta: float, l_antennas: int) -> float:
     lead = 0.0 if th.snr_t0 == INF else snr / th.snr_t0
-    den = 1.0 - lead + th.k0 * (l_antennas * beta * snr / n_gain + 1.0)
+    den = 1.0 - lead + th.k0 * (l_antennas * beta * snr / sm.GOLD_LENGTH + 1.0)
     return ((1.0 + th.k0) / den) ** 2 * th.g_l
 
 
@@ -269,13 +271,13 @@ def operating_curve(model: mpb.AnalyticModel, th: Thresholds, snr_grid) -> Opera
     Above SNR_T2 the operating branch applies, below SNR_T1 the failure
     branch; the band between is bridged by a straight line in
     (log SNR, dB G) coordinates, which is a declared drawing rule rather
-    than a formula. Of the model only beta, L and N are read, none of
+    than a formula. Of the model only beta and L are read, neither of
     which depends on the SNR, so any SNR of the model serves.
     """
     grid = [float(s) for s in snr_grid]
     if not grid:
         raise ValueError("empty SNR grid")
-    beta, big_l, n = model.beta, model.a0.shape[0], sm.GOLD_LENGTH
+    beta, big_l = model.beta, model.a0.shape[0]
     needs_gl = any(s <= th.snr_t2 for s in grid) and th.snr_t0 > 0.0
     if needs_gl and not th.g_l > 0.0:
         raise ValueError("failure/threshold region requested but g_l is not set")
@@ -287,9 +289,9 @@ def operating_curve(model: mpb.AnalyticModel, th: Thresholds, snr_grid) -> Opera
         if snr > th.snr_t2:
             points.append((snr, _g_operating(snr, th), "Operating"))
         elif snr < th.snr_t1:
-            points.append((snr, _g_failure(snr, th, beta, big_l, n), "Failure"))
+            points.append((snr, _g_failure(snr, th, beta, big_l), "Failure"))
         else:
-            g1 = _g_failure(th.snr_t1, th, beta, big_l, n)
+            g1 = _g_failure(th.snr_t1, th, beta, big_l)
             g2 = _g_operating(th.snr_t2, th)
             frac = (math.log10(snr) - math.log10(th.snr_t1)) / \
                    (math.log10(th.snr_t2) - math.log10(th.snr_t1))
@@ -323,12 +325,14 @@ def g_lower_oracle(model: mpb.AnalyticModel, *, gamma1: float | None = None) -> 
 
 
 def g_of_lambda(lambda_max: float, spectrum: MismatchSpectrum, snr: float,
-                l_antennas: int, n_gain: int) -> float:
+                l_antennas: int) -> float:
     """Exact-ingredient evaluation of G as a function of the top eigenvalue.
 
     psi_S and psi_I are partial-fraction sums over the mismatch eigenvalues;
-    lambda_max sitting on a pole (gamma_i + 1) is rejected.
+    lambda_max sitting on a pole (gamma_i + 1) is rejected. N is
+    sm.GOLD_LENGTH.
     """
+    n = sm.GOLD_LENGTH
     gam = np.asarray(spectrum.gammas, dtype=np.float64)
     psi_t2 = np.abs(np.asarray(spectrum.psi_t)) ** 2
     poles = gam + 1.0
@@ -338,8 +342,8 @@ def g_of_lambda(lambda_max: float, spectrum: MismatchSpectrum, snr: float,
     psi_s = (1.0 / l_antennas) * float(np.sum(ratio * psi_t2))
     psi_i = (1.0 / l_antennas) * float(np.sum(poles * ratio ** 2 * psi_t2))
     mix = l_antennas * spectrum.beta * snr
-    a = 1.0 + (n_gain / (mix + n_gain)) * psi_s
-    b = psi_i - (mix / (mix + n_gain)) * psi_s ** 2
+    a = 1.0 + (n / (mix + n)) * psi_s
+    b = psi_i - (mix / (mix + n)) * psi_s ** 2
     return a * a / (b + a * a)
 
 

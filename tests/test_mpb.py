@@ -43,9 +43,13 @@ def test_papc_rejects_bad_position():
 
 
 def test_maximin_leakage_vanishes_on_bin_frequencies():
-    for k in (1, 2, 5, 16, 30):
-        bases = mpb.maximin_bases(CODE, monitor_freq=k / 31.0)
-        assert mpb.leakage_ratio(bases, CODE) <= 1e-12, k
+    """On every bin frequency k/N the monitor is orthogonal to the code, and
+    beta is exactly 0, not the rounding residue of the inner product."""
+    for idx in range(33):
+        code = sm.gold31(idx)
+        for k in range(1, 31):
+            bases = mpb.maximin_bases(code, monitor_freq=k / 31.0)
+            assert mpb.leakage_ratio(bases, code) == 0.0, (idx, k)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -293,27 +297,70 @@ def test_grid_model_slices_equal_points_bitwise(interferers):
         assert np.array_equal(grid.r_i[i], point.r_i)
 
 
+def _two_member_cluster_pair(a0: np.ndarray) -> mpb.CovariancePair:
+    """(I + (4 + 1e-9) u u^H + 4 a a^H, I) with a = a0/|a0| and u orthogonal
+    to a0: a top cluster of two, whose second member is the one along a0."""
+    a = a0 / np.linalg.norm(a0)
+    u = sm.steering(40.0, GEO8)
+    u = u - np.vdot(a, u) * a
+    u /= np.linalg.norm(u)
+    eye = np.eye(8, dtype=complex)
+    return mpb.CovariancePair(eye + (4.0 + 1e-9) * np.outer(u, u.conj())
+                              + 4.0 * np.outer(a, a.conj()), eye)
+
+
+def _weight_and_g_by_loop(pair: mpb.CovariancePair, model: mpb.AnalyticModel):
+    """The reference for one point: the top cluster's member with the
+    largest |v^H a0| by np.vdot, member by member, and G by np.vdot."""
+    res = la.gen_eig_hpd(pair.r_s, pair.r_i)
+    top = res.eigenvalues[0]
+    members = np.nonzero(res.eigenvalues >= top - 1e-8 * max(1.0, abs(top)))[0]
+    v = max((res.eigenvectors[:, j] for j in members), key=lambda v: abs(np.vdot(v, model.a0)))
+    w = v / np.sqrt(np.vdot(v, v).real)
+    sinr = model.sigma_s0_sq * abs(np.vdot(w, model.a0)) ** 2 / np.vdot(w, model.q_s @ w).real
+    return w, sinr / (model.sigma_s0_sq * model.qs_quad)
+
+
 def test_stacked_weights_and_g_equal_each_point_bitwise():
     """solve_weights and analytic_g over a stack of pairs equal the pairs
-    solved alone, the cluster tie-break (an equal pair) included."""
+    solved alone, and the per-point loop to 1e-12. The stack mixes top
+    clusters of 1 (sample pairs), 2 (won by its second member) and 8
+    members (an equal pair)."""
     sc = _scenario(interferers=ALL_FAMILIES, symbols=400)
     bases = mpb.maximin_bases(CODE)
     model = mpb.analytic_cov(sc, bases)
-    snrs = [0.01, 1.0, 100.0, 1.0]
+    snrs = [0.01, 1.0, 100.0, 1.0, 3.0]
     pairs = [mpb.accumulate_cov_pair(replace(sc, mc_stream=i), bases) for i in range(3)]
     pairs.append(mpb.CovariancePair(pairs[0].r_i, pairs[0].r_i))  # all eigenvalues 1
+    pairs.append(_two_member_cluster_pair(model.a0))
     r_s = np.stack([p.r_s for p in pairs])
     r_i = np.stack([p.r_i for p in pairs])
     grid = model.at_snr(np.array(snrs))
     bw = mpb.solve_weights(mpb.CovariancePair(r_s, r_i), grid.a0)
     g = mpb.analytic_g(bw.w, grid)
-    assert bw.w.shape == (4, 8) and bw.lambda_max.shape == g.shape == (4,)
+    assert bw.w.shape == (5, 8) and bw.lambda_max.shape == g.shape == (5,)
     for i, (snr, pair) in enumerate(zip(snrs, pairs)):
         one = mpb.solve_weights(pair, model.a0)
         assert np.array_equal(bw.w[i], one.w)
         assert bw.lambda_max[i] == one.lambda_max
         assert g[i] == mpb.analytic_g(one.w, model.at_snr(snr))
-    assert len(mpb.top_cluster(la.gen_eig_hpd(pairs[3].r_s, pairs[3].r_i).eigenvalues)) == 8
+        w_ref, g_ref = _weight_and_g_by_loop(pair, model.at_snr(snr))
+        assert np.abs(one.w - w_ref).max() <= 1e-12
+        assert abs(g[i] - g_ref) <= 1e-12 * g_ref
+    sizes = [np.count_nonzero(mpb.top_cluster(la.gen_eig_hpd(p.r_s, p.r_i).eigenvalues))
+             for p in pairs]
+    assert sizes == [1, 1, 1, 8, 2]
+    vecs = la.gen_eig_hpd(pairs[4].r_s, pairs[4].r_i).eigenvectors
+    scores = np.abs(vecs[:, :2].conj().T @ model.a0)
+    assert scores[1] > scores[0]  # so the loop above checked the second member's pick
+
+
+def test_analytic_g_rejects_a_zero_weight_in_a_stack():
+    model = mpb.analytic_cov(_scenario(interferers=ALL_FAMILIES), mpb.maximin_bases(CODE))
+    w = np.ones((3, 8), dtype=complex)
+    w[1] = 0.0
+    with pytest.raises(ValueError, match="non-positive interference-plus-noise power"):
+        mpb.analytic_g(w, model.at_snr(np.array([0.1, 1.0, 10.0])))
 
 
 _MAI_GAINS = replace(ALL_FAMILIES[3], path_gains=(1.0, 0.6, 0.3))

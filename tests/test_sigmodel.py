@@ -283,6 +283,19 @@ def test_mc_stream_changes_noise_not_realization():
     assert not np.array_equal(na, nb)
 
 
+@pytest.mark.parametrize("name, drawn", [("fig4a-bpsk3", 0), ("fig4b-pn2", 2),
+                                         ("fig4c-tones5", 5), ("fig4d-mai3", 0),
+                                         ("fig6-pn2", 2)])
+def test_realization_streams_are_built_only_where_drawn(name, drawn, monkeypatch):
+    """realize_paths builds a realization stream for each tone and
+    periodical noise, the kinds that draw, and for no other interferer."""
+    from mpbsim import harness
+
+    calls = _spy(monkeypatch, "_stream")
+    sm.realize_paths(harness.scenario_at(harness.preset(name), 0.0))
+    assert [args[1] for args, _ in calls] == [sm._TAG_REALIZATION] * drawn
+
+
 def test_component_split_sums_to_whole():
     """Separately synthesized components add up to the full blocks (same streams)."""
     sc = _scenario(symbols=40,
