@@ -592,6 +592,8 @@ def run_pattern(config: ExperimentConfig, snr_db: float, out_path=None) -> list:
     Weights come from the analytic covariance pair at the stated SNR/INR so
     patterns are deterministic; both standard schemes are always emitted
     (plus Custom when configured) because pattern comparisons need the pair.
+    A scheme whose covariance or weights cannot be solved fails with its
+    error prefixed by the scheme's name (_stage).
     """
     thetas = [-90.0 + PATTERN_STEP_DEG * i
               for i in range(int(round(180.0 / PATTERN_STEP_DEG)) + 1)]
@@ -601,8 +603,8 @@ def run_pattern(config: ExperimentConfig, snr_db: float, out_path=None) -> list:
     sc = scenario_at(config, snr_db, stream=0)
     rows = []
     for name in names:
-        model = mpb.analytic_cov(sc, _bases_named(config, name))
-        bw = mpb.solve_weights(model.cov_pair(), model.a0)
+        model = _stage(name, mpb.analytic_cov, sc, _bases_named(config, name))
+        bw = _stage(name, mpb.solve_weights, model.cov_pair(), model.a0)
         for theta, gain in mpb.array_pattern(bw.w, sc.geometry, thetas):
             rows.append((name, theta, gain))
     if out_path is not None:

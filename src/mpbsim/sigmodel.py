@@ -26,13 +26,15 @@ partitioned. A stream's key is the one numpy's SeedSequence hashes from
 that entropy, and a Philox stream is fully defined by its key and counter.
 Every stream is its own Philox, built by _philox where it is drawn, in
 both synthesizers. The +-1 streams are read straight off the raw Philox
-words, and projected_sum reads them CHUNK symbols at a time, so a point's
-memory does not grow with K.
+words by the one reader _stream_bits, at any bit that starts a counter
+step: a Philox is positioned by its counter, so no read depends on an
+earlier one. projected_sum reads them CHUNK symbols at a time, each chunk
+alone, so a point's memory does not grow with K.
 SOI and MAI bits go through _bits: bit i is the top bit of the i-th 32-bit
 half, low half first, which is the draw of Generator.integers(0, 2) on the
 same stream. _bits keeps them as booleans, true where the bit is -1.
 iter_blocks multiplies by them as +-1 floats (soi_bits, _mai_bit_streams);
-projected_sum reads the booleans (_soi_negs, _mai_negs). A white path packs
+projected_sum reads the booleans (_chunk_negs). A white path packs
 a whole symbol into one half word (_white_bits): chip n is bit n of the
 half shifted right by one, which is the draw of
 Generator.integers(0, 2**31, dtype=np.uint32). iter_blocks unpacks those
@@ -374,80 +376,54 @@ def _bits(raw: np.random.Philox, count: int) -> np.ndarray:
     """The next count bits of a Philox as booleans, equal to a Generator's
     integers(0, 2, size=count) on it; a set bit stands for the +-1 value -1.
 
-    This serves the SOI and MAI bit streams; white chips are packed by
-    _white_bits. integers(0, 2) keeps the top bit of each 32-bit draw
-    (Lemire's bounded method never rejects for a range of two), and Philox
-    serves its 32-bit draws as the low, then the high half of each 64-bit
-    word. The bits are read straight off the raw words instead, as the
-    signs of their halves through a little-endian view, so that the order
-    does not depend on the machine's byte order. A read spends whole words
-    and drops the unused half of the last one, so successive reads give the
-    bits of one read of their total when every read but the last has an
-    even count. The Philox must not have served a 32-bit draw: integers
-    would first spend a half word left over from it, and random_raw does
-    not see it.
+    This serves the SOI and MAI bit streams, through _stream_bits; white
+    chips are packed by _white_bits. integers(0, 2) keeps the top bit of
+    each 32-bit draw (Lemire's bounded method never rejects for a range of
+    two), and Philox serves its 32-bit draws as the low, then the high half
+    of each 64-bit word. The bits are read straight off the raw words
+    instead, as the signs of their halves through a little-endian view, so
+    that the order does not depend on the machine's byte order. The
+    Philox must not have served a 32-bit draw: integers would first spend a
+    half word left over from it, and random_raw does not see it.
     """
     words = raw.random_raw((count + 1) // 2).astype("<u8", copy=False)
     return words.view("<i4")[:count] < 0
 
 
-def _bit_chunks(raw: np.random.Philox, count: int, overlap: int = 0):
-    """Yield bits 0 .. count-1 of a fresh Philox, as _bits reads them, in
-    chunks that start CHUNK bits apart and hold CHUNK + overlap bits (the
-    last one cut at count), so each chunk shares its last overlap bits with
-    the next one.
+def _stream_bits(seed: int, tag: int, mc_stream: int, index: int,
+                 start: int, count: int) -> np.ndarray:
+    """Bits start .. start+count-1 of the +-1 stream keyed by
+    (seed, tag, mc_stream, index), as _bits reads them from its start.
 
-    Every read but the last ends on a whole word, and the shared bits are
-    kept rather than read again. A stream of at most CHUNK + overlap bits is
-    one chunk and one read.
+    Philox is counter-based: one counter step makes four 64-bit words, or
+    eight bits, so the stream is positioned by advancing its fresh Philox
+    start // 8 steps, and no bit before start is read. start must be a
+    multiple of 8, as every CHUNK and BATCH boundary is.
     """
-    held = np.zeros(0, dtype=bool)  # the bits read so far from this chunk's start on
-    for start in range(0, count - overlap, CHUNK):
-        end = min(start + CHUNK + overlap, count)
-        fresh = _bits(raw, min(end + end % 2, count) - start - len(held))
-        held = np.concatenate([held, fresh]) if len(held) else fresh
-        del fresh
-        yield held[:end - start]
-        held = held[CHUNK:].copy()  # the chunk is freed once its reader lets go
-
-
-def _soi_negs(seed: int, symbols: int, mc_stream: int):
-    """Where mc_stream's SOI data stream is -1: K booleans, yielded
-    CHUNK at a time (_bit_chunks)."""
-    return _bit_chunks(_philox(seed, _TAG_SOI_BITS, mc_stream, 0), symbols)
+    if start % 8:
+        raise ValueError(f"start must be a multiple of 8, got {start}")
+    raw = _philox(seed, tag, mc_stream, index)
+    raw.advance(start // 8)
+    return _bits(raw, count)
 
 
 def soi_bits(scenario: Scenario) -> np.ndarray:
     """The +-1 SOI data stream for this scenario, as float64.
 
     iter_blocks multiplies the blocks by it; projected_sum reads the same
-    stream as booleans (_soi_negs) and never forms this array.
+    stream as booleans, a chunk at a time (_chunk_negs), and never forms
+    this array.
     """
-    negs = _soi_negs(scenario.seed, scenario.symbols, scenario.mc_stream)
-    return 1.0 - 2.0 * np.concatenate([*negs])
-
-
-def _mai_users(paths) -> list:
-    """The interferer index of each MAI user among paths, once, in order."""
-    return list(dict.fromkeys(p.stream_index for p in paths if p.family == "mai"))
-
-
-def _mai_negs(seed: int, symbols: int, users, mc_stream: int) -> dict:
-    """Where each MAI user's stream of mc_stream is -1, per interferer index
-    in users: K+1 booleans (entry 0 = b(-1)), yielded one chunk of CHUNK
-    symbols at a time. The chunk of symbols k0 .. k0+n-1 holds
-    b(k0-1) .. b(k0+n-1), n + 1 entries, so it shares its last entry with
-    the next chunk: b(k) of its last symbol is b(k-1) of the next one's
-    first."""
-    return {i: _bit_chunks(_philox(seed, _TAG_MAI_BITS, mc_stream, i), symbols + 1, overlap=1)
-            for i in users}
+    return 1.0 - 2.0 * _stream_bits(scenario.seed, _TAG_SOI_BITS, scenario.mc_stream, 0,
+                                    0, scenario.symbols)
 
 
 def _mai_bit_streams(scenario: Scenario, paths) -> dict:
-    """One +-1 stream of length K+1 per MAI interferer index (entry 0 = b(-1))."""
-    negs = _mai_negs(scenario.seed, scenario.symbols, _mai_users(paths), scenario.mc_stream)
-    return {i: 1.0 - 2.0 * np.concatenate([first, *(neg[1:] for neg in rest)])
-            for i, (first, *rest) in negs.items()}
+    """One +-1 stream of length K+1 per MAI interferer index among paths
+    (entry 0 = b(-1)), in the order of the paths."""
+    return {i: 1.0 - 2.0 * _stream_bits(scenario.seed, _TAG_MAI_BITS, scenario.mc_stream, i,
+                                        0, scenario.symbols + 1)
+            for i in dict.fromkeys(p.stream_index for p in paths if p.family == "mai")}
 
 
 def _white_bits(raw: np.random.Philox, count: int) -> np.ndarray:
@@ -579,20 +555,41 @@ def _wishart_factor(rng: np.random.Generator, out: np.ndarray, gauss: np.ndarray
     np.fill_diagonal(out, np.sqrt(rng.standard_gamma(shapes)))
 
 
-def _count_gram(keys, negs, k_total: int) -> np.ndarray:
-    """Z = sum_k z z^H of projected_sum's sources when each is +-1 or the
-    constant 1: the keys in negs' chunks (_point_negs) are +-1 and read
-    from where they are -1, and the one other key is the constant ramp.
+def _chunk_negs(seed: int, keys, mc_stream: int, k0: int, n: int) -> dict:
+    """Where each +-1 source among projected_sum's keys is -1 at symbols
+    k0 .. k0+n-1 of mc_stream's point: n booleans per "soi" and "mai" key.
+
+    Each source is read from its own _philox stream at its own counter
+    (_stream_bits), so any chunk of any point is read alone. The SOI reads
+    bits k0 .. k0+n-1; an MAI user reads b(k0-1) .. b(k0+n-1), entries
+    k0 .. k0+n of its stream, once for its b(k) and b(k-1) keys.
+    """
+    negs = {}
+    for key in keys:
+        if key[0] == "soi":
+            negs[key] = _stream_bits(seed, _TAG_SOI_BITS, mc_stream, 0, k0, n)
+        elif key[0] == "mai" and key[2] == 0:
+            neg = _stream_bits(seed, _TAG_MAI_BITS, mc_stream, key[1], k0, n + 1)
+            negs[key], negs[("mai", key[1], 1)] = neg[1:], neg[:-1]  # b(k), b(k-1)
+    return negs
+
+
+def _count_gram(seed: int, k_total: int, stream: int, keys) -> np.ndarray:
+    """Z = sum_k z z^H of projected_sum's sources at the point of one
+    mc_stream, when each is +-1 or the constant 1: the "soi" and "mai" keys
+    are +-1 and read from where they are -1 (_chunk_negs), and the one
+    other key is the constant ramp.
 
     A product of two such sources is -1 exactly where one of them is, so
-    Z_ab = K - 2 count(neg_a xor neg_b), and the diagonal is K. Each
-    chunk's counts are taken off K as they come, and every partial result
-    is an exact integer. These are the integers _batch_gram reaches by
-    summing the products in float64, so the two give the same complex128
-    matrix, bit for bit.
+    Z_ab = K - 2 count(neg_a xor neg_b), and the diagonal is K. The counts
+    are taken off K one chunk of CHUNK symbols at a time, each chunk read
+    at its own counter, and every partial result is an exact integer.
+    These are the integers _batch_gram reaches by summing the products in
+    float64, so the two give the same complex128 matrix, bit for bit.
     """
     z_gram = np.full((len(keys), len(keys)), k_total, dtype=np.complex128)
-    for chunk in negs:
+    for k0 in range(0, k_total, CHUNK):
+        chunk = _chunk_negs(seed, keys, stream, k0, min(CHUNK, k_total - k0))
         flips = [chunk.get(key, False) for key in keys]  # the constant 1 is never -1
         for a, b in itertools.combinations(range(len(keys)), 2):
             flipped = 2 * np.count_nonzero(flips[a] ^ flips[b])
@@ -602,17 +599,16 @@ def _count_gram(keys, negs, k_total: int) -> np.ndarray:
     return z_gram
 
 
-def _batch_gram(seed: int, k_total: int, streams, keys, negs, proj: np.ndarray) -> np.ndarray:
+def _batch_gram(seed: int, k_total: int, streams, keys, proj: np.ndarray) -> np.ndarray:
     """Z = sum_k z z^H of projected_sum's sources at every point of a grid,
     summed batch by batch: shape (P, q', q') for the P mc_streams in streams.
 
     keys name the sources in the order of U's columns: "soi" and "mai" keys
-    are read from a point's chunks in negs (an iterable of one _point_negs
-    per point) and made +-1 one batch slice at a time, a "ramp" key holds
-    its block phase, and a "white" key stands for the M projected chip rows
-    of one white path, whose chips are drawn per batch from the seed's
-    _philox. The chip tables, the ramp steps and the buffers serve every
-    point.
+    are read as the chunk of CHUNK symbols that a batch starts (_chunk_negs)
+    and made +-1 one batch slice at a time, a "ramp" key holds its block
+    phase, and a "white" key stands for the M projected chip rows of one
+    white path, whose chips are drawn per batch from the seed's _philox.
+    The chip tables, the ramp steps and the buffers serve every point.
     """
     if any(key[0] == "white" for key in keys):
         tables = _chip_tables(proj)
@@ -632,13 +628,13 @@ def _batch_gram(seed: int, k_total: int, streams, keys, negs, proj: np.ndarray) 
     flat = [np.empty(r * len(j), dtype=np.complex128) for r in rows]
 
     z_gram = np.zeros((len(streams), width, width), dtype=np.complex128)
-    for stream, point_negs, point_gram in zip(streams, negs, z_gram):
+    for stream, point_gram in zip(streams, z_gram):
         for bi, k0 in enumerate(range(0, k_total, BATCH)):
             nb = min(BATCH, k_total - k0)
             at = k0 % CHUNK  # where the batch starts in its chunk of the +-1 streams
             if not at:
                 chunk = None  # the last chunk goes before the next one is read
-                chunk = next(point_negs)
+                chunk = _chunk_negs(seed, keys, stream, k0, min(CHUNK, k_total - k0))
             z, z_conj, lookup = (buf[:r * nb].reshape(r, nb) for buf, r in zip(flat, rows))
             row = 0
             for key in keys:
@@ -663,28 +659,6 @@ def _batch_gram(seed: int, k_total: int, streams, keys, negs, proj: np.ndarray) 
             np.conjugate(z, out=z_conj)
             point_gram += z @ z_conj.T
     return z_gram
-
-
-def _point_negs(seed: int, k_total: int, want_soi: bool, users, mc_stream: int):
-    """Yield where each +-1 source of projected_sum is -1 at mc_stream's
-    point, one dict per chunk of CHUNK symbols with the chunk's booleans per
-    key, for the SOI when want_soi and the MAI users.
-
-    Every source reads its own _philox stream. No chunk is held here while
-    the next is read, so a point holds one chunk of its streams at a time.
-    """
-    soi = _soi_negs(seed, k_total, mc_stream) if want_soi else None
-    mai = _mai_negs(seed, k_total, users, mc_stream)
-    for _ in range(0, k_total, CHUNK):
-        negs = {}
-        if want_soi:
-            negs[("soi",)] = next(soi)
-        for i, chunks in mai.items():
-            neg = next(chunks)  # b(k0 - 1) .. b(k0 + n - 1)
-            negs[("mai", i, 0)] = neg[1:]  # b(k)
-            negs[("mai", i, 1)] = neg[:-1]  # b(k-1)
-            del neg
-        yield negs
 
 
 def _coloured(colour: np.ndarray, w: np.ndarray, big_l: int) -> np.ndarray:
@@ -717,8 +691,10 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
     when Z is summed per symbol, then W1 and W2 from its noise stream. Each
     stream is its own Philox, built by _philox where it is drawn, and a
     point's mc_stream must be an int in [0, 2**32). The +-1 streams are read
-    CHUNK symbols at a time (_point_negs), so a point holds one chunk of
-    them, whatever K is; a K of at most CHUNK is one read per stream.
+    CHUNK symbols at a time, each chunk at its own Philox counter
+    (_chunk_negs), so a point holds one chunk of them, whatever K is, and no
+    chunk depends on having read the one before; a K of at most CHUNK is
+    one read per stream.
     Everything else (U Z U^H, eigh(G), T R^H + C W1, the Gram products and
     the Hermitian fold) is stacked over the grid.
 
@@ -745,8 +721,8 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
         b(k-1)) or the constant 1, as on periodical noise, on-grid tones
         and MAI. Each entry is K minus twice the number of symbols where
         exactly one of its two sources is -1, read off the boolean streams
-        (_soi_negs, _mai_negs) and summed chunk by chunk. No source is
-        formed as floats.
+        (_chunk_negs) and summed chunk by chunk. No source is formed as
+        floats.
       - Per symbol (_batch_gram), when any source is a white path or a
         ramp that is not constant. It sums z z^H over batches of BATCH
         symbols, so a symbol costs q^2 work instead of (P M)^2. A white
@@ -823,21 +799,18 @@ def projected_sum(scenario: Scenario, basis: np.ndarray,
         else:  # mai: b(k) on the head, b(k-1) on the tail
             load(("mai", path.stream_index, 0), p, amp * (path.head @ proj)[:, None])
             load(("mai", path.stream_index, 1), p, amp * (path.tail @ proj)[:, None])
-    users = _mai_users(paths)
     gram = np.zeros((len(streams), pm, pm), dtype=np.complex128)
     if loads:
         u = np.repeat(np.hstack(list(loads.values()))[None], len(streams), axis=0)
         if want_soi:
             u[:, :m, 0] += np.sqrt(powers)[:, None] * (scenario.soi.code @ proj)
         keys = list(loads)
-        # drawn point by point, one chunk of one point's streams at a time
-        negs = (_point_negs(scenario.seed, k_total, want_soi, users, stream)
-                for stream in streams)
         if all(key[0] in ("soi", "mai") or key[0] == "ramp" and coherent(key[1], 1.0)
                for key in keys):
-            z_gram = np.stack([_count_gram(keys, point_negs, k_total) for point_negs in negs])
+            z_gram = np.stack([_count_gram(scenario.seed, k_total, stream, keys)
+                               for stream in streams])
         else:
-            z_gram = _batch_gram(scenario.seed, k_total, streams, keys, negs, proj)
+            z_gram = _batch_gram(scenario.seed, k_total, streams, keys, proj)
         gram = u @ z_gram @ la._h(u)
     dim = big_l * m
     if "noise" not in include:

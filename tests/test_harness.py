@@ -757,6 +757,19 @@ def test_cli_eigen_failure_names_its_grid_point(tmp_path, capsys):
                                            "pivot 1.260e+00 at column 3\n")
 
 
+def test_cli_pattern_failure_names_its_scheme(tmp_path, capsys):
+    """A failed pattern run names the scheme whose solve failed: at 400 dB
+    PAPC's R_I is not positive definite, while Maximin solves."""
+    rc = cli.main(["pattern", "--preset", "fig4b-pn2", "--snr-db=400", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == ("numeric failure: PAPC: B is not positive definite: "
+                                       "Matrix is not positive definite\n")
+    config = harness.preset("fig4b-pn2")
+    model = mpb.analytic_cov(harness.scenario_at(config, 400.0, stream=0),
+                             harness._bases_named(config, "Maximin"))
+    assert np.all(np.isfinite(mpb.solve_weights(model.cov_pair(), model.a0).w))
+
+
 def _indefinite_pair(size: int) -> mpb.CovariancePair:
     r_i = np.eye(size, dtype=complex)
     r_i[-1, -1] = -1.0

@@ -1,4 +1,5 @@
 import cmath
+import collections
 import itertools
 import math
 from fractions import Fraction
@@ -461,8 +462,9 @@ def test_count_route_is_the_integer_gram(case, symbols, chunk, monkeypatch):
     instead of running the batch loop. Z equals, exactly, the Gram of the
     sources computed in integers from soi_bits and _mai_bit_streams, and
     its bytes equal those of the batch loop on the same sources. A chunk
-    of BATCH symbols reads every K past one batch in several chunks, and a
-    K of exactly one chunk needs one more entry of each MAI stream."""
+    of BATCH symbols reads every K past one batch in several chunks, each
+    at its own counter (_chunk_negs), and a K of exactly one chunk needs
+    one more entry of each MAI stream."""
     monkeypatch.setattr(sm, "CHUNK", chunk)
     interferers, include = _COUNTED[case]
     sc = _scenario(symbols=symbols, interferers=interferers)
@@ -471,8 +473,8 @@ def test_count_route_is_the_integer_gram(case, symbols, chunk, monkeypatch):
     looped = _spy(monkeypatch, "_batch_gram")
     sm.projected_sum(sc, basis, include=include)
     assert len(counted) == 1 and not looped
-    (keys, _, k_total), z_gram = counted[0]
-    assert k_total == symbols
+    (seed, k_total, stream, keys), z_gram = counted[0]
+    assert (seed, k_total, stream) == (sc.seed, symbols, sc.mc_stream)
 
     soi_bits = sm.soi_bits(sc).astype(np.int64)
     mai = {i: b.astype(np.int64)
@@ -490,9 +492,14 @@ def test_count_route_is_the_integer_gram(case, symbols, chunk, monkeypatch):
     ref = rows @ rows.T
     assert z_gram.dtype == np.complex128
     assert np.array_equal(z_gram.real, ref) and not np.any(z_gram.imag)
-    users = dict.fromkeys(key[1] for key in keys if key[0] == "mai")
-    negs = sm._point_negs(sc.seed, symbols, ("soi",) in keys, users, sc.mc_stream)
-    [loop] = sm._batch_gram(sc.seed, symbols, [sc.mc_stream], keys, [negs], basis.conj())
+    for k0 in range(0, symbols, chunk):
+        n = min(chunk, symbols - k0)
+        negs = sm._chunk_negs(sc.seed, keys, sc.mc_stream, k0, n)
+        assert set(negs) == {key for key in keys if key[0] != "ramp"}
+        for key, row in zip(keys, rows):
+            if key in negs:
+                assert np.array_equal(1 - 2 * negs[key].astype(np.int64), row[k0:k0 + n])
+    [loop] = sm._batch_gram(sc.seed, symbols, [sc.mc_stream], keys, basis.conj())
     assert np.array_equal(loop.view(np.uint64), z_gram.view(np.uint64))
 
 
@@ -643,6 +650,30 @@ def test_served_streams_are_the_seedsequence_streams(seed, tails):
         assert np.array_equal(rng.standard_gamma(shapes), ref.standard_gamma(shapes)), tail
 
 
+@pytest.mark.parametrize("start", [0, 8, sm.BATCH, sm.CHUNK])
+@pytest.mark.parametrize("count", [1, 2, 17, 30])
+@pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1])
+def test_stream_bits_are_read_at_their_counter(seed, count, start):
+    """_stream_bits reads a +-1 stream from any multiple of 8 alone: its
+    bits equal those of one read of the fresh stream from bit 0, cut at
+    start. An SOI read takes n bits and an MAI read n + 1, so both parities
+    of each n are read, at the seeds and edge words of the key tests."""
+    for tag, mc_stream, index, n in ((sm._TAG_SOI_BITS, 3, 0, count),
+                                     (sm._TAG_MAI_BITS, 2 ** 32 - 1, 7, count + 1),
+                                     (sm._TAG_MAI_BITS, 0, 2 ** 32 - 1, count + 1)):
+        ref = sm._bits(sm._philox(seed, tag, mc_stream, index), start + n)[start:]
+        got = sm._stream_bits(seed, tag, mc_stream, index, start, n)
+        assert got.dtype == bool and np.array_equal(got, ref), (tag, index)
+
+
+@pytest.mark.parametrize("start", [1, 4, 7, sm.BATCH + 2])
+def test_stream_bits_start_on_a_counter_step(start):
+    """One Philox counter step makes eight bits, so a read cannot start
+    between two steps."""
+    with pytest.raises(ValueError, match=f"^start must be a multiple of 8, got {start}$"):
+        sm._stream_bits(0, sm._TAG_SOI_BITS, 0, 0, start, 5)
+
+
 # one path of every source family: a white path, an off-grid tone, on-grid
 # tones (the constant source), periodical noise and two MAI users
 _EVERY_FAMILY = (sm.InterfererSpec("bpsk_white", doa_deg=30.0, power=10.0),
@@ -698,6 +729,31 @@ def test_every_stream_of_a_grid_has_its_own_key(name, monkeypatch):
 
 
 _ROUTE_CASES = {"counted": (_PN, *_ON_GRID, _MAI_A, _MAI_B), "batch": _EVERY_FAMILY}
+
+
+@pytest.mark.parametrize("case", sorted(_ROUTE_CASES))
+def test_every_chunk_builds_its_own_streams(case, monkeypatch):
+    """With chunks of one batch, a K of two full batches and a partial one
+    is three chunks, and each is read alone: every SOI and MAI stream of a
+    3-point grid is built once per chunk, and every white and noise stream
+    once. Only the builds of one stream share its key."""
+    monkeypatch.setattr(sm, "CHUNK", sm.BATCH)
+    served = _record_served(monkeypatch)
+    interferers = _ROUTE_CASES[case]
+    sc = _scenario(symbols=2 * sm.BATCH + 17, interferers=interferers)
+    sm.projected_sum(sc, _complex_basis(47), points=[(2.0, s) for s in range(3)])
+    kinds = [sp.kind for sp in interferers]
+    users = [i for i, kind in enumerate(kinds) if kind == "mai_multipath"]
+    whites = [i for i, kind in enumerate(kinds) if kind == "bpsk_white"]
+    expected = collections.Counter()
+    for s in range(3):
+        expected[(sm._TAG_SOI_BITS, s, 0)] = 3
+        expected.update({(sm._TAG_MAI_BITS, s, i): 3 for i in users})
+        expected[(sm._TAG_NOISE_SUMS, s)] = 1
+        expected.update({(sm._TAG_WHITE, s, i, b): 1 for i in whites for b in range(3)})
+    assert collections.Counter(tail for tail, _ in served) == expected
+    keys = {tail: key for tail, key in served}
+    assert len(set(served)) == len(keys) == len(set(keys.values()))
 
 
 @pytest.mark.parametrize("include", [c for r in (1, 2, 3) for c in

@@ -1,0 +1,42 @@
+"""One way to build a random stream and one way to position it.
+
+Every Monte Carlo stream is a Philox keyed by sigmodel._philox, and a +-1
+stream is read from a given bit only by sigmodel._stream_bits, which
+advances the Philox counter. A second place that builds a Philox could key
+it differently, and a second place that advances one could read bits that
+_stream_bits does not. This check parses src/ and fails the suite if
+either appears.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _calls(name: str) -> list:
+    """(file, innermost enclosing function) of every call of name(...) or
+    <anything>.name(...) in src/, in file order; None outside any function."""
+    found = []
+
+    def visit(node, path, where):
+        if isinstance(node, ast.FunctionDef):
+            where = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "attr", None) == name or getattr(func, "id", None) == name:
+                found.append((path, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, where)
+
+    for path in sorted(SRC.rglob("*.py")):
+        visit(ast.parse(path.read_text()), path.name, None)
+    return found
+
+
+def test_philox_is_built_only_by_philox():
+    assert _calls("Philox") == [("sigmodel.py", "_philox")]
+
+
+def test_a_stream_is_advanced_only_by_stream_bits():
+    assert _calls("advance") == [("sigmodel.py", "_stream_bits")]
