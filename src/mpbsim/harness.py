@@ -460,14 +460,14 @@ class _Probe:
     model: mpb.AnalyticModel
     gamma1: float
 
-    def thresholds(self, snr_lin=None) -> theory.Thresholds:
-        """Thresholds from G_U, with G_L filled in when gamma_1 > 0 and some
-        SNR of snr_lin (any SNR when None) lies at or below SNR_T2."""
+    def thresholds(self) -> theory.Thresholds:
+        """Thresholds from G_U, with G_L filled in whenever SNR_T0 > 0
+        (gamma_1 > 0), where the curve has a failure branch."""
         m = self.model
         th = theory.thresholds(self.gamma1, m.beta, sm.GOLD_LENGTH, m.a0.shape[0],
                                theory.g_upper(m.q_s, m.q_i, m.a0, qs_quad=m.qs_quad))
-        if th.snr_t0 > 0.0 and (snr_lin is None or any(s <= th.snr_t2 for s in snr_lin)):
-            th = replace(th, g_l=theory.g_lower_oracle(m, gamma1=self.gamma1))
+        if th.snr_t0 > 0.0:
+            th = replace(th, g_l=theory.g_lower_oracle(m))
         return th
 
 
@@ -553,8 +553,7 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
         raise ValueError(f"workers must be >= 1, got {workers}")
     probe = _probe(config)
     grid_lin = [_linear(s) for s in config.snr_grid_db]
-    curve = theory.operating_curve(probe.model, _stage(_PROBE, probe.thresholds, grid_lin),
-                                   grid_lin)
+    curve = theory.operating_curve(probe.model, _stage(_PROBE, probe.thresholds), grid_lin)
     grid = np.array(grid_lin)
     points = list(zip(probe.model.at_snr(grid).soi_power.tolist(), range(len(grid))))
     try:
@@ -564,7 +563,7 @@ def run_sweep(config: ExperimentConfig, workers: int = 1,
 
     rows = []
     for snr_db, values, (snr_lin, g_theory, region) in zip(
-            config.snr_grid_db, _solve_points(pair, probe.model, grid), curve.points):
+            config.snr_grid_db, _solve_points(pair, probe.model, grid), curve):
         failed = [v for v in values if isinstance(v, Exception)]
         err = f"{type(failed[0]).__name__}: {failed[0]}" if failed else None
         g_sim_db, lam_exact, lam_pred = (math.nan if isinstance(v, Exception) else v

@@ -314,11 +314,12 @@ def f_bound(x: float, delta: float) -> float:
     return abs(f)
 
 
-def crawford(a, b, e0=None) -> float:
+def crawford(a, b) -> float:
     """Crawford number: min over unit x of hypot(x^H A x, x^H B x).
 
-    If e0 (orthonormal columns) is given the minimization runs over unit
-    vectors in its range. Computed through the support-function
+    To restrict x to the range of orthonormal columns E0, pass the
+    compressed pair (E0^H A E0, E0^H B E0); both are made Hermitian, as
+    every input is. Computed through the support-function
     characterization max(0, max_theta lambda_min(A cos t + B sin t)) on a
     720-point grid with golden-section refinement; a nonpositive scan means
     the origin lies in the (convex) joint numerical range, i.e. C = 0.
@@ -327,12 +328,6 @@ def crawford(a, b, e0=None) -> float:
     b = _as_hermitian(b, "B")
     if a.shape != b.shape:
         raise LinAlgError(f"dimension mismatch {a.shape} vs {b.shape}")
-    if e0 is not None:
-        e0 = _as_matrix(e0, "E0")
-        a = e0.conj().T @ a @ e0
-        b = e0.conj().T @ b @ e0
-        a = 0.5 * (a + a.conj().T)
-        b = 0.5 * (b + b.conj().T)
     n = a.shape[0]
     if n == 0:
         return 0.0

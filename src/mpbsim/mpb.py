@@ -413,11 +413,6 @@ def inv_quad(m: np.ndarray, a0: np.ndarray) -> float:
     return float(np.vdot(a0, la.solve_hpd(m, a0)).real)
 
 
-def sinr_opt(q_s: np.ndarray, a0: np.ndarray, sigma_s0_sq: float) -> float:
-    """Optimal output SINR sigma_S0^2 * a0^H Q_S^-1 a0."""
-    return float(sigma_s0_sq * inv_quad(q_s, a0))
-
-
 def analytic_g(w: np.ndarray, model: AnalyticModel):
     """G = SINR(w) / SINR_opt of a fixed weight under a closed-form model:
     sigma_S0^2 |w^H a0|^2 / (w^H Q_S w) over sigma_S0^2 a0^H Q_S^-1 a0.
@@ -442,11 +437,12 @@ def measure_g(weights: BeamWeights, scenario: sm.Scenario, bases: ProjectionBase
     SINR(w) is w^H S_S w / w^H S_I w with the sums S_S of the signal-only
     and S_I of the interference-plus-noise-only snapshots x_s = X(k) h_s*
     (sm.projected_sum on basis h_s; separate sums remove the cross-term
-    estimation noise), normalized by the analytic optimum. analytic_g is
+    estimation noise), normalized by the analytic optimum SINR_opt =
+    sigma_S0^2 a0^H Q_S^-1 a0, read as analytic_g reads it. analytic_g is
     the closed-form counterpart.
     """
     model = analytic_cov(scenario, bases)
-    opt = sinr_opt(model.q_s, model.a0, model.sigma_s0_sq)
+    opt = model.sigma_s0_sq * model.qs_quad
     w = weights.w
     h_s = bases.h_s[:, None]
     num = np.vdot(w, sm.projected_sum(scenario, h_s, include=("soi",)) @ w).real

@@ -372,6 +372,18 @@ def steering_matrix(paths, geometry: ArrayGeometry) -> np.ndarray:
 # Block synthesis
 # -----------------------
 
+def _halves(raw: np.random.Philox, count: int) -> np.ndarray:
+    """The next count 32-bit halves of a Philox's raw 64-bit words, low half
+    of each word first, as uint32: the order in which Philox serves its
+    32-bit draws. They are read through a little-endian view, so that the
+    order does not depend on the machine's byte order. The Philox must not
+    have served a 32-bit draw: a Generator would first spend a half word
+    left over from it, and random_raw does not see it.
+    """
+    words = raw.random_raw((count + 1) // 2).astype("<u8", copy=False)
+    return words.view("<u4")[:count]
+
+
 def _bits(raw: np.random.Philox, count: int) -> np.ndarray:
     """The next count bits of a Philox as booleans, equal to a Generator's
     integers(0, 2, size=count) on it; a set bit stands for the +-1 value -1.
@@ -379,15 +391,9 @@ def _bits(raw: np.random.Philox, count: int) -> np.ndarray:
     This serves the SOI and MAI bit streams, through _stream_bits; white
     chips are packed by _white_bits. integers(0, 2) keeps the top bit of
     each 32-bit draw (Lemire's bounded method never rejects for a range of
-    two), and Philox serves its 32-bit draws as the low, then the high half
-    of each 64-bit word. The bits are read straight off the raw words
-    instead, as the signs of their halves through a little-endian view, so
-    that the order does not depend on the machine's byte order. The
-    Philox must not have served a 32-bit draw: integers would first spend a
-    half word left over from it, and random_raw does not see it.
+    two), so the bits are the signs of the raw halves (_halves).
     """
-    words = raw.random_raw((count + 1) // 2).astype("<u8", copy=False)
-    return words.view("<i4")[:count] < 0
+    return _halves(raw, count).view("<i4") < 0
 
 
 def _stream_bits(seed: int, tag: int, mc_stream: int, index: int,
@@ -431,15 +437,14 @@ def _white_bits(raw: np.random.Philox, count: int) -> np.ndarray:
     fresh Philox of its (mc_stream, path, batch), one uint32 per symbol:
     chip n of a symbol is 1 - 2 * (bit n of its word).
 
-    Symbol k takes the k-th 32-bit half of the raw Philox words, low half
-    first, shifted right by one. That is the draw of
+    Symbol k takes the k-th 32-bit half of the raw Philox words (_halves),
+    shifted right by one. That is the draw of
     integers(0, 2**31, dtype=np.uint32) on the same fresh stream: Lemire's
     method keeps the top 31 bits of each 32-bit draw and never rejects for
     a power-of-two range. So one raw word carries two symbols, and the
     dropped low bit of each half reaches no chip.
     """
-    words = raw.random_raw((count + 1) // 2).astype("<u8", copy=False)
-    return words.view("<u4")[:count] >> 1
+    return _halves(raw, count) >> 1
 
 
 def _chip_bytes(packed: np.ndarray) -> np.ndarray:

@@ -209,16 +209,17 @@ class Thresholds:
     k0: float
     p_i: float
     g_u: float
-    g_l: float  # NaN until the low-SNR oracle fills it in
+    g_l: float  # NaN until the caller fills in g_lower_oracle's floor
 
 
 def thresholds(gamma1: float, beta: float, n_gain: int, l_antennas: int,
-               g_u: float, g_l: float = float("nan")) -> Thresholds:
+               g_u: float) -> Thresholds:
     """Threshold SNRs of the operating curve; infinities propagate.
 
     SNR_T0 solves gamma_0(SNR) = gamma_1. gamma_1 = 0 collapses everything
     to zero (horizontal curve); (N-beta)/gamma_1 < beta makes SNR_T0
-    infinite (the curve only has a failure area).
+    infinite (the curve only has a failure area). G_L is left NaN; where
+    SNR_T0 > 0 the caller fills it in, replace(th, g_l=g_lower_oracle(model)).
     """
     if not 0 <= beta < n_gain:
         raise ValueError(f"beta must lie in [0, N), got {beta}")
@@ -246,12 +247,7 @@ def thresholds(gamma1: float, beta: float, n_gain: int, l_antennas: int,
         else:
             inv_t0 = 0.0 if t0 == INF else (n_gain / l_antennas) / t0
             k0 = (beta + inv_t0) / (n_gain - beta) * plus
-    return Thresholds(t0, t1, t2, k0, p_i, g_u, g_l)
-
-
-@dataclass(frozen=True)
-class OperatingCurve:
-    points: list  # (snr linear, g, region in {"Failure", "Threshold", "Operating"})
+    return Thresholds(t0, t1, t2, k0, p_i, g_u, math.nan)
 
 
 def _g_operating(snr: float, th: Thresholds) -> float:
@@ -265,8 +261,9 @@ def _g_failure(snr: float, th: Thresholds, beta: float, l_antennas: int) -> floa
     return ((1.0 + th.k0) / den) ** 2 * th.g_l
 
 
-def operating_curve(model: mpb.AnalyticModel, th: Thresholds, snr_grid) -> OperatingCurve:
-    """Predicted G over a linear-SNR grid with region tags.
+def operating_curve(model: mpb.AnalyticModel, th: Thresholds, snr_grid) -> list:
+    """Predicted G over a linear-SNR grid with region tags: one (snr, g,
+    region) per grid SNR, region one of "Failure", "Threshold", "Operating".
 
     Above SNR_T2 the operating branch applies, below SNR_T1 the failure
     branch; the band between is bridged by a straight line in
@@ -297,29 +294,24 @@ def operating_curve(model: mpb.AnalyticModel, th: Thresholds, snr_grid) -> Opera
                    (math.log10(th.snr_t2) - math.log10(th.snr_t1))
             g_db = (1.0 - frac) * 10.0 * math.log10(g1) + frac * 10.0 * math.log10(g2)
             points.append((snr, 10.0 ** (g_db / 10.0), "Threshold"))
-    return OperatingCurve(points)
+    return points
 
 
 G_LOWER_PROBE_SNR = 1e-6  # linear; G is flat to 1e-4 relative below it
 
 
-def g_lower_oracle(model: mpb.AnalyticModel, *, gamma1: float | None = None) -> float:
+def g_lower_oracle(model: mpb.AnalyticModel) -> float:
     """Failure-region floor G_L: the normalized output SINR as SNR -> 0.
 
     There is no cheaper exact route than the definition itself, so this
     moves the analytic model to G_LOWER_PROBE_SNR, where G has reached its
     floor (model.at_snr sets the SOI power alone; Q_S, Q_I and
     a0^H Q_S^-1 a0 are carried over, not recomputed), solves the weights
-    exactly and evaluates analytic G.
-    Refuses when there is no mismatch (the floor is then just G_U and the
-    failure branch never exists). gamma1 is the model's gamma_1 when the
-    caller has it (no SOI power moves it); else gamma1() solves it.
+    exactly and evaluates analytic G. No gamma_1 is solved: the curve reads
+    G_L only on its failure branch, which exists when SNR_T0 > 0, and
+    thresholds sets that exactly when gamma_1 > 0.
     """
     model_probe = model.at_snr(G_LOWER_PROBE_SNR)
-    # the argument gamma1 shadows this module's gamma1()
-    g1 = gamma1 if gamma1 is not None else globals()["gamma1"](model)
-    if g1 <= 0.0:
-        raise ValueError("no covariance mismatch: G_L is undefined (gamma_1 = 0)")
     bw = mpb.solve_weights(model_probe.cov_pair(), model_probe.a0)
     return mpb.analytic_g(bw.w, model_probe)
 
@@ -394,9 +386,10 @@ def noise_free_pair(model: mpb.AnalyticModel) -> NoiseFreeAnalysis:
     rank(Y_S + Y_I) - rank(Y_I) infinite generalized eigenvalues
     (la.gen_eig_homogeneous), and gamma_1 grows without bound in INR iff
     that count is positive. C_Y0 is the Crawford number on range(Y_S + Y_I),
-    the basis that solve deflates onto, so one SVD serves both. Without
-    interferers both matrices are zero: no eigenvalue, infinite or finite,
-    and C_Y0 = 0.
+    of the pair compressed onto the basis E0 that solve deflates onto
+    (E0^H Y E0, which la.crawford makes Hermitian), so one SVD serves both.
+    Without interferers both matrices are zero: no eigenvalue, infinite or
+    finite, and C_Y0 = 0.
     """
     y_s = model.a_i_mat @ model.phi_s0 @ model.a_i_mat.conj().T
     y_i = model.a_i_mat @ model.phi_i0 @ model.a_i_mat.conj().T
@@ -404,7 +397,8 @@ def noise_free_pair(model: mpb.AnalyticModel) -> NoiseFreeAnalysis:
     y_i = 0.5 * (y_i + y_i.conj().T)
 
     hom = la.gen_eig_homogeneous(y_s, y_i)
-    c_y0 = la.crawford(y_s, y_i, e0=hom.basis)
+    e0 = hom.basis
+    c_y0 = la.crawford(e0.conj().T @ y_s @ e0, e0.conj().T @ y_i @ e0)
     return NoiseFreeAnalysis(y_s, y_i, float(c_y0), hom.infinite_count > 0,
                              hom.infinite_count)
 

@@ -482,7 +482,7 @@ def test_crawford_restricted_basis():
     b = np.diag([1.0, 1.0, 5.0])
     e0 = np.eye(3)[:, :2]
     # restricted to span{e1,e2}: x^H B x = 1 while x^H A x sweeps through 0
-    assert abs(la.crawford(a, b, e0) - 1.0) < 1e-3
+    assert abs(la.crawford(e0.T @ a @ e0, e0.T @ b @ e0) - 1.0) < 1e-3
 
 
 def _crawford_oracle(a, b, points):

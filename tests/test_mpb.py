@@ -420,12 +420,12 @@ def test_solve_weights_matched_pair_recovers_optimal_filter():
     assert coll >= 1.0 - 1e-8
 
 
-def test_sinr_opt_closed_cases():
+def test_inv_quad_closed_cases():
+    """a0^H M^-1 a0, the SINR_opt factor a0^H Q_S^-1 a0, at M = c I: L / c."""
     a0 = sm.steering(0.0, GEO8)
-    assert abs(mpb.sinr_opt(2.0 * np.eye(8, dtype=complex), a0, 3.0)
-               - 3.0 * 8.0 / 2.0) < 1e-12
-    v1 = mpb.sinr_opt(np.eye(8, dtype=complex), a0, 1.0)
-    v2 = mpb.sinr_opt(np.eye(8, dtype=complex), a0, 2.0)
+    assert abs(mpb.inv_quad(2.0 * np.eye(8, dtype=complex), a0) - 8.0 / 2.0) < 1e-12
+    v1 = mpb.inv_quad(np.eye(8, dtype=complex), a0)
+    v2 = mpb.inv_quad(0.5 * np.eye(8, dtype=complex), a0)
     assert abs(v2 - 2.0 * v1) < 1e-12
 
 

@@ -1,11 +1,14 @@
-"""One way to build a random stream and one way to position it.
+"""One way to build a random stream, one way to position it and one way
+to read its raw words.
 
 Every Monte Carlo stream is a Philox keyed by sigmodel._philox, and a +-1
 stream is read from a given bit only by sigmodel._stream_bits, which
-advances the Philox counter. A second place that builds a Philox could key
-it differently, and a second place that advances one could read bits that
-_stream_bits does not. This check parses src/ and fails the suite if
-either appears.
+advances the Philox counter. Raw Philox words are split into their 32-bit
+halves only by sigmodel._halves. A second place that builds a Philox could
+key it differently, a second place that advances one could read bits that
+_stream_bits does not, and a second reader of raw words could take their
+halves in another order. This check parses src/ and fails the suite if
+any of them appears.
 """
 
 import ast
@@ -40,3 +43,7 @@ def test_philox_is_built_only_by_philox():
 
 def test_a_stream_is_advanced_only_by_stream_bits():
     assert _calls("advance") == [("sigmodel.py", "_stream_bits")]
+
+
+def test_raw_words_are_read_only_by_halves():
+    assert _calls("random_raw") == [("sigmodel.py", "_halves")]
