@@ -13,7 +13,7 @@ import os
 import sys
 from dataclasses import replace
 
-from . import harness, linalg
+from . import harness
 
 
 class _Parser(argparse.ArgumentParser):
@@ -166,7 +166,7 @@ def main(argv=None) -> int:
     except harness.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (linalg.LinAlgError, ValueError, ArithmeticError) as exc:
+    except harness._NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
 

@@ -369,7 +369,7 @@ def _bases_named(config: ExperimentConfig, name: str) -> mpb.ProjectionBases:
         with data:
             h_s, h_i = data["h_s"], data["h_i"]
         bases = mpb.ProjectionBases(np.asarray(h_s, dtype=np.complex128),
-                                    np.asarray(h_i, dtype=np.complex128), "Custom")
+                                    np.asarray(h_i, dtype=np.complex128))
         mpb.check_built_for(bases, code)
         return bases
     except (OSError, KeyError) as exc:
@@ -433,6 +433,7 @@ def write_sweep_csv(rows, path) -> None:
                   for r in rows))
 
 
+# the one set of numeric failures: an Error row in a sweep, exit 2 in the CLI
 _NUMERIC_ERRORS = (la.LinAlgError, ValueError, ArithmeticError)
 _PROBE = "0 dB probe"
 

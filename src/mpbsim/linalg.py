@@ -226,12 +226,6 @@ def null_space(m, tol: float | None = None) -> np.ndarray:
     return v[:, _rank(u, sig, v, tol):]
 
 
-def projector(q) -> np.ndarray:
-    """Orthogonal projector Q Q^H onto the span of orthonormal columns Q."""
-    q = _as_matrix(q, "Q")
-    return q @ q.conj().T
-
-
 def spectral_norm(m) -> float:
     _, sig, _ = _svd(m)
     return float(sig[0]) if sig.size else 0.0

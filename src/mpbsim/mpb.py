@@ -37,10 +37,11 @@ class ProjectionBases:
     h_i must hold at least one column, its columns orthonormal, and must
     not capture the whole signal vector: a beamformer whose monitor space
     contains h_s cannot separate the SOI from the interference estimate.
+    The scheme that built them is named by the config (harness.SchemeConfig),
+    not here: nothing downstream reads it.
     """
     h_s: np.ndarray
     h_i: np.ndarray
-    scheme: str = "Custom"
 
     def __post_init__(self):
         h_s = np.asarray(self.h_s, dtype=np.complex128)
@@ -91,7 +92,7 @@ def papc_bases(code: np.ndarray, position: int = 0) -> ProjectionBases:
         raise ValueError(f"position must be in [0, {n})")
     h_i = np.zeros((n, 1), dtype=np.complex128)
     h_i[position, 0] = 1.0
-    return ProjectionBases(code / math.sqrt(n), h_i, "PAPC")
+    return ProjectionBases(code / math.sqrt(n), h_i)
 
 
 def maximin_bases(code: np.ndarray, monitor_freq: float = DEFAULT_MAXIMIN_FREQ) -> ProjectionBases:
@@ -109,7 +110,7 @@ def maximin_bases(code: np.ndarray, monitor_freq: float = DEFAULT_MAXIMIN_FREQ) 
         raise ValueError(f"monitor_freq must be in (0, 1], got {monitor_freq}")
     ramp = np.exp(1j * 2.0 * math.pi * monitor_freq * np.arange(n))
     h_i = (code * ramp)[:, None] / math.sqrt(n)
-    return ProjectionBases(code / math.sqrt(n), h_i, "Maximin")
+    return ProjectionBases(code / math.sqrt(n), h_i)
 
 
 # An orthogonal monitor column's N-term inner product with c0 (||h|| = 1,

@@ -81,14 +81,19 @@ _TAG_NOISE_SUMS = 107
 
 @dataclass(frozen=True)
 class ArrayGeometry:
+    """A uniform linear array of element_count elements, spacing wavelengths
+    apart. The steering phase 2 pi spacing l sin(theta) must stay finite at
+    the last element, so 2 pi spacing (element_count - 1) must be finite."""
     element_count: int
     spacing: float = 0.5  # in wavelengths
 
     def __post_init__(self):
         if self.element_count < 2:
             raise ValueError(f"element_count must be at least 2, got {self.element_count}")
-        if not 0 < self.spacing < math.inf:
-            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
+        if not (0 < self.spacing and
+                math.isfinite(2.0 * math.pi * self.spacing * (self.element_count - 1))):
+            raise ValueError(f"spacing must be positive and finite, with a finite phase "
+                             f"2 pi spacing (element_count - 1), got {self.spacing}")
 
 
 def _check_doa(doa_deg, name: str) -> None:
@@ -208,6 +213,9 @@ class InterfererSpec:
     (offset_Hz / chip_rate). MAI rays share one random +-1 data stream
     spread by another user's Gold code. Every field is checked when the
     spec is built, and an error names it, a per-ray one with the ray's index.
+    A tone's phase 2 pi normalized_offset N, and an MAI ray's power
+    power * gain^2, must come out finite (and the power positive), or the
+    run would overflow after the checks.
     """
     kind: str
     doa_deg: float = 0.0
@@ -229,8 +237,14 @@ class InterfererSpec:
         for j, gain in enumerate(self.path_gains or ()):
             if not 0 < gain < math.inf:
                 raise ValueError(f"path_gains[{j}] must be positive and finite, got {gain}")
-        if self.kind == "tone" and not math.isfinite(self.normalized_offset):
-            raise ValueError(f"normalized_offset must be finite, got {self.normalized_offset}")
+            # the ray power as realize_paths forms it; a default gain of 1 keeps power
+            if self.kind == "mai_multipath" and not 0 < self.power * gain * gain < math.inf:
+                raise ValueError(f"path_gains[{j}] must give a ray power power * gain^2 "
+                                 f"in (0, inf), got {gain} at power {self.power}")
+        if self.kind == "tone" and \
+                not math.isfinite(2.0 * math.pi * self.normalized_offset * GOLD_LENGTH):
+            raise ValueError(f"normalized_offset must be finite, with a finite phase "
+                             f"2 pi normalized_offset N, got {self.normalized_offset}")
         if self.kind == "mai_multipath":
             rays = len(self.path_delays)
             if not rays:

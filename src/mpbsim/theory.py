@@ -20,8 +20,6 @@ from . import linalg as la
 from . import mpb
 from . import sigmodel as sm
 
-INF = float("inf")
-
 
 # -----------------------
 # gamma0 and the mismatch spectrum
@@ -60,16 +58,6 @@ def gamma1(model: mpb.AnalyticModel) -> float:
     """The model's top mismatch eigenvalue gamma_1 of (Q_S - Q_I, Q_I), 0
     without interferers. No SOI power moves it."""
     return float(gamma_spectrum(model.q_s, model.q_i, max(model.a_i_mat.shape[1], 1))[0])
-
-
-def exact_gamma0(model: mpb.AnalyticModel) -> float:
-    """gamma_0 evaluated from matrices: (sigma_S0^2 - sigma_I0^2) a0^H R_I^-1 a0."""
-    return float(_gamma0_from_quad(model, mpb.inv_quad(model.r_i, model.a0)))
-
-
-def _gamma0_from_quad(model: mpb.AnalyticModel, quad):
-    """gamma_0 given the quadratic form a0^H R_I^-1 a0 (arrays on a grid model)."""
-    return (model.sigma_s0_sq - model.sigma_i0_sq) * quad
 
 
 def exact_lambda_max(model: mpb.AnalyticModel):
@@ -132,7 +120,9 @@ def mismatch_spectrum(model: mpb.AnalyticModel):
     On a grid model every solve runs once, stacked over the grid, and so do
     a0^H R_I^-1 a0, the couplings and delta; the result is a list with one
     MismatchSpectrum per SNR, each equal to the spectrum of the model moved
-    to that SNR alone.
+    to that SNR alone. gamma0 is (sigma_S0^2 - sigma_I0^2) a0^H R_I^-1 a0,
+    its one home from matrices. Without interferers (D = 0) the same code
+    runs through 0 x 0 solves: no gammas or psi_t, and delta = 0.
     """
     big_l = model.a0.shape[0]
     snr = model.sigma_s0_sq
@@ -142,33 +132,28 @@ def mismatch_spectrum(model: mpb.AnalyticModel):
     ri_inv = la.solve_hpd(model.r_i, np.column_stack([model.a0, a_mat]))
     ri_inv_a0, ri_inv_amat = ri_inv[..., 0], ri_inv[..., 1:]
     quad = mpb._dot(model.a0, ri_inv_a0).real
-    g0 = _gamma0_from_quad(model, quad)
+    g0 = (model.sigma_s0_sq - model.sigma_i0_sq) * quad
 
-    if d:
-        gram = a_mat.conj().T @ ri_inv_amat
-        gram = 0.5 * (gram + gram.conj().swapaxes(-1, -2))
-        w_mat = la.solve_hpd(gram, np.eye(d, dtype=np.complex128))
-        w_mat = 0.5 * (w_mat + w_mat.conj().swapaxes(-1, -2))
-        phi_delta = (model.phi_s0 - model.phi_i0) * model.inr
-        # T^H Phi_Delta T = diag(gammas), T^H W T = I
-        res = la.gen_eig_hpd(0.5 * (phi_delta + phi_delta.conj().T), w_mat)
-        gammas = res.eigenvalues
-        # T^H W T = I gives T^-H = W T: no explicit inversion needed
-        a_eps = a_mat @ (w_mat @ res.eigenvectors)
-        coupling = (a_eps.conj().swapaxes(-1, -2) @ ri_inv_a0[..., None])[..., 0]
-        coef = (big_l * model.beta / sm.GOLD_LENGTH) * snr + 1.0
-        psi_t = np.expand_dims(coef, -1) * coupling
-        # delta scales the top coupling against a0^H R_I^-1 a0 exactly; the
-        # (L beta / N) snr + 1 normalization is only its wide-separation limit
-        # and under-covers the enclosure by 1/(1 - xi). A repeated gamma_1 has
-        # any basis of its eigenspace as eigenvectors, so the coupling is
-        # summed over the whole top cluster, which no such choice moves.
-        top = np.where(mpb.top_cluster(gammas), np.abs(coupling) ** 2, 0.0)
-        delta = np.sum(top, axis=-1) / quad
-    else:
-        gammas = np.zeros(quad.shape + (0,))
-        psi_t = np.zeros(quad.shape + (0,), dtype=np.complex128)
-        delta = np.zeros(quad.shape)
+    gram = a_mat.conj().T @ ri_inv_amat
+    gram = 0.5 * (gram + gram.conj().swapaxes(-1, -2))
+    w_mat = la.solve_hpd(gram, np.eye(d, dtype=np.complex128))
+    w_mat = 0.5 * (w_mat + w_mat.conj().swapaxes(-1, -2))
+    phi_delta = (model.phi_s0 - model.phi_i0) * model.inr
+    # T^H Phi_Delta T = diag(gammas), T^H W T = I
+    res = la.gen_eig_hpd(0.5 * (phi_delta + phi_delta.conj().T), w_mat)
+    gammas = res.eigenvalues
+    # T^H W T = I gives T^-H = W T: no explicit inversion needed
+    a_eps = a_mat @ (w_mat @ res.eigenvectors)
+    coupling = (a_eps.conj().swapaxes(-1, -2) @ ri_inv_a0[..., None])[..., 0]
+    coef = (big_l * model.beta / sm.GOLD_LENGTH) * snr + 1.0
+    psi_t = np.expand_dims(coef, -1) * coupling
+    # delta scales the top coupling against a0^H R_I^-1 a0 exactly; the
+    # (L beta / N) snr + 1 normalization is only its wide-separation limit
+    # and under-covers the enclosure by 1/(1 - xi). A repeated gamma_1 has
+    # any basis of its eigenspace as eigenvectors, so the coupling is
+    # summed over the whole top cluster, which no such choice moves.
+    top = np.where(mpb.top_cluster(gammas), np.abs(coupling) ** 2, 0.0)
+    delta = np.sum(top, axis=-1) / quad
 
     spectra = []
     for i in np.ndindex(quad.shape):
@@ -230,7 +215,7 @@ def thresholds(gamma1: float, beta: float, n_gain: int, l_antennas: int,
         t0 = 0.0
     else:
         denom = max((n_gain - beta) / g1p - beta, 0.0)
-        t0 = INF if denom == 0.0 else (n_gain / l_antennas) / denom
+        t0 = math.inf if denom == 0.0 else (n_gain / l_antennas) / denom
 
     p_i = max(1.0 / g_u - 1.0, 0.0)
     t1 = (1.0 - math.sqrt(0.5)) * t0
@@ -245,18 +230,22 @@ def thresholds(gamma1: float, beta: float, n_gain: int, l_antennas: int,
         if plus == 0.0:
             k0 = 0.0
         else:
-            inv_t0 = 0.0 if t0 == INF else (n_gain / l_antennas) / t0
+            inv_t0 = 0.0 if t0 == math.inf else (n_gain / l_antennas) / t0
             k0 = (beta + inv_t0) / (n_gain - beta) * plus
     return Thresholds(t0, t1, t2, k0, p_i, g_u, math.nan)
 
 
 def _g_operating(snr: float, th: Thresholds) -> float:
+    """The operating branch above SNR_T2. At SNR_T2 itself, where (1 -
+    SNR_T0/SNR_T2)^2 = p_i / (2 p_i + 1), it is G_U / 2 for every p_i > 0.
+    With p_i = 0 (G_U rounds to 1 or above) SNR_T2 = SNR_T0, where the form
+    is 0/0, so operating_curve takes its limit G_U / 2 there itself."""
     frac = 0.0 if th.snr_t0 == 0.0 else th.snr_t0 / snr
     return (th.p_i + 1.0) / (th.p_i / (1.0 - frac) ** 2 + 1.0) * th.g_u
 
 
 def _g_failure(snr: float, th: Thresholds, beta: float, l_antennas: int) -> float:
-    lead = 0.0 if th.snr_t0 == INF else snr / th.snr_t0
+    lead = 0.0 if th.snr_t0 == math.inf else snr / th.snr_t0
     den = 1.0 - lead + th.k0 * (l_antennas * beta * snr / sm.GOLD_LENGTH + 1.0)
     return ((1.0 + th.k0) / den) ** 2 * th.g_l
 
@@ -268,8 +257,11 @@ def operating_curve(model: mpb.AnalyticModel, th: Thresholds, snr_grid) -> list:
     Above SNR_T2 the operating branch applies, below SNR_T1 the failure
     branch; the band between is bridged by a straight line in
     (log SNR, dB G) coordinates, which is a declared drawing rule rather
-    than a formula. Of the model only beta and L are read, neither of
-    which depends on the SNR, so any SNR of the model serves.
+    than a formula. Its upper end is G_U / 2, the operating branch at
+    SNR_T2 (_g_operating); with p_i = 0 the branch is G_U above SNR_T2
+    and G_U / 2 at it, its limit as p_i -> 0. Of the model only beta and
+    L are read, neither of which depends on the SNR, so any SNR of the
+    model serves.
     """
     grid = [float(s) for s in snr_grid]
     if not grid:
@@ -289,7 +281,7 @@ def operating_curve(model: mpb.AnalyticModel, th: Thresholds, snr_grid) -> list:
             points.append((snr, _g_failure(snr, th, beta, big_l), "Failure"))
         else:
             g1 = _g_failure(th.snr_t1, th, beta, big_l)
-            g2 = _g_operating(th.snr_t2, th)
+            g2 = _g_operating(th.snr_t2, th) if th.p_i > 0.0 else 0.5 * th.g_u
             frac = (math.log10(snr) - math.log10(th.snr_t1)) / \
                    (math.log10(th.snr_t2) - math.log10(th.snr_t1))
             g_db = (1.0 - frac) * 10.0 * math.log10(g1) + frac * 10.0 * math.log10(g2)
@@ -371,7 +363,7 @@ def boundedness_criterion(h_s: np.ndarray, h_i: np.ndarray, s_i: np.ndarray) -> 
     if s_i.size == 0:
         raise ValueError("empty waveform matrix")
     v_i = la.orthonormal_range(s_i)
-    proj = la.projector(v_i)
+    proj = v_i @ v_i.conj().T
     h_s = np.asarray(h_s, dtype=np.complex128).reshape(-1, 1)
     lhs = la.orthonormal_range(proj @ np.asarray(h_i, dtype=np.complex128))
     rhs = la.orthonormal_range(proj @ h_s)

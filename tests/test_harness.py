@@ -250,6 +250,14 @@ def _text_basis(config, tmp_path):
     ("fig4b-pn2", _set(("scheme",), {"name": "PAPC", "position": 40}), "scheme.position"),
     ("fig4b-pn2", _set(("scheme", "monitor_freq"), 1.5), "scheme.monitor_freq"),
     ("fig4b-pn2", _set(("scheme", "monitor_freq"), math.nan), "scheme.monitor_freq"),
+    pytest.param("fig4c-tones5", _set(("interferers", 2, "normalized_offset"), 1e308),
+                 "interferers[2].normalized_offset", id="fig4c-tones5-offset-overflow"),
+    pytest.param("fig4b-pn2", _set(("element_spacing",), 1e308), "element_spacing",
+                 id="fig4b-pn2-spacing-overflow"),
+    pytest.param("fig4d-mai3", _set(("interferers", 0, "path_gains"), [1.0, 1e200, 1.0]),
+                 "interferers[0].path_gains[1]", id="fig4d-mai3-ray-power-overflow"),
+    pytest.param("fig4d-mai3", _set(("interferers", 0, "path_gains"), [1.0, 1.0, 1e-200]),
+                 "interferers[0].path_gains[2]", id="fig4d-mai3-ray-power-underflow"),
     ("fig4b-pn2", _custom_basis(h_s_scale=2.0), "scheme.basis_file"),
     ("fig4b-pn2", _custom_basis(h_i_columns=0), "scheme.basis_file"),
     ("fig4b-pn2", _custom_basis(gold_index=3), "scheme.basis_file"),
@@ -261,7 +269,9 @@ def _text_basis(config, tmp_path):
 def test_cli_bad_config_field_is_exit_1(command, preset, edit, field, tmp_path, capsys):
     """An interferer kind that sigmodel does not know, endfire or
     non-finite DOAs, a non-finite tone offset, ray gain or element
-    spacing, a SOI or MAI code index that names no Gold code, a
+    spacing, or one so large that the tone's phase, the steering phase or
+    the ray power overflows (or so small that the ray power underflows to
+    0), a SOI or MAI code index that names no Gold code, a
     single-element array, an MAI path delay of a whole code length, MAI
     ray lists that are empty or differ in length, a PAPC position or a
     Maximin frequency out of range, and a Custom basis file whose h_s is
@@ -402,8 +412,7 @@ def test_bases_for_custom_npz(tmp_path):
     cfg = replace(harness.preset("fig4a-bpsk3"),
                   scheme=harness.SchemeConfig("Custom", basis_file=str(path)))
     bases = harness.bases_for(cfg)
-    assert bases.scheme == "Custom"
-    assert bases.h_i.shape == (31, 1)
+    assert np.array_equal(bases.h_i, h_i)
 
 
 @pytest.mark.parametrize("name", ["h_s", "h_i"])
@@ -739,6 +748,27 @@ def test_cli_white_interference_at_high_inr_is_exit_0(command, inr_db, tmp_path,
                              "--out", str(tmp_path)])
     assert rc == 0
     assert "failure" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [
+    {"scheme": "Maximin", "symbols": 1000,
+     "interferers": [{"kind": "periodical_noise", "doa_deg": 14.4775121859299}]},
+    {"scheme": "Maximin", "symbols": 1000, "soi_doa_deg": 89.99,
+     "interferers": [{"kind": "periodical_noise", "doa_deg": 30.0}]},
+], ids=["jammer-on-a-null", "soi-at-89.99"])
+def test_cli_sweep_with_g_u_at_one_is_exit_0(config, tmp_path, capsys):
+    """A jammer on a null of the SOI's steering vector (sin 14.48 deg = 1/4
+    at L = 8), and fig4b's first jammer with the SOI near endfire, give a
+    G_U that rounds to 1 or above, so p_i = 0 and SNR_T2 = SNR_T0. Their
+    threshold points made the sweep exit 2 with "float division by zero"."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    rc = cli.main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path)])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    regions = [line.rsplit(",", 1)[1]
+               for line in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+    assert "Error" not in regions and "Threshold" in regions
 
 
 def test_cli_eigen_failure_names_its_grid_point(tmp_path, capsys):

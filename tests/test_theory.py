@@ -212,6 +212,25 @@ def test_curve_branch_continuity_at_thresholds():
     assert abs(g_at_t2 / g_u - 0.5) <= 1e-6
 
 
+def test_curve_bridge_without_ceiling_loss_ends_at_half_g_u():
+    """G_U = 1 gives p_i = 0, so SNR_T2 = SNR_T0 and the operating branch
+    is 0/0 at SNR_T2: the threshold bridge ends at its limit G_U / 2 there,
+    and above SNR_T2 the branch is G_U, instead of a ZeroDivisionError."""
+    bases = mpb.maximin_bases(CODE)
+    sc = _pn2(30.0)
+    spec = _spectrum_for(sc, bases, 1.0)
+    g_l = theory.g_lower_oracle(mpb.analytic_cov(sc, bases))
+    th = replace(theory.thresholds(spec.gammas[0], spec.beta, 31, 8, g_u=1.0), g_l=g_l)
+    assert th.p_i == 0.0 and th.snr_t2 == th.snr_t0 > 0.0
+    mid = (th.snr_t1 * th.snr_t2) ** 0.5
+    curve = theory.operating_curve(mpb.analytic_cov(sc, bases), th,
+                                   [mid, th.snr_t2, 2.0 * th.snr_t2])
+    assert [region for _, _, region in curve] == ["Threshold", "Threshold", "Operating"]
+    assert curve[1][1] == pytest.approx(0.5, rel=1e-12)
+    assert curve[2][1] == 1.0
+    assert 2.0 * g_l < curve[0][1] < 0.5
+
+
 def test_curve_failure_only_slope():
     """Full leakage with huge mismatch: G falls at 20 dB per decade."""
     bases = mpb.papc_bases(CODE)
@@ -480,7 +499,7 @@ def test_exact_gamma0_near_closed_form():
     bases = mpb.maximin_bases(CODE)
     for snr in (0.1, 1.0, 100.0):
         model = mpb.analytic_cov(sc, bases).at_snr(snr)
-        exact = theory.exact_gamma0(model)
+        exact = theory.mismatch_spectrum(model).gamma0
         approx = theory.gamma0(snr, 8, model.beta)
         assert abs(exact - approx) / max(exact, 1e-12) < 0.05, snr
 
